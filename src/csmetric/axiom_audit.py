@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, NumericError
 from .sampling import SampleConfig, sample_tuples
 from .spaces import (AlphaFunction, ComposedSpace, PointDomain, SelfMap,
                      eval_alpha, iterate_alpha)
@@ -91,32 +91,25 @@ class Verdict:
 
 class _Collector:
     """Accumulates slacks, tracking the worst comparison with a deterministic
-    lexicographic tie-break on the tuple."""
+    lexicographic tie-break on the tuple.  Every sampled comparison passes
+    through ``add``; a NaN slack compares false against any threshold, so it
+    raises instead of counting as a pass."""
 
     def __init__(self):
         self.checked = 0
         self.worst_slack = math.inf
-        self.worst_tuple: tuple | None = None
         self.witness_slack = math.inf
         self.witness: tuple | None = None
 
     def add(self, tup: tuple, slack: float, violates: bool):
+        if slack != slack:
+            raise NumericError(f"comparison at {tup!r} evaluated to NaN")
         self.checked += 1
         slack = slack + 0.0  # normalize -0.0
-        if slack < self.worst_slack or (slack == self.worst_slack and
-                                        self.worst_tuple is not None and
-                                        tup < self.worst_tuple):
-            self.worst_slack = slack
-            self.worst_tuple = tup
-        if violates:
-            if slack < self.witness_slack or (slack == self.witness_slack and
-                                              self.witness is not None and
-                                              tup < self.witness):
-                self.witness_slack = slack
-                self.witness = tup
-
-    def count_only(self):
-        self.checked += 1
+        self.worst_slack = min(self.worst_slack, slack)
+        if violates and (slack, tup) < (self.witness_slack, self.witness):
+            self.witness_slack = slack
+            self.witness = tup
 
     def verdict(self, check: str, seed: int | None,
                 details: Mapping | None = None) -> Verdict:
@@ -129,21 +122,15 @@ class _Collector:
                        details=details)
 
 
-def _require_sample(tuples: Sequence[tuple], check: str) -> Sequence[tuple]:
-    if not tuples:
-        raise ConfigurationError(f"check {check!r} received an empty sample")
-    return tuples
-
-
 def check_identity_axiom(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
     """Self distances vanish exactly; every other sampled triple is strictly
     positive."""
     metric = space.metric.fn
     col = _Collector()
-    for (x,) in _require_sample(sample_tuples(space.domain, 1, cfg), "identity_axiom"):
+    for (x,) in sample_tuples(space.domain, 1, cfg):
         d = metric(x, x, x)
         col.add((x, x, x), -abs(d), d != 0.0)
-    for tup in _require_sample(sample_tuples(space.domain, 3, cfg), "identity_axiom"):
+    for tup in sample_tuples(space.domain, 3, cfg):
         q, h, w = tup
         d = metric(q, h, w)
         if q == h == w:
@@ -158,7 +145,7 @@ def _triangle_verdict(space: ComposedSpace, cfg: SampleConfig,
                       wrap: Callable[[float], float], check: str) -> Verdict:
     metric = space.metric.fn
     col = _Collector()
-    for tup in _require_sample(sample_tuples(space.domain, 4, cfg), check):
+    for tup in sample_tuples(space.domain, 4, cfg):
         q, h, w, u = tup
         lhs = metric(q, h, w)
         rhs = wrap(metric(q, q, u)) + wrap(metric(h, h, u)) + wrap(metric(w, w, u))
@@ -184,7 +171,7 @@ def check_symmetry(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
     """|C(q,q,h) - C(h,h,q)| stays within tolerance on sampled pairs."""
     metric = space.metric.fn
     col = _Collector()
-    for tup in _require_sample(sample_tuples(space.domain, 2, cfg), "symmetry"):
+    for tup in sample_tuples(space.domain, 2, cfg):
         q, h = tup
         a = metric(q, q, h)
         b = metric(h, h, q)
@@ -210,10 +197,8 @@ def check_alpha_subhomogeneity(alpha: AlphaFunction, cfg: SampleConfig,
         raise ConfigurationError("k_set must be non-empty")
     if any(k <= 0 for k in k_set):
         raise ConfigurationError("all k values must be positive")
-    pairs = _require_sample(sample_tuples(_NONNEG_DOMAIN, 2, cfg),
-                            "alpha_subhomogeneity")
     col = _Collector()
-    for s, t in pairs:
+    for s, t in sample_tuples(_NONNEG_DOMAIN, 2, cfg):
         for k in k_set:
             lhs = eval_alpha(alpha, k * s + t)
             rhs = k * eval_alpha(alpha, s) + eval_alpha(alpha, t)
@@ -289,7 +274,6 @@ def check_series_vanishing(alpha: AlphaFunction, r: float, c0: float,
         final_value = series[-1]
         col.add((float(g), float(schedule[-1]), final_value),
                 tol - final_value, final_value > tol)
-        for _ in series[:-1]:
-            col.count_only()
+        col.checked += len(series) - 1
     details = {"n_schedule": schedule, "values": values, "tol": tol}
     return col.verdict("series_vanishing", None, details=details)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -35,9 +36,8 @@ from .errors import ConfigurationError, CsmetricError, DomainError
 from .fixed_point import check_banach, estimate_contraction_factor, picard
 from .poly_solver import bisection_oracle, solve_poly, verify_theorem_4_1
 from .sampling import SampleConfig
-from .spaces import (ComposedSpace, SelfMap, alpha_from_json, make_alpha,
-                     make_builtin_space, map_from_json, space_from_json,
-                     space_to_json)
+from .spaces import (ComposedSpace, SelfMap, make_alpha, map_from_json,
+                     space_from_json, space_to_json)
 
 SCHEMA = "csmetric/1"
 
@@ -59,31 +59,27 @@ class RunConfig:
 
 
 def _load_space_spec(args) -> dict:
-    """Assemble the space document from --space-file, --space, or --builtin."""
-    if getattr(args, "space_file", None):
+    """Assemble the space document from --space-file, --space, or --builtin,
+    then apply the --alpha and --map overrides."""
+    if args.space_file:
         try:
             with open(args.space_file, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigurationError(f"cannot read space file: {exc}") from None
-    elif getattr(args, "space", None):
-        text = args.space
-    elif getattr(args, "builtin", None):
+        doc = _parse_json(text, "space")
+    elif args.space:
+        doc = _parse_json(args.space, "space")
+    elif args.builtin:
         doc = {"metric": args.builtin}
-        if getattr(args, "params", None):
+        if args.params:
             doc["params"] = args.params
-        if getattr(args, "alpha", None):
-            doc["alpha"] = make_alpha(args.alpha).to_json()
-        if getattr(args, "map_spec", None):
-            doc["map"] = _parse_json(args.map_spec, "map")
-        return doc
     else:
         raise ConfigurationError(
             "a space is required: pass --builtin NAME, --space JSON, or --space-file PATH")
-    doc = _parse_json(text, "space")
-    if getattr(args, "alpha", None):
+    if args.alpha:
         doc["alpha"] = make_alpha(args.alpha).to_json()
-    if getattr(args, "map_spec", None):
+    if args.map_spec:
         doc["map"] = _parse_json(args.map_spec, "map")
     return doc
 
@@ -144,8 +140,6 @@ def _cmd_solve_poly(config: RunConfig) -> tuple[int, dict]:
     agreement = abs(result.fixed_point - oracle)
     ok = result.converged and agreement <= 10.0 * config.tol
     report = {
-        "schema": SCHEMA,
-        "command": "solve-poly",
         "m": m,
         "x0": x0,
         "tol": config.tol,
@@ -171,8 +165,6 @@ def _cmd_verify_space(config: RunConfig) -> tuple[int, dict]:
     ]
     gate_failed = any(gated and not v.passed for v, gated in checks)
     report = {
-        "schema": SCHEMA,
-        "command": "verify-space",
         "space": space_to_json(space),
         "seed": config.seed,
         "samples": config.samples,
@@ -191,8 +183,6 @@ def _cmd_check_contraction(config: RunConfig) -> tuple[int, dict]:
     cfg = SampleConfig(seed=config.seed, count=config.samples)
     estimate = estimate_contraction_factor(space, self_map, cfg)
     report = {
-        "schema": SCHEMA,
-        "command": "check-contraction",
         "space": space_to_json(space),
         "map": self_map.id,
         "seed": config.seed,
@@ -218,8 +208,6 @@ def _cmd_iterate(config: RunConfig) -> tuple[int, dict]:
     result = picard(space, self_map, x0, config.tol,
                     config.options.get("max_iter", 10000))
     report = {
-        "schema": SCHEMA,
-        "command": "iterate",
         "space": space_to_json(space),
         "map": self_map.id,
         "x0": x0,
@@ -240,8 +228,7 @@ def _cmd_verify_thm41(config: RunConfig) -> tuple[int, dict]:
             f"the verification pipeline covers degrees m >= 3; got m={m}")
     body = verify_theorem_4_1(m, seed=config.seed, samples=config.samples,
                               tol=config.tol)
-    report = {"schema": SCHEMA, "command": "verify-thm41", "seed": config.seed,
-              "samples": config.samples, "tol": config.tol}
+    report = {"seed": config.seed, "samples": config.samples, "tol": config.tol}
     report.update(body)
     return (0 if body["all_passed"] else 1), report
 
@@ -260,17 +247,30 @@ def run(config: RunConfig) -> tuple[int, dict]:
     handler = _COMMANDS.get(config.command)
     if handler is None:
         raise ConfigurationError(f"unknown command {config.command!r}")
-    return handler(config)
+    exit_code, body = handler(config)
+    return exit_code, {"schema": SCHEMA, "command": config.command, **body}
 
 
 # --- argument parsing ---------------------------------------------------------
+
+def _finite_float(text: str) -> float:
+    """argparse type for --tol, --r and --x0: a float that is neither NaN
+    nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=42,
                         help="sampling seed (default 42; CSMETRIC_SEED overrides)")
     parser.add_argument("--samples", type=int, default=10000,
                         help="sample count for audits (default 10000)")
-    parser.add_argument("--tol", type=float, default=1e-12,
+    parser.add_argument("--tol", type=_finite_float, default=1e-12,
                         help="solver tolerance (default 1e-12)")
     parser.add_argument("--output", choices=("text", "json"), default="text",
                         help="report format (default text)")
@@ -300,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-poly", help="solve the degree-m polynomial equation")
     p.add_argument("--m", type=int, required=True, help="degree parameter, m >= 3")
-    p.add_argument("--x0", type=float, default=0.5, help="start point in [0, 1]")
+    p.add_argument("--x0", type=_finite_float, default=0.5, help="start point in [0, 1]")
     _add_common(p)
 
     p = sub.add_parser("verify-space", help="audit the axioms of a space")
@@ -309,13 +309,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-contraction", help="estimate a map's contraction factor")
     _add_space_options(p)
-    p.add_argument("--r", type=float, default=None,
+    p.add_argument("--r", type=_finite_float, default=None,
                    help="also check the claimed contraction factor r in (0, 1)")
     _add_common(p)
 
     p = sub.add_parser("iterate", help="run Picard iteration on a space and map")
     _add_space_options(p)
-    p.add_argument("--x0", type=float, required=True, help="start point")
+    p.add_argument("--x0", type=_finite_float, required=True, help="start point")
     p.add_argument("--max-iter", type=int, default=10000, dest="max_iter")
     _add_common(p)
 

@@ -8,9 +8,11 @@ Grammar (whitespace ignored)::
     atom   := number | 't' | 'sqrt' '(' expr ')' | 'exp' '(' expr ')' | '(' expr ')'
 
 Only nonnegative numeric literals are allowed, so every expression maps
-[0, inf) into [0, inf) by construction.  Expressions compile to plain
-Python closures; ``exp`` saturates to ``math.inf`` instead of overflowing
-so that inequality checks involving huge right-hand sides stay well defined.
+[0, inf) into [0, inf) by construction.  An expression compiles to one
+Python function whose source is generated by the parser and which can
+reach no name but ``sqrt``, ``exp`` and ``pow``.  ``exp`` and ``^``
+saturate to ``math.inf`` instead of overflowing so that inequality checks
+involving huge right-hand sides stay well defined.
 """
 
 from __future__ import annotations
@@ -60,7 +62,23 @@ def _safe_exp(x: float) -> float:
         return math.inf
 
 
+def _safe_pow(x: float, p: float) -> float:
+    try:
+        return x ** p
+    except OverflowError:
+        return math.inf
+
+
+# The only names generated code can reach.
+_NAMESPACE = {"sqrt": math.sqrt, "exp": _safe_exp, "pow": _safe_pow,
+              "__builtins__": {}}
+
+
 class _Parser:
+    """Recursive-descent parser that emits Python source.  Sums and products
+    are emitted flat (Python evaluates them left to right) and literals as
+    the ``repr`` of their float value, so no operation is added or reordered."""
+
     def __init__(self, src: str):
         self.src = src
         self.tokens = _tokenize(src)
@@ -79,36 +97,33 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse(self) -> Callable[[float], float]:
-        fn = self.expr()
+    def parse(self) -> str:
+        code = self.expr()
         if self.peek() is not None:
             raise ConfigurationError(
                 f"trailing input {self.peek()!r} in expression {self.src!r}")
-        return fn
+        return code
 
-    def expr(self) -> Callable[[float], float]:
-        fn = self.term()
+    def expr(self) -> str:
+        code = self.term()
         while self.peek() == "+":
             self.take("+")
-            rhs = self.term()
-            fn = (lambda f, g: lambda t: f(t) + g(t))(fn, rhs)
-        return fn
+            code += " + " + self.term()
+        return code
 
-    def term(self) -> Callable[[float], float]:
-        fn = self.factor()
+    def term(self) -> str:
+        code = self.factor()
         while self.peek() == "*":
             self.take("*")
-            rhs = self.factor()
-            fn = (lambda f, g: lambda t: f(t) * g(t))(fn, rhs)
-        return fn
+            code += " * " + self.factor()
+        return code
 
-    def factor(self) -> Callable[[float], float]:
-        fn = self.atom()
+    def factor(self) -> str:
+        code = self.atom()
         if self.peek() == "^":
             self.take("^")
-            exponent = self.number(self.take())
-            fn = (lambda f, p: lambda t: f(t) ** p)(fn, exponent)
-        return fn
+            code = f"pow({code}, {self.number(self.take())!r})"
+        return code
 
     def number(self, tok: str) -> float:
         try:
@@ -120,30 +135,24 @@ class _Parser:
             raise ConfigurationError(f"numeric literals must be finite and nonnegative: {tok!r}")
         return value
 
-    def atom(self) -> Callable[[float], float]:
+    def atom(self) -> str:
         tok = self.take()
         if tok == "t":
-            return lambda t: t
-        if tok == "sqrt":
-            self.take("(")
-            inner = self.expr()
+            return "t"
+        if tok in ("sqrt", "exp"):
+            tok += self.take("(")
+        if tok.endswith("("):
+            code = tok + self.expr() + ")"
             self.take(")")
-            return (lambda f: lambda t: math.sqrt(f(t)))(inner)
-        if tok == "exp":
-            self.take("(")
-            inner = self.expr()
-            self.take(")")
-            return (lambda f: lambda t: _safe_exp(f(t)))(inner)
-        if tok == "(":
-            inner = self.expr()
-            self.take(")")
-            return inner
-        value = self.number(tok)
-        return lambda t: value
+            return code
+        return repr(self.number(tok))
 
 
 def compile_expression(src: str) -> Callable[[float], float]:
-    """Compile an expression in the variable ``t`` into a float -> float closure."""
+    """Compile an expression in the variable ``t`` into a float -> float function."""
     if not isinstance(src, str) or not src.strip():
         raise ConfigurationError("expression must be a non-empty string")
-    return _Parser(src).parse()
+    try:
+        return eval(f"lambda t: {_Parser(src).parse()}", _NAMESPACE)
+    except (SyntaxError, RecursionError):  # Python caps nesting at 200 levels
+        raise ConfigurationError(f"expression {src[:40]!r}... nests too deeply") from None

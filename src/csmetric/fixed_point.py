@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .axiom_audit import (ABS_TOL, Verdict, _Collector, _require_sample,
+from .axiom_audit import (_NONNEG_DOMAIN, ABS_TOL, Verdict, _Collector,
                           slack_tolerance)
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .sampling import SampleConfig, sample_tuples
-from .spaces import ComposedSpace, PointDomain, SelfMap, eval_metric
+from .spaces import ComposedSpace, SelfMap, eval_metric
 
 __all__ = [
     "Orbit",
@@ -49,17 +49,13 @@ DEFAULT_MAX_ITER = 10000
 # is vacuous at zero distance.
 _RATIO_FLOOR = 1e-12
 
-_NONNEG_DOMAIN = PointDomain.real_interval(0.0, 10.0)
-
 
 @dataclass(frozen=True)
 class Orbit:
-    """A Picard orbit with per-step distances d_n = C(x_n, x_n, x_{n+1}) and
-    the ratios d_{n+1}/d_n wherever d_n > 0."""
+    """A Picard orbit with per-step distances d_n = C(x_n, x_n, x_{n+1})."""
 
     iterates: tuple
     step_distances: tuple
-    ratios: tuple
 
     def to_json_dict(self) -> dict:
         return {"iterates": list(self.iterates),
@@ -133,7 +129,7 @@ def picard(space: ComposedSpace, F: SelfMap, x0, tol: float = DEFAULT_TOL,
     only when the stop was tolerance-driven and the independently recomputed
     residual C(x, x, F(x)) is itself at most tol.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ConfigurationError("tolerance must be positive")
     if max_iter < 1:
         raise ConfigurationError("max_iter must be >= 1")
@@ -154,8 +150,7 @@ def picard(space: ComposedSpace, F: SelfMap, x0, tol: float = DEFAULT_TOL,
         x = y
     fixed_point = iterates[-1]
     residual = eval_metric(space, fixed_point, fixed_point, F.apply(fixed_point))
-    ratios = tuple(b / a for a, b in zip(steps, steps[1:]) if a > 0)
-    orbit = Orbit(iterates=tuple(iterates), step_distances=tuple(steps), ratios=ratios)
+    orbit = Orbit(iterates=tuple(iterates), step_distances=tuple(steps))
     return SolveResult(fixed_point=fixed_point, iterations=len(steps),
                        residual=residual, converged=stopped and residual <= tol,
                        orbit=orbit)
@@ -165,12 +160,10 @@ def estimate_contraction_factor(space: ComposedSpace, F: SelfMap,
                                 cfg: SampleConfig) -> ContractionEstimate:
     """Maximum observed image-to-source distance ratio over sampled triples."""
     metric = space.metric.fn
-    triples = _require_sample(sample_tuples(space.domain, 3, cfg),
-                              "contraction_estimate")
     best = -math.inf
     arg: tuple | None = None
     evaluated = 0
-    for tup in triples:
+    for tup in sample_tuples(space.domain, 3, cfg):
         q, h, w = tup
         den = metric(q, h, w)
         if den < _RATIO_FLOOR:
@@ -193,7 +186,7 @@ def check_banach(space: ComposedSpace, F: SelfMap, r: float,
         raise ConfigurationError(f"contraction factor must lie in (0, 1), got {r!r}")
     metric = space.metric.fn
     col = _Collector()
-    for tup in _require_sample(sample_tuples(space.domain, 3, cfg), "banach_contraction"):
+    for tup in sample_tuples(space.domain, 3, cfg):
         q, h, w = tup
         lhs = metric(F.apply(q), F.apply(h), F.apply(w))
         rhs = r * metric(q, h, w)
@@ -215,7 +208,7 @@ def check_m1(Mf: MfFunction, r: float, cfg: SampleConfig,
     if guard_variant not in ("definition", "alternate"):
         raise ConfigurationError(f"unknown guard variant {guard_variant!r}")
     col = _Collector()
-    for tup in _require_sample(sample_tuples(_NONNEG_DOMAIN, 3, cfg), "m1"):
+    for tup in sample_tuples(_NONNEG_DOMAIN, 3, cfg):
         o, h, w = tup
         guard_w = (w <= 2 * o + h) if guard_variant == "definition" else (w <= o + 2 * h)
         if guard_w and h <= Mf.fn(o, o, 0.0, w, h):
@@ -223,18 +216,18 @@ def check_m1(Mf: MfFunction, r: float, cfg: SampleConfig,
             slack = rhs - h
             col.add(tup, slack, slack < -slack_tolerance(rhs))
         else:
-            col.count_only()
+            col.checked += 1
     return col.verdict("m1", cfg.seed)
 
 
 def check_m2(Mf: MfFunction, cfg: SampleConfig) -> Verdict:
     """Selection property two: h <= Mf(h, 0, h, h, 0) forces h = 0."""
     col = _Collector()
-    for (h,) in _require_sample(sample_tuples(_NONNEG_DOMAIN, 1, cfg), "m2"):
+    for (h,) in sample_tuples(_NONNEG_DOMAIN, 1, cfg):
         if h <= Mf.fn(h, 0.0, h, h, 0.0):
             col.add((h,), -h, h > ABS_TOL)
         else:
-            col.count_only()
+            col.checked += 1
     return col.verdict("m2", cfg.seed)
 
 
@@ -246,7 +239,7 @@ def check_mf_contraction(space: ComposedSpace, F: SelfMap, Mf: MfFunction,
         raise PreconditionError("the generalized contraction check needs a symmetric space")
     metric = space.metric.fn
     col = _Collector()
-    for tup in _require_sample(sample_tuples(space.domain, 2, cfg), "mf_contraction"):
+    for tup in sample_tuples(space.domain, 2, cfg):
         o, h = tup
         fo, fh = F.apply(o), F.apply(h)
         lhs = metric(fo, fo, fh)
@@ -275,17 +268,14 @@ def uniqueness_probe(space: ComposedSpace, F: SelfMap, starts: Sequence,
     if not starts:
         raise ConfigurationError("uniqueness probe needs at least one start")
     limits = []
-    checked = 0
-    for x0 in starts:
+    for checked, x0 in enumerate(starts, 1):
         result = picard(space, F, x0, tol, max_iter)
-        checked += 1
         if not result.converged:
             return Verdict(check="uniqueness", passed=False, checked=checked,
                            witness=(x0,), worst_margin=-result.residual, seed=None)
         limits.append(result.fixed_point)
     col = _Collector()
-    for _ in range(checked):
-        col.count_only()
+    col.checked = len(limits)
     for i in range(len(limits)):
         for j in range(i + 1, len(limits)):
             d = eval_metric(space, limits[i], limits[i], limits[j])

@@ -15,7 +15,7 @@ is safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from .errors import ConfigurationError, DomainError, NumericError
@@ -45,6 +45,23 @@ Point = float
 
 # Probe grid used to reject constant composing functions at construction.
 _NONCONSTANT_PROBE = (0.0, 0.25, 1.0, 2.0, 7.5)
+
+
+def _check_reals(values, what: str, arity: int | None = None):
+    """Return values if it is a list or tuple (of length arity, when given)
+    of finite ints or floats, not bools; raise ConfigurationError otherwise.
+    Every numeric field of a document is validated here."""
+    try:
+        ok = (isinstance(values, (list, tuple)) and arity in (None, len(values)) and
+              all(isinstance(x, (int, float)) and not isinstance(x, bool) and
+                  math.isfinite(x) for x in values))
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
+        count = "" if arity is None else f"{arity} "
+        raise ConfigurationError(
+            f"{what}: expected a list of {count}finite real numbers, got {values!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -127,11 +144,13 @@ class PointDomain:
         kind = doc["kind"]
         try:
             if kind == "real_interval":
-                return PointDomain.real_interval(doc["lo"], doc["hi"])
+                return PointDomain.real_interval(
+                    *_check_reals([doc["lo"], doc["hi"]], "interval bounds"))
             if kind == "naturals_up_to":
-                return PointDomain.naturals_up_to(doc["max"])
+                return PointDomain.naturals_up_to(*_check_reals([doc["max"]], "naturals max"))
             if kind == "finite_real_set":
-                return PointDomain.finite_real_set(doc["elements"])
+                return PointDomain.finite_real_set(
+                    _check_reals(doc["elements"], "finite set elements"))
         except KeyError as exc:
             raise ConfigurationError(f"domain document missing field {exc.args[0]!r}") from None
         raise ConfigurationError(f"unknown domain kind {kind!r}")
@@ -183,9 +202,10 @@ def make_alpha(name: str, params: Sequence[float] = ()) -> AlphaFunction:
     """Build a composing function from a built-in name, a slope for
     ``linear``, or an inline expression in ``t``."""
     if name == "linear":
-        if len(params) != 1 or params[0] <= 0:
+        (b,) = _check_reals(params, "linear slope", 1)
+        if b <= 0:
             raise ConfigurationError("linear composing function needs one positive slope")
-        b = float(params[0])
+        b = float(b)
         return AlphaFunction(id="linear", expr=f"{b!r}*t", params=(b,))
     if name in BUILTIN_ALPHAS:
         if params:
@@ -199,14 +219,13 @@ def alpha_from_json(doc: dict) -> AlphaFunction:
     if not isinstance(doc, dict) or "id" not in doc:
         raise ConfigurationError("alpha document must be an object with an 'id' field")
     alpha_id = doc["id"]
-    params = tuple(doc.get("params", ()))
     if alpha_id == "custom":
         if "expr" not in doc:
             raise ConfigurationError("custom alpha document must carry an 'expr' field")
         return AlphaFunction(id="custom", expr=doc["expr"])
     if alpha_id == "linear":
-        return make_alpha("linear", params)
-    if alpha_id in BUILTIN_ALPHAS:
+        return make_alpha("linear", doc.get("params", ()))
+    if isinstance(alpha_id, str) and alpha_id in BUILTIN_ALPHAS:
         return make_alpha(alpha_id)
     raise ConfigurationError(f"unknown alpha id {alpha_id!r}")
 
@@ -309,20 +328,28 @@ def _metric_discrete_nat(a, b, c):
     return 2.0 * (a + b + c)
 
 
-BUILTIN_SPACES = ("squared_diff", "discrete_nat", "abs_sum", "app_metric")
+def _squared_diff_domain(lo, hi) -> PointDomain:
+    if lo < 1.0:
+        raise ConfigurationError("squared_diff lives on [1, inf); truncation needs lo >= 1")
+    return PointDomain.real_interval(lo, hi)
 
-_METRIC_FNS = {
-    "squared_diff": _metric_squared_diff,
-    "discrete_nat": _metric_discrete_nat,
-    "abs_sum": _metric_abs_sum,
-    "app_metric": _metric_app,
+
+# name: (metric, default params, domain from params, composing function)
+_BUILTINS = {
+    "squared_diff": (_metric_squared_diff, (1.0, 100.0), _squared_diff_domain, "exp"),
+    "discrete_nat": (_metric_discrete_nat, (50,), PointDomain.naturals_up_to,
+                     "two_t_plus_one"),
+    "abs_sum": (_metric_abs_sum, (1.0, 100.0), PointDomain.real_interval, "exp_2t"),
+    "app_metric": (_metric_app, (), lambda: PointDomain.real_interval(0.0, 1.0),
+                   "two_sqrt"),
 }
+
+BUILTIN_SPACES = tuple(_BUILTINS)
 
 
 def metric_by_name(name: str) -> TripleMetric:
-    if name not in _METRIC_FNS:
-        raise ConfigurationError(f"unknown metric {name!r}; expected one of {BUILTIN_SPACES}")
-    return TripleMetric(id=name, fn=_METRIC_FNS[name])
+    """The triple metric of the built-in space ``name``."""
+    return TripleMetric(id=name, fn=_BUILTINS[name][0])
 
 
 def make_builtin_space(name: str, params: Sequence[float] = ()) -> ComposedSpace:
@@ -339,31 +366,16 @@ def make_builtin_space(name: str, params: Sequence[float] = ()) -> ComposedSpace
     The unbounded source domains are truncated to finite ranges so that
     sampled audits have finite support.
     """
-    params = list(params)
-    if name == "squared_diff":
-        lo, hi = params if params else (1.0, 100.0)
-        if lo < 1.0:
-            raise ConfigurationError("squared_diff lives on [1, inf); truncation needs lo >= 1")
-        domain = PointDomain.real_interval(lo, hi)
-        return ComposedSpace(domain, metric_by_name(name), make_alpha("exp"),
-                             symmetric_claim=True)
-    if name == "discrete_nat":
-        (max_value,) = params if params else (50,)
-        domain = PointDomain.naturals_up_to(int(max_value))
-        return ComposedSpace(domain, metric_by_name(name), make_alpha("two_t_plus_one"),
-                             symmetric_claim=True)
-    if name == "abs_sum":
-        lo, hi = params if params else (1.0, 100.0)
-        domain = PointDomain.real_interval(lo, hi)
-        return ComposedSpace(domain, metric_by_name(name), make_alpha("exp_2t"),
-                             symmetric_claim=True)
-    if name == "app_metric":
-        if params:
-            raise ConfigurationError("app_metric is fixed on [0, 1] and takes no parameters")
-        domain = PointDomain.real_interval(0.0, 1.0)
-        return ComposedSpace(domain, metric_by_name(name), make_alpha("two_sqrt"),
-                             symmetric_claim=True)
-    raise ConfigurationError(f"unknown builtin space {name!r}; expected one of {BUILTIN_SPACES}")
+    if not isinstance(name, str) or name not in _BUILTINS:
+        raise ConfigurationError(f"unknown builtin space {name!r}; expected one of {BUILTIN_SPACES}")
+    _, defaults, domain, alpha = _BUILTINS[name]
+    if isinstance(params, (list, tuple)) and not params:
+        params = defaults
+    _check_reals(params, f"{name} params", len(defaults))
+    # metric_by_name is called, not read from the table, so that
+    # perfbench/tracer.py can wrap it.
+    return ComposedSpace(domain(*params), metric_by_name(name), make_alpha(alpha),
+                         symmetric_claim=True)
 
 
 # --- built-in self-maps -----------------------------------------------------
@@ -383,15 +395,11 @@ def make_self_map(kind: str, domain: PointDomain, **kwargs) -> SelfMap:
         v = float(value)
         return SelfMap(id=f"const({v!r})", fn=lambda x: v, domain=domain)
     if kind == "scale":
-        factor = kwargs.get("factor")
-        if factor is None:
-            raise ConfigurationError("scale map needs a 'factor'")
-        k = float(factor)
+        (k,) = _check_reals([kwargs.get("factor")], "scale map factor")
+        k = float(k)
         return SelfMap(id=f"scale({k!r})", fn=lambda x: k * x, domain=domain)
     if kind == "poly":
-        m = kwargs.get("m")
-        if m is None:
-            raise ConfigurationError("poly map needs a degree parameter 'm'")
+        (m,) = _check_reals([kwargs.get("m")], "poly map degree m")
         from .poly_solver import poly_map  # local import to avoid a cycle
         return poly_map(int(m)).map
     raise ConfigurationError(f"unknown map kind {kind!r}")
@@ -415,18 +423,16 @@ def space_from_json(doc: dict) -> ComposedSpace:
     if "metric" not in doc:
         raise ConfigurationError("space document missing field 'metric'")
     name = doc["metric"]
-    params = doc.get("params", [])
-    space = make_builtin_space(name, params)
+    space = make_builtin_space(name, doc.get("params", []))
     if "domain" in doc:
         domain = PointDomain.from_json(doc["domain"])
         if name == "squared_diff" and domain.kind == "real_interval" and domain.lo < 1.0:
             raise ConfigurationError("squared_diff domain must satisfy lo >= 1")
-        space = ComposedSpace(domain, space.metric, space.alpha, space.symmetric_claim)
+        space = replace(space, domain=domain)
     if "alpha" in doc:
-        space = ComposedSpace(space.domain, space.metric, alpha_from_json(doc["alpha"]),
-                              space.symmetric_claim)
+        space = replace(space, alpha=alpha_from_json(doc["alpha"]))
     if "symmetric" in doc:
-        space = ComposedSpace(space.domain, space.metric, space.alpha, bool(doc["symmetric"]))
+        space = replace(space, symmetric_claim=bool(doc["symmetric"]))
     return space
 
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from csmetric import (ConfigurationError, DomainError, SampleConfig,
+from csmetric import (ComposedSpace, ConfigurationError, DomainError,
+                      NumericError, PointDomain, SampleConfig, TripleMetric,
                       check_alpha_dominates_orbit, check_alpha_subhomogeneity,
                       check_alpha_zero, check_classic_triangle,
                       check_composed_triangle, check_identity_axiom,
@@ -39,6 +40,19 @@ class TestIdentityAxiom:
     def test_empty_sample_rejected(self, app_space):
         with pytest.raises(ConfigurationError):
             check_identity_axiom(app_space, SampleConfig(seed=1, count=0))
+
+
+@pytest.mark.parametrize("check", [check_identity_axiom, check_symmetry,
+                                   check_composed_triangle],
+                         ids=lambda check: check.__name__)
+def test_nan_metric_never_passes(check):
+    # NaN compares false against every threshold; at this seed and count
+    # every sampled symmetry pair lands in the NaN half.
+    metric = TripleMetric(id="half_nan", fn=lambda q, h, w:
+                          math.nan if q < 0.5 else abs(q - w) + abs(h - w))
+    space = ComposedSpace(PointDomain.real_interval(0, 1), metric, IDENTITY)
+    with pytest.raises(NumericError):
+        check(space, SampleConfig(seed=1, count=2000))
 
 
 class TestComposedTriangle:

@@ -68,10 +68,35 @@ class TestVerifySpace:
                        "--samples", "2000", "--output", "json")
         assert proc.returncode == 0
 
-    def test_malformed_space_json(self):
-        proc = run_cli("verify-space", "--space", "{]")
+    @pytest.mark.parametrize("space,message", [
+        pytest.param("{]", b"space", id="bad-json"),
+        pytest.param('{"metric":"abs_sum","params":[1]}', b"params",
+                     id="params-arity"),
+        pytest.param('{"metric":"abs_sum","params":["a"]}', b"params",
+                     id="params-string"),
+        pytest.param('{"metric":"abs_sum","params":5}', b"params",
+                     id="params-scalar"),
+        pytest.param('{"metric":"squared_diff","params":["a","b"]}', b"params",
+                     id="params-strings"),
+        pytest.param('{"metric":"discrete_nat","params":[1e400]}', b"params",
+                     id="params-infinite"),
+        pytest.param('{"metric":["x"]}', b"unknown builtin space", id="metric-list"),
+        pytest.param('{"metric":"app_metric","alpha":{"id":"linear","params":["a"]}}',
+                     b"slope", id="linear-slope-string"),
+        pytest.param('{"metric":"app_metric","alpha":{"id":["a"]}}', b"alpha id",
+                     id="alpha-id-list"),
+        pytest.param('{"metric":"abs_sum","domain":{"kind":"real_interval","lo":"a","hi":2}}',
+                     b"interval bounds", id="domain-lo-string"),
+        pytest.param('{"metric":"app_metric","map":{"kind":"scale","factor":"x"}}',
+                     b"factor", id="scale-factor-string"),
+        pytest.param('{"metric":"app_metric","map":{"kind":"poly","m":"x"}}',
+                     b"degree", id="poly-degree-string"),
+    ])
+    def test_malformed_space_json(self, space, message):
+        proc = run_cli("verify-space", "--space", space, "--samples", "10")
         assert proc.returncode == 2
-        assert b"space" in proc.stderr
+        assert message in proc.stderr
+        assert b"Traceback" not in proc.stderr
 
     def test_space_required(self):
         proc = run_cli("verify-space")
@@ -83,6 +108,20 @@ class TestVerifySpace:
                        env_extra={"CSMETRIC_SEED": "777"})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["seed"] == 777
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("solve-poly", "--m", "3", "--tol", "nan"), id="tol-nan"),
+    pytest.param(("solve-poly", "--m", "3", "--x0", "inf"), id="x0-inf"),
+    pytest.param(("check-contraction", "--builtin", "app_metric",
+                  "--map", '{"kind":"identity"}', "--r", "nan"), id="r-nan"),
+    pytest.param(("iterate", "--builtin", "app_metric",
+                  "--map", '{"kind":"identity"}', "--x0=-inf"), id="x0-minus-inf"),
+])
+def test_non_finite_flag_is_a_usage_error(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert b"expected a finite number" in proc.stderr
 
 
 class TestCheckContraction:

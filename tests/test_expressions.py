@@ -29,13 +29,17 @@ def test_whitespace_ignored():
 
 
 def test_exp_saturates_instead_of_overflowing():
-    fn = compile_expression("exp(t)")
-    assert fn(1e6) == math.inf
+    for expr, t in (("exp(t)", 1e6), ("t^400", 1e3)):
+        assert compile_expression(expr)(t) == math.inf
 
 
 @pytest.mark.parametrize("bad", [
     "", "   ", "t - 1", "2**t", "sqrt", "sqrt(", "q", "t +", "(t", "t)2",
     "-3", "2*", "exp 3", "t^t",
+    # Names and literals the generated code must never contain.
+    "__import__(1)", "t.real", "inf", "nan", "1e999", "t^inf", "sqrt(t)(t)", "t;1",
+    pytest.param("(" * 250 + "t" + ")" * 250, id="deep-parens"),
+    pytest.param("+".join(["t"] * 5000), id="long-sum"),
 ])
 def test_rejects_malformed(bad):
     with pytest.raises(ConfigurationError):
