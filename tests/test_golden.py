@@ -25,6 +25,12 @@ CASES = {
                                    "--samples", "3000", "--output", "json"]
        for m in (3, 4, 5)},
     "verify-thm41-m3.txt": ["verify-thm41", "--m", "3", "--samples", "1000"],
+    "verify-space-squared_diff.txt": ["verify-space", "--builtin", "squared_diff",
+                                      "--samples", "3000"],
+    "solve-poly-m3.txt": ["solve-poly", "--m", "3"],
+    "iterate-halving.txt": ["iterate", "--space", HALVING, "--x0", "1.0"],
+    "check-contraction-poly3.txt": ["check-contraction", "--space", POLY3,
+                                    "--r", "0.0125", "--samples", "3000"],
     "iterate-halving.json": ["iterate", "--space", HALVING, "--x0", "1.0",
                              "--output", "json"],
     "iterate-poly3.json": ["iterate", "--space", POLY3, "--x0", "0.5",
