@@ -17,7 +17,8 @@ from .fixed_point import (DEFAULT_MAX_ITER, DEFAULT_TOL, ContractionEstimate,
                           kannan_mf, picard, uniqueness_probe,
                           verify_fixed_point)
 from .poly_solver import (PolyProblem, bisection_oracle, contraction_bound,
-                          poly_map, residual, solve_poly, verify_theorem_4_1)
+                          oracle_agreement, poly_map, residual, solve_poly,
+                          verify_theorem_4_1)
 from .sampling import STRATEGIES, SampleConfig, sample_tuples
 from .spaces import (BUILTIN_ALPHAS, BUILTIN_SPACES, AlphaFunction,
                      ComposedSpace, PointDomain, SelfMap, TripleMetric,
@@ -46,5 +47,5 @@ __all__ = [
     "check_m2", "check_mf_contraction", "verify_fixed_point",
     "uniqueness_probe", "banach_mf", "kannan_mf", "bianchini_mf",
     "residual", "poly_map", "contraction_bound", "bisection_oracle",
-    "solve_poly", "verify_theorem_4_1",
+    "oracle_agreement", "solve_poly", "verify_theorem_4_1",
 ]

@@ -91,9 +91,9 @@ class Verdict:
 
 class _Collector:
     """Accumulates slacks, tracking the worst comparison with a deterministic
-    lexicographic tie-break on the tuple.  Every sampled comparison passes
-    through ``add``; a NaN slack compares false against any threshold, so it
-    raises instead of counting as a pass."""
+    lexicographic tie-break on the tuple.  Every verdict is built here and
+    every comparison passes through ``add``; a NaN slack compares false
+    against any threshold, so it raises instead of counting as a pass."""
 
     def __init__(self):
         self.checked = 0
@@ -107,7 +107,8 @@ class _Collector:
         self.checked += 1
         slack = slack + 0.0  # normalize -0.0
         self.worst_slack = min(self.worst_slack, slack)
-        if violates and (slack, tup) < (self.witness_slack, self.witness):
+        if violates and (self.witness is None or
+                         (slack, tup) < (self.witness_slack, self.witness)):
             self.witness_slack = slack
             self.witness = tup
 
@@ -184,10 +185,9 @@ def check_symmetry(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
 def check_alpha_zero(alpha: AlphaFunction) -> Verdict:
     """alpha(0) must be exactly zero."""
     value = eval_alpha(alpha, 0.0)
-    passed = value == 0.0
-    return Verdict(check="alpha_zero", passed=passed, checked=1,
-                   witness=None if passed else (0.0, value),
-                   worst_margin=0.0 if passed else -abs(value), seed=None)
+    col = _Collector()
+    col.add((0.0, value), -abs(value), value != 0.0)
+    return col.verdict("alpha_zero", None)
 
 
 def check_alpha_subhomogeneity(alpha: AlphaFunction, cfg: SampleConfig,

@@ -27,35 +27,20 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .axiom_audit import (Verdict, check_classic_triangle,
                           check_composed_triangle, check_identity_axiom,
                           check_symmetry)
 from .errors import ConfigurationError, CsmetricError, DomainError
 from .fixed_point import check_banach, estimate_contraction_factor, picard
-from .poly_solver import bisection_oracle, solve_poly, verify_theorem_4_1
+from .poly_solver import oracle_agreement, solve_poly, verify_theorem_4_1
 from .sampling import SampleConfig
-from .spaces import (ComposedSpace, SelfMap, make_alpha, map_from_json,
-                     space_from_json, space_to_json)
+from .spaces import (BUILTIN_SPACES, ComposedSpace, SelfMap, make_alpha,
+                     map_from_json, space_from_json, space_to_json)
 
 SCHEMA = "csmetric/1"
 
-__all__ = ["RunConfig", "run", "main", "SCHEMA"]
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: the command plus its effective options."""
-
-    command: str
-    space_spec: dict | None = None
-    seed: int = 42
-    samples: int = 10000
-    tol: float = 1e-12
-    output: str = "text"
-    out_path: str | None = None
-    options: dict = field(default_factory=dict)
+__all__ = ["run", "main", "SCHEMA"]
 
 
 def _load_space_spec(args) -> dict:
@@ -94,8 +79,8 @@ def _parse_json(text: str, what: str) -> dict:
     return doc
 
 
-def _build_space(config: RunConfig) -> tuple[ComposedSpace, SelfMap | None]:
-    doc = config.space_spec or {}
+def _build_space(args: argparse.Namespace) -> tuple[ComposedSpace, SelfMap | None]:
+    doc = _load_space_spec(args)
     space = space_from_json(doc)
     self_map = None
     if "map" in doc:
@@ -103,60 +88,44 @@ def _build_space(config: RunConfig) -> tuple[ComposedSpace, SelfMap | None]:
     return space, self_map
 
 
-def _verdict_rows(verdicts: list[dict]) -> list[str]:
-    rows = []
-    for item in verdicts:
+def _render_text(report: dict) -> str:
+    lines = [f"csmetric {report['command']}"]
+    for item in report.get("hypotheses", report.get("checks", ())):
         v = item["verdict"]
         status = "PASS" if v["passed"] else "FAIL"
         row = f"{status}  {item['name']}  checked={v['checked']}  worst_margin={v['worst_margin']:.6g}"
         if v["witness"] is not None:
             row += f"  witness={v['witness']}"
-        rows.append(row)
-    return rows
-
-
-def _render_text(report: dict) -> str:
-    lines = [f"csmetric {report['command']}"]
-    if "hypotheses" in report:
-        lines.extend(_verdict_rows(report["hypotheses"]))
-    if "checks" in report:
-        lines.extend(_verdict_rows(report["checks"]))
+        lines.append(row)
     for key in ("m", "root", "oracle_root", "agreement", "converged", "iterations",
-                "fixed_point", "residual", "sup_ratio", "argmax", "samples"):
+                "fixed_point", "residual", "sup_ratio", "argmax", "samples", "exit"):
         if key in report:
             lines.append(f"{key} = {report[key]}")
-    if "exit" in report:
-        lines.append(f"exit = {report['exit']}")
     return "\n".join(lines)
 
 
 # --- command implementations -------------------------------------------------
 
-def _cmd_solve_poly(config: RunConfig) -> tuple[int, dict]:
-    m = config.options["m"]
-    x0 = config.options.get("x0", 0.5)
-    result = solve_poly(m, x0, config.tol)
-    oracle = bisection_oracle(m, config.tol)
-    agreement = abs(result.fixed_point - oracle)
-    ok = result.converged and agreement <= 10.0 * config.tol
+def _cmd_solve_poly(args: argparse.Namespace) -> tuple[int, dict]:
+    result = solve_poly(args.m, args.x0, args.tol)
+    oracle = oracle_agreement(args.m, result, args.tol)
     report = {
-        "m": m,
-        "x0": x0,
-        "tol": config.tol,
+        "m": args.m,
+        "x0": args.x0,
+        "tol": args.tol,
         "root": result.fixed_point,
-        "oracle_root": oracle,
-        "agreement": agreement,
+        **oracle.details,
         "converged": result.converged,
         "iterations": result.iterations,
         "residual": result.residual,
         "result": result.to_json_dict(),
     }
-    return (0 if ok else 1), report
+    return (0 if oracle.passed else 1), report
 
 
-def _cmd_verify_space(config: RunConfig) -> tuple[int, dict]:
-    space, _ = _build_space(config)
-    cfg = SampleConfig(seed=config.seed, count=config.samples)
+def _cmd_verify_space(args: argparse.Namespace) -> tuple[int, dict]:
+    space, _ = _build_space(args)
+    cfg = SampleConfig(seed=args.seed, count=args.samples)
     checks: list[tuple[Verdict, bool]] = [
         (check_identity_axiom(space, cfg), True),
         (check_composed_triangle(space, cfg), True),
@@ -166,8 +135,8 @@ def _cmd_verify_space(config: RunConfig) -> tuple[int, dict]:
     gate_failed = any(gated and not v.passed for v, gated in checks)
     report = {
         "space": space_to_json(space),
-        "seed": config.seed,
-        "samples": config.samples,
+        "seed": args.seed,
+        "samples": args.samples,
         "checks": [{"name": v.check, "gate": gated, "verdict": v.to_json_dict()}
                    for v, gated in checks],
         "passed": not gate_failed,
@@ -175,43 +144,40 @@ def _cmd_verify_space(config: RunConfig) -> tuple[int, dict]:
     return (1 if gate_failed else 0), report
 
 
-def _cmd_check_contraction(config: RunConfig) -> tuple[int, dict]:
-    space, self_map = _build_space(config)
+def _cmd_check_contraction(args: argparse.Namespace) -> tuple[int, dict]:
+    space, self_map = _build_space(args)
     if self_map is None:
         raise ConfigurationError(
             "check-contraction needs a map: add a 'map' field or pass --map JSON")
-    cfg = SampleConfig(seed=config.seed, count=config.samples)
+    cfg = SampleConfig(seed=args.seed, count=args.samples)
     estimate = estimate_contraction_factor(space, self_map, cfg)
     report = {
         "space": space_to_json(space),
         "map": self_map.id,
-        "seed": config.seed,
+        "seed": args.seed,
         "samples": estimate.samples,
         "sup_ratio": estimate.sup_ratio,
         "argmax": list(estimate.argmax_tuple),
     }
     exit_code = 0
-    r = config.options.get("r")
-    if r is not None:
-        verdict = check_banach(space, self_map, r, cfg)
-        report["r"] = r
+    if args.r is not None:
+        verdict = check_banach(space, self_map, args.r, cfg)
+        report["r"] = args.r
         report["checks"] = [{"name": verdict.check, "verdict": verdict.to_json_dict()}]
         exit_code = 0 if verdict.passed else 1
     return exit_code, report
 
 
-def _cmd_iterate(config: RunConfig) -> tuple[int, dict]:
-    space, self_map = _build_space(config)
+def _cmd_iterate(args: argparse.Namespace) -> tuple[int, dict]:
+    space, self_map = _build_space(args)
     if self_map is None:
         raise ConfigurationError("iterate needs a map: add a 'map' field or pass --map JSON")
-    x0 = config.options["x0"]
-    result = picard(space, self_map, x0, config.tol,
-                    config.options.get("max_iter", 10000))
+    result = picard(space, self_map, args.x0, args.tol, args.max_iter)
     report = {
         "space": space_to_json(space),
         "map": self_map.id,
-        "x0": x0,
-        "tol": config.tol,
+        "x0": args.x0,
+        "tol": args.tol,
         "fixed_point": result.fixed_point,
         "iterations": result.iterations,
         "residual": result.residual,
@@ -221,14 +187,10 @@ def _cmd_iterate(config: RunConfig) -> tuple[int, dict]:
     return (0 if result.converged else 1), report
 
 
-def _cmd_verify_thm41(config: RunConfig) -> tuple[int, dict]:
-    m = config.options["m"]
-    if not isinstance(m, int) or m < 3:
-        raise ConfigurationError(
-            f"the verification pipeline covers degrees m >= 3; got m={m}")
-    body = verify_theorem_4_1(m, seed=config.seed, samples=config.samples,
-                              tol=config.tol)
-    report = {"seed": config.seed, "samples": config.samples, "tol": config.tol}
+def _cmd_verify_thm41(args: argparse.Namespace) -> tuple[int, dict]:
+    body = verify_theorem_4_1(args.m, seed=args.seed, samples=args.samples,
+                              tol=args.tol)
+    report = {"seed": args.seed, "samples": args.samples, "tol": args.tol}
     report.update(body)
     return (0 if body["all_passed"] else 1), report
 
@@ -242,13 +204,13 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> tuple[int, dict]:
-    """Execute a parsed configuration; returns (exit_code, report object)."""
-    handler = _COMMANDS.get(config.command)
+def run(args: argparse.Namespace) -> tuple[int, dict]:
+    """Execute a parsed command line; returns (exit_code, report object)."""
+    handler = _COMMANDS.get(args.command)
     if handler is None:
-        raise ConfigurationError(f"unknown command {config.command!r}")
-    exit_code, body = handler(config)
-    return exit_code, {"schema": SCHEMA, "command": config.command, **body}
+        raise ConfigurationError(f"unknown command {args.command!r}")
+    exit_code, body = handler(args)
+    return exit_code, {"schema": SCHEMA, "command": args.command, **body}
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -279,8 +241,7 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def _add_space_options(parser: argparse.ArgumentParser):
-    parser.add_argument("--builtin", choices=("squared_diff", "discrete_nat",
-                                              "abs_sum", "app_metric"),
+    parser.add_argument("--builtin", choices=BUILTIN_SPACES,
                         help="use a built-in space")
     parser.add_argument("--params", type=float, nargs="*",
                         help="domain truncation parameters for the built-in")
@@ -326,35 +287,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    seed = args.seed
-    env_seed = os.environ.get("CSMETRIC_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ConfigurationError(
-                f"CSMETRIC_SEED must be an integer, got {env_seed!r}") from None
-    options = {}
-    for name in ("m", "x0", "max_iter", "r"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            options[name] = getattr(args, name)
-    config = RunConfig(command=args.command, seed=seed, samples=args.samples,
-                       tol=args.tol, output=args.output, out_path=args.out_path,
-                       options=options)
-    if args.command in ("verify-space", "check-contraction", "iterate"):
-        config.space_spec = _load_space_spec(args)
-    return config
-
-
-def _emit(report: dict, config: RunConfig) -> None:
-    if config.output == "json":
-        text = json.dumps(report, indent=2, allow_nan=True)
+def _emit(report: dict, args: argparse.Namespace) -> None:
+    if args.output == "json":
+        text = json.dumps(report, indent=2)
     else:
         text = _render_text(report)
     text += "\n"
-    if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8", newline="\n") as fh:
+    if args.out_path:
+        with open(args.out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -365,10 +305,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        exit_code, report = run(config)
+        env_seed = os.environ.get("CSMETRIC_SEED")
+        if env_seed is not None:
+            try:
+                args.seed = int(env_seed)
+            except ValueError:
+                raise ConfigurationError(
+                    f"CSMETRIC_SEED must be an integer, got {env_seed!r}") from None
+        exit_code, report = run(args)
         report["exit"] = exit_code
-        _emit(report, config)
+        _emit(report, args)
         return exit_code
     except (ConfigurationError, DomainError) as exc:
         print(f"csmetric: error: {exc}", file=sys.stderr)

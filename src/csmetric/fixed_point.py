@@ -12,7 +12,6 @@ two selection properties that make the family's fixed-point argument work.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -160,23 +159,20 @@ def estimate_contraction_factor(space: ComposedSpace, F: SelfMap,
                                 cfg: SampleConfig) -> ContractionEstimate:
     """Maximum observed image-to-source distance ratio over sampled triples."""
     metric = space.metric.fn
-    best = -math.inf
-    arg: tuple | None = None
-    evaluated = 0
+    col = _Collector()  # the slack is -ratio, so the witness is the argmax
     for tup in sample_tuples(space.domain, 3, cfg):
         q, h, w = tup
         den = metric(q, h, w)
         if den < _RATIO_FLOOR:
             continue
         ratio = metric(F.apply(q), F.apply(h), F.apply(w)) / den
-        evaluated += 1
-        if ratio > best or (ratio == best and arg is not None and tup < arg):
-            best = ratio
-            arg = tup
-    if arg is None:
+        col.add(tup, -ratio, True)
+    if col.witness is None:
         raise ConfigurationError(
             "every sampled triple was degenerate; nothing to estimate")
-    return ContractionEstimate(sup_ratio=best, argmax_tuple=arg, samples=evaluated)
+    # 0.0 - slack, not -slack: a zero ratio must not come out as -0.0.
+    return ContractionEstimate(sup_ratio=0.0 - col.witness_slack,
+                               argmax_tuple=col.witness, samples=col.checked)
 
 
 def check_banach(space: ComposedSpace, F: SelfMap, r: float,
@@ -254,10 +250,9 @@ def verify_fixed_point(space: ComposedSpace, F: SelfMap, x,
                        tol: float = DEFAULT_TOL) -> Verdict:
     """Is x a fixed point of F up to tol, measured by C(x, x, F(x))?"""
     residual = eval_metric(space, x, x, F.apply(x))
-    passed = residual <= tol
-    return Verdict(check="fixed_point_residual", passed=passed, checked=1,
-                   witness=None if passed else (x, residual),
-                   worst_margin=tol - residual, seed=None)
+    col = _Collector()
+    col.add((x, residual), tol - residual, residual > tol)
+    return col.verdict("fixed_point_residual", None)
 
 
 def uniqueness_probe(space: ComposedSpace, F: SelfMap, starts: Sequence,
@@ -267,15 +262,15 @@ def uniqueness_probe(space: ComposedSpace, F: SelfMap, starts: Sequence,
     reported fixed points coincide to within tol."""
     if not starts:
         raise ConfigurationError("uniqueness probe needs at least one start")
+    col = _Collector()
     limits = []
-    for checked, x0 in enumerate(starts, 1):
+    for x0 in starts:
         result = picard(space, F, x0, tol, max_iter)
         if not result.converged:
-            return Verdict(check="uniqueness", passed=False, checked=checked,
-                           witness=(x0,), worst_margin=-result.residual, seed=None)
+            col.add((x0,), -result.residual, True)
+            return col.verdict("uniqueness", None)
+        col.checked += 1
         limits.append(result.fixed_point)
-    col = _Collector()
-    col.checked = len(limits)
     for i in range(len(limits)):
         for j in range(i + 1, len(limits)):
             d = eval_metric(space, limits[i], limits[i], limits[j])

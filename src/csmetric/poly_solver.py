@@ -10,13 +10,13 @@ ties roots of the polynomial to fixed points of F.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
-from .axiom_audit import (DEFAULT_K_SET, Verdict, check_alpha_subhomogeneity,
-                          check_alpha_zero, check_composed_triangle,
-                          check_identity_axiom, check_series_vanishing,
-                          check_symmetry)
+from .axiom_audit import (DEFAULT_K_SET, Verdict, _Collector,
+                          check_alpha_subhomogeneity, check_alpha_zero,
+                          check_composed_triangle, check_identity_axiom,
+                          check_series_vanishing, check_symmetry)
 from .errors import DomainError, InternalError
 from .fixed_point import (DEFAULT_TOL, SolveResult, check_banach, picard,
                           uniqueness_probe)
@@ -29,6 +29,7 @@ __all__ = [
     "poly_map",
     "contraction_bound",
     "bisection_oracle",
+    "oracle_agreement",
     "solve_poly",
     "verify_theorem_4_1",
     "SERIES_GAPS",
@@ -57,6 +58,8 @@ class PolyProblem:
 def _require_degree(m: int):
     if not isinstance(m, int) or isinstance(m, bool) or m < 3:
         raise DomainError(f"the polynomial family is defined for integer m >= 3, got {m!r}")
+    if m ** 4 > sys.float_info.max:
+        raise DomainError("degree m is too large: m**4 exceeds the float range")
 
 
 def residual(m: int, v: float) -> float:
@@ -115,6 +118,8 @@ def bisection_oracle(m: int, tol: float) -> float:
             f"endpoint residuals {fa!r}, {fb!r} lost their sign change; residual is broken")
     while (b - a) > tol:
         mid = 0.5 * (a + b)
+        if not a < mid < b:  # a and b are adjacent floats: tol is below resolution
+            break
         fm = residual(m, mid)
         if fm == 0.0:
             return mid
@@ -131,6 +136,19 @@ def solve_poly(m: int, x0: float = 0.5, tol: float = DEFAULT_TOL) -> SolveResult
     if not problem.space.domain.contains(x0):
         raise DomainError(f"start point {x0!r} must lie in [0, 1]")
     return picard(problem.space, problem.map, x0, tol=tol)
+
+
+def oracle_agreement(m: int, solved: SolveResult, tol: float) -> Verdict:
+    """Judge a solve against the bisection oracle: it passes when the solve
+    converged to within 10 * tol of the oracle's root.  ``details`` carries
+    ``oracle_root`` and ``agreement``."""
+    oracle = bisection_oracle(m, tol)
+    agreement = abs(solved.fixed_point - oracle)
+    slack = 10.0 * tol - agreement
+    col = _Collector()
+    col.add((solved.fixed_point, oracle), slack, not (solved.converged and slack >= 0.0))
+    return col.verdict("oracle_agreement", None,
+                       details={"oracle_root": oracle, "agreement": agreement})
 
 
 def verify_theorem_4_1(m: int, seed: int = 42, samples: int = 10000,
@@ -161,21 +179,15 @@ def verify_theorem_4_1(m: int, seed: int = 42, samples: int = 10000,
                        uniqueness_probe(space, F, _UNIQUENESS_STARTS, tol=tol)))
 
     solved = solve_poly(m, 0.5, tol)
-    oracle = bisection_oracle(m, tol)
-    agreement = abs(solved.fixed_point - oracle)
-    oracle_ok = solved.converged and agreement <= 10.0 * tol
-    hypotheses.append(("oracle_agreement", Verdict(
-        check="oracle_agreement", passed=oracle_ok, checked=1,
-        witness=None if oracle_ok else (solved.fixed_point, oracle),
-        worst_margin=10.0 * tol - agreement, seed=None)))
+    oracle = oracle_agreement(m, solved, tol)
+    hypotheses.append(("oracle_agreement", oracle))
 
     return {
         "m": m,
         "hypotheses": [{"name": name, "verdict": v.to_json_dict()}
                        for name, v in hypotheses],
         "root": solved.fixed_point,
-        "oracle_root": oracle,
-        "agreement": agreement,
+        **oracle.details,
         "converged": solved.converged,
         "iterations": solved.iterations,
         "all_passed": all(v.passed for _, v in hypotheses) and solved.converged,

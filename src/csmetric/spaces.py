@@ -111,10 +111,14 @@ class PointDomain:
     def is_discrete(self) -> bool:
         return self.kind in ("naturals_up_to", "finite_real_set")
 
-    def members(self) -> tuple[float, ...]:
-        """The full element list of a discrete domain."""
+    def members(self) -> Sequence[float]:
+        """The full element list of a discrete domain; a range for naturals."""
         if self.kind == "naturals_up_to":
-            return tuple(range(self.max_value + 1))
+            if self.max_value > 2 ** 53:
+                raise ConfigurationError(
+                    f"naturals max {self.max_value} exceeds 2**53, above which "
+                    "floats no longer hold every integer")
+            return range(self.max_value + 1)
         if self.kind == "finite_real_set":
             return self.elements
         raise ConfigurationError("a real interval has no finite member list")
@@ -302,7 +306,10 @@ def iterate_alpha(alpha: AlphaFunction, j: int, t: float) -> float:
 # --- built-in spaces --------------------------------------------------------
 
 def _metric_squared_diff(q, h, w):
-    return (q - w) ** 2 + (h - w) ** 2
+    try:
+        return (q - w) ** 2 + (h - w) ** 2
+    except OverflowError:  # saturates to inf, as exp and ^ do
+        return math.inf
 
 
 def _metric_abs_sum(q, h, w):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from csmetric import BUILTIN_ALPHAS, BUILTIN_SPACES, cli
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -16,7 +22,7 @@ def run_cli(*argv, env_extra=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "csmetric", *argv],
-                          capture_output=True, env=env)
+                          capture_output=True, env=env, timeout=120)
 
 
 class TestSolvePoly:
@@ -36,6 +42,18 @@ class TestSolvePoly:
         proc = run_cli("solve-poly", "--m", "2")
         assert proc.returncode == 2
         assert b"m >= 3" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("solve-poly", "--m", "3", "--tol", "1e-20"),
+        ("verify-thm41", "--m", "3", "--tol", "1e-19", "--samples", "200"),
+    ], ids=["solve-poly", "verify-thm41"])
+    def test_tol_below_float_resolution_terminates(self, argv):
+        # The float spacing at the m = 3 root is about 1.7e-18, so the
+        # oracle's bracket cannot shrink to tol.
+        proc = run_cli(*argv, "--output", "json")
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        assert report["root"] == report["oracle_root"]
 
 
 class TestVerifySpace:
@@ -216,3 +234,67 @@ class TestTextRendering:
     def test_unknown_command_usage_error(self):
         proc = run_cli("no-such-command")
         assert proc.returncode == 2
+
+
+# --- contract fuzz: exit 0, 1 or 2 and no exception, whatever the numbers ----
+
+REALS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 4.0, 100.0, -1.0, 5e-324, 1e-300,
+                     2.0 ** 53, 1e200, 1e300, -1e300, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+AT_LEAST_ONE = st.one_of(
+    st.sampled_from([1.0, 4.0, 100.0, 1e160, 1e200, 1e300, 1.7976931348623157e308]),
+    st.floats(min_value=1.0, allow_infinity=False))
+# A naturals max between 1e6 and 2**53 is left out: before members() became
+# a range, such a domain allocated gigabytes before it failed.
+NATURALS_MAX = st.one_of(st.integers(-10, 10 ** 6),
+                         st.floats(min_value=2.0 ** 53, max_value=1.7e308))
+
+
+def bounds(reals):
+    return st.lists(reals, min_size=2, max_size=2, unique=True).map(sorted)
+
+
+DOMAINS = st.one_of(
+    bounds(REALS).map(lambda b: {"kind": "real_interval", "lo": b[0], "hi": b[1]}),
+    NATURALS_MAX.map(lambda n: {"kind": "naturals_up_to", "max": n}),
+    st.lists(REALS, min_size=1, max_size=5).map(
+        lambda e: {"kind": "finite_real_set", "elements": e}))
+MAPS = st.one_of(
+    st.just({"kind": "identity"}),
+    REALS.map(lambda v: {"kind": "const", "value": v}),
+    REALS.map(lambda k: {"kind": "scale", "factor": k}),
+    st.one_of(st.integers(3, 6), st.sampled_from([10 ** 80, 1e300])).map(
+        lambda m: {"kind": "poly", "m": m}))
+ALPHAS = st.one_of(
+    st.sampled_from(sorted(BUILTIN_ALPHAS)).map(lambda a: {"id": a}),
+    AT_LEAST_ONE.map(lambda k: {"id": "linear", "params": [k]}))
+PARAMS = {"squared_diff": bounds(AT_LEAST_ONE), "abs_sum": bounds(REALS),
+          "discrete_nat": NATURALS_MAX.map(lambda n: [n]), "app_metric": st.just([])}
+
+
+@st.composite
+def space_docs(draw):
+    name = draw(st.sampled_from(BUILTIN_SPACES))
+    doc = {"metric": name, "params": draw(PARAMS[name]), "map": draw(MAPS)}
+    for key, values in (("domain", DOMAINS), ("alpha", ALPHAS)):
+        if draw(st.booleans()):
+            doc[key] = draw(values)
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(command=st.sampled_from(["verify-space", "check-contraction", "iterate"]),
+       doc=space_docs(), x0=REALS)
+@example("verify-space", {"metric": "discrete_nat", "params": [1e300]}, 0.0)
+@example("verify-space", {"metric": "discrete_nat", "params": [2.0 ** 53 + 2]}, 0.0)
+@example("verify-space", {"metric": "squared_diff", "params": [1.0, 1e200]}, 0.0)
+@example("iterate", {"metric": "app_metric", "map": {"kind": "poly", "m": 1e300}}, 0.5)
+def test_cli_contract_holds_on_extreme_documents(command, doc, x0):
+    argv = [command, "--space", json.dumps(doc), "--samples", "20"]
+    if command == "iterate":
+        argv += [f"--x0={x0!r}", "--max-iter", "50"]
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)

@@ -2,13 +2,15 @@ import math
 
 import pytest
 
-from csmetric import (ConfigurationError, DomainError, MfFunction,
-                      PointDomain, PreconditionError, SampleConfig, SelfMap,
+from csmetric import (ComposedSpace, ConfigurationError, DomainError,
+                      MfFunction, NumericError, PointDomain,
+                      PreconditionError, SampleConfig, SelfMap, TripleMetric,
                       banach_mf, bianchini_mf, check_banach, check_m1,
                       check_m2, check_mf_contraction,
                       estimate_contraction_factor, eval_metric, kannan_mf,
-                      make_builtin_space, make_self_map, picard, poly_map,
-                      sample_tuples, uniqueness_probe, verify_fixed_point)
+                      make_alpha, make_builtin_space, make_self_map, picard,
+                      poly_map, sample_tuples, uniqueness_probe,
+                      verify_fixed_point)
 
 # Pinned by the bisection oracle ahead of the build.
 ROOT_M3 = 0.012345679299142365
@@ -122,6 +124,27 @@ class TestContractionEstimate:
         F = SelfMap(id="identity", fn=lambda x: x, domain=domain)
         with pytest.raises(ConfigurationError):
             estimate_contraction_factor(space, F, SampleConfig(seed=1, count=50))
+
+    def test_nan_ratio_raises(self):
+        # NaN on a strip: images of [0.5, 0.6) under the scale map land in it.
+        metric = TripleMetric(id="nan_strip", fn=lambda q, h, w: (
+            math.nan if 0.05 <= q < 0.06 else abs(q - h) + abs(h - w)))
+        space = ComposedSpace(PointDomain.real_interval(0.0, 1.0), metric,
+                              make_alpha("identity"), symmetric_claim=True)
+        F = make_self_map("scale", space.domain, factor=0.1)
+        with pytest.raises(NumericError):
+            estimate_contraction_factor(space, F, SampleConfig(seed=1, count=2000))
+
+    def test_minus_infinite_ratio_is_reported(self):
+        # The first violating slack is +inf, which must not be compared
+        # against the collector's empty witness.
+        metric = TripleMetric(id="minus_inf_images", fn=lambda q, h, w: (
+            -math.inf if q < 0.1 else abs(q - h) + abs(h - w)))
+        space = ComposedSpace(PointDomain.real_interval(0.0, 1.0), metric,
+                              make_alpha("identity"), symmetric_claim=True)
+        F = make_self_map("scale", space.domain, factor=0.05)
+        est = estimate_contraction_factor(space, F, SampleConfig(seed=1, count=2000))
+        assert est.sup_ratio == -math.inf
 
 
 class TestBanachCheck:
@@ -261,6 +284,15 @@ class TestUniquenessProbe:
         v = uniqueness_probe(app_space, flip, (0.2,), max_iter=10)
         assert not v.passed
         assert v.witness == (0.2,)
+
+    def test_capped_start_with_zero_residual_has_positive_zero_margin(self, app_space):
+        # One step reaches the constant's fixed point, but the run is capped
+        # before the step distance falls to tol; the residual there is 0.
+        F = make_self_map("const", app_space.domain, value=0.3)
+        v = uniqueness_probe(app_space, F, (0.9,), max_iter=1)
+        assert not v.passed
+        assert v.witness == (0.9,) and v.checked == 1
+        assert math.copysign(1.0, v.worst_margin) == 1.0
 
     def test_starts_required(self, poly3):
         with pytest.raises(ConfigurationError):

@@ -42,6 +42,10 @@ class TestPolyMap:
         with pytest.raises(DomainError):
             poly_map(True)
 
+    def test_degree_whose_fourth_power_overflows_is_rejected(self):
+        with pytest.raises(DomainError, match="float range"):
+            poly_map(10 ** 80)
+
     def test_space_is_the_unit_interval(self):
         problem = poly_map(3)
         assert problem.space.domain.lo == 0.0 and problem.space.domain.hi == 1.0

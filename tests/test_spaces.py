@@ -22,7 +22,12 @@ class TestPointDomain:
     def test_naturals_need_room_for_distinct_triples(self):
         with pytest.raises(ConfigurationError):
             PointDomain.naturals_up_to(3)
-        assert PointDomain.naturals_up_to(4).members() == (0, 1, 2, 3, 4)
+        assert tuple(PointDomain.naturals_up_to(4).members()) == (0, 1, 2, 3, 4)
+
+    def test_naturals_members_are_lazy_up_to_2_53(self):
+        assert PointDomain.naturals_up_to(2 ** 53).members() == range(2 ** 53 + 1)
+        with pytest.raises(ConfigurationError, match=r"2\*\*53"):
+            PointDomain.naturals_up_to(2 ** 53 + 1).members()
 
     def test_finite_set_sorted_and_deduped(self):
         d = PointDomain.finite_real_set([3.0, 1.0, 3.0, 2.0])
@@ -148,6 +153,11 @@ class TestBuiltinSpaces:
         assert tight.domain.hi == 10.0
         with pytest.raises(ConfigurationError):
             make_builtin_space("squared_diff", [0, 10])
+
+    def test_squared_diff_saturates_to_infinity(self):
+        metric = make_builtin_space("squared_diff", [1, 1e200]).metric.fn
+        assert metric(1.0, 1.0, 1e200) == math.inf
+        assert metric(2.0, 3.0, 7.0) == 41.0
 
     def test_discrete_default(self):
         space = make_builtin_space("discrete_nat")
