@@ -287,17 +287,47 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict, args: argparse.Namespace) -> None:
-    if args.output == "json":
-        text = json.dumps(report, indent=2)
+# A list holding only these exact types goes to the C encoder in one piece;
+# any other list, one holding a container included, is laid out item by item.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _dumps(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for str-keyed values.
+
+    ``indent`` makes the json module fall back to its pure-Python encoder,
+    so dicts and nested lists are laid out here, and a list of plain
+    scalars is encoded in one call of the C encoder, its item separator
+    carrying the newline and the indent.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = (",\n" + inner).join(f"{json.dumps(key)}: {_dumps(item, inner)}"
+                                     for key, item in value.items())
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if _SCALARS.issuperset(map(type, value)):
+            body = json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]
+        else:
+            body = (",\n" + inner).join(_dumps(item, inner) for item in value)
     else:
-        text = _render_text(report)
-    text += "\n"
+        return json.dumps(value)
+    opening, closing = ("{", "}") if isinstance(value, dict) else ("[", "]")
+    return f"{opening}\n{inner}{body}\n{pad}{closing}"
+
+
+def _emit(report: dict, args: argparse.Namespace) -> None:
+    text = _dumps(report) if args.output == "json" else _render_text(report)
     if args.out_path:
         with open(args.out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+            fh.write("\n")
     else:
         sys.stdout.write(text)
+        sys.stdout.write("\n")
         sys.stdout.flush()
 
 

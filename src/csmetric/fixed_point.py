@@ -19,7 +19,8 @@ from .axiom_audit import (_NONNEG_DOMAIN, ABS_TOL, Verdict, _Collector,
                           slack_tolerance)
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .sampling import SampleConfig, sample_tuples
-from .spaces import ComposedSpace, SelfMap, eval_metric
+from .spaces import (ComposedSpace, SelfMap, eval_metric, metric_value,
+                     require_in_space)
 
 __all__ = [
     "Orbit",
@@ -57,8 +58,7 @@ class Orbit:
     step_distances: tuple
 
     def to_json_dict(self) -> dict:
-        return {"iterates": list(self.iterates),
-                "step_distances": list(self.step_distances)}
+        return {"iterates": self.iterates, "step_distances": self.step_distances}
 
 
 @dataclass(frozen=True)
@@ -134,13 +134,25 @@ def picard(space: ComposedSpace, F: SelfMap, x0, tol: float = DEFAULT_TOL,
         raise ConfigurationError("max_iter must be >= 1")
     if not space.domain.contains(x0):
         raise DomainError(f"start point {x0!r} is outside the domain")
+    in_map_domain = F.domain.contains
+    if not in_map_domain(x0):
+        raise F.outside_error(x0)
+    # Every later iterate is checked once, as an image, against both domains
+    # (the closure check of SelfMap.apply, then the space's); it is then the
+    # next step's source without a second check.
+    check_space = F.domain != space.domain
+    fn = F.fn
     iterates = [x0]
     steps: list[float] = []
     x = x0
     stopped = False
     for _ in range(max_iter):
-        y = F.apply(x)
-        d = eval_metric(space, x, x, y)
+        y = fn(x)
+        if not in_map_domain(y):
+            raise F.escape_error(x, y)
+        if check_space:
+            require_in_space(space, y)
+        d = metric_value(space, x, x, y)
         iterates.append(y)
         steps.append(d)
         if d <= tol:

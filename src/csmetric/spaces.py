@@ -28,6 +28,8 @@ __all__ = [
     "ComposedSpace",
     "SelfMap",
     "eval_metric",
+    "metric_value",
+    "require_in_space",
     "eval_alpha",
     "iterate_alpha",
     "make_builtin_space",
@@ -82,6 +84,11 @@ class PointDomain:
             if not self.lo < self.hi:
                 raise ConfigurationError(
                     f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
+            # Sampling draws lo + (hi - lo) * u, which is NaN or infinite
+            # when the width overflows.
+            if not math.isfinite(self.hi - self.lo):
+                raise ConfigurationError(
+                    f"interval width hi - lo overflows a float, got [{self.lo}, {self.hi}]")
         elif self.kind == "naturals_up_to":
             if self.max_value < 4:
                 raise ConfigurationError(
@@ -101,6 +108,8 @@ class PointDomain:
 
     @staticmethod
     def naturals_up_to(max_value: int) -> "PointDomain":
+        if isinstance(max_value, float) and not max_value.is_integer():
+            raise ConfigurationError(f"naturals max must be an integer, got {max_value!r}")
         return PointDomain(kind="naturals_up_to", max_value=int(max_value))
 
     @staticmethod
@@ -263,24 +272,42 @@ class SelfMap:
     def apply(self, x: Point) -> Point:
         """Apply the map, enforcing closure: the image must stay in the domain."""
         if not self.domain.contains(x):
-            raise DomainError(f"point {x!r} is outside the domain of map {self.id!r}")
+            raise self.outside_error(x)
         y = self.fn(x)
         if not self.domain.contains(y):
-            raise DomainError(
-                f"map {self.id!r} escaped its domain: F({x!r}) = {y!r}")
+            raise self.escape_error(x, y)
         return y
 
+    def outside_error(self, x: Point) -> DomainError:
+        """The error for a source point x outside the map's domain."""
+        return DomainError(f"point {x!r} is outside the domain of map {self.id!r}")
 
-def eval_metric(space: ComposedSpace, q: Point, h: Point, w: Point) -> float:
-    """Evaluate the triple metric at (q, h, w) with domain and range checks."""
-    for p in (q, h, w):
-        if not space.domain.contains(p):
-            raise DomainError(f"point {p!r} is outside the space domain")
+    def escape_error(self, x: Point, y: Point) -> DomainError:
+        """The closure error: the image y = F(x) left the map's domain."""
+        return DomainError(f"map {self.id!r} escaped its domain: F({x!r}) = {y!r}")
+
+
+def require_in_space(space: ComposedSpace, p: Point) -> None:
+    """Raise DomainError unless p lies in the space's domain."""
+    if not space.domain.contains(p):
+        raise DomainError(f"point {p!r} is outside the space domain")
+
+
+def metric_value(space: ComposedSpace, q: Point, h: Point, w: Point) -> float:
+    """The triple metric at points already known to lie in the domain; the
+    value must be a finite real >= 0, or NumericError is raised."""
     value = space.metric.fn(q, h, w)
     if not (isinstance(value, (int, float)) and math.isfinite(value)) or value < 0:
         raise NumericError(
             f"metric {space.metric.id!r} returned {value!r} at ({q!r}, {h!r}, {w!r})")
     return float(value)
+
+
+def eval_metric(space: ComposedSpace, q: Point, h: Point, w: Point) -> float:
+    """Evaluate the triple metric at (q, h, w) with domain and range checks."""
+    for p in (q, h, w):
+        require_in_space(space, p)
+    return metric_value(space, q, h, w)
 
 
 def eval_alpha(alpha: AlphaFunction, t: float) -> float:

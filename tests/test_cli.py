@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -142,6 +143,30 @@ def test_non_finite_flag_is_a_usage_error(argv):
     assert b"expected a finite number" in proc.stderr
 
 
+WIDEST_INTERVAL = '{"metric":"abs_sum","params":[-1.7976931348623157e308,1.7976931348623157e308]}'
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("verify-space", "--samples", "10"), id="verify-space"),
+    pytest.param(("iterate", "--x0", "0.0", "--map", '{"kind":"scale","factor":0.5}'),
+                 id="iterate"),
+])
+def test_interval_whose_width_overflows_is_a_usage_error(argv):
+    proc = run_cli(*argv, "--space", WIDEST_INTERVAL)
+    assert proc.returncode == 2
+    assert b"interval width" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("params,code", [("10.7", 2), ("50", 0)])
+def test_naturals_max_must_be_integral(params, code):
+    proc = run_cli("verify-space", "--builtin", "discrete_nat", "--params", params,
+                   "--samples", "10")
+    assert proc.returncode == code
+    assert (b"naturals max must be an integer" in proc.stderr) == (code == 2)
+    assert b"Traceback" not in proc.stderr
+
+
 class TestCheckContraction:
     def test_polynomial_map_under_quoted_factor(self):
         space = json.dumps({"metric": "app_metric", "map": {"kind": "poly", "m": 3}})
@@ -188,6 +213,34 @@ class TestIterate:
                        "--tol", "1e-12", "--max-iter", "3", "--output", "json")
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["converged"] is False
+
+    def test_json_report_is_the_indented_dump_of_the_report(self, tmp_path, monkeypatch):
+        # About 27,600 steps: the orbit lists are encoded by the C encoder.
+        monkeypatch.delenv("CSMETRIC_SEED", raising=False)
+        argv = ["iterate", "--space", json.dumps({"metric": "app_metric",
+                                                   "map": {"kind": "scale", "factor": 0.999}}),
+                "--x0", "1.0", "--max-iter", "100000", "--output", "json"]
+        out = tmp_path / "report.json"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        exit_code, report = cli.run(cli._build_parser().parse_args(argv))
+        report["exit"] = exit_code
+        assert report["iterations"] > 20000
+        assert out.read_bytes() == (json.dumps(report, indent=2) + "\n").encode("utf-8")
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(),
+    st.floats(), st.sampled_from([-0.0, math.inf, -math.inf, math.nan]))
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda children: st.one_of(
+    st.lists(children), st.lists(children).map(tuple),
+    st.dictionaries(st.text(), children)), max_leaves=40)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(JSON_VALUES)
+@example({"é": [[], {}, (), [1.5, -0.0, math.nan, "\u2603", None, True]]})
+def test_dumps_matches_indented_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
 
 
 class TestVerifyThm41:

@@ -78,8 +78,29 @@ class TestPicard:
 
     def test_escaping_orbit_raises(self, app_space):
         grow = SelfMap(id="grow", fn=lambda x: x + 0.6, domain=app_space.domain)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"escaped its domain: F\(0\.5\) = 1\.1"):
             picard(app_space, grow, 0.5)
+
+    def test_start_outside_the_map_domain_raises(self, app_space):
+        F = make_self_map("scale", PointDomain.real_interval(0.0, 0.5), factor=0.5)
+        with pytest.raises(DomainError,
+                           match=r"point 0\.8 is outside the domain of map 'scale\(0\.5\)'"):
+            picard(app_space, F, 0.8)
+
+    def test_metric_nan_on_part_of_the_orbit_raises(self, app_space):
+        # Finite while the orbit is above 0.1, NaN once a step lands below.
+        nan_low = TripleMetric(
+            id="nan_low", fn=lambda q, h, w: math.nan if w < 0.1 else abs(q - w))
+        space = ComposedSpace(app_space.domain, nan_low, app_space.alpha)
+        F = make_self_map("scale", app_space.domain, factor=0.5)
+        with pytest.raises(NumericError,
+                           match=r"metric 'nan_low' returned nan at \(0\.125, 0\.125, 0\.0625\)"):
+            picard(space, F, 1.0)
+
+    def test_image_outside_a_narrower_space_domain_raises(self, app_space):
+        wide = SelfMap(id="grow", fn=lambda x: x + 0.3, domain=PointDomain.real_interval(0.0, 2.0))
+        with pytest.raises(DomainError, match=r"point 1\.1 is outside the space domain"):
+            picard(app_space, wide, 0.5)
 
 
 class TestContractionEstimate:
