@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigurationError, DomainError, NumericError
@@ -106,7 +107,8 @@ class _Collector:
             raise NumericError(f"comparison at {tup!r} evaluated to NaN")
         self.checked += 1
         slack = slack + 0.0  # normalize -0.0
-        self.worst_slack = min(self.worst_slack, slack)
+        if slack < self.worst_slack:
+            self.worst_slack = slack
         if violates and (self.witness is None or
                          (slack, tup) < (self.witness_slack, self.witness)):
             self.witness_slack = slack
@@ -157,8 +159,7 @@ def _triangle_verdict(space: ComposedSpace, cfg: SampleConfig,
 
 def check_composed_triangle(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
     """Triangle inequality with each right-hand term wrapped in alpha."""
-    alpha = space.alpha
-    return _triangle_verdict(space, cfg, lambda t: eval_alpha(alpha, t),
+    return _triangle_verdict(space, cfg, partial(eval_alpha, space.alpha),
                              "composed_triangle")
 
 
@@ -199,9 +200,11 @@ def check_alpha_subhomogeneity(alpha: AlphaFunction, cfg: SampleConfig,
         raise ConfigurationError("all k values must be positive")
     col = _Collector()
     for s, t in sample_tuples(_NONNEG_DOMAIN, 2, cfg):
+        alpha_s = eval_alpha(alpha, s)
+        alpha_t = eval_alpha(alpha, t)
         for k in k_set:
             lhs = eval_alpha(alpha, k * s + t)
-            rhs = k * eval_alpha(alpha, s) + eval_alpha(alpha, t)
+            rhs = k * alpha_s + alpha_t
             slack = rhs - lhs
             col.add((k, s, t), slack, slack < -slack_tolerance(rhs))
     return col.verdict("alpha_subhomogeneity", cfg.seed)

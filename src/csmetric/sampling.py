@@ -10,7 +10,8 @@ gives two guarantees the auditors rely on:
 
 Strategies:
 
-* ``uniform_random``: seeded independent draws.
+* ``uniform_random``: seeded independent draws, made in one batch for the
+  whole random part of a sample.
 * ``stratified_grid``: for discrete domains the full lexicographic product
   (the stream is finite, which makes exhaustive checks possible); for real
   intervals a dyadically refined lattice emitted level by level.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import ConfigurationError, DomainError
 from .spaces import PointDomain
@@ -62,18 +63,21 @@ def _rng_for(seed: int, arity: int) -> random.Random:
     return random.Random((seed * 1000003 + arity) % 2 ** 64)
 
 
-def _draw(domain: PointDomain, rng: random.Random):
-    if domain.kind == "real_interval":
-        return rng.uniform(domain.lo, domain.hi)
-    if domain.kind == "naturals_up_to":
-        return rng.randint(0, domain.max_value)
-    return domain.elements[rng.randrange(len(domain.elements))]
-
-
-def _random_stream(domain: PointDomain, arity: int, seed: int) -> Iterator[tuple]:
+def _random_tuples(domain: PointDomain, arity: int, seed: int, n: int) -> Iterator[tuple]:
+    # lo + (hi - lo) * random() is what uniform(lo, hi) computes, and
+    # randrange(max + 1) takes the path of randint(0, max): same stream.
     rng = _rng_for(seed, arity)
-    while True:
-        yield tuple(_draw(domain, rng) for _ in range(arity))
+    size = n * arity
+    if domain.kind == "real_interval":
+        lo, width, rand = domain.lo, domain.hi - domain.lo, rng.random
+        draws = [lo + width * rand() for _ in range(size)]
+    elif domain.kind == "naturals_up_to":
+        stop, randrange = domain.max_value + 1, rng.randrange
+        draws = [randrange(stop) for _ in range(size)]
+    else:
+        elements, randrange = domain.elements, rng.randrange
+        draws = [elements[randrange(len(elements))] for _ in range(size)]
+    return zip(*[iter(draws)] * arity)
 
 
 def _axis_points(domain: PointDomain, per_axis: int) -> list:
@@ -96,36 +100,24 @@ def _grid_block(domain: PointDomain, arity: int) -> Iterator[tuple]:
     return itertools.product(axis, repeat=arity)
 
 
-def _dyadic_stream(domain: PointDomain, arity: int) -> Iterator[tuple]:
+def _dyadic_stream(domain: PointDomain, arity: int, count: int) -> Iterator[tuple]:
     if domain.is_discrete:
-        # Exhaustive and finite: every tuple exactly once.
-        yield from itertools.product(domain.members(), repeat=arity)
+        # Exhaustive and finite.  A tuple of lexicographic rank below count
+        # uses only the first count members, hence the cut.
+        yield from itertools.product(domain.members()[:count], repeat=arity)
         return
     lo, hi = domain.lo, domain.hi
-    seen_axis: list[float] = []
-    level = 0
-    while True:
-        n = 2 ** (level + 1)
+    known: set[float] = set()
+    for level in itertools.count(1):
+        n = 2 ** level
         axis = [lo + (hi - lo) * i / n for i in range(n + 1)]
-        fresh = [x for x in axis if x not in seen_axis]
-        if fresh:
-            known = set(seen_axis)
+        if any(x not in known for x in axis):
             # Emit only tuples that use at least one fresh coordinate, in
             # lexicographic order over the refined axis.
             for tup in itertools.product(axis, repeat=arity):
                 if any(x not in known for x in tup):
                     yield tup
-            seen_axis = axis
-        level += 1
-
-
-def _strategy_stream(domain: PointDomain, arity: int, cfg: SampleConfig) -> Iterator[tuple]:
-    if cfg.strategy == "uniform_random":
-        return _random_stream(domain, arity, cfg.seed)
-    if cfg.strategy == "stratified_grid":
-        return _dyadic_stream(domain, arity)
-    return itertools.chain(_grid_block(domain, arity),
-                           _random_stream(domain, arity, cfg.seed))
+            known = set(axis)
 
 
 def sample_tuples(domain: PointDomain, arity: int, cfg: SampleConfig) -> list[tuple]:
@@ -143,5 +135,11 @@ def sample_tuples(domain: PointDomain, arity: int, cfg: SampleConfig) -> list[tu
         for x in tup:
             if not domain.contains(x):
                 raise DomainError(f"pinned tuple {tup!r} leaves the domain")
-    stream = itertools.chain(pinned, _strategy_stream(domain, arity, cfg))
-    return list(itertools.islice(stream, cfg.count))
+    if cfg.strategy == "stratified_grid":
+        stream = itertools.chain(pinned, _dyadic_stream(domain, arity, cfg.count))
+        return list(itertools.islice(stream, cfg.count))
+    head = list(pinned[:cfg.count])
+    if cfg.strategy == "grid_plus_random":
+        head.extend(itertools.islice(_grid_block(domain, arity), cfg.count - len(head)))
+    head.extend(_random_tuples(domain, arity, cfg.seed, cfg.count - len(head)))
+    return head

@@ -175,7 +175,8 @@ class AlphaFunction:
 
     Defined by a closed-form expression in ``t`` so that serialization and
     command-line round-trips are exact.  Constant expressions are rejected:
-    a composing function must separate at least two probe points.
+    a composing function must separate at least two probe points.  It is
+    evaluated through ``eval_alpha``, which checks the argument and value.
     """
 
     id: str
@@ -190,9 +191,6 @@ class AlphaFunction:
         if len(probe) < 2:
             raise ConfigurationError(
                 f"composing function {self.expr!r} looks constant on the probe grid")
-
-    def __call__(self, t: float) -> float:
-        return self._fn(t)
 
     def to_json(self) -> dict:
         doc = {"id": self.id, "expr": self.expr}
@@ -314,7 +312,7 @@ def eval_alpha(alpha: AlphaFunction, t: float) -> float:
     """Evaluate the composing function at t >= 0."""
     if t < 0:
         raise DomainError(f"composing functions are defined on [0, inf); got {t!r}")
-    value = alpha(t)
+    value = alpha._fn(t)
     if value < 0 or math.isnan(value):
         raise NumericError(f"composing function {alpha.id!r} returned {value!r} at {t!r}")
     return value

@@ -1,17 +1,19 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from csmetric import (ComposedSpace, ConfigurationError, DomainError,
-                      NumericError, PointDomain, SampleConfig, TripleMetric,
-                      check_alpha_dominates_orbit, check_alpha_subhomogeneity,
-                      check_alpha_zero, check_classic_triangle,
-                      check_composed_triangle, check_identity_axiom,
+from csmetric import (DEFAULT_K_SET, ComposedSpace, ConfigurationError,
+                      DomainError, NumericError, PointDomain, SampleConfig,
+                      TripleMetric, check_alpha_dominates_orbit,
+                      check_alpha_subhomogeneity, check_alpha_zero,
+                      check_classic_triangle, check_composed_triangle,
+                      check_identity_axiom,
                       check_series_vanishing, check_symmetry, eval_alpha,
                       make_alpha, make_builtin_space, make_self_map,
-                      series_tail)
+                      sample_tuples, series_tail, slack_tolerance)
 
 TWO_SQRT = make_alpha("two_sqrt")
 IDENTITY = make_alpha("identity")
@@ -280,3 +282,83 @@ class TestDeterminismAndWitnessReplay:
         large = check_classic_triangle(squared_diff_space, grown)
         assert not small.passed and not large.passed
         assert large.worst_margin <= small.worst_margin
+
+
+_HOISTED_ALPHAS = ["two_sqrt", "exp", "exp_2t", "t^400", "2*sqrt(t)+t^2"]
+
+
+def _reference_verdict(rows):
+    """(passed, checked, witness, worst_margin) of (tuple, slack, violates)
+    rows: the witness is the violating row with the least (slack, tuple)."""
+    rows = [(tup, slack + 0.0, violates) for tup, slack, violates in rows]
+    violating = [(slack, tup) for tup, slack, violates in rows if violates]
+    if violating:
+        slack, tup = min(violating)
+        return False, len(rows), tup, slack
+    return True, len(rows), None, min(slack for _, slack, _ in rows)
+
+
+def _outcome(run):
+    try:
+        v = run()
+    except NumericError as exc:
+        return "NumericError", str(exc)
+    if isinstance(v, tuple):
+        return v
+    return v.passed, v.checked, v.witness, v.worst_margin
+
+
+def _reference_subhomogeneity(alpha, cfg):
+    rows = []
+    for s, t in sample_tuples(PointDomain.real_interval(0.0, 10.0), 2, cfg):
+        for k in DEFAULT_K_SET:
+            lhs = eval_alpha(alpha, k * s + t)
+            rhs = k * eval_alpha(alpha, s) + eval_alpha(alpha, t)
+            slack = rhs - lhs
+            if slack != slack:
+                raise NumericError(f"comparison at {(k, s, t)!r} evaluated to NaN")
+            rows.append(((k, s, t), slack, slack < -slack_tolerance(rhs)))
+    return _reference_verdict(rows)
+
+
+def _reference_composed_triangle(space, cfg):
+    metric, rows = space.metric.fn, []
+    for tup in sample_tuples(space.domain, 4, cfg):
+        q, h, w, u = tup
+        lhs = metric(q, h, w)
+        a_q, a_h, a_w = (eval_alpha(space.alpha, metric(a, a, u)) for a in (q, h, w))
+        rhs = a_q + a_h + a_w
+        slack = rhs - lhs
+        if slack != slack:
+            raise NumericError(f"comparison at {tup!r} evaluated to NaN")
+        rows.append((tup, slack, slack < -slack_tolerance(rhs)))
+    return _reference_verdict(rows)
+
+
+@pytest.mark.parametrize("seed", [3, 17, 2024])
+@pytest.mark.parametrize("name", _HOISTED_ALPHAS)
+def test_hoisted_subhomogeneity_matches_naive_loop(name, seed):
+    alpha = make_alpha(name)
+    cfg = SampleConfig(seed=seed, count=1500)
+    assert _outcome(lambda: check_alpha_subhomogeneity(alpha, cfg)) == \
+        _outcome(lambda: _reference_subhomogeneity(alpha, cfg))
+
+
+@pytest.mark.parametrize("seed", [3, 17, 2024])
+@pytest.mark.parametrize("name", _HOISTED_ALPHAS)
+def test_composed_triangle_matches_naive_loop(name, seed):
+    space = replace(make_builtin_space("abs_sum", [1, 3]), alpha=make_alpha(name))
+    cfg = SampleConfig(seed=seed, count=1500)
+    assert _outcome(lambda: check_composed_triangle(space, cfg)) == \
+        _outcome(lambda: _reference_composed_triangle(space, cfg))
+
+
+def test_subhomogeneity_evaluates_alpha_six_times_per_pair():
+    alpha = make_alpha("2*sqrt(t)+t^2")
+    calls = []
+    fn = alpha._fn
+    object.__setattr__(alpha, "_fn", lambda t: calls.append(t) or fn(t))
+    v = check_alpha_subhomogeneity(alpha, SampleConfig(seed=5, count=50))
+    assert v.checked == 50 * len(DEFAULT_K_SET)
+    # alpha(s) and alpha(t) once, alpha(k*s + t) once for each of the 4 k
+    assert len(calls) == 50 * 6

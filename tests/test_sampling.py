@@ -1,9 +1,10 @@
 import itertools
+import time
 
 import pytest
 
 from csmetric import (ConfigurationError, DomainError, PointDomain,
-                      SampleConfig, sample_tuples)
+                      SampleConfig, sample_tuples, sampling)
 
 INTERVAL = PointDomain.real_interval(0.0, 1.0)
 NATS = PointDomain.naturals_up_to(4)
@@ -96,3 +97,74 @@ def test_config_validation():
         SampleConfig(strategy="lattice")
     with pytest.raises(ConfigurationError):
         sample_tuples(INTERVAL, 0, SampleConfig())
+
+
+def _reference_sample(domain, arity, cfg):
+    """Draw-by-draw reference: pinned tuples, the grid block, then one
+    ``uniform``, ``randint`` or ``randrange`` call per coordinate."""
+    out = [t for t in cfg.pinned if len(t) == arity][:cfg.count]
+    if cfg.strategy == "grid_plus_random":
+        for tup in sampling._grid_block(domain, arity):
+            if len(out) == cfg.count:
+                break
+            out.append(tup)
+    rng = sampling._rng_for(cfg.seed, arity)
+
+    def draw():
+        if domain.kind == "real_interval":
+            return rng.uniform(domain.lo, domain.hi)
+        if domain.kind == "naturals_up_to":
+            return rng.randint(0, domain.max_value)
+        return domain.elements[rng.randrange(len(domain.elements))]
+
+    while len(out) < cfg.count:
+        out.append(tuple(draw() for _ in range(arity)))
+    return out
+
+
+@pytest.mark.parametrize("strategy", ["uniform_random", "grid_plus_random"])
+@pytest.mark.parametrize("arity", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("domain", [PointDomain.real_interval(-0.25, 3.0),
+                                    PointDomain.naturals_up_to(7), FINITE],
+                         ids=["interval", "naturals", "finite"])
+def test_batch_draw_matches_draw_by_draw_reference(domain, arity, strategy):
+    corner = tuple(domain.members()[-1] if domain.is_discrete else domain.hi
+                   for _ in range(arity))
+    # Counts 0 and 1, and one above every grid block (at most 4096 tuples);
+    # the last pinned pool is longer than the smallest counts.
+    for count in (0, 1, 4100):
+        for pinned in ((), (corner,), (corner,) * 3):
+            cfg = SampleConfig(seed=count + len(pinned), count=count,
+                               strategy=strategy, pinned=pinned)
+            got = sample_tuples(domain, arity, cfg)
+            want = _reference_sample(domain, arity, cfg)
+            assert got == want
+            assert [tuple(map(type, t)) for t in got] == \
+                [tuple(map(type, t)) for t in want]
+
+
+def test_dyadic_grid_stays_fast_on_long_real_samples():
+    # The fresh-point test once scanned a list per point: 32,000 points
+    # took about 9 s; a set makes it linear.
+    start = time.perf_counter()
+    cfg = SampleConfig(count=32000, strategy="stratified_grid")
+    tuples = sample_tuples(INTERVAL, 1, cfg)
+    assert time.perf_counter() - start < 3.0
+    assert len(set(tuples)) == 32000
+    assert tuples[:5] == [(0.0,), (0.5,), (1.0,), (0.25,), (0.75,)]
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("count", [1, 7, 30, 200])
+def test_discrete_grid_prefix_uses_only_the_needed_members(arity, count):
+    domain = PointDomain.naturals_up_to(20)
+    cfg = SampleConfig(count=count, strategy="stratified_grid")
+    full = itertools.product(domain.members(), repeat=arity)
+    assert sample_tuples(domain, arity, cfg) == list(itertools.islice(full, count))
+
+
+def test_discrete_grid_on_a_huge_naturals_domain():
+    # The full product would materialize range(2**40 + 1) first.
+    domain = PointDomain.naturals_up_to(2 ** 40)
+    cfg = SampleConfig(count=5, strategy="stratified_grid")
+    assert sample_tuples(domain, 2, cfg) == [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)]
