@@ -1,19 +1,23 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from csmetric import (DEFAULT_K_SET, ComposedSpace, ConfigurationError,
-                      DomainError, NumericError, PointDomain, SampleConfig,
-                      TripleMetric, check_alpha_dominates_orbit,
+                      DomainError, MfFunction, NumericError, PointDomain,
+                      SampleConfig, SelfMap, TripleMetric, banach_mf,
+                      bianchini_mf, check_alpha_dominates_orbit,
                       check_alpha_subhomogeneity, check_alpha_zero,
-                      check_classic_triangle, check_composed_triangle,
-                      check_identity_axiom,
-                      check_series_vanishing, check_symmetry, eval_alpha,
-                      make_alpha, make_builtin_space, make_self_map,
-                      sample_tuples, series_tail, slack_tolerance)
+                      check_banach, check_classic_triangle,
+                      check_composed_triangle, check_identity_axiom, check_m1,
+                      check_m2, check_mf_contraction, check_series_vanishing,
+                      check_symmetry, estimate_contraction_factor, eval_alpha,
+                      kannan_mf, make_alpha, make_builtin_space,
+                      make_self_map, poly_map, sample_tuples, series_tail,
+                      slack_tolerance)
 
 TWO_SQRT = make_alpha("two_sqrt")
 IDENTITY = make_alpha("identity")
@@ -362,3 +366,223 @@ def test_subhomogeneity_evaluates_alpha_six_times_per_pair():
     assert v.checked == 50 * len(DEFAULT_K_SET)
     # alpha(s) and alpha(t) once, alpha(k*s + t) once for each of the 4 k
     assert len(calls) == 50 * 6
+
+
+# --- every sampled check against a naive loop --------------------------------
+# Each reference evaluates its inequality one tuple at a time, with the raw
+# metric, in sample order.  Counts of 1024 and 2500 put the sample in one
+# chunk of the driver and across three.
+
+def _reference_identity(space, cfg):
+    metric, rows = space.metric.fn, []
+    for (x,) in sample_tuples(space.domain, 1, cfg):
+        d = metric(x, x, x)
+        rows.append(((x, x, x), -abs(d), d != 0.0))
+    for tup in sample_tuples(space.domain, 3, cfg):
+        d = metric(*tup)
+        if tup[0] == tup[1] == tup[2]:
+            rows.append((tup, -abs(d), d != 0.0))
+        else:
+            rows.append((tup, d, d <= 0.0))
+    return _reference_verdict(rows)
+
+
+def _reference_classic_triangle(space, cfg):
+    metric, rows = space.metric.fn, []
+    for tup in sample_tuples(space.domain, 4, cfg):
+        q, h, w, u = tup
+        lhs = metric(q, h, w)
+        rhs = metric(q, q, u) + metric(h, h, u) + metric(w, w, u)
+        rows.append((tup, rhs - lhs, rhs - lhs < -slack_tolerance(rhs)))
+    return _reference_verdict(rows)
+
+
+def _reference_symmetry(space, cfg):
+    metric, rows = space.metric.fn, []
+    for tup in sample_tuples(space.domain, 2, cfg):
+        q, h = tup
+        a, b = metric(q, q, h), metric(h, h, q)
+        slack = -abs(a - b)
+        rows.append((tup, slack, slack < -(1e-9 + 1e-9 * max(abs(a), abs(b)))))
+    return _reference_verdict(rows)
+
+
+def _reference_banach(space, F, r, cfg):
+    metric, rows = space.metric.fn, []
+    for tup in sample_tuples(space.domain, 3, cfg):
+        lhs = metric(*(F.apply(x) for x in tup))
+        rhs = r * metric(*tup)
+        rows.append((tup, rhs - lhs, rhs - lhs < -slack_tolerance(rhs)))
+    return _reference_verdict(rows)
+
+
+def _reference_estimate(space, F, cfg):
+    metric, rows = space.metric.fn, []
+    for tup in sample_tuples(space.domain, 3, cfg):
+        den = metric(*tup)
+        if den < 1e-12:
+            continue
+        rows.append((tup, -(metric(*(F.apply(x) for x in tup)) / den), True))
+    _, checked, argmax, slack = _reference_verdict(rows)
+    return 0.0 - slack, argmax, checked
+
+
+def _reference_m1(Mf, r, cfg):
+    rows = []
+    for tup in sample_tuples(PointDomain.real_interval(0.0, 10.0), 3, cfg):
+        o, h, w = tup
+        if w <= 2 * o + h and h <= Mf.fn(o, o, 0.0, w, h):
+            rows.append((tup, r * o - h, r * o - h < -slack_tolerance(r * o)))
+        else:
+            rows.append((tup, math.inf, False))  # counted, never the worst
+    return _reference_verdict(rows)
+
+
+def _reference_m2(Mf, cfg):
+    rows = []
+    for tup in sample_tuples(PointDomain.real_interval(0.0, 10.0), 1, cfg):
+        (h,) = tup
+        if h <= Mf.fn(h, 0.0, h, h, 0.0):
+            rows.append((tup, -h, h > 1e-9))
+        else:
+            rows.append((tup, math.inf, False))
+    return _reference_verdict(rows)
+
+
+def _reference_mf_contraction(space, F, Mf, cfg):
+    metric, rows = space.metric.fn, []
+    for tup in sample_tuples(space.domain, 2, cfg):
+        o, h = tup
+        fo, fh = F.apply(o), F.apply(h)
+        lhs = metric(fo, fo, fh)
+        rhs = Mf.fn(metric(o, o, h), metric(fo, fo, o), metric(fo, fo, h),
+                    metric(fh, fh, o), metric(fh, fh, h))
+        rows.append((tup, rhs - lhs, rhs - lhs < -slack_tolerance(rhs)))
+    return _reference_verdict(rows)
+
+
+def _estimate_outcome(space, F, cfg):
+    est = estimate_contraction_factor(space, F, cfg)
+    return est.sup_ratio, est.argmax_tuple, est.samples
+
+
+_POLY3 = poly_map(3)
+_APP = make_builtin_space("app_metric")
+_SQUARED = make_builtin_space("squared_diff", [1, 100])
+_DISCRETE = make_builtin_space("discrete_nat", [10])
+_DISCRETE_ID = replace(_DISCRETE, alpha=IDENTITY)
+_ABS_UNIT = make_builtin_space("abs_sum", [0, 1])
+_BROKEN_PAIR = ComposedSpace(
+    PointDomain.real_interval(0.0, 10.0),
+    TripleMetric(id="broken_pair_distance", fn=lambda q, h, w: abs(q - h)), IDENTITY)
+_ASYMMETRIC = ComposedSpace(
+    PointDomain.real_interval(0.0, 1.0),
+    TripleMetric(id="clipped_plane", fn=lambda q, h, w: max(0.0, q + 2.0 * h - 3.0 * w)),
+    IDENTITY)
+_BROKEN_PAIR_DISCRETE = replace(_BROKEN_PAIR, domain=_DISCRETE.domain)
+_IDENTITY_MAP = make_self_map("identity", _APP.domain)
+_HALVING = make_self_map("scale", _APP.domain, factor=0.5)
+_REFLECT = SelfMap(id="reflect", fn=lambda x: 10 - x, domain=_DISCRETE.domain)
+# A map whose own domain is wider than the space's: its sources are checked.
+_WIDE_HALVING = SelfMap(id="wide_halving", fn=lambda x: 0.5 * x,
+                        domain=PointDomain.real_interval(0.0, 2.0))
+_BROKEN_T5 = MfFunction(id="broken_t5", fn=lambda t1, t2, t3, t4, t5: t5)
+_BROKEN_T1 = MfFunction(id="broken_t1", fn=lambda t1, t2, t3, t4, t5: t1)
+
+# (id, check, reference); each takes a SampleConfig.
+_SAMPLED_CASES = [
+    *((f"identity-{name}", partial(check_identity_axiom, space),
+       partial(_reference_identity, space))
+      for name, space in (("app", _APP), ("discrete", _DISCRETE),
+                          ("squared_diff", _SQUARED), ("broken_pair", _BROKEN_PAIR),
+                          ("broken_pair-discrete", _BROKEN_PAIR_DISCRETE))),
+    *((f"composed-{name}", partial(check_composed_triangle, space),
+       partial(_reference_composed_triangle, space))
+      for name, space in (("app", _APP), ("squared_diff", _SQUARED),
+                          ("discrete-identity-alpha", _DISCRETE_ID))),
+    *((f"classic-{name}", partial(check_classic_triangle, space),
+       partial(_reference_classic_triangle, space))
+      for name, space in (("squared_diff", _SQUARED), ("discrete", _DISCRETE),
+                          ("abs_unit", _ABS_UNIT))),
+    *((f"symmetry-{name}", partial(check_symmetry, space),
+       partial(_reference_symmetry, space))
+      for name, space in (("app", _APP), ("discrete", _DISCRETE),
+                          ("squared_diff", _SQUARED), ("asymmetric", _ASYMMETRIC))),
+    *((f"banach-{name}", partial(check_banach, space, F, r),
+       partial(_reference_banach, space, F, r))
+      for name, space, F, r in (("poly3", _POLY3.space, _POLY3.map, 1.0 / 81.0),
+                                ("identity-map", _APP, _IDENTITY_MAP, 0.9),
+                                ("halving", _APP, _HALVING, 0.5),
+                                ("discrete-reflect", _DISCRETE, _REFLECT, 0.5),
+                                ("wide-map", _APP, _WIDE_HALVING, 0.4))),
+    *((f"estimate-{name}", partial(_estimate_outcome, space, F),
+       partial(_reference_estimate, space, F))
+      for name, space, F in (("poly3", _POLY3.space, _POLY3.map),
+                             ("halving", _APP, _HALVING),
+                             ("discrete-reflect", _DISCRETE, _REFLECT),
+                             ("wide-map", _APP, _WIDE_HALVING))),
+    *((f"m1-{name}", partial(check_m1, Mf, r), partial(_reference_m1, Mf, r))
+      for name, Mf, r in (("kannan", kannan_mf(0.4), 2.0 / 3.0),
+                          ("banach", banach_mf(1.0 / 81.0), 1.0 / 81.0),
+                          ("broken_t5", _BROKEN_T5, 0.5))),
+    *((f"m2-{name}", partial(check_m2, Mf), partial(_reference_m2, Mf))
+      for name, Mf in (("kannan", kannan_mf(0.4)), ("bianchini", bianchini_mf(0.9)),
+                       ("broken_t1", _BROKEN_T1))),
+    *((f"mf-{name}", partial(check_mf_contraction, space, F, Mf),
+       partial(_reference_mf_contraction, space, F, Mf))
+      for name, space, F, Mf in (("poly3-kannan", _POLY3.space, _POLY3.map, kannan_mf(0.4)),
+                                 ("identity-map-kannan", _APP, _IDENTITY_MAP, kannan_mf(0.4)),
+                                 ("halving-banach", _APP, _HALVING, banach_mf(0.5)),
+                                 ("discrete-reflect-bianchini", _DISCRETE, _REFLECT,
+                                  bianchini_mf(0.9)),
+                                 ("wide-map-kannan", _APP, _WIDE_HALVING, kannan_mf(0.4)))),
+]
+
+
+@pytest.mark.parametrize("cfg", [
+    *(SampleConfig(seed=seed, count=count, strategy="uniform_random")
+      for seed in (3, 17, 2024) for count in (1024, 2500)),
+    SampleConfig(seed=3, count=5000),  # the grid block, then random tuples
+], ids=lambda cfg: f"{cfg.strategy}-{cfg.seed}-{cfg.count}")
+@pytest.mark.parametrize("check, reference",
+                         [pytest.param(c, r, id=i) for i, c, r in _SAMPLED_CASES])
+def test_sampled_check_matches_naive_loop(check, reference, cfg):
+    assert _outcome(lambda: check(cfg)) == _outcome(lambda: reference(cfg))
+
+
+def test_witness_past_the_first_chunk():
+    cfg = SampleConfig(seed=17, count=2500, strategy="uniform_random")
+    v = check_classic_triangle(_SQUARED, cfg)
+    assert sample_tuples(_SQUARED.domain, 4, cfg).index(v.witness) >= 1024
+    assert _outcome(lambda: v) == _reference_classic_triangle(_SQUARED, cfg)
+
+
+# (id, arity of the sample the check draws, check on a space)
+_METRIC_CHECKS = [
+    ("identity", 3, check_identity_axiom),
+    ("composed", 4, check_composed_triangle),
+    ("classic", 4, check_classic_triangle),
+    ("symmetry", 2, check_symmetry),
+    ("banach", 3, lambda space, cfg: check_banach(
+        space, make_self_map("scale", space.domain, factor=0.5), 0.5, cfg)),
+    ("estimate", 3, lambda space, cfg: estimate_contraction_factor(
+        space, make_self_map("scale", space.domain, factor=0.5), cfg)),
+    ("mf", 2, lambda space, cfg: check_mf_contraction(
+        space, make_self_map("scale", space.domain, factor=0.5), kannan_mf(0.4), cfg)),
+]
+
+
+@pytest.mark.parametrize("arity, check", [pytest.param(a, c, id=i)
+                                          for i, a, c in _METRIC_CHECKS])
+def test_first_nan_past_the_first_chunk_is_found(arity, check):
+    # The metric is NaN only on tuples holding one coordinate of sample
+    # tuple 1500, so the first 1024 tuples see no NaN.
+    domain = PointDomain.real_interval(0.0, 1.0)
+    cfg = SampleConfig(seed=5, count=2500, strategy="uniform_random")
+    bad = sample_tuples(domain, arity, cfg)[1500][0]
+    metric = TripleMetric(id="nan_at_one_point", fn=lambda q, h, w: (
+        math.nan if bad in (q, h, w) else abs(q - w) + abs(h - w)))
+    space = ComposedSpace(domain, metric, IDENTITY, symmetric_claim=True)
+    check(space, replace(cfg, count=1024))
+    with pytest.raises(NumericError):
+        check(space, cfg)
