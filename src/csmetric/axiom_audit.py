@@ -9,38 +9,30 @@ a tuple violates when its slack drops below the evaluation tolerance
 which absorbs double-precision noise from exp/sqrt chains.  The reported
 witness is the violating tuple with the most negative slack, ties broken
 toward the lexicographically smallest tuple, so results are independent of
-evaluation order.  These auditors are falsifiers and evidence gatherers:
-a pass is evidence over the sample, not a proof of the quantified claim.
+evaluation order.  One driver, ``_sampled``, runs each sampled check's batch
+kernel over the sample CHUNK tuples at a time.  These auditors are falsifiers
+and evidence gatherers: a pass is evidence over the sample, not a proof of the
+quantified claim.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Mapping, Sequence
+from itertools import compress, islice
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, DomainError, NumericError
 from .sampling import SampleConfig, sample_tuples
 from .spaces import (AlphaFunction, ComposedSpace, PointDomain, SelfMap,
-                     eval_alpha, iterate_alpha)
+                     alpha_values, eval_alpha, iterate_alpha, metric_value,
+                     metric_values)
 
-__all__ = [
-    "Verdict",
-    "ABS_TOL",
-    "REL_TOL",
-    "slack_tolerance",
-    "check_identity_axiom",
-    "check_composed_triangle",
-    "check_classic_triangle",
-    "check_symmetry",
-    "check_alpha_zero",
-    "check_alpha_subhomogeneity",
-    "check_alpha_dominates_orbit",
-    "series_tail",
-    "check_series_vanishing",
-    "DEFAULT_K_SET",
-]
+__all__ = ["Verdict", "ABS_TOL", "REL_TOL", "slack_tolerance", "check_identity_axiom",
+           "check_composed_triangle", "check_classic_triangle", "check_symmetry",
+           "check_alpha_zero", "check_alpha_subhomogeneity",
+           "check_alpha_dominates_orbit", "series_tail", "check_series_vanishing",
+           "DEFAULT_K_SET"]
 
 ABS_TOL = 1e-9
 REL_TOL = 1e-9
@@ -52,6 +44,8 @@ DEFAULT_K_SET = (1.0, 2.0, 4.0, 8.0)
 # Nonnegative-real conditions (subhomogeneity, the M-family properties) are
 # sampled from this truncation of [0, inf).
 _NONNEG_DOMAIN = PointDomain.real_interval(0.0, 10.0)
+
+CHUNK = 1024  # tuples per kernel call, so per-chunk lists stay small
 
 
 def slack_tolerance(rhs: float) -> float:
@@ -93,101 +87,130 @@ class Verdict:
 class _Collector:
     """Accumulates slacks, tracking the worst comparison with a deterministic
     lexicographic tie-break on the tuple.  Every verdict is built here and
-    every comparison passes through ``add``; a NaN slack compares false
-    against any threshold, so it raises instead of counting as a pass."""
+    every comparison passes through ``add``, a batch at a time, in sample
+    order; a NaN slack compares false against any threshold, so it raises
+    instead of counting as a pass."""
 
     def __init__(self):
         self.checked = 0
         self.worst_slack = math.inf
-        self.witness_slack = math.inf
-        self.witness: tuple | None = None
+        self.witness: tuple | None = None  # (slack, key) of the worst violation
 
-    def add(self, tup: tuple, slack: float, violates: bool):
-        if slack != slack:
-            raise NumericError(f"comparison at {tup!r} evaluated to NaN")
-        self.checked += 1
-        slack = slack + 0.0  # normalize -0.0
-        if slack < self.worst_slack:
-            self.worst_slack = slack
-        if violates and (self.witness is None or
-                         (slack, tup) < (self.witness_slack, self.witness)):
-            self.witness_slack = slack
-            self.witness = tup
+    def add(self, keys: Iterable[tuple], slacks: Sequence[float],
+            violates: Sequence[bool]):
+        """Comparison i is at the i-th key with slack slacks[i], and violates
+        when violates[i] is true.  keys is read once, in order, so it may be
+        a generator."""
+        if math.isnan(sum(slacks, 0.0)):  # or inf + -inf, hence the scan
+            for i, slack in enumerate(slacks):
+                if slack != slack:
+                    key = next(islice(keys, i, None))
+                    raise NumericError(f"comparison at {key!r} evaluated to NaN")
+        self.checked += len(slacks)
+        least = min(slacks, default=math.inf) + 0.0  # normalize -0.0
+        if least < self.worst_slack:
+            self.worst_slack = least
+        if any(violates):
+            worst = min(compress(zip(slacks, keys), violates))
+            worst = (worst[0] + 0.0, worst[1])
+            if self.witness is None or worst < self.witness:
+                self.witness = worst
 
     def verdict(self, check: str, seed: int | None,
                 details: Mapping | None = None) -> Verdict:
         if self.checked == 0:
             raise ConfigurationError(f"check {check!r} evaluated an empty sample")
-        failed = self.witness is not None
-        margin = self.witness_slack if failed else self.worst_slack
-        return Verdict(check=check, passed=not failed, checked=self.checked,
-                       witness=self.witness, worst_margin=margin, seed=seed,
+        margin, witness = self.witness or (self.worst_slack, None)
+        return Verdict(check=check, passed=witness is None, checked=self.checked,
+                       witness=witness, worst_margin=margin, seed=seed,
                        details=details)
+
+
+def _slacks(lhs: Sequence[float], rhs: Sequence[float]) -> tuple[list, Sequence[bool]]:
+    """The slacks of lhs[i] <= rhs[i] and their slack_tolerance violations."""
+    slacks = [r - l for l, r in zip(lhs, rhs)]
+    # The tolerance is at least ABS_TOL, so a slack above -ABS_TOL needs no rule.
+    if min(slacks, default=0.0) >= -ABS_TOL:
+        return slacks, ()
+    return slacks, [s < -ABS_TOL and s < -slack_tolerance(r) for s, r in zip(slacks, rhs)]
+
+
+def _sampled(domain: PointDomain, arity: int, cfg: SampleConfig,
+             kernel: Callable[[list], tuple], col: _Collector | None = None) -> _Collector:
+    """The driver of every sampled check: draw the sample once and feed it to
+    a collector CHUNK tuples at a time; kernel maps a chunk to the keys,
+    slacks and violations of its comparisons."""
+    col = _Collector() if col is None else col
+    sample = sample_tuples(domain, arity, cfg)
+    for start in range(0, len(sample), CHUNK):
+        col.add(*kernel(sample[start:start + CHUNK]))
+    return col
 
 
 def check_identity_axiom(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
     """Self distances vanish exactly; every other sampled triple is strictly
     positive."""
-    metric = space.metric.fn
-    col = _Collector()
-    for (x,) in sample_tuples(space.domain, 1, cfg):
-        d = metric(x, x, x)
-        col.add((x, x, x), -abs(d), d != 0.0)
-    for tup in sample_tuples(space.domain, 3, cfg):
-        q, h, w = tup
-        d = metric(q, h, w)
-        if q == h == w:
-            col.add(tup, -abs(d), d != 0.0)
-        else:
-            # Strict positivity: the slack is the distance itself.
-            col.add(tup, d, d <= 0.0)
-    return col.verdict("identity_axiom", cfg.seed)
+    def self_distances(chunk):
+        (x,) = zip(*chunk)
+        d = metric_values(space, x, x, x)
+        return list(zip(x, x, x)), [-v for v in d], [v != 0.0 for v in d] if any(d) else ()
+
+    def triples(chunk):
+        d = metric_values(space, *zip(*chunk))
+        # Strict positivity off the diagonal: the slack is the distance itself.
+        slacks = [-v if q == h == w else v for v, (q, h, w) in zip(d, chunk)]
+        if min(slacks) > 0:
+            return chunk, slacks, ()
+        return chunk, slacks, [s < 0 or (s == 0 and not q == h == w)
+                               for s, (q, h, w) in zip(slacks, chunk)]
+
+    col = _sampled(space.domain, 1, cfg, self_distances)
+    return _sampled(space.domain, 3, cfg, triples, col).verdict("identity_axiom", cfg.seed)
 
 
-def _triangle_verdict(space: ComposedSpace, cfg: SampleConfig,
-                      wrap: Callable[[float], float], check: str) -> Verdict:
-    metric = space.metric.fn
-    col = _Collector()
-    for tup in sample_tuples(space.domain, 4, cfg):
-        q, h, w, u = tup
-        lhs = metric(q, h, w)
-        rhs = wrap(metric(q, q, u)) + wrap(metric(h, h, u)) + wrap(metric(w, w, u))
-        slack = rhs - lhs
-        col.add(tup, slack, slack < -slack_tolerance(rhs))
-    return col.verdict(check, cfg.seed)
+def _triangle_verdict(space: ComposedSpace, cfg: SampleConfig, check: str,
+                      alpha: AlphaFunction | None) -> Verdict:
+    def kernel(chunk):
+        q, h, w, u = zip(*chunk)
+        lhs = metric_values(space, q, h, w)
+        terms = [metric_values(space, x, x, u) for x in (q, h, w)]
+        if alpha is not None:
+            terms = [alpha_values(alpha, t) for t in terms]
+        return (chunk, *_slacks(lhs, [a + b + c for a, b, c in zip(*terms)]))
+
+    return _sampled(space.domain, 4, cfg, kernel).verdict(check, cfg.seed)
 
 
 def check_composed_triangle(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
     """Triangle inequality with each right-hand term wrapped in alpha."""
-    return _triangle_verdict(space, cfg, partial(eval_alpha, space.alpha),
-                             "composed_triangle")
+    return _triangle_verdict(space, cfg, "composed_triangle", space.alpha)
 
 
 def check_classic_triangle(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
     """Plain (unwrapped) triangle inequality; failing it while the composed
     form passes is what separates these spaces from ordinary S-metric spaces."""
-    return _triangle_verdict(space, cfg, lambda t: t, "classic_triangle")
+    return _triangle_verdict(space, cfg, "classic_triangle", None)
 
 
 def check_symmetry(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
     """|C(q,q,h) - C(h,h,q)| stays within tolerance on sampled pairs."""
-    metric = space.metric.fn
-    col = _Collector()
-    for tup in sample_tuples(space.domain, 2, cfg):
-        q, h = tup
-        a = metric(q, q, h)
-        b = metric(h, h, q)
-        tol = ABS_TOL + REL_TOL * max(abs(a), abs(b))
-        slack = -abs(a - b)
-        col.add(tup, slack, slack < -tol)
-    return col.verdict("symmetry", cfg.seed)
+    def kernel(chunk):
+        q, h = zip(*chunk)
+        a, b = metric_values(space, q, q, h), metric_values(space, h, h, q)
+        slacks = [-abs(x - y) for x, y in zip(a, b)]
+        if min(slacks) >= -ABS_TOL:  # within any tolerance
+            return chunk, slacks, ()
+        return chunk, slacks, [s < -(ABS_TOL + REL_TOL * max(x, y))
+                               for s, x, y in zip(slacks, a, b)]
+
+    return _sampled(space.domain, 2, cfg, kernel).verdict("symmetry", cfg.seed)
 
 
 def check_alpha_zero(alpha: AlphaFunction) -> Verdict:
     """alpha(0) must be exactly zero."""
     value = eval_alpha(alpha, 0.0)
     col = _Collector()
-    col.add((0.0, value), -abs(value), value != 0.0)
+    col.add([(0.0, value)], [-abs(value)], [value != 0.0])
     return col.verdict("alpha_zero", None)
 
 
@@ -198,16 +221,17 @@ def check_alpha_subhomogeneity(alpha: AlphaFunction, cfg: SampleConfig,
         raise ConfigurationError("k_set must be non-empty")
     if any(k <= 0 for k in k_set):
         raise ConfigurationError("all k values must be positive")
-    col = _Collector()
-    for s, t in sample_tuples(_NONNEG_DOMAIN, 2, cfg):
-        alpha_s = eval_alpha(alpha, s)
-        alpha_t = eval_alpha(alpha, t)
-        for k in k_set:
-            lhs = eval_alpha(alpha, k * s + t)
-            rhs = k * alpha_s + alpha_t
-            slack = rhs - lhs
-            col.add((k, s, t), slack, slack < -slack_tolerance(rhs))
-    return col.verdict("alpha_subhomogeneity", cfg.seed)
+
+    def kernel(chunk):
+        # alpha(s) and alpha(t) once per pair, outside the k loop
+        a_s, a_t = (alpha_values(alpha, x) for x in zip(*chunk))
+        # A generator: the collector builds the keys one at a time, and only
+        # when the chunk has a violation or a NaN.
+        keys = ((k, s, t) for s, t in chunk for k in k_set)
+        lhs = alpha_values(alpha, [k * s + t for s, t in chunk for k in k_set])
+        return (keys, *_slacks(lhs, [k * x + y for x, y in zip(a_s, a_t) for k in k_set]))
+
+    return _sampled(_NONNEG_DOMAIN, 2, cfg, kernel).verdict("alpha_subhomogeneity", cfg.seed)
 
 
 def check_alpha_dominates_orbit(space: ComposedSpace, F: SelfMap, x0,
@@ -215,16 +239,16 @@ def check_alpha_dominates_orbit(space: ComposedSpace, F: SelfMap, x0,
     """alpha(d_n) <= d_n along the orbit, d_n the successive step distance."""
     if n_max < 1:
         raise ConfigurationError("n_max must be >= 1")
-    metric = space.metric.fn
-    alpha = space.alpha
-    col = _Collector()
+    keys, distances = [], []
     x = x0
     for n in range(n_max + 1):
         y = F.apply(x)
-        d = metric(x, x, y)
-        slack = d - eval_alpha(alpha, d)
-        col.add((float(n), d), slack, slack < -slack_tolerance(d))
+        d = metric_value(space, x, x, y)
+        keys.append((float(n), d))
+        distances.append(d)
         x = y
+    col = _Collector()
+    col.add(keys, *_slacks(alpha_values(space.alpha, distances), distances))
     return col.verdict("alpha_dominates_orbit", None)
 
 
@@ -275,8 +299,8 @@ def check_series_vanishing(alpha: AlphaFunction, r: float, c0: float,
         series = [series_tail(alpha, r, c0, n, n + g, variant) for n in schedule]
         values[int(g)] = series
         final_value = series[-1]
-        col.add((float(g), float(schedule[-1]), final_value),
-                tol - final_value, final_value > tol)
+        col.add([(float(g), float(schedule[-1]), final_value)],
+                [tol - final_value], [final_value > tol])
         col.checked += len(series) - 1
     details = {"n_schedule": schedule, "values": values, "tol": tol}
     return col.verdict("series_vanishing", None, details=details)

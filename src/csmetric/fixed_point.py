@@ -12,35 +12,22 @@ two selection properties that make the family's fixed-point argument work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain, combinations, compress
 from typing import Callable, Sequence
 
 from .axiom_audit import (_NONNEG_DOMAIN, ABS_TOL, Verdict, _Collector,
-                          slack_tolerance)
+                          _sampled, _slacks)
 from .errors import ConfigurationError, DomainError, PreconditionError
-from .sampling import SampleConfig, sample_tuples
+from .sampling import SampleConfig
 from .spaces import (ComposedSpace, SelfMap, eval_metric, metric_value,
-                     require_in_space)
+                     metric_values, require_in_space)
 
-__all__ = [
-    "Orbit",
-    "SolveResult",
-    "MfFunction",
-    "ContractionEstimate",
-    "banach_mf",
-    "kannan_mf",
-    "bianchini_mf",
-    "picard",
-    "estimate_contraction_factor",
-    "check_banach",
-    "check_m1",
-    "check_m2",
-    "check_mf_contraction",
-    "verify_fixed_point",
-    "uniqueness_probe",
-    "DEFAULT_TOL",
-    "DEFAULT_MAX_ITER",
-]
+__all__ = ["Orbit", "SolveResult", "MfFunction", "ContractionEstimate", "banach_mf",
+           "kannan_mf", "bianchini_mf", "picard", "estimate_contraction_factor",
+           "check_banach", "check_m1", "check_m2", "check_mf_contraction",
+           "verify_fixed_point", "uniqueness_probe", "DEFAULT_TOL", "DEFAULT_MAX_ITER"]
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10000
@@ -167,24 +154,41 @@ def picard(space: ComposedSpace, F: SelfMap, x0, tol: float = DEFAULT_TOL,
                        orbit=orbit)
 
 
+def _images(space: ComposedSpace, F: SelfMap, tuples: list, arity: int) -> list:
+    """The columns of F applied to every point of sampled tuples, with the
+    checks of F.apply.  The points lie in space.domain, so when that is
+    F.domain only the images need a membership check."""
+    points = list(chain.from_iterable(tuples))
+    if F.domain != space.domain:
+        images = list(map(F.apply, points))
+    else:
+        inside = F.domain.contains
+        images = list(map(F.fn, points))
+        for x, y in zip(points, images):
+            if not inside(y):
+                raise F.escape_error(x, y)
+    return [images[i::arity] for i in range(arity)]
+
+
 def estimate_contraction_factor(space: ComposedSpace, F: SelfMap,
                                 cfg: SampleConfig) -> ContractionEstimate:
     """Maximum observed image-to-source distance ratio over sampled triples."""
-    metric = space.metric.fn
-    col = _Collector()  # the slack is -ratio, so the witness is the argmax
-    for tup in sample_tuples(space.domain, 3, cfg):
-        q, h, w = tup
-        den = metric(q, h, w)
-        if den < _RATIO_FLOOR:
-            continue
-        ratio = metric(F.apply(q), F.apply(h), F.apply(w)) / den
-        col.add(tup, -ratio, True)
+    def kernel(chunk):
+        dens = metric_values(space, *zip(*chunk))
+        kept = [den >= _RATIO_FLOOR for den in dens]
+        keys, dens = list(compress(chunk, kept)), list(compress(dens, kept))
+        nums = metric_values(space, *_images(space, F, keys, 3))
+        return keys, [-(n / d) for n, d in zip(nums, dens)], [True] * len(keys)
+
+    # The slack is -ratio, so the witness is the argmax.
+    col = _sampled(space.domain, 3, cfg, kernel)
     if col.witness is None:
         raise ConfigurationError(
             "every sampled triple was degenerate; nothing to estimate")
+    slack, argmax = col.witness
     # 0.0 - slack, not -slack: a zero ratio must not come out as -0.0.
-    return ContractionEstimate(sup_ratio=0.0 - col.witness_slack,
-                               argmax_tuple=col.witness, samples=col.checked)
+    return ContractionEstimate(sup_ratio=0.0 - slack, argmax_tuple=argmax,
+                               samples=col.checked)
 
 
 def check_banach(space: ComposedSpace, F: SelfMap, r: float,
@@ -192,51 +196,37 @@ def check_banach(space: ComposedSpace, F: SelfMap, r: float,
     """C(Fq, Fh, Fw) <= r * C(q, h, w) over sampled triples."""
     if not (0.0 < r < 1.0):
         raise ConfigurationError(f"contraction factor must lie in (0, 1), got {r!r}")
-    metric = space.metric.fn
-    col = _Collector()
-    for tup in sample_tuples(space.domain, 3, cfg):
-        q, h, w = tup
-        lhs = metric(F.apply(q), F.apply(h), F.apply(w))
-        rhs = r * metric(q, h, w)
-        slack = rhs - lhs
-        col.add(tup, slack, slack < -slack_tolerance(rhs))
-    return col.verdict("banach_contraction", cfg.seed)
+
+    def kernel(chunk):
+        lhs = metric_values(space, *_images(space, F, chunk, 3))
+        return (chunk, *_slacks(lhs, [r * d for d in metric_values(space, *zip(*chunk))]))
+
+    return _sampled(space.domain, 3, cfg, kernel).verdict("banach_contraction", cfg.seed)
 
 
-def check_m1(Mf: MfFunction, r: float, cfg: SampleConfig,
-             guard_variant: str = "definition") -> Verdict:
-    """Selection property one: whenever h <= Mf(o, o, 0, w, h) under the
-    side guard on w, the reduction h <= r*o must follow.
-
-    The ``definition`` guard is w <= 2o + h; ``alternate`` switches to
-    w <= o + 2h, a variant kept available for comparison runs.
-    """
+def check_m1(Mf: MfFunction, r: float, cfg: SampleConfig) -> Verdict:
+    """Selection property one: whenever h <= Mf(o, o, 0, w, h) and
+    w <= 2o + h, the reduction h <= r*o must follow."""
     if not (0.0 <= r < 1.0):
         raise ConfigurationError(f"reduction factor must lie in [0, 1), got {r!r}")
-    if guard_variant not in ("definition", "alternate"):
-        raise ConfigurationError(f"unknown guard variant {guard_variant!r}")
-    col = _Collector()
-    for tup in sample_tuples(_NONNEG_DOMAIN, 3, cfg):
-        o, h, w = tup
-        guard_w = (w <= 2 * o + h) if guard_variant == "definition" else (w <= o + 2 * h)
-        if guard_w and h <= Mf.fn(o, o, 0.0, w, h):
-            rhs = r * o
-            slack = rhs - h
-            col.add(tup, slack, slack < -slack_tolerance(rhs))
-        else:
-            col.checked += 1
-    return col.verdict("m1", cfg.seed)
+
+    def kernel(chunk):
+        # An unguarded tuple counts with slack +inf: checked, never the worst.
+        lhs = [h if w <= 2 * o + h and h <= Mf.fn(o, o, 0.0, w, h) else -math.inf
+               for o, h, w in chunk]
+        return (chunk, *_slacks(lhs, [r * o for o, _, _ in chunk]))
+
+    return _sampled(_NONNEG_DOMAIN, 3, cfg, kernel).verdict("m1", cfg.seed)
 
 
 def check_m2(Mf: MfFunction, cfg: SampleConfig) -> Verdict:
     """Selection property two: h <= Mf(h, 0, h, h, 0) forces h = 0."""
-    col = _Collector()
-    for (h,) in sample_tuples(_NONNEG_DOMAIN, 1, cfg):
-        if h <= Mf.fn(h, 0.0, h, h, 0.0):
-            col.add((h,), -h, h > ABS_TOL)
-        else:
-            col.checked += 1
-    return col.verdict("m2", cfg.seed)
+    def kernel(chunk):
+        # An unguarded h counts with slack +inf, as in check_m1.
+        slacks = [-h if h <= Mf.fn(h, 0.0, h, h, 0.0) else math.inf for (h,) in chunk]
+        return chunk, slacks, [s < -ABS_TOL for s in slacks]
+
+    return _sampled(_NONNEG_DOMAIN, 1, cfg, kernel).verdict("m2", cfg.seed)
 
 
 def check_mf_contraction(space: ComposedSpace, F: SelfMap, Mf: MfFunction,
@@ -245,17 +235,16 @@ def check_mf_contraction(space: ComposedSpace, F: SelfMap, Mf: MfFunction,
     symmetric for the five distances to play their intended roles."""
     if not space.symmetric_claim:
         raise PreconditionError("the generalized contraction check needs a symmetric space")
-    metric = space.metric.fn
-    col = _Collector()
-    for tup in sample_tuples(space.domain, 2, cfg):
-        o, h = tup
-        fo, fh = F.apply(o), F.apply(h)
-        lhs = metric(fo, fo, fh)
-        rhs = Mf.fn(metric(o, o, h), metric(fo, fo, o), metric(fo, fo, h),
-                    metric(fh, fh, o), metric(fh, fh, h))
-        slack = rhs - lhs
-        col.add(tup, slack, slack < -slack_tolerance(rhs))
-    return col.verdict("mf_contraction", cfg.seed)
+
+    def kernel(chunk):
+        o, h = zip(*chunk)
+        fo, fh = _images(space, F, chunk, 2)
+        lhs = metric_values(space, fo, fo, fh)  # also the third argument of Mf
+        rhs = map(Mf.fn, metric_values(space, o, o, h), metric_values(space, fo, fo, o),
+                  lhs, metric_values(space, fh, fh, o), metric_values(space, fh, fh, h))
+        return (chunk, *_slacks(lhs, list(rhs)))
+
+    return _sampled(space.domain, 2, cfg, kernel).verdict("mf_contraction", cfg.seed)
 
 
 def verify_fixed_point(space: ComposedSpace, F: SelfMap, x,
@@ -263,7 +252,7 @@ def verify_fixed_point(space: ComposedSpace, F: SelfMap, x,
     """Is x a fixed point of F up to tol, measured by C(x, x, F(x))?"""
     residual = eval_metric(space, x, x, F.apply(x))
     col = _Collector()
-    col.add((x, residual), tol - residual, residual > tol)
+    col.add([(x, residual)], [tol - residual], [residual > tol])
     return col.verdict("fixed_point_residual", None)
 
 
@@ -279,12 +268,11 @@ def uniqueness_probe(space: ComposedSpace, F: SelfMap, starts: Sequence,
     for x0 in starts:
         result = picard(space, F, x0, tol, max_iter)
         if not result.converged:
-            col.add((x0,), -result.residual, True)
+            col.add([(x0,)], [-result.residual], [True])
             return col.verdict("uniqueness", None)
         col.checked += 1
         limits.append(result.fixed_point)
-    for i in range(len(limits)):
-        for j in range(i + 1, len(limits)):
-            d = eval_metric(space, limits[i], limits[i], limits[j])
-            col.add((limits[i], limits[j]), tol - d, d > tol)
+    pairs = list(combinations(limits, 2))
+    d = [eval_metric(space, a, a, b) for a, b in pairs]
+    col.add(pairs, [tol - v for v in d], [v > tol for v in d])
     return col.verdict("uniqueness", None)

@@ -15,35 +15,22 @@ is safe to share across threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from .errors import ConfigurationError, DomainError, NumericError
 from .expressions import compile_expression
 
-__all__ = [
-    "PointDomain",
-    "AlphaFunction",
-    "TripleMetric",
-    "ComposedSpace",
-    "SelfMap",
-    "eval_metric",
-    "metric_value",
-    "require_in_space",
-    "eval_alpha",
-    "iterate_alpha",
-    "make_builtin_space",
-    "make_alpha",
-    "make_self_map",
-    "space_to_json",
-    "space_from_json",
-    "map_to_json",
-    "map_from_json",
-    "BUILTIN_SPACES",
-    "BUILTIN_ALPHAS",
-]
+__all__ = ["PointDomain", "AlphaFunction", "TripleMetric", "ComposedSpace", "SelfMap",
+           "eval_metric", "metric_value", "metric_values", "require_in_space",
+           "eval_alpha", "alpha_values", "iterate_alpha", "make_builtin_space",
+           "make_alpha", "make_self_map", "space_to_json", "space_from_json",
+           "map_from_json", "BUILTIN_SPACES", "BUILTIN_ALPHAS"]
 
 Point = float
+
+_FLOAT_MAX = sys.float_info.max
 
 # Probe grid used to reject constant composing functions at construction.
 _NONCONSTANT_PROBE = (0.0, 0.25, 1.0, 2.0, 7.5)
@@ -135,7 +122,10 @@ class PointDomain:
     def contains(self, x) -> bool:
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             return False
-        if not math.isfinite(x):
+        try:
+            if not math.isfinite(x):
+                return False
+        except OverflowError:  # an int too large for a float lies in no domain
             return False
         if self.kind == "real_interval":
             return self.lo <= x <= self.hi
@@ -295,10 +285,28 @@ def metric_value(space: ComposedSpace, q: Point, h: Point, w: Point) -> float:
     """The triple metric at points already known to lie in the domain; the
     value must be a finite real >= 0, or NumericError is raised."""
     value = space.metric.fn(q, h, w)
-    if not (isinstance(value, (int, float)) and math.isfinite(value)) or value < 0:
+    if not (isinstance(value, (int, float)) and 0 <= value <= _FLOAT_MAX):
         raise NumericError(
             f"metric {space.metric.id!r} returned {value!r} at ({q!r}, {h!r}, {w!r})")
     return float(value)
+
+
+def metric_values(space: ComposedSpace, q: Sequence, h: Sequence,
+                  w: Sequence) -> list:
+    """metric_value at each triple (q[i], h[i], w[i]), returning the values
+    as the metric gave them.  The batch is tested at once; a batch that fails
+    is evaluated again through metric_value, which names the first bad value."""
+    values = list(map(space.metric.fn, q, h, w))
+    try:
+        # Values >= 0 whose sum fits a float are each finite.
+        valid = ({int, float}.issuperset(map(type, values)) and
+                 min(values, default=0) >= 0 and sum(values, 0.0) <= _FLOAT_MAX)
+    except OverflowError:  # an int too large for a float
+        valid = False
+    if not valid:
+        for triple in zip(q, h, w):
+            metric_value(space, *triple)
+    return values
 
 
 def eval_metric(space: ComposedSpace, q: Point, h: Point, w: Point) -> float:
@@ -312,10 +320,20 @@ def eval_alpha(alpha: AlphaFunction, t: float) -> float:
     """Evaluate the composing function at t >= 0."""
     if t < 0:
         raise DomainError(f"composing functions are defined on [0, inf); got {t!r}")
-    value = alpha._fn(t)
-    if value < 0 or math.isnan(value):
-        raise NumericError(f"composing function {alpha.id!r} returned {value!r} at {t!r}")
-    return value
+    return alpha_values(alpha, (t,))[0]
+
+
+def alpha_values(alpha: AlphaFunction, ts: Sequence[float]) -> list:
+    """eval_alpha at each t in ts, all known to be >= 0.  Like metric_values,
+    the batch is tested at once and scanned only when it fails."""
+    values = list(map(alpha._fn, ts))
+    total = sum(values, 0.0)  # NaN when any value is
+    if not (min(values, default=0.0) >= 0 and total == total):
+        for t, value in zip(ts, values):
+            if value < 0 or math.isnan(value):
+                raise NumericError(
+                    f"composing function {alpha.id!r} returned {value!r} at {t!r}")
+    return values
 
 
 def iterate_alpha(alpha: AlphaFunction, j: int, t: float) -> float:
@@ -466,10 +484,6 @@ def space_from_json(doc: dict) -> ComposedSpace:
     if "symmetric" in doc:
         space = replace(space, symmetric_claim=bool(doc["symmetric"]))
     return space
-
-
-def map_to_json(self_map: SelfMap) -> dict:
-    return {"id": self_map.id}
 
 
 def map_from_json(doc: dict, domain: PointDomain) -> SelfMap:

@@ -586,3 +586,20 @@ def test_first_nan_past_the_first_chunk_is_found(arity, check):
     check(space, replace(cfg, count=1024))
     with pytest.raises(NumericError):
         check(space, cfg)
+
+
+@pytest.mark.parametrize("value", [-1, math.inf, math.nan], ids=["minus-one", "inf", "nan"])
+@pytest.mark.parametrize("check", [pytest.param(c, id=i) for i, _, c in _METRIC_CHECKS] + [
+    pytest.param(lambda space, cfg: check_alpha_dominates_orbit(
+        space, make_self_map("scale", space.domain, factor=0.5), 1.0, n_max=3),
+        id="alpha_dominates_orbit")])
+def test_metric_value_outside_0_inf_is_a_numeric_error(check, value):
+    # Every check that evaluates a metric; subhomogeneity, M1 and M2
+    # evaluate none.
+    metric = TripleMetric(id="bad_metric", fn=lambda q, h, w: (
+        value if q > 0.5 else abs(q - w) + abs(h - w)))
+    space = ComposedSpace(PointDomain.real_interval(0.0, 1.0), metric, TWO_SQRT,
+                          symmetric_claim=True)
+    with pytest.raises(NumericError,
+                       match=rf"^metric 'bad_metric' returned {value!r} at \((0\.[5-9]|1\.0)"):
+        check(space, SampleConfig(seed=4, count=500, strategy="uniform_random"))

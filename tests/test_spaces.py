@@ -1,13 +1,16 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from csmetric import (ConfigurationError, DomainError, PointDomain, SelfMap,
+from csmetric import (ComposedSpace, ConfigurationError, DomainError,
+                      NumericError, PointDomain, SelfMap, TripleMetric,
                       eval_alpha, eval_metric, iterate_alpha, make_alpha,
                       make_builtin_space, make_self_map, space_from_json,
                       space_to_json)
+from csmetric.spaces import metric_value, metric_values
 
 ALPHA_IDS = ("identity", "exp", "exp_2t", "two_t_plus_one", "two_sqrt")
 
@@ -42,6 +45,14 @@ class TestPointDomain:
     def test_interval_membership(self):
         d = PointDomain.real_interval(1.0, 100.0)
         assert d.contains(1.0) and d.contains(100.0) and not d.contains(0.999)
+
+    @pytest.mark.parametrize("domain", [PointDomain.real_interval(0, 1),
+                                        PointDomain.naturals_up_to(10),
+                                        PointDomain.finite_real_set([1.0, 2.0])],
+                             ids=lambda d: d.kind)
+    @pytest.mark.parametrize("x", [10 ** 400, -10 ** 400, math.nan, math.inf])
+    def test_values_beyond_the_floats_are_outside(self, domain, x):
+        assert not domain.contains(x)
 
 
 class TestEvalMetric:
@@ -86,6 +97,33 @@ class TestEvalMetric:
                                  app_space.alpha, False)
         with pytest.raises(NumericError):
             eval_metric(negative, 0.1, 0.2, 0.3)
+
+
+class TestMetricValues:
+    def test_valid_values_whose_sum_overflows_pass(self):
+        big = TripleMetric(id="big", fn=lambda q, h, w: 1.5e308)
+        space = ComposedSpace(PointDomain.real_interval(0, 1), big, make_alpha("identity"))
+        assert metric_values(space, [0.0] * 3, [0.5] * 3, [1.0] * 3) == [1.5e308] * 3
+
+    @pytest.mark.parametrize("value", [True, 3, 2.5], ids=["bool", "int", "float"])
+    def test_every_value_metric_value_accepts_passes(self, value):
+        space = ComposedSpace(PointDomain.real_interval(0, 1),
+                              TripleMetric(id="const", fn=lambda q, h, w: value),
+                              make_alpha("identity"))
+        assert metric_values(space, [0.0], [0.5], [1.0]) == [value]
+        assert metric_value(space, 0.0, 0.5, 1.0) == float(value)
+
+    @pytest.mark.parametrize("value", [10 ** 400, "1", 1j, -1e-300],
+                             ids=["huge-int", "str", "complex", "negative"])
+    def test_the_first_invalid_value_is_named(self, value):
+        metric = TripleMetric(id="late", fn=lambda q, h, w: value if q == 2.0 else 1.0)
+        space = ComposedSpace(PointDomain.real_interval(0, 5), metric, make_alpha("identity"))
+        triples = [(1.0, 1.0, 1.0), (2.0, 0.0, 1.0), (2.0, 3.0, 4.0)]
+        message = f"metric 'late' returned {value!r} at (2.0, 0.0, 1.0)"
+        with pytest.raises(NumericError, match=re.escape(message)):
+            metric_values(space, *zip(*triples))
+        with pytest.raises(NumericError, match=re.escape(message)):
+            metric_value(space, *triples[1])
 
 
 class TestEvalAlpha:
