@@ -9,9 +9,9 @@ a tuple violates when its slack drops below the evaluation tolerance
 which absorbs double-precision noise from exp/sqrt chains.  The reported
 witness is the violating tuple with the most negative slack, ties broken
 toward the lexicographically smallest tuple, so results are independent of
-evaluation order.  One driver, ``_sampled``, runs each sampled check's batch
-kernel over the sample CHUNK tuples at a time.  These auditors are falsifiers
-and evidence gatherers: a pass is evidence over the sample, not a proof of the
+evaluation order.  ``_sampled`` runs every sampled check's batch kernel over
+the sample, CHUNK tuples at a time.  These auditors are falsifiers and
+evidence gatherers: a pass is evidence over the sample, not a proof of the
 quantified claim.
 """
 
@@ -137,9 +137,9 @@ def _slacks(lhs: Sequence[float], rhs: Sequence[float]) -> tuple[list, Sequence[
 
 def _sampled(domain: PointDomain, arity: int, cfg: SampleConfig,
              kernel: Callable[[list], tuple], col: _Collector | None = None) -> _Collector:
-    """The driver of every sampled check: draw the sample once and feed it to
-    a collector CHUNK tuples at a time; kernel maps a chunk to the keys,
-    slacks and violations of its comparisons."""
+    """Run a sampled check: draw its sample once and feed it to a collector
+    CHUNK tuples at a time; kernel maps a chunk to the keys, slacks and
+    violations of its comparisons."""
     col = _Collector() if col is None else col
     sample = sample_tuples(domain, arity, cfg)
     for start in range(0, len(sample), CHUNK):

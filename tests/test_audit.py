@@ -371,7 +371,7 @@ def test_subhomogeneity_evaluates_alpha_six_times_per_pair():
 # --- every sampled check against a naive loop --------------------------------
 # Each reference evaluates its inequality one tuple at a time, with the raw
 # metric, in sample order.  Counts of 1024 and 2500 put the sample in one
-# chunk of the driver and across three.
+# chunk of ``_sampled`` and across three.
 
 def _reference_identity(space, cfg):
     metric, rows = space.metric.fn, []
