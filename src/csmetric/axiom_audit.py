@@ -25,14 +25,25 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import ConfigurationError, DomainError, NumericError
 from .sampling import SampleConfig, sample_tuples
 from .spaces import (AlphaFunction, ComposedSpace, PointDomain, SelfMap,
-                     alpha_values, eval_alpha, iterate_alpha, metric_value,
-                     metric_values)
+                     _alpha_values, _metric_values, eval_alpha, iterate_alpha,
+                     metric_value)
 
-__all__ = ["Verdict", "ABS_TOL", "REL_TOL", "slack_tolerance", "check_identity_axiom",
-           "check_composed_triangle", "check_classic_triangle", "check_symmetry",
-           "check_alpha_zero", "check_alpha_subhomogeneity",
-           "check_alpha_dominates_orbit", "series_tail", "check_series_vanishing",
-           "DEFAULT_K_SET"]
+__all__ = [
+    "Verdict",
+    "ABS_TOL",
+    "REL_TOL",
+    "slack_tolerance",
+    "check_identity_axiom",
+    "check_composed_triangle",
+    "check_classic_triangle",
+    "check_symmetry",
+    "check_alpha_zero",
+    "check_alpha_subhomogeneity",
+    "check_alpha_dominates_orbit",
+    "series_tail",
+    "check_series_vanishing",
+    "DEFAULT_K_SET",
+]
 
 ABS_TOL = 1e-9
 REL_TOL = 1e-9
@@ -152,11 +163,11 @@ def check_identity_axiom(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
     positive."""
     def self_distances(chunk):
         (x,) = zip(*chunk)
-        d = metric_values(space, x, x, x)
+        d = _metric_values(space, x, x, x)
         return list(zip(x, x, x)), [-v for v in d], [v != 0.0 for v in d] if any(d) else ()
 
     def triples(chunk):
-        d = metric_values(space, *zip(*chunk))
+        d = _metric_values(space, *zip(*chunk))
         # Strict positivity off the diagonal: the slack is the distance itself.
         slacks = [-v if q == h == w else v for v, (q, h, w) in zip(d, chunk)]
         if min(slacks) > 0:
@@ -172,10 +183,10 @@ def _triangle_verdict(space: ComposedSpace, cfg: SampleConfig, check: str,
                       alpha: AlphaFunction | None) -> Verdict:
     def kernel(chunk):
         q, h, w, u = zip(*chunk)
-        lhs = metric_values(space, q, h, w)
-        terms = [metric_values(space, x, x, u) for x in (q, h, w)]
+        lhs = _metric_values(space, q, h, w)
+        terms = [_metric_values(space, x, x, u) for x in (q, h, w)]
         if alpha is not None:
-            terms = [alpha_values(alpha, t) for t in terms]
+            terms = [_alpha_values(alpha, t) for t in terms]
         return (chunk, *_slacks(lhs, [a + b + c for a, b, c in zip(*terms)]))
 
     return _sampled(space.domain, 4, cfg, kernel).verdict(check, cfg.seed)
@@ -196,7 +207,7 @@ def check_symmetry(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
     """|C(q,q,h) - C(h,h,q)| stays within tolerance on sampled pairs."""
     def kernel(chunk):
         q, h = zip(*chunk)
-        a, b = metric_values(space, q, q, h), metric_values(space, h, h, q)
+        a, b = _metric_values(space, q, q, h), _metric_values(space, h, h, q)
         slacks = [-abs(x - y) for x, y in zip(a, b)]
         if min(slacks) >= -ABS_TOL:  # within any tolerance
             return chunk, slacks, ()
@@ -224,11 +235,11 @@ def check_alpha_subhomogeneity(alpha: AlphaFunction, cfg: SampleConfig,
 
     def kernel(chunk):
         # alpha(s) and alpha(t) once per pair, outside the k loop
-        a_s, a_t = (alpha_values(alpha, x) for x in zip(*chunk))
+        a_s, a_t = (_alpha_values(alpha, x) for x in zip(*chunk))
         # A generator: the collector builds the keys one at a time, and only
         # when the chunk has a violation or a NaN.
         keys = ((k, s, t) for s, t in chunk for k in k_set)
-        lhs = alpha_values(alpha, [k * s + t for s, t in chunk for k in k_set])
+        lhs = _alpha_values(alpha, [k * s + t for s, t in chunk for k in k_set])
         return (keys, *_slacks(lhs, [k * x + y for x, y in zip(a_s, a_t) for k in k_set]))
 
     return _sampled(_NONNEG_DOMAIN, 2, cfg, kernel).verdict("alpha_subhomogeneity", cfg.seed)
@@ -248,7 +259,7 @@ def check_alpha_dominates_orbit(space: ComposedSpace, F: SelfMap, x0,
         distances.append(d)
         x = y
     col = _Collector()
-    col.add(keys, *_slacks(alpha_values(space.alpha, distances), distances))
+    col.add(keys, *_slacks(_alpha_values(space.alpha, distances), distances))
     return col.verdict("alpha_dominates_orbit", None)
 
 

@@ -21,13 +21,28 @@ from .axiom_audit import (_NONNEG_DOMAIN, ABS_TOL, Verdict, _Collector,
                           _sampled, _slacks)
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .sampling import SampleConfig
-from .spaces import (ComposedSpace, SelfMap, eval_metric, metric_value,
-                     metric_values, require_in_space)
+from .spaces import (ComposedSpace, SelfMap, _metric_values, eval_metric,
+                     metric_value, require_in_space)
 
-__all__ = ["Orbit", "SolveResult", "MfFunction", "ContractionEstimate", "banach_mf",
-           "kannan_mf", "bianchini_mf", "picard", "estimate_contraction_factor",
-           "check_banach", "check_m1", "check_m2", "check_mf_contraction",
-           "verify_fixed_point", "uniqueness_probe", "DEFAULT_TOL", "DEFAULT_MAX_ITER"]
+__all__ = [
+    "Orbit",
+    "SolveResult",
+    "MfFunction",
+    "ContractionEstimate",
+    "banach_mf",
+    "kannan_mf",
+    "bianchini_mf",
+    "picard",
+    "estimate_contraction_factor",
+    "check_banach",
+    "check_m1",
+    "check_m2",
+    "check_mf_contraction",
+    "verify_fixed_point",
+    "uniqueness_probe",
+    "DEFAULT_TOL",
+    "DEFAULT_MAX_ITER",
+]
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10000
@@ -174,10 +189,10 @@ def estimate_contraction_factor(space: ComposedSpace, F: SelfMap,
                                 cfg: SampleConfig) -> ContractionEstimate:
     """Maximum observed image-to-source distance ratio over sampled triples."""
     def kernel(chunk):
-        dens = metric_values(space, *zip(*chunk))
+        dens = _metric_values(space, *zip(*chunk))
         kept = [den >= _RATIO_FLOOR for den in dens]
         keys, dens = list(compress(chunk, kept)), list(compress(dens, kept))
-        nums = metric_values(space, *_images(space, F, keys, 3))
+        nums = _metric_values(space, *_images(space, F, keys, 3))
         return keys, [-(n / d) for n, d in zip(nums, dens)], [True] * len(keys)
 
     # The slack is -ratio, so the witness is the argmax.
@@ -198,8 +213,8 @@ def check_banach(space: ComposedSpace, F: SelfMap, r: float,
         raise ConfigurationError(f"contraction factor must lie in (0, 1), got {r!r}")
 
     def kernel(chunk):
-        lhs = metric_values(space, *_images(space, F, chunk, 3))
-        return (chunk, *_slacks(lhs, [r * d for d in metric_values(space, *zip(*chunk))]))
+        lhs = _metric_values(space, *_images(space, F, chunk, 3))
+        return (chunk, *_slacks(lhs, [r * d for d in _metric_values(space, *zip(*chunk))]))
 
     return _sampled(space.domain, 3, cfg, kernel).verdict("banach_contraction", cfg.seed)
 
@@ -239,9 +254,10 @@ def check_mf_contraction(space: ComposedSpace, F: SelfMap, Mf: MfFunction,
     def kernel(chunk):
         o, h = zip(*chunk)
         fo, fh = _images(space, F, chunk, 2)
-        lhs = metric_values(space, fo, fo, fh)  # also the third argument of Mf
-        rhs = map(Mf.fn, metric_values(space, o, o, h), metric_values(space, fo, fo, o),
-                  lhs, metric_values(space, fh, fh, o), metric_values(space, fh, fh, h))
+        lhs = _metric_values(space, fo, fo, fh)
+        rhs = map(Mf.fn, _metric_values(space, o, o, h), _metric_values(space, fo, fo, o),
+                  _metric_values(space, fo, fo, h), _metric_values(space, fh, fh, o),
+                  _metric_values(space, fh, fh, h))
         return (chunk, *_slacks(lhs, list(rhs)))
 
     return _sampled(space.domain, 2, cfg, kernel).verdict("mf_contraction", cfg.seed)

@@ -23,9 +23,19 @@ from .fixed_point import (DEFAULT_TOL, SolveResult, check_banach, picard,
 from .sampling import SampleConfig
 from .spaces import ComposedSpace, SelfMap, make_builtin_space
 
-__all__ = ["PolyProblem", "residual", "poly_map", "contraction_bound",
-           "bisection_oracle", "oracle_agreement", "solve_poly", "verify_theorem_4_1",
-           "SERIES_GAPS", "SERIES_SCHEDULE", "SERIES_TOL"]
+__all__ = [
+    "PolyProblem",
+    "residual",
+    "poly_map",
+    "contraction_bound",
+    "bisection_oracle",
+    "oracle_agreement",
+    "solve_poly",
+    "verify_theorem_4_1",
+    "SERIES_GAPS",
+    "SERIES_SCHEDULE",
+    "SERIES_TOL",
+]
 
 # Fixed-gap tail slices audited by the verification pipeline.  The schedule
 # runs far enough that the slowest gap decays through the tolerance.
@@ -155,27 +165,31 @@ def verify_theorem_4_1(m: int, seed: int = 42, samples: int = 10000,
     cfg = SampleConfig(seed=seed, count=samples)
     r = contraction_bound(m)
 
-    # Each verdict's check name is its hypothesis name in the report.
-    hypotheses = [
-        check_identity_axiom(space, cfg),
-        check_composed_triangle(space, cfg),
-        check_symmetry(space, cfg),
-        check_alpha_zero(space.alpha),
-        check_alpha_subhomogeneity(space.alpha, cfg, DEFAULT_K_SET),
-        check_banach(space, F, r, cfg),
-        check_series_vanishing(space.alpha, r, 2.0, SERIES_GAPS, SERIES_SCHEDULE, SERIES_TOL),
-        uniqueness_probe(space, F, _UNIQUENESS_STARTS, tol=tol),
-    ]
+    hypotheses: list[tuple[str, Verdict]] = []
+    hypotheses.append(("identity_axiom", check_identity_axiom(space, cfg)))
+    hypotheses.append(("composed_triangle", check_composed_triangle(space, cfg)))
+    hypotheses.append(("symmetry", check_symmetry(space, cfg)))
+    hypotheses.append(("alpha_zero", check_alpha_zero(space.alpha)))
+    hypotheses.append(("alpha_subhomogeneity",
+                       check_alpha_subhomogeneity(space.alpha, cfg, DEFAULT_K_SET)))
+    hypotheses.append(("banach_contraction", check_banach(space, F, r, cfg)))
+    hypotheses.append(("series_vanishing",
+                       check_series_vanishing(space.alpha, r, 2.0, SERIES_GAPS,
+                                              SERIES_SCHEDULE, SERIES_TOL)))
+    hypotheses.append(("uniqueness",
+                       uniqueness_probe(space, F, _UNIQUENESS_STARTS, tol=tol)))
+
     solved = solve_poly(m, 0.5, tol)
     oracle = oracle_agreement(m, solved, tol)
-    hypotheses.append(oracle)
+    hypotheses.append(("oracle_agreement", oracle))
 
     return {
         "m": m,
-        "hypotheses": [{"name": v.check, "verdict": v.to_json_dict()} for v in hypotheses],
+        "hypotheses": [{"name": name, "verdict": v.to_json_dict()}
+                       for name, v in hypotheses],
         "root": solved.fixed_point,
         **oracle.details,
         "converged": solved.converged,
         "iterations": solved.iterations,
-        "all_passed": all(v.passed for v in hypotheses) and solved.converged,
+        "all_passed": all(v.passed for _, v in hypotheses) and solved.converged,
     }

@@ -22,11 +22,26 @@ from typing import Callable, Sequence
 from .errors import ConfigurationError, DomainError, NumericError
 from .expressions import compile_expression
 
-__all__ = ["PointDomain", "AlphaFunction", "TripleMetric", "ComposedSpace", "SelfMap",
-           "eval_metric", "metric_value", "metric_values", "require_in_space",
-           "eval_alpha", "alpha_values", "iterate_alpha", "make_builtin_space",
-           "make_alpha", "make_self_map", "space_to_json", "space_from_json",
-           "map_from_json", "BUILTIN_SPACES", "BUILTIN_ALPHAS"]
+__all__ = [
+    "PointDomain",
+    "AlphaFunction",
+    "TripleMetric",
+    "ComposedSpace",
+    "SelfMap",
+    "eval_metric",
+    "metric_value",
+    "require_in_space",
+    "eval_alpha",
+    "iterate_alpha",
+    "make_builtin_space",
+    "make_alpha",
+    "make_self_map",
+    "space_to_json",
+    "space_from_json",
+    "map_from_json",
+    "BUILTIN_SPACES",
+    "BUILTIN_ALPHAS",
+]
 
 Point = float
 
@@ -291,7 +306,7 @@ def metric_value(space: ComposedSpace, q: Point, h: Point, w: Point) -> float:
     return float(value)
 
 
-def metric_values(space: ComposedSpace, q: Sequence, h: Sequence,
+def _metric_values(space: ComposedSpace, q: Sequence, h: Sequence,
                   w: Sequence) -> list:
     """metric_value at each triple (q[i], h[i], w[i]), returning the values
     as the metric gave them.  The batch is tested at once; a batch that fails
@@ -320,11 +335,11 @@ def eval_alpha(alpha: AlphaFunction, t: float) -> float:
     """Evaluate the composing function at t >= 0."""
     if t < 0:
         raise DomainError(f"composing functions are defined on [0, inf); got {t!r}")
-    return alpha_values(alpha, (t,))[0]
+    return _alpha_values(alpha, (t,))[0]
 
 
-def alpha_values(alpha: AlphaFunction, ts: Sequence[float]) -> list:
-    """eval_alpha at each t in ts, all known to be >= 0.  Like metric_values,
+def _alpha_values(alpha: AlphaFunction, ts: Sequence[float]) -> list:
+    """eval_alpha at each t in ts, all known to be >= 0.  Like _metric_values,
     the batch is tested at once and scanned only when it fails."""
     values = list(map(alpha._fn, ts))
     total = sum(values, 0.0)  # NaN when any value is

@@ -488,6 +488,9 @@ _WIDE_HALVING = SelfMap(id="wide_halving", fn=lambda x: 0.5 * x,
                         domain=PointDomain.real_interval(0.0, 2.0))
 _BROKEN_T5 = MfFunction(id="broken_t5", fn=lambda t1, t2, t3, t4, t5: t5)
 _BROKEN_T1 = MfFunction(id="broken_t1", fn=lambda t1, t2, t3, t4, t5: t1)
+# Bounds that read t3 = C(Fo, Fo, h), which no built-in Mf does.
+_T3 = MfFunction(id="t3", fn=lambda t1, t2, t3, t4, t5: t3)
+_T3_T4 = MfFunction(id="t3_t4", fn=lambda t1, t2, t3, t4, t5: 0.4 * (t3 + t4))
 
 # (id, check, reference); each takes a SampleConfig.
 _SAMPLED_CASES = [
@@ -535,7 +538,9 @@ _SAMPLED_CASES = [
                                  ("halving-banach", _APP, _HALVING, banach_mf(0.5)),
                                  ("discrete-reflect-bianchini", _DISCRETE, _REFLECT,
                                   bianchini_mf(0.9)),
-                                 ("wide-map-kannan", _APP, _WIDE_HALVING, kannan_mf(0.4)))),
+                                 ("wide-map-kannan", _APP, _WIDE_HALVING, kannan_mf(0.4)),
+                                 ("halving-t3", _APP, _HALVING, _T3),
+                                 ("poly3-t3-t4", _POLY3.space, _POLY3.map, _T3_T4))),
 ]
 
 

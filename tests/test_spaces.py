@@ -10,7 +10,7 @@ from csmetric import (ComposedSpace, ConfigurationError, DomainError,
                       eval_alpha, eval_metric, iterate_alpha, make_alpha,
                       make_builtin_space, make_self_map, space_from_json,
                       space_to_json)
-from csmetric.spaces import metric_value, metric_values
+from csmetric.spaces import _metric_values, metric_value
 
 ALPHA_IDS = ("identity", "exp", "exp_2t", "two_t_plus_one", "two_sqrt")
 
@@ -103,14 +103,14 @@ class TestMetricValues:
     def test_valid_values_whose_sum_overflows_pass(self):
         big = TripleMetric(id="big", fn=lambda q, h, w: 1.5e308)
         space = ComposedSpace(PointDomain.real_interval(0, 1), big, make_alpha("identity"))
-        assert metric_values(space, [0.0] * 3, [0.5] * 3, [1.0] * 3) == [1.5e308] * 3
+        assert _metric_values(space, [0.0] * 3, [0.5] * 3, [1.0] * 3) == [1.5e308] * 3
 
     @pytest.mark.parametrize("value", [True, 3, 2.5], ids=["bool", "int", "float"])
     def test_every_value_metric_value_accepts_passes(self, value):
         space = ComposedSpace(PointDomain.real_interval(0, 1),
                               TripleMetric(id="const", fn=lambda q, h, w: value),
                               make_alpha("identity"))
-        assert metric_values(space, [0.0], [0.5], [1.0]) == [value]
+        assert _metric_values(space, [0.0], [0.5], [1.0]) == [value]
         assert metric_value(space, 0.0, 0.5, 1.0) == float(value)
 
     @pytest.mark.parametrize("value", [10 ** 400, "1", 1j, -1e-300],
@@ -121,7 +121,7 @@ class TestMetricValues:
         triples = [(1.0, 1.0, 1.0), (2.0, 0.0, 1.0), (2.0, 3.0, 4.0)]
         message = f"metric 'late' returned {value!r} at (2.0, 0.0, 1.0)"
         with pytest.raises(NumericError, match=re.escape(message)):
-            metric_values(space, *zip(*triples))
+            _metric_values(space, *zip(*triples))
         with pytest.raises(NumericError, match=re.escape(message)):
             metric_value(space, *triples[1])
 
