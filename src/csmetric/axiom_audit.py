@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress, islice
+from operator import eq
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, DomainError, NumericError
@@ -162,16 +163,19 @@ def check_identity_axiom(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
     """Self distances vanish exactly; every other sampled triple is strictly
     positive."""
     def self_distances(chunk):
-        (x,) = zip(*chunk)
+        x = [p for (p,) in chunk]
         d = _metric_values(space, x, x, x)
-        return list(zip(x, x, x)), [-v for v in d], [v != 0.0 for v in d] if any(d) else ()
+        if not any(d):  # every slack is zero
+            return (), d, ()
+        return [(p, p, p) for p in x], [-v for v in d], [v != 0.0 for v in d]
 
     def triples(chunk):
-        d = _metric_values(space, *zip(*chunk))
+        q, h, w = zip(*chunk)
+        d = _metric_values(space, q, h, w)
         # Strict positivity off the diagonal: the slack is the distance itself.
+        if min(d) > 0 and not any(map(eq, q, h)):  # and no triple is diagonal
+            return (), d, ()
         slacks = [-v if q == h == w else v for v, (q, h, w) in zip(d, chunk)]
-        if min(slacks) > 0:
-            return chunk, slacks, ()
         return chunk, slacks, [s < 0 or (s == 0 and not q == h == w)
                                for s, (q, h, w) in zip(slacks, chunk)]
 

@@ -480,6 +480,15 @@ _ASYMMETRIC = ComposedSpace(
     TripleMetric(id="clipped_plane", fn=lambda q, h, w: max(0.0, q + 2.0 * h - 3.0 * w)),
     IDENTITY)
 _BROKEN_PAIR_DISCRETE = replace(_BROKEN_PAIR, domain=_DISCRETE.domain)
+# Positive everywhere, so every self distance violates the identity axiom.
+_OFFSET = ComposedSpace(
+    PointDomain.real_interval(0.0, 1.0),
+    TripleMetric(id="offset", fn=lambda q, h, w: abs(q - w) + abs(h - w) + 1e-3), IDENTITY)
+# Also positive everywhere, and largest on the diagonal at 1/14, a point of
+# the triples' grid block that no single point hits, so the witness is the
+# diagonal triple at 1/14.
+_BUMP = replace(_OFFSET, metric=TripleMetric(id="bump", fn=lambda q, h, w: (
+    abs(q - w) + abs(h - w) + 1e-3 + max(0.0, 1e-3 - abs(q - 1 / 14)))))
 _IDENTITY_MAP = make_self_map("identity", _APP.domain)
 _HALVING = make_self_map("scale", _APP.domain, factor=0.5)
 _REFLECT = SelfMap(id="reflect", fn=lambda x: 10 - x, domain=_DISCRETE.domain)
@@ -498,7 +507,8 @@ _SAMPLED_CASES = [
        partial(_reference_identity, space))
       for name, space in (("app", _APP), ("discrete", _DISCRETE),
                           ("squared_diff", _SQUARED), ("broken_pair", _BROKEN_PAIR),
-                          ("broken_pair-discrete", _BROKEN_PAIR_DISCRETE))),
+                          ("broken_pair-discrete", _BROKEN_PAIR_DISCRETE),
+                          ("offset", _OFFSET), ("bump", _BUMP))),
     *((f"composed-{name}", partial(check_composed_triangle, space),
        partial(_reference_composed_triangle, space))
       for name, space in (("app", _APP), ("squared_diff", _SQUARED),
