@@ -173,7 +173,7 @@ def check_identity_axiom(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
         q, h, w = zip(*chunk)
         d = _metric_values(space, q, h, w)
         # Strict positivity off the diagonal: the slack is the distance itself.
-        if min(d) > 0 and not any(map(eq, q, h)):  # and no triple is diagonal
+        if min(d) > 0 and not any(map(eq, q, h)):  # no q == h: no diagonal triple
             return (), d, ()
         slacks = [-v if q == h == w else v for v, (q, h, w) in zip(d, chunk)]
         return chunk, slacks, [s < 0 or (s == 0 and not q == h == w)
