@@ -287,46 +287,56 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# A list holding only these exact types goes to the C encoder in one piece;
-# any other list, one holding a container included, is laid out item by item.
+# A list or tuple holding only these exact types goes to the C encoder in runs
+# of _RUN items; any other, one holding a container included, item by item.
 _SCALARS = frozenset((str, int, float, bool, type(None)))
+_RUN = 4096
 
 
-def _dumps(value, pad: str = "") -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, for str-keyed values.
+def _pieces(value, pad: str = ""):
+    """Yield ``json.dumps(value, indent=2)`` in pieces, for str-keyed values.
 
     ``indent`` makes the json module fall back to its pure-Python encoder,
     so dicts and nested lists are laid out here, and a list of plain
-    scalars is encoded in one call of the C encoder, its item separator
-    carrying the newline and the indent.
+    scalars is encoded in runs of ``_RUN`` items by the C encoder, its item
+    separator carrying the newline and the indent.  No piece holds more than
+    one run, so the text is never held whole.
     """
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        yield json.dumps(value)
+        return
     inner = pad + "  "
+    opening, closing = "{}" if isinstance(value, dict) else "[]"
+    head, sep = opening + "\n" + inner, ",\n" + inner
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        body = (",\n" + inner).join(f"{json.dumps(key)}: {_dumps(item, inner)}"
-                                     for key, item in value.items())
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if _SCALARS.issuperset(map(type, value)):
-            body = json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]
-        else:
-            body = (",\n" + inner).join(_dumps(item, inner) for item in value)
+        for key, item in value.items():
+            yield f"{head}{json.dumps(key)}: "
+            yield from _pieces(item, inner)
+            head = sep
+    elif _SCALARS.issuperset(map(type, value)):
+        for start in range(0, len(value), _RUN):
+            yield head + json.dumps(value[start:start + _RUN], separators=(sep, ": "))[1:-1]
+            head = sep
     else:
-        return json.dumps(value)
-    opening, closing = ("{", "}") if isinstance(value, dict) else ("[", "]")
-    return f"{opening}\n{inner}{body}\n{pad}{closing}"
+        for item in value:
+            yield head
+            yield from _pieces(item, inner)
+            head = sep
+    yield "\n" + pad + closing
 
 
 def _emit(report: dict, args: argparse.Namespace) -> None:
-    text = _dumps(report) if args.output == "json" else _render_text(report)
+    pieces = _pieces(report) if args.output == "json" else [_render_text(report)]
     if args.out_path:
-        with open(args.out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            fh = open(args.out_path, "w", encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write report file: {exc}") from None
+        with fh:
+            fh.writelines(pieces)
             fh.write("\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         sys.stdout.write("\n")
         sys.stdout.flush()
 
@@ -351,6 +361,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except CsmetricError as exc:
         print(f"csmetric: failure: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError as exc:
+        # The reader is gone: send what stdout still buffers to the null
+        # device, so the flush at interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"csmetric: failure: cannot write report: {exc}", file=sys.stderr)
         return 1
 
 

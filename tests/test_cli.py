@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -5,7 +6,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,14 +19,18 @@ from csmetric import BUILTIN_ALPHAS, BUILTIN_SPACES, cli
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*argv, env_extra=None):
+def cli_env(env_extra=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("CSMETRIC_SEED", None)
     if env_extra:
         env.update(env_extra)
+    return env
+
+
+def run_cli(*argv, env_extra=None):
     return subprocess.run([sys.executable, "-m", "csmetric", *argv],
-                          capture_output=True, env=env, timeout=120)
+                          capture_output=True, env=cli_env(env_extra), timeout=120)
 
 
 class TestSolvePoly:
@@ -240,7 +247,68 @@ JSON_VALUES = st.recursive(JSON_SCALARS, lambda children: st.one_of(
 @given(JSON_VALUES)
 @example({"é": [[], {}, (), [1.5, -0.0, math.nan, "\u2603", None, True]]})
 def test_dumps_matches_indented_json_dumps(value):
-    assert cli._dumps(value) == json.dumps(value, indent=2)
+    # A run of three items makes the small values drawn here cross runs.
+    with mock.patch.object(cli, "_RUN", 3):
+        assert "".join(cli._pieces(value)) == json.dumps(value, indent=2)
+
+
+JSON_ARGS = argparse.Namespace(output="json", out_path=None)
+SCALAR_CYCLE = (0.5, -0.0, math.nan, math.inf, -math.inf, "\u00e9\u2603", 7, None, True)
+
+
+class TestEmit:
+    @pytest.mark.parametrize("kind", [list, tuple])
+    @pytest.mark.parametrize("length", [cli._RUN - 1, cli._RUN, cli._RUN + 1, 2 * cli._RUN + 1])
+    def test_scalar_runs_join_to_the_indented_dump(self, length, kind):
+        seq = kind(SCALAR_CYCLE[i % len(SCALAR_CYCLE)] for i in range(length))
+        report = {"\u00e9": {"orbit": seq, "nested": [seq, {"again": seq}]}, "tail": seq}
+        expected = json.dumps(report, indent=2)
+        pieces = list(cli._pieces(report))
+        assert "".join(pieces) == expected
+        # One line per item: no piece holds more than one run.
+        assert max(piece.count("\n") for piece in pieces) <= cli._RUN
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(report, JSON_ARGS)
+        assert out.getvalue() == expected + "\n"
+
+    def test_memory_is_bounded_by_a_piece_not_the_report(self, monkeypatch):
+        # The picard-orbit report's two orbit lists: 11.4 MB of JSON text.
+        n = 184_200
+        report = {"result": {"orbit": {"iterates": [0.9999 ** i for i in range(n)],
+                                       "step_distances": [1e-4 * 0.9999 ** i
+                                                          for i in range(n)]}}}
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                baseline = tracemalloc.get_traced_memory()[0]
+                cli._emit(report, JSON_ARGS)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak - baseline < 2 * 2 ** 20
+
+    def test_closed_stdout_is_a_failure_without_traceback(self):
+        space = json.dumps({"metric": "app_metric", "map": {"kind": "scale", "factor": 0.999}})
+        # About 1.7 MB of report, far more than a pipe buffers.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "csmetric", "iterate", "--space", space, "--x0", "1.0",
+             "--max-iter", "100000", "--output", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
+        assert proc.stdout.read(100).startswith(b"{")
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert b"Traceback" not in stderr
+        assert stderr.startswith(b"csmetric: failure: cannot write report: ")
+
+    def test_unwritable_out_file_is_a_configuration_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("CSMETRIC_SEED", raising=False)
+        out = tmp_path / "missing" / "report.json"
+        assert cli.main(["solve-poly", "--m", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("csmetric: error: cannot write report file: ")
+        assert not out.parent.exists()
 
 
 class TestVerifyThm41:
