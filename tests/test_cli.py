@@ -291,7 +291,7 @@ class TestEmit:
 
     def test_closed_stdout_is_a_failure_without_traceback(self):
         space = json.dumps({"metric": "app_metric", "map": {"kind": "scale", "factor": 0.999}})
-        # About 1.7 MB of report, far more than a pipe buffers.
+        # A 1.3 MB report, far more than a pipe buffers.
         proc = subprocess.Popen(
             [sys.executable, "-m", "csmetric", "iterate", "--space", space, "--x0", "1.0",
              "--max-iter", "100000", "--output", "json"],
