@@ -26,8 +26,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import ConfigurationError, DomainError, NumericError
 from .sampling import SampleConfig, sample_tuples
 from .spaces import (AlphaFunction, ComposedSpace, PointDomain, SelfMap,
-                     _alpha_values, _metric_values, eval_alpha, iterate_alpha,
-                     metric_value)
+                     _alpha_values, _images, _metric_values, eval_alpha,
+                     iterate_alpha, metric_value, require_in_space)
 
 __all__ = [
     "Verdict",
@@ -254,10 +254,11 @@ def check_alpha_dominates_orbit(space: ComposedSpace, F: SelfMap, x0,
     """alpha(d_n) <= d_n along the orbit, d_n the successive step distance."""
     if n_max < 1:
         raise ConfigurationError("n_max must be >= 1")
+    require_in_space(space, x0)
     keys, distances = [], []
     x = x0
     for n in range(n_max + 1):
-        y = F.apply(x)
+        (y,) = _images(space, F, (x,))
         d = metric_value(space, x, x, y)
         keys.append((float(n), d))
         distances.append(d)

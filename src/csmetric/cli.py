@@ -79,13 +79,16 @@ def _parse_json(text: str, what: str) -> dict:
     return doc
 
 
-def _build_space(args: argparse.Namespace) -> tuple[ComposedSpace, SelfMap | None]:
+def _build_space(args: argparse.Namespace,
+                 needs_map: bool = True) -> tuple[ComposedSpace, SelfMap | None]:
     doc = _load_space_spec(args)
     space = space_from_json(doc)
-    self_map = None
     if "map" in doc:
-        self_map = map_from_json(doc["map"], space.domain)
-    return space, self_map
+        return space, map_from_json(doc["map"], space.domain)
+    if needs_map:
+        raise ConfigurationError(
+            f"{args.command} needs a map: add a 'map' field or pass --map JSON")
+    return space, None
 
 
 def _render_text(report: dict) -> str:
@@ -124,7 +127,7 @@ def _cmd_solve_poly(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_verify_space(args: argparse.Namespace) -> tuple[int, dict]:
-    space, _ = _build_space(args)
+    space, _ = _build_space(args, needs_map=False)
     cfg = SampleConfig(seed=args.seed, count=args.samples)
     checks: list[tuple[Verdict, bool]] = [
         (check_identity_axiom(space, cfg), True),
@@ -146,9 +149,6 @@ def _cmd_verify_space(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_check_contraction(args: argparse.Namespace) -> tuple[int, dict]:
     space, self_map = _build_space(args)
-    if self_map is None:
-        raise ConfigurationError(
-            "check-contraction needs a map: add a 'map' field or pass --map JSON")
     cfg = SampleConfig(seed=args.seed, count=args.samples)
     estimate = estimate_contraction_factor(space, self_map, cfg)
     report = {
@@ -170,8 +170,6 @@ def _cmd_check_contraction(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_iterate(args: argparse.Namespace) -> tuple[int, dict]:
     space, self_map = _build_space(args)
-    if self_map is None:
-        raise ConfigurationError("iterate needs a map: add a 'map' field or pass --map JSON")
     result = picard(space, self_map, args.x0, args.tol, args.max_iter)
     report = {
         "space": space_to_json(space),
@@ -190,8 +188,7 @@ def _cmd_iterate(args: argparse.Namespace) -> tuple[int, dict]:
 def _cmd_verify_thm41(args: argparse.Namespace) -> tuple[int, dict]:
     body = verify_theorem_4_1(args.m, seed=args.seed, samples=args.samples,
                               tol=args.tol)
-    report = {"seed": args.seed, "samples": args.samples, "tol": args.tol}
-    report.update(body)
+    report = {"seed": args.seed, "samples": args.samples, "tol": args.tol, **body}
     return (0 if body["all_passed"] else 1), report
 
 
@@ -362,12 +359,13 @@ def main(argv: list[str] | None = None) -> int:
     except CsmetricError as exc:
         print(f"csmetric: failure: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError as exc:
-        # The reader is gone: send what stdout still buffers to the null
-        # device, so the flush at interpreter exit does not raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    except OSError as exc:  # from writing the report; reading fails as a ConfigurationError
+        if not args.out_path:
+            # Send what stdout still buffers to the null device, so the
+            # flush at interpreter exit does not raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"csmetric: failure: cannot write report: {exc}", file=sys.stderr)
         return 1
 

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 from itertools import chain, combinations, compress
 from typing import Callable, Sequence
 
-from .axiom_audit import (_NONNEG_DOMAIN, ABS_TOL, Verdict, _Collector,
-                          _sampled, _slacks)
+from .axiom_audit import _NONNEG_DOMAIN, Verdict, _Collector, _sampled, _slacks
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .sampling import SampleConfig
-from .spaces import (ComposedSpace, SelfMap, _metric_values, eval_metric,
-                     metric_value, require_in_space)
+from .spaces import (ComposedSpace, SelfMap, _image_error, _image_test, _images,
+                     _metric_values, eval_metric, metric_value)
 
 __all__ = [
     "Orbit",
@@ -136,13 +135,11 @@ def picard(space: ComposedSpace, F: SelfMap, x0, tol: float = DEFAULT_TOL,
         raise ConfigurationError("max_iter must be >= 1")
     if not space.domain.contains(x0):
         raise DomainError(f"start point {x0!r} is outside the domain")
-    in_map_domain = F.domain.contains
-    if not in_map_domain(x0):
+    if not F.domain.contains(x0):
         raise F.outside_error(x0)
-    # Every later iterate is checked once, as an image, against both domains
-    # (the closure check of SelfMap.apply, then the space's); it is then the
-    # next step's source without a second check.
-    check_space = F.domain != space.domain
+    # Every later iterate is checked once, as an image; it is then the next
+    # step's source without a second check.
+    inside = _image_test(space, F)
     fn = F.fn
     iterates = [x0]
     steps: list[float] = []
@@ -150,10 +147,8 @@ def picard(space: ComposedSpace, F: SelfMap, x0, tol: float = DEFAULT_TOL,
     stopped = False
     for _ in range(max_iter):
         y = fn(x)
-        if not in_map_domain(y):
-            raise F.escape_error(x, y)
-        if check_space:
-            require_in_space(space, y)
+        if not inside(y):
+            raise _image_error(space, F, x, y)
         d = metric_value(space, x, x, y)
         iterates.append(y)
         steps.append(d)
@@ -169,22 +164,6 @@ def picard(space: ComposedSpace, F: SelfMap, x0, tol: float = DEFAULT_TOL,
                        orbit=orbit)
 
 
-def _images(space: ComposedSpace, F: SelfMap, tuples: list, arity: int) -> list:
-    """The columns of F applied to every point of sampled tuples, with the
-    checks of F.apply.  The points lie in space.domain, so when that is
-    F.domain only the images need a membership check."""
-    points = list(chain.from_iterable(tuples))
-    if F.domain != space.domain:
-        images = list(map(F.apply, points))
-    else:
-        inside = F.domain.contains
-        images = list(map(F.fn, points))
-        for x, y in zip(points, images):
-            if not inside(y):
-                raise F.escape_error(x, y)
-    return [images[i::arity] for i in range(arity)]
-
-
 def estimate_contraction_factor(space: ComposedSpace, F: SelfMap,
                                 cfg: SampleConfig) -> ContractionEstimate:
     """Maximum observed image-to-source distance ratio over sampled triples."""
@@ -192,7 +171,8 @@ def estimate_contraction_factor(space: ComposedSpace, F: SelfMap,
         dens = _metric_values(space, *zip(*chunk))
         kept = [den >= _RATIO_FLOOR for den in dens]
         keys, dens = list(compress(chunk, kept)), list(compress(dens, kept))
-        nums = _metric_values(space, *_images(space, F, keys, 3))
+        fx = _images(space, F, chain.from_iterable(keys))
+        nums = _metric_values(space, fx[0::3], fx[1::3], fx[2::3])
         return keys, [-(n / d) for n, d in zip(nums, dens)], [True] * len(keys)
 
     # The slack is -ratio, so the witness is the argmax.
@@ -213,7 +193,8 @@ def check_banach(space: ComposedSpace, F: SelfMap, r: float,
         raise ConfigurationError(f"contraction factor must lie in (0, 1), got {r!r}")
 
     def kernel(chunk):
-        lhs = _metric_values(space, *_images(space, F, chunk, 3))
+        fx = _images(space, F, chain.from_iterable(chunk))
+        lhs = _metric_values(space, fx[0::3], fx[1::3], fx[2::3])
         return (chunk, *_slacks(lhs, [r * d for d in _metric_values(space, *zip(*chunk))]))
 
     return _sampled(space.domain, 3, cfg, kernel).verdict("banach_contraction", cfg.seed)
@@ -238,8 +219,8 @@ def check_m2(Mf: MfFunction, cfg: SampleConfig) -> Verdict:
     """Selection property two: h <= Mf(h, 0, h, h, 0) forces h = 0."""
     def kernel(chunk):
         # An unguarded h counts with slack +inf, as in check_m1.
-        slacks = [-h if h <= Mf.fn(h, 0.0, h, h, 0.0) else math.inf for (h,) in chunk]
-        return chunk, slacks, [s < -ABS_TOL for s in slacks]
+        lhs = [h if h <= Mf.fn(h, 0.0, h, h, 0.0) else -math.inf for (h,) in chunk]
+        return (chunk, *_slacks(lhs, [0.0] * len(lhs)))
 
     return _sampled(_NONNEG_DOMAIN, 1, cfg, kernel).verdict("m2", cfg.seed)
 
@@ -253,7 +234,8 @@ def check_mf_contraction(space: ComposedSpace, F: SelfMap, Mf: MfFunction,
 
     def kernel(chunk):
         o, h = zip(*chunk)
-        fo, fh = _images(space, F, chunk, 2)
+        fx = _images(space, F, chain.from_iterable(chunk))
+        fo, fh = fx[0::2], fx[1::2]
         lhs = _metric_values(space, fo, fo, fh)
         rhs = map(Mf.fn, _metric_values(space, o, o, h), _metric_values(space, fo, fo, o),
                   _metric_values(space, fo, fo, h), _metric_values(space, fh, fh, o),

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ConfigurationError, DomainError, NumericError
 from .expressions import compile_expression
@@ -239,10 +239,8 @@ def alpha_from_json(doc: dict) -> AlphaFunction:
         if "expr" not in doc:
             raise ConfigurationError("custom alpha document must carry an 'expr' field")
         return AlphaFunction(id="custom", expr=doc["expr"])
-    if alpha_id == "linear":
-        return make_alpha("linear", doc.get("params", ()))
-    if isinstance(alpha_id, str) and alpha_id in BUILTIN_ALPHAS:
-        return make_alpha(alpha_id)
+    if isinstance(alpha_id, str) and (alpha_id == "linear" or alpha_id in BUILTIN_ALPHAS):
+        return make_alpha(alpha_id, doc.get("params", ()))
     raise ConfigurationError(f"unknown alpha id {alpha_id!r}")
 
 
@@ -294,6 +292,33 @@ def require_in_space(space: ComposedSpace, p: Point) -> None:
     """Raise DomainError unless p lies in the space's domain."""
     if not space.domain.contains(p):
         raise DomainError(f"point {p!r} is outside the space domain")
+
+
+def _image_test(space: ComposedSpace, F: SelfMap) -> Callable[[Point], bool]:
+    """The test of every image F(x): it lies in F.domain, and in space.domain
+    when that differs."""
+    if F.domain == space.domain:
+        return F.domain.contains
+    return lambda y: F.domain.contains(y) and space.domain.contains(y)
+
+
+def _image_error(space: ComposedSpace, F: SelfMap, x: Point, y: Point) -> DomainError:
+    """The error for an image y = F(x) that fails _image_test."""
+    if F.domain.contains(y):
+        return DomainError(f"point {y!r} is outside the space domain")
+    return F.escape_error(x, y)
+
+
+def _images(space: ComposedSpace, F: SelfMap, points: Iterable) -> list:
+    """F at each of points, which lie in space.domain, through F.apply when
+    F.domain differs; every image must pass _image_test."""
+    points = list(points)
+    inside = _image_test(space, F)
+    images = list(map(F.fn if F.domain == space.domain else F.apply, points))
+    if not all(map(inside, images)):
+        raise next(_image_error(space, F, x, y) for x, y in zip(points, images)
+                   if not inside(y))
+    return images
 
 
 def metric_value(space: ComposedSpace, q: Point, h: Point, w: Point) -> float:
@@ -449,7 +474,7 @@ def make_self_map(kind: str, domain: PointDomain, **kwargs) -> SelfMap:
     """Build a named self-map on the given domain.
 
     Kinds: ``identity``; ``const`` (value=...); ``scale`` (factor=...);
-    ``poly`` (m=..., the polynomial fixed-point map, domain must be [0, 1]).
+    ``poly`` (m=..., an integer >= 3; the polynomial fixed-point map on [0, 1]).
     """
     if kind == "identity":
         return SelfMap(id="identity", fn=lambda x: x, domain=domain)
@@ -466,7 +491,7 @@ def make_self_map(kind: str, domain: PointDomain, **kwargs) -> SelfMap:
     if kind == "poly":
         (m,) = _check_reals([kwargs.get("m")], "poly map degree m")
         from .poly_solver import poly_map  # local import to avoid a cycle
-        return poly_map(int(m)).map
+        return poly_map(int(m) if m == int(m) else m).map
     raise ConfigurationError(f"unknown map kind {kind!r}")
 
 

@@ -186,6 +186,13 @@ class TestAlphaDominatesOrbit:
         with pytest.raises(DomainError):
             check_alpha_dominates_orbit(app_space, bad, 0.5, n_max=3)
 
+    def test_start_outside_the_space_is_a_domain_error(self, app_space):
+        # The map's own domain holds 2.0; the space's does not.
+        wide = SelfMap(id="wide_halving", fn=lambda x: 0.5 * x,
+                       domain=PointDomain.real_interval(0.0, 4.0))
+        with pytest.raises(DomainError, match=r"point 2\.0 is outside the space domain"):
+            check_alpha_dominates_orbit(app_space, wide, 2.0, n_max=3)
+
 
 def _reflected_space_alpha(space, alpha):
     return type(space)(space.domain, space.metric, alpha, space.symmetric_claim)
@@ -618,3 +625,23 @@ def test_metric_value_outside_0_inf_is_a_numeric_error(check, value):
     with pytest.raises(NumericError,
                        match=rf"^metric 'bad_metric' returned {value!r} at \((0\.[5-9]|1\.0)"):
         check(space, SampleConfig(seed=4, count=500, strategy="uniform_random"))
+
+
+# A map on [0, 4] whose images leave the app_metric space [0, 1]: every
+# check that applies a map must reject them, as picard does.
+_DOUBLING = SelfMap(id="doubling", fn=lambda x: 2.0 * x,
+                    domain=PointDomain.real_interval(0.0, 4.0))
+
+
+@pytest.mark.parametrize("check", [
+    pytest.param(lambda cfg: check_banach(_APP, _DOUBLING, 0.5, cfg), id="banach"),
+    pytest.param(lambda cfg: estimate_contraction_factor(_APP, _DOUBLING, cfg),
+                 id="estimate"),
+    pytest.param(lambda cfg: check_mf_contraction(_APP, _DOUBLING, kannan_mf(0.4), cfg),
+                 id="mf"),
+    pytest.param(lambda cfg: check_alpha_dominates_orbit(_APP, _DOUBLING, 0.9, n_max=3),
+                 id="alpha_dominates_orbit"),
+])
+def test_image_outside_the_space_is_a_domain_error(check):
+    with pytest.raises(DomainError, match=r"^point \S+ is outside the space domain$"):
+        check(SampleConfig(seed=1, count=200))

@@ -111,12 +111,16 @@ class TestVerifySpace:
                      b"slope", id="linear-slope-string"),
         pytest.param('{"metric":"app_metric","alpha":{"id":["a"]}}', b"alpha id",
                      id="alpha-id-list"),
+        pytest.param('{"metric":"app_metric","alpha":{"id":"exp","params":[5]}}',
+                     b"takes no parameters", id="builtin-alpha-params"),
         pytest.param('{"metric":"abs_sum","domain":{"kind":"real_interval","lo":"a","hi":2}}',
                      b"interval bounds", id="domain-lo-string"),
         pytest.param('{"metric":"app_metric","map":{"kind":"scale","factor":"x"}}',
                      b"factor", id="scale-factor-string"),
         pytest.param('{"metric":"app_metric","map":{"kind":"poly","m":"x"}}',
                      b"degree", id="poly-degree-string"),
+        pytest.param('{"metric":"app_metric","map":{"kind":"poly","m":3.7}}',
+                     b"integer m >= 3, got 3.7", id="poly-degree-fraction"),
     ])
     def test_malformed_space_json(self, space, message):
         proc = run_cli("verify-space", "--space", space, "--samples", "10")
@@ -192,6 +196,16 @@ class TestCheckContraction:
     def test_map_is_required(self):
         proc = run_cli("check-contraction", "--builtin", "app_metric")
         assert proc.returncode == 2
+
+    def test_image_outside_the_space_is_a_usage_error(self):
+        # The poly map sends [0.5, 1] to about [0.0123, 0.0125], outside the space.
+        space = json.dumps({"metric": "app_metric",
+                            "domain": {"kind": "real_interval", "lo": 0.5, "hi": 1.0},
+                            "map": {"kind": "poly", "m": 3}})
+        proc = run_cli("check-contraction", "--space", space, "--r", "0.5")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"csmetric: error: point 0.0123")
+        assert proc.stderr.endswith(b" is outside the space domain\n")
 
 
 class TestIterate:
@@ -302,6 +316,18 @@ class TestEmit:
         assert proc.returncode == 1
         assert b"Traceback" not in stderr
         assert stderr.startswith(b"csmetric: failure: cannot write report: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("to_out", [True, False], ids=["out", "stdout"])
+    def test_failed_report_write_is_a_failure_without_traceback(self, to_out):
+        argv = [sys.executable, "-m", "csmetric", "solve-poly", "--m", "3"]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(argv + ["--out", "/dev/full"] if to_out else argv,
+                                  stdout=subprocess.DEVNULL if to_out else full,
+                                  stderr=subprocess.PIPE, env=cli_env(), timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == (b"csmetric: failure: cannot write report: "
+                               b"[Errno 28] No space left on device\n")
 
     def test_unwritable_out_file_is_a_configuration_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("CSMETRIC_SEED", raising=False)

@@ -251,6 +251,12 @@ class TestSelfMap:
         with pytest.raises(ConfigurationError):
             make_self_map("warp", domain)
 
+    def test_poly_degree_must_be_integral(self):
+        domain = PointDomain.real_interval(0.0, 1.0)
+        assert make_self_map("poly", domain, m=3.0).id == "poly_m3"
+        with pytest.raises(DomainError, match="integer m >= 3, got 3.7"):
+            make_self_map("poly", domain, m=3.7)
+
 
 class TestSerialization:
     @pytest.mark.parametrize("name,params", [
