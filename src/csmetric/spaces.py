@@ -224,7 +224,7 @@ def make_alpha(name: str, params: Sequence[float] = ()) -> AlphaFunction:
         b = float(b)
         return AlphaFunction(id="linear", expr=f"{b!r}*t", params=(b,))
     if name in BUILTIN_ALPHAS:
-        if params:
+        if not isinstance(params, (list, tuple)) or params:
             raise ConfigurationError(f"composing function {name!r} takes no parameters")
         return AlphaFunction(id=name, expr=BUILTIN_ALPHAS[name])
     # Anything else is treated as an inline expression.

@@ -113,6 +113,8 @@ class TestVerifySpace:
                      id="alpha-id-list"),
         pytest.param('{"metric":"app_metric","alpha":{"id":"exp","params":[5]}}',
                      b"takes no parameters", id="builtin-alpha-params"),
+        pytest.param('{"metric":"app_metric","alpha":{"id":"exp","params":0}}',
+                     b"takes no parameters", id="builtin-alpha-params-scalar"),
         pytest.param('{"metric":"abs_sum","domain":{"kind":"real_interval","lo":"a","hi":2}}',
                      b"interval bounds", id="domain-lo-string"),
         pytest.param('{"metric":"app_metric","map":{"kind":"scale","factor":"x"}}',
