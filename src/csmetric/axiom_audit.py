@@ -109,10 +109,10 @@ class _Collector:
         self.witness: tuple | None = None  # (slack, key) of the worst violation
 
     def add(self, keys: Iterable[tuple], slacks: Sequence[float],
-            violates: Sequence[bool]):
+            violates: Sequence[bool]) -> "_Collector":
         """Comparison i is at the i-th key with slack slacks[i], and violates
         when violates[i] is true.  keys is read once, in order, so it may be
-        a generator."""
+        a generator.  Returns the collector."""
         if math.isnan(sum(slacks, 0.0)):  # or inf + -inf, hence the scan
             for i, slack in enumerate(slacks):
                 if slack != slack:
@@ -127,6 +127,7 @@ class _Collector:
             worst = (worst[0] + 0.0, worst[1])
             if self.witness is None or worst < self.witness:
                 self.witness = worst
+        return self
 
     def verdict(self, check: str, seed: int | None,
                 details: Mapping | None = None) -> Verdict:
@@ -224,9 +225,8 @@ def check_symmetry(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
 def check_alpha_zero(alpha: AlphaFunction) -> Verdict:
     """alpha(0) must be exactly zero."""
     value = eval_alpha(alpha, 0.0)
-    col = _Collector()
-    col.add([(0.0, value)], [-abs(value)], [value != 0.0])
-    return col.verdict("alpha_zero", None)
+    return _Collector().add([(0.0, value)], [-abs(value)], [value != 0.0]).verdict(
+        "alpha_zero", None)
 
 
 def check_alpha_subhomogeneity(alpha: AlphaFunction, cfg: SampleConfig,
@@ -263,9 +263,8 @@ def check_alpha_dominates_orbit(space: ComposedSpace, F: SelfMap, x0,
         keys.append((float(n), d))
         distances.append(d)
         x = y
-    col = _Collector()
-    col.add(keys, *_slacks(_alpha_values(space.alpha, distances), distances))
-    return col.verdict("alpha_dominates_orbit", None)
+    slacks = _slacks(_alpha_values(space.alpha, distances), distances)
+    return _Collector().add(keys, *slacks).verdict("alpha_dominates_orbit", None)
 
 
 def series_tail(alpha: AlphaFunction, r: float, c0: float, n: int, m: int,
@@ -307,7 +306,7 @@ def check_series_vanishing(alpha: AlphaFunction, r: float, c0: float,
     schedule = list(n_schedule)
     if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ConfigurationError("n_schedule must be non-empty and strictly increasing")
-    if tol <= 0:
+    if not tol > 0:  # NaN included
         raise ConfigurationError("tolerance must be positive")
     values: dict[int, list[float]] = {}
     col = _Collector()

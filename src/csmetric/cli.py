@@ -43,32 +43,6 @@ SCHEMA = "csmetric/1"
 __all__ = ["run", "main", "SCHEMA"]
 
 
-def _load_space_spec(args) -> dict:
-    """Assemble the space document from --space-file, --space, or --builtin,
-    then apply the --alpha and --map overrides."""
-    if args.space_file:
-        try:
-            with open(args.space_file, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigurationError(f"cannot read space file: {exc}") from None
-        doc = _parse_json(text, "space")
-    elif args.space:
-        doc = _parse_json(args.space, "space")
-    elif args.builtin:
-        doc = {"metric": args.builtin}
-        if args.params:
-            doc["params"] = args.params
-    else:
-        raise ConfigurationError(
-            "a space is required: pass --builtin NAME, --space JSON, or --space-file PATH")
-    if args.alpha:
-        doc["alpha"] = make_alpha(args.alpha).to_json()
-    if args.map_spec:
-        doc["map"] = _parse_json(args.map_spec, "map")
-    return doc
-
-
 def _parse_json(text: str, what: str) -> dict:
     try:
         doc = json.loads(text)
@@ -81,7 +55,25 @@ def _parse_json(text: str, what: str) -> dict:
 
 def _build_space(args: argparse.Namespace,
                  needs_map: bool = True) -> tuple[ComposedSpace, SelfMap | None]:
-    doc = _load_space_spec(args)
+    """The space that --builtin, --space or --space-file names (argparse
+    admits exactly one) with the --alpha override, and the map of its
+    document or of --map."""
+    if args.params is not None and args.builtin is None:
+        raise ConfigurationError("--params goes with --builtin")
+    if args.space_file is not None:
+        try:
+            with open(args.space_file, "r", encoding="utf-8") as fh:
+                doc = _parse_json(fh.read(), "space")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"cannot read space file: {exc}") from None
+    elif args.space is not None:
+        doc = _parse_json(args.space, "space")
+    else:
+        doc = {"metric": args.builtin, "params": args.params or []}
+    if args.alpha:
+        doc["alpha"] = make_alpha(args.alpha).to_json()
+    if getattr(args, "map_spec", None):  # verify-space has no --map
+        doc["map"] = _parse_json(args.map_spec, "map")
     space = space_from_json(doc)
     if "map" in doc:
         return space, map_from_json(doc["map"], space.domain)
@@ -192,21 +184,9 @@ def _cmd_verify_thm41(args: argparse.Namespace) -> tuple[int, dict]:
     return (0 if body["all_passed"] else 1), report
 
 
-_COMMANDS = {
-    "solve-poly": _cmd_solve_poly,
-    "verify-space": _cmd_verify_space,
-    "check-contraction": _cmd_check_contraction,
-    "iterate": _cmd_iterate,
-    "verify-thm41": _cmd_verify_thm41,
-}
-
-
 def run(args: argparse.Namespace) -> tuple[int, dict]:
     """Execute a parsed command line; returns (exit_code, report object)."""
-    handler = _COMMANDS.get(args.command)
-    if handler is None:
-        raise ConfigurationError(f"unknown command {args.command!r}")
-    exit_code, body = handler(args)
+    exit_code, body = args.handler(args)
     return exit_code, {"schema": SCHEMA, "command": args.command, **body}
 
 
@@ -224,63 +204,67 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=42,
-                        help="sampling seed (default 42; CSMETRIC_SEED overrides)")
-    parser.add_argument("--samples", type=int, default=10000,
-                        help="sample count for audits (default 10000)")
-    parser.add_argument("--tol", type=_finite_float, default=1e-12,
-                        help="solver tolerance (default 1e-12)")
-    parser.add_argument("--output", choices=("text", "json"), default="text",
-                        help="report format (default text)")
-    parser.add_argument("--out", dest="out_path", default=None,
-                        help="write the report to this file instead of stdout")
-
-
-def _add_space_options(parser: argparse.ArgumentParser):
-    parser.add_argument("--builtin", choices=BUILTIN_SPACES,
-                        help="use a built-in space")
-    parser.add_argument("--params", type=float, nargs="*",
-                        help="domain truncation parameters for the built-in")
-    parser.add_argument("--space", help="inline space JSON document")
-    parser.add_argument("--space-file", help="path to a space JSON document")
-    parser.add_argument("--alpha",
-                        help="override the composing function: a built-in id or an expression in t")
-    parser.add_argument("--map", dest="map_spec",
-                        help="map JSON, e.g. '{\"kind\": \"scale\", \"factor\": 0.5}'")
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line, whole: each command takes only the flags its
+    handler reads."""
     parser = argparse.ArgumentParser(
         prog="csmetric",
         description="Composed S-metric spaces: axiom audits and fixed-point solving.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve-poly", help="solve the degree-m polynomial equation")
+    def command(name, handler, help, space=False, with_map=False, samples=False,
+                tol=False) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if space:
+            source = p.add_mutually_exclusive_group(required=True)
+            source.add_argument("--builtin", choices=BUILTIN_SPACES,
+                                help="use a built-in space")
+            source.add_argument("--space", help="inline space JSON document")
+            source.add_argument("--space-file", help="path to a space JSON document")
+            p.add_argument("--params", type=float, nargs="*",
+                           help="domain truncation parameters for --builtin")
+            p.add_argument("--alpha", help="override the composing function: "
+                                           "a built-in id or an expression in t")
+        if with_map:
+            p.add_argument("--map", dest="map_spec",
+                           help="map JSON, e.g. '{\"kind\": \"scale\", \"factor\": 0.5}'")
+        p.add_argument("--seed", type=int, default=42,
+                       help="sampling seed (default 42; CSMETRIC_SEED overrides)")
+        if samples:
+            p.add_argument("--samples", type=int, default=10000,
+                           help="sample count for audits (default 10000)")
+        if tol:
+            p.add_argument("--tol", type=_finite_float, default=1e-12,
+                           help="solver tolerance (default 1e-12)")
+        p.add_argument("--output", choices=("text", "json"), default="text",
+                       help="report format (default text)")
+        p.add_argument("--out", dest="out_path", default=None,
+                       help="write the report to this file instead of stdout")
+        return p
+
+    p = command("solve-poly", _cmd_solve_poly, "solve the degree-m polynomial equation",
+                tol=True)
     p.add_argument("--m", type=int, required=True, help="degree parameter, m >= 3")
     p.add_argument("--x0", type=_finite_float, default=0.5, help="start point in [0, 1]")
-    _add_common(p)
 
-    p = sub.add_parser("verify-space", help="audit the axioms of a space")
-    _add_space_options(p)
-    _add_common(p)
+    command("verify-space", _cmd_verify_space, "audit the axioms of a space",
+            space=True, samples=True)
 
-    p = sub.add_parser("check-contraction", help="estimate a map's contraction factor")
-    _add_space_options(p)
+    p = command("check-contraction", _cmd_check_contraction,
+                "estimate a map's contraction factor", space=True, with_map=True,
+                samples=True)
     p.add_argument("--r", type=_finite_float, default=None,
                    help="also check the claimed contraction factor r in (0, 1)")
-    _add_common(p)
 
-    p = sub.add_parser("iterate", help="run Picard iteration on a space and map")
-    _add_space_options(p)
+    p = command("iterate", _cmd_iterate, "run Picard iteration on a space and map",
+                space=True, with_map=True, tol=True)
     p.add_argument("--x0", type=_finite_float, required=True, help="start point")
     p.add_argument("--max-iter", type=int, default=10000, dest="max_iter")
-    _add_common(p)
 
-    p = sub.add_parser("verify-thm41", help="run the full polynomial verification pipeline")
+    p = command("verify-thm41", _cmd_verify_thm41,
+                "run the full polynomial verification pipeline", samples=True, tol=True)
     p.add_argument("--m", type=int, required=True, help="degree parameter, m >= 3")
-    _add_common(p)
-
     return parser
 
 

@@ -249,9 +249,8 @@ def verify_fixed_point(space: ComposedSpace, F: SelfMap, x,
                        tol: float = DEFAULT_TOL) -> Verdict:
     """Is x a fixed point of F up to tol, measured by C(x, x, F(x))?"""
     residual = eval_metric(space, x, x, F.apply(x))
-    col = _Collector()
-    col.add([(x, residual)], [tol - residual], [residual > tol])
-    return col.verdict("fixed_point_residual", None)
+    return _Collector().add([(x, residual)], [tol - residual], [residual > tol]).verdict(
+        "fixed_point_residual", None)
 
 
 def uniqueness_probe(space: ComposedSpace, F: SelfMap, starts: Sequence,
@@ -266,11 +265,9 @@ def uniqueness_probe(space: ComposedSpace, F: SelfMap, starts: Sequence,
     for x0 in starts:
         result = picard(space, F, x0, tol, max_iter)
         if not result.converged:
-            col.add([(x0,)], [-result.residual], [True])
-            return col.verdict("uniqueness", None)
+            return col.add([(x0,)], [-result.residual], [True]).verdict("uniqueness", None)
         col.checked += 1
         limits.append(result.fixed_point)
     pairs = list(combinations(limits, 2))
     d = [eval_metric(space, a, a, b) for a, b in pairs]
-    col.add(pairs, [tol - v for v in d], [v > tol for v in d])
-    return col.verdict("uniqueness", None)
+    return col.add(pairs, [tol - v for v in d], [v > tol for v in d]).verdict("uniqueness", None)

@@ -109,7 +109,7 @@ def bisection_oracle(m: int, tol: float) -> float:
     which makes it trustworthy enough to judge the fixed-point solver.
     """
     _require_degree(m)
-    if tol <= 0:
+    if not tol > 0:  # NaN included
         raise DomainError("oracle tolerance must be positive")
     a, b = 0.0, 1.0
     fa, fb = residual(m, a), residual(m, b)
@@ -143,11 +143,9 @@ def oracle_agreement(m: int, solved: SolveResult, tol: float) -> Verdict:
     oracle = bisection_oracle(m, tol)
     agreement = abs(solved.fixed_point - oracle)
     slack = 10.0 * tol - agreement
-    col = _Collector()
-    col.add([(solved.fixed_point, oracle)], [slack],
-            [not (solved.converged and slack >= 0.0)])
-    return col.verdict("oracle_agreement", None,
-                       details={"oracle_root": oracle, "agreement": agreement})
+    violated = not (solved.converged and slack >= 0.0)
+    return _Collector().add([(solved.fixed_point, oracle)], [slack], [violated]).verdict(
+        "oracle_agreement", None, details={"oracle_root": oracle, "agreement": agreement})
 
 
 def verify_theorem_4_1(m: int, seed: int = 42, samples: int = 10000,

@@ -119,6 +119,13 @@ class PointDomain:
         return PointDomain(kind="finite_real_set", elements=tuple(elements))
 
     @property
+    def least(self) -> float:
+        """The lowest point of the domain."""
+        if self.kind == "real_interval":
+            return self.lo
+        return self.elements[0] if self.elements else 0.0
+
+    @property
     def is_discrete(self) -> bool:
         return self.kind in ("naturals_up_to", "finite_real_set")
 
@@ -418,20 +425,17 @@ def _metric_discrete_nat(a, b, c):
     return 2.0 * (a + b + c)
 
 
-def _squared_diff_domain(lo, hi) -> PointDomain:
-    if lo < 1.0:
-        raise ConfigurationError("squared_diff lives on [1, inf); truncation needs lo >= 1")
-    return PointDomain.real_interval(lo, hi)
-
-
-# name: (metric, default params, domain from params, composing function)
+# name: (metric, default params, domain from params, composing function,
+#        lowest point the space is defined at)
 _BUILTINS = {
-    "squared_diff": (_metric_squared_diff, (1.0, 100.0), _squared_diff_domain, "exp"),
+    "squared_diff": (_metric_squared_diff, (1.0, 100.0), PointDomain.real_interval, "exp",
+                     1.0),
     "discrete_nat": (_metric_discrete_nat, (50,), PointDomain.naturals_up_to,
-                     "two_t_plus_one"),
-    "abs_sum": (_metric_abs_sum, (1.0, 100.0), PointDomain.real_interval, "exp_2t"),
+                     "two_t_plus_one", -math.inf),
+    "abs_sum": (_metric_abs_sum, (1.0, 100.0), PointDomain.real_interval, "exp_2t",
+                -math.inf),
     "app_metric": (_metric_app, (), lambda: PointDomain.real_interval(0.0, 1.0),
-                   "two_sqrt"),
+                   "two_sqrt", -math.inf),
 }
 
 BUILTIN_SPACES = tuple(_BUILTINS)
@@ -440,6 +444,15 @@ BUILTIN_SPACES = tuple(_BUILTINS)
 def metric_by_name(name: str) -> TripleMetric:
     """The triple metric of the built-in space ``name``."""
     return TripleMetric(id=name, fn=_BUILTINS[name][0])
+
+
+def _builtin_domain(name: str, domain: PointDomain) -> PointDomain:
+    """domain, if the built-in space name is defined at its lowest point."""
+    floor = _BUILTINS[name][4]
+    if domain.least < floor:
+        raise ConfigurationError(
+            f"{name} lives on [{floor:g}, inf); its domain reaches down to {domain.least!r}")
+    return domain
 
 
 def make_builtin_space(name: str, params: Sequence[float] = ()) -> ComposedSpace:
@@ -458,14 +471,14 @@ def make_builtin_space(name: str, params: Sequence[float] = ()) -> ComposedSpace
     """
     if not isinstance(name, str) or name not in _BUILTINS:
         raise ConfigurationError(f"unknown builtin space {name!r}; expected one of {BUILTIN_SPACES}")
-    _, defaults, domain, alpha = _BUILTINS[name]
+    _, defaults, domain, alpha, _ = _BUILTINS[name]
     if isinstance(params, (list, tuple)) and not params:
         params = defaults
     _check_reals(params, f"{name} params", len(defaults))
     # metric_by_name is called, not read from the table, so that
     # perfbench/tracer.py can wrap it.
-    return ComposedSpace(domain(*params), metric_by_name(name), make_alpha(alpha),
-                         symmetric_claim=True)
+    return ComposedSpace(_builtin_domain(name, domain(*params)), metric_by_name(name),
+                         make_alpha(alpha), symmetric_claim=True)
 
 
 # --- built-in self-maps -----------------------------------------------------
@@ -515,14 +528,13 @@ def space_from_json(doc: dict) -> ComposedSpace:
     name = doc["metric"]
     space = make_builtin_space(name, doc.get("params", []))
     if "domain" in doc:
-        domain = PointDomain.from_json(doc["domain"])
-        if name == "squared_diff" and domain.kind == "real_interval" and domain.lo < 1.0:
-            raise ConfigurationError("squared_diff domain must satisfy lo >= 1")
-        space = replace(space, domain=domain)
+        space = replace(space, domain=_builtin_domain(name, PointDomain.from_json(doc["domain"])))
     if "alpha" in doc:
         space = replace(space, alpha=alpha_from_json(doc["alpha"]))
     if "symmetric" in doc:
-        space = replace(space, symmetric_claim=bool(doc["symmetric"]))
+        if not isinstance(doc["symmetric"], bool):
+            raise ConfigurationError(f"symmetric must be true or false, got {doc['symmetric']!r}")
+        space = replace(space, symmetric_claim=doc["symmetric"])
     return space
 
 

@@ -260,6 +260,11 @@ class TestSeriesVanishing:
         with pytest.raises(ConfigurationError):
             check_series_vanishing(IDENTITY, 0.5, 1.0, [5], [1, 2], tol=0.0)
 
+    def test_nan_tolerance_is_a_configuration_error(self):
+        # It used to reach the collector and raise NumericError there.
+        with pytest.raises(ConfigurationError, match="tolerance must be positive"):
+            check_series_vanishing(IDENTITY, 0.5, 1.0, [5], [1, 2], tol=float("nan"))
+
 
 class TestDeterminismAndWitnessReplay:
     def test_identical_configs_identical_verdicts(self, squared_diff_space):

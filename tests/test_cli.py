@@ -94,6 +94,14 @@ class TestVerifySpace:
                        "--samples", "2000", "--output", "json")
         assert proc.returncode == 0
 
+    def test_space_file_that_is_not_utf8_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_bytes(b'\xff{"metric": "app_metric"}')
+        proc = run_cli("verify-space", "--space-file", str(path), "--samples", "10")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"csmetric: error: cannot read space file: ")
+        assert b"Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("space,message", [
         pytest.param("{]", b"space", id="bad-json"),
         pytest.param('{"metric":"abs_sum","params":[1]}', b"params",
@@ -123,6 +131,13 @@ class TestVerifySpace:
                      b"degree", id="poly-degree-string"),
         pytest.param('{"metric":"app_metric","map":{"kind":"poly","m":3.7}}',
                      b"integer m >= 3, got 3.7", id="poly-degree-fraction"),
+        pytest.param('{"metric":"app_metric","symmetric":"false"}',
+                     b"symmetric must be true or false, got 'false'", id="symmetric-string"),
+        pytest.param('{"metric":"squared_diff","domain":{"kind":"naturals_up_to","max":10}}',
+                     b"squared_diff lives on [1, inf)", id="squared-diff-naturals"),
+        pytest.param('{"metric":"squared_diff",'
+                     '"domain":{"kind":"finite_real_set","elements":[0.5,2,3]}}',
+                     b"squared_diff lives on [1, inf)", id="squared-diff-finite-set"),
     ])
     def test_malformed_space_json(self, space, message):
         proc = run_cli("verify-space", "--space", space, "--samples", "10")
@@ -385,6 +400,59 @@ class TestTextRendering:
         assert proc.returncode == 2
 
 
+# --- the command line is the parser: each command takes the flags it reads ---
+
+SPACE_SOURCE = {"--builtin", "--space", "--space-file", "--params", "--alpha"}
+SHARED = {"--seed", "--output", "--out"}
+OPTIONS = {
+    "solve-poly": {"--m", "--x0", "--tol"} | SHARED,
+    "verify-space": {"--samples"} | SPACE_SOURCE | SHARED,
+    "check-contraction": {"--map", "--r", "--samples"} | SPACE_SOURCE | SHARED,
+    "iterate": {"--map", "--x0", "--max-iter", "--tol"} | SPACE_SOURCE | SHARED,
+    "verify-thm41": {"--m", "--samples", "--tol"} | SHARED,
+}
+
+
+def test_each_command_takes_only_the_flags_its_handler_reads():
+    (commands,) = [action for action in cli._build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    options = {name: {option for action in parser._actions
+                      for option in action.option_strings} - {"-h", "--help"}
+               for name, parser in commands.choices.items()}
+    assert options == OPTIONS
+    assert sum(map(len, options.values())) == 44
+
+
+APP = '{"metric":"app_metric"}'
+HALVING = '{"metric":"app_metric","map":{"kind":"scale","factor":0.5}}'
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(("verify-space", "--builtin", "app_metric", "--tol", "1e-3"),
+                 b"unrecognized arguments: --tol 1e-3", id="verify-space-tol"),
+    pytest.param(("verify-space", "--builtin", "app_metric", "--map", '{"kind":"identity"}'),
+                 b"unrecognized arguments: --map", id="verify-space-map"),
+    pytest.param(("check-contraction", "--space",
+                  '{"metric":"app_metric","map":{"kind":"poly","m":3}}', "--tol", "1e-3"),
+                 b"unrecognized arguments: --tol 1e-3", id="check-contraction-tol"),
+    pytest.param(("solve-poly", "--m", "3", "--samples", "5"),
+                 b"unrecognized arguments: --samples 5", id="solve-poly-samples"),
+    pytest.param(("iterate", "--space", HALVING, "--x0", "1", "--samples", "5"),
+                 b"unrecognized arguments: --samples 5", id="iterate-samples"),
+    pytest.param(("verify-space", "--builtin", "abs_sum", "--space", APP),
+                 b"argument --space: not allowed with argument --builtin", id="two-spaces"),
+    pytest.param(("verify-space", "--space", APP, "--params", "3", "4"),
+                 b"csmetric: error: --params goes with --builtin", id="params-without-builtin"),
+])
+def test_rejected_input_is_one_error_line(argv, message):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"Traceback" not in proc.stderr
+    (error,) = [line for line in proc.stderr.splitlines() if b"error:" in line]
+    assert message in error
+
+
 # --- contract fuzz: exit 0, 1 or 2 and no exception, whatever the numbers ----
 
 REALS = st.one_of(
@@ -440,9 +508,11 @@ def space_docs(draw):
 @example("verify-space", {"metric": "squared_diff", "params": [1.0, 1e200]}, 0.0)
 @example("iterate", {"metric": "app_metric", "map": {"kind": "poly", "m": 1e300}}, 0.5)
 def test_cli_contract_holds_on_extreme_documents(command, doc, x0):
-    argv = [command, "--space", json.dumps(doc), "--samples", "20"]
+    argv = [command, "--space", json.dumps(doc)]
     if command == "iterate":
         argv += [f"--x0={x0!r}", "--max-iter", "50"]
+    else:
+        argv += ["--samples", "20"]
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code = cli.main(argv)

@@ -106,9 +106,11 @@ class TestBisectionOracle:
         # F is nearly constant, so the root sits close to F(0) = 1/m^4.
         assert bisection_oracle(5, 1e-12) == pytest.approx(1.0 / 625.0, abs=1e-5)
 
-    def test_tolerance_validation(self):
-        with pytest.raises(DomainError):
-            bisection_oracle(3, 0.0)
+    @pytest.mark.parametrize("tol", [0.0, float("nan")])
+    def test_tolerance_validation(self, tol):
+        # A NaN tol once skipped the loop and returned 0.5, which is no root.
+        with pytest.raises(DomainError, match="oracle tolerance must be positive"):
+            bisection_oracle(3, tol)
 
 
 class TestSolvePoly:

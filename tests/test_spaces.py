@@ -293,3 +293,29 @@ class TestSerialization:
     def test_bad_domain_kind(self):
         with pytest.raises(ConfigurationError):
             space_from_json({"metric": "abs_sum", "domain": {"kind": "lattice"}})
+
+    @pytest.mark.parametrize("domain,ok", [
+        ({"kind": "real_interval", "lo": 1, "hi": 5}, True),
+        ({"kind": "real_interval", "lo": 0.5, "hi": 5}, False),
+        ({"kind": "naturals_up_to", "max": 10}, False),
+        ({"kind": "finite_real_set", "elements": [1, 2, 3]}, True),
+        ({"kind": "finite_real_set", "elements": [0.5, 2, 3]}, False),
+    ], ids=["interval", "interval-below-1", "naturals", "set", "set-below-1"])
+    def test_squared_diff_lives_on_one_and_above_for_every_domain_kind(self, domain, ok):
+        doc = {"metric": "squared_diff", "domain": domain}
+        if ok:
+            assert space_from_json(doc).domain == PointDomain.from_json(domain)
+        else:
+            with pytest.raises(ConfigurationError, match=r"squared_diff lives on \[1, inf\)"):
+                space_from_json(doc)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_symmetric_claim_is_read_from_a_boolean(self, value):
+        space = space_from_json({"metric": "app_metric", "symmetric": value})
+        assert space.symmetric_claim is value
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+    def test_symmetric_claim_must_be_a_boolean(self, value):
+        # bool("false") is True: a string once turned the symmetry gate on.
+        with pytest.raises(ConfigurationError, match="symmetric must be true or false"):
+            space_from_json({"metric": "app_metric", "symmetric": value})
