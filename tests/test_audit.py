@@ -261,7 +261,7 @@ class TestSeriesVanishing:
             check_series_vanishing(IDENTITY, 0.5, 1.0, [5], [1, 2], tol=0.0)
 
     def test_nan_tolerance_is_a_configuration_error(self):
-        # It used to reach the collector and raise NumericError there.
+        # Unchecked, it would reach the collector as a NaN slack: a NumericError.
         with pytest.raises(ConfigurationError, match="tolerance must be positive"):
             check_series_vanishing(IDENTITY, 0.5, 1.0, [5], [1, 2], tol=float("nan"))
 

@@ -108,7 +108,7 @@ class TestBisectionOracle:
 
     @pytest.mark.parametrize("tol", [0.0, float("nan")])
     def test_tolerance_validation(self, tol):
-        # A NaN tol once skipped the loop and returned 0.5, which is no root.
+        # A NaN tol would skip the loop and return 0.5, which is no root.
         with pytest.raises(DomainError, match="oracle tolerance must be positive"):
             bisection_oracle(3, tol)
 

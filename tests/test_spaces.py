@@ -316,6 +316,6 @@ class TestSerialization:
 
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
     def test_symmetric_claim_must_be_a_boolean(self, value):
-        # bool("false") is True: a string once turned the symmetry gate on.
+        # bool("false") is True: read with bool(), a string turns the gate on.
         with pytest.raises(ConfigurationError, match="symmetric must be true or false"):
             space_from_json({"metric": "app_metric", "symmetric": value})
