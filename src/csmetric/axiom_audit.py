@@ -9,16 +9,17 @@ a tuple violates when its slack drops below the evaluation tolerance
 which absorbs double-precision noise from exp/sqrt chains.  The reported
 witness is the violating tuple with the most negative slack, ties broken
 toward the lexicographically smallest tuple, so results are independent of
-evaluation order.  ``_sampled`` runs every sampled check's batch kernel over
-the sample, CHUNK tuples at a time.  These auditors are falsifiers and
-evidence gatherers: a pass is evidence over the sample, not a proof of the
-quantified claim.
+evaluation order.  ``_audit`` draws each sample stream once and hands it,
+CHUNK tuples at a time, to every check that reads it.  These auditors are
+falsifiers and evidence gatherers: a pass is evidence over the sample, not a
+proof of the quantified claim.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress, islice
 from operator import eq
 from typing import Callable, Iterable, Mapping, Sequence
@@ -148,78 +149,119 @@ def _slacks(lhs: Sequence[float], rhs: Sequence[float]) -> tuple[list, Sequence[
     return slacks, [s < -ABS_TOL and s < -slack_tolerance(r) for s, r in zip(slacks, rhs)]
 
 
-def _sampled(domain: PointDomain, arity: int, cfg: SampleConfig,
-             kernel: Callable[[list], tuple], col: _Collector | None = None) -> _Collector:
-    """Run a sampled check: draw its sample once and feed it to a collector
-    CHUNK tuples at a time; kernel maps a chunk to the keys, slacks and
-    violations of its comparisons."""
-    col = _Collector() if col is None else col
-    sample = sample_tuples(domain, arity, cfg)
-    for start in range(0, len(sample), CHUNK):
-        col.add(*kernel(sample[start:start + CHUNK]))
-    return col
+def _audit(space: ComposedSpace | None, cfg: SampleConfig,
+           checks: Sequence[Callable[[], tuple]]) -> list:
+    """Run checks on space and return their results, as if one by one.
+
+    Calling a check validates its arguments and gives (parts, finish).  A
+    part (domain, arity, kernel) maps a chunk of its sample, the chunk's
+    columns and its checked metric batches d, each evaluated once per chunk
+    (d(0, 1, 2) is C(q, h, w), d(0, 0, 3) is C(q, q, u)), to keys, slacks
+    and violations.  finish maps the collector to the result, or names the
+    verdict.  Kernels share columns and batches, so they must not change
+    them.  Each (domain, arity) stream is drawn once.  A check that raises
+    is fed no more, and the error of the earliest failing check is raised
+    once the others are done."""
+    n = len(checks)
+    collectors, finishes, errors = [_Collector() for _ in range(n)], [None] * n, [None] * n
+    streams: dict[tuple, list] = {}
+    for i, build in enumerate(checks):
+        try:  # any error is kept, and raised below in check order
+            parts, finishes[i] = build()
+        except Exception as exc:
+            parts, errors[i] = (), exc
+        for domain, arity, kernel in parts:
+            streams.setdefault((domain, arity), []).append((i, kernel))
+    for (domain, arity), readers in streams.items():
+        sample = sample_tuples(domain, arity, cfg)
+        for start in range(0, len(sample), CHUNK):
+            chunk = sample[start:start + CHUNK]
+            cols = list(zip(*chunk))
+            d = cache(lambda *pattern: _metric_values(space, *(cols[c] for c in pattern)))
+            for i, kernel in readers:
+                if errors[i] is None:
+                    try:
+                        collectors[i].add(*kernel(chunk, cols, d))
+                    except Exception as exc:
+                        errors[i] = exc
+        del sample  # before the next stream is drawn, so one sample is held at a time
+    results = []
+    for col, finish, error in zip(collectors, finishes, errors):
+        if error is not None:
+            raise error
+        results.append(col.verdict(finish, cfg.seed) if isinstance(finish, str)
+                       else finish(col))
+    return results
+
+
+def _unsampled(fn: Callable, *args) -> Callable[[], tuple]:
+    """fn(*args) as an _audit check with no parts, called in its turn."""
+    return lambda: ((), lambda col: fn(*args))
+
+
+def _identity(space: ComposedSpace) -> tuple:
+    def self_distances(chunk, cols, d):
+        dist = d(0, 0, 0)
+        if not any(dist):  # every slack is zero
+            return (), dist, ()
+        return [(p, p, p) for (p,) in chunk], [-v for v in dist], [v != 0.0 for v in dist]
+
+    def triples(chunk, cols, d):
+        q, h, _ = cols
+        dist = d(0, 1, 2)
+        # Strict positivity off the diagonal: the slack is the distance itself.
+        if min(dist) > 0 and not any(map(eq, q, h)):  # no q == h: no diagonal triple
+            return (), dist, ()
+        slacks = [-v if q == h == w else v for v, (q, h, w) in zip(dist, chunk)]
+        return chunk, slacks, [s < 0 or (s == 0 and not q == h == w)
+                               for s, (q, h, w) in zip(slacks, chunk)]
+
+    return [(space.domain, 1, self_distances), (space.domain, 3, triples)], "identity_axiom"
 
 
 def check_identity_axiom(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
     """Self distances vanish exactly; every other sampled triple is strictly
     positive."""
-    def self_distances(chunk):
-        x = [p for (p,) in chunk]
-        d = _metric_values(space, x, x, x)
-        if not any(d):  # every slack is zero
-            return (), d, ()
-        return [(p, p, p) for p in x], [-v for v in d], [v != 0.0 for v in d]
-
-    def triples(chunk):
-        q, h, w = zip(*chunk)
-        d = _metric_values(space, q, h, w)
-        # Strict positivity off the diagonal: the slack is the distance itself.
-        if min(d) > 0 and not any(map(eq, q, h)):  # no q == h: no diagonal triple
-            return (), d, ()
-        slacks = [-v if q == h == w else v for v, (q, h, w) in zip(d, chunk)]
-        return chunk, slacks, [s < 0 or (s == 0 and not q == h == w)
-                               for s, (q, h, w) in zip(slacks, chunk)]
-
-    col = _sampled(space.domain, 1, cfg, self_distances)
-    return _sampled(space.domain, 3, cfg, triples, col).verdict("identity_axiom", cfg.seed)
+    return _audit(space, cfg, [lambda: _identity(space)])[0]
 
 
-def _triangle_verdict(space: ComposedSpace, cfg: SampleConfig, check: str,
-                      alpha: AlphaFunction | None) -> Verdict:
-    def kernel(chunk):
-        q, h, w, u = zip(*chunk)
-        lhs = _metric_values(space, q, h, w)
-        terms = [_metric_values(space, x, x, u) for x in (q, h, w)]
+def _triangle(space: ComposedSpace, check: str, alpha: AlphaFunction | None) -> tuple:
+    def kernel(chunk, cols, d):
+        lhs = d(0, 1, 2)
+        terms = [d(x, x, 3) for x in range(3)]
         if alpha is not None:
             terms = [_alpha_values(alpha, t) for t in terms]
         return (chunk, *_slacks(lhs, [a + b + c for a, b, c in zip(*terms)]))
 
-    return _sampled(space.domain, 4, cfg, kernel).verdict(check, cfg.seed)
+    return [(space.domain, 4, kernel)], check
 
 
 def check_composed_triangle(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
     """Triangle inequality with each right-hand term wrapped in alpha."""
-    return _triangle_verdict(space, cfg, "composed_triangle", space.alpha)
+    return _audit(space, cfg, [lambda: _triangle(space, "composed_triangle", space.alpha)])[0]
 
 
 def check_classic_triangle(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
     """Plain (unwrapped) triangle inequality; failing it while the composed
     form passes is what separates these spaces from ordinary S-metric spaces."""
-    return _triangle_verdict(space, cfg, "classic_triangle", None)
+    return _audit(space, cfg, [lambda: _triangle(space, "classic_triangle", None)])[0]
 
 
-def check_symmetry(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
-    """|C(q,q,h) - C(h,h,q)| stays within tolerance on sampled pairs."""
-    def kernel(chunk):
-        q, h = zip(*chunk)
-        a, b = _metric_values(space, q, q, h), _metric_values(space, h, h, q)
+def _symmetry(space: ComposedSpace) -> tuple:
+    def kernel(chunk, cols, d):
+        a, b = d(0, 0, 1), d(1, 1, 0)
         slacks = [-abs(x - y) for x, y in zip(a, b)]
         if min(slacks) >= -ABS_TOL:  # within any tolerance
             return chunk, slacks, ()
         return chunk, slacks, [s < -(ABS_TOL + REL_TOL * max(x, y))
                                for s, x, y in zip(slacks, a, b)]
 
-    return _sampled(space.domain, 2, cfg, kernel).verdict("symmetry", cfg.seed)
+    return [(space.domain, 2, kernel)], "symmetry"
+
+
+def check_symmetry(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
+    """|C(q,q,h) - C(h,h,q)| stays within tolerance on sampled pairs."""
+    return _audit(space, cfg, [lambda: _symmetry(space)])[0]
 
 
 def check_alpha_zero(alpha: AlphaFunction) -> Verdict:
@@ -229,24 +271,28 @@ def check_alpha_zero(alpha: AlphaFunction) -> Verdict:
         "alpha_zero", None)
 
 
-def check_alpha_subhomogeneity(alpha: AlphaFunction, cfg: SampleConfig,
-                               k_set: Sequence[float] = DEFAULT_K_SET) -> Verdict:
-    """alpha(k*s + t) <= k*alpha(s) + alpha(t) over sampled (s, t) and each k."""
+def _subhomogeneity(alpha: AlphaFunction, k_set: Sequence[float]) -> tuple:
     if not k_set:
         raise ConfigurationError("k_set must be non-empty")
     if any(k <= 0 for k in k_set):
         raise ConfigurationError("all k values must be positive")
 
-    def kernel(chunk):
+    def kernel(chunk, cols, d):
         # alpha(s) and alpha(t) once per pair, outside the k loop
-        a_s, a_t = (_alpha_values(alpha, x) for x in zip(*chunk))
+        a_s, a_t = (_alpha_values(alpha, x) for x in cols)
         # A generator: the collector builds the keys one at a time, and only
         # when the chunk has a violation or a NaN.
         keys = ((k, s, t) for s, t in chunk for k in k_set)
         lhs = _alpha_values(alpha, [k * s + t for s, t in chunk for k in k_set])
         return (keys, *_slacks(lhs, [k * x + y for x, y in zip(a_s, a_t) for k in k_set]))
 
-    return _sampled(_NONNEG_DOMAIN, 2, cfg, kernel).verdict("alpha_subhomogeneity", cfg.seed)
+    return [(_NONNEG_DOMAIN, 2, kernel)], "alpha_subhomogeneity"
+
+
+def check_alpha_subhomogeneity(alpha: AlphaFunction, cfg: SampleConfig,
+                               k_set: Sequence[float] = DEFAULT_K_SET) -> Verdict:
+    """alpha(k*s + t) <= k*alpha(s) + alpha(t) over sampled (s, t) and each k."""
+    return _audit(None, cfg, [lambda: _subhomogeneity(alpha, k_set)])[0]
 
 
 def check_alpha_dominates_orbit(space: ComposedSpace, F: SelfMap, x0,

@@ -28,11 +28,9 @@ import math
 import os
 import sys
 
-from .axiom_audit import (Verdict, check_classic_triangle,
-                          check_composed_triangle, check_identity_axiom,
-                          check_symmetry)
+from .axiom_audit import _audit, _identity, _symmetry, _triangle
 from .errors import ConfigurationError, CsmetricError, DomainError
-from .fixed_point import check_banach, estimate_contraction_factor, picard
+from .fixed_point import _banach, _estimate, picard
 from .poly_solver import oracle_agreement, solve_poly, verify_theorem_4_1
 from .sampling import SampleConfig
 from .spaces import (BUILTIN_SPACES, ComposedSpace, SelfMap, make_alpha,
@@ -121,12 +119,14 @@ def _cmd_solve_poly(args: argparse.Namespace) -> tuple[int, dict]:
 def _cmd_verify_space(args: argparse.Namespace) -> tuple[int, dict]:
     space, _ = _build_space(args, needs_map=False)
     cfg = SampleConfig(seed=args.seed, count=args.samples)
-    checks: list[tuple[Verdict, bool]] = [
-        (check_identity_axiom(space, cfg), True),
-        (check_composed_triangle(space, cfg), True),
-        (check_classic_triangle(space, cfg), False),  # informational only
-        (check_symmetry(space, cfg), space.symmetric_claim),
-    ]
+    verdicts = _audit(space, cfg, [  # the triangles share their metric batches
+        lambda: _identity(space),
+        lambda: _triangle(space, "composed_triangle", space.alpha),
+        lambda: _triangle(space, "classic_triangle", None),
+        lambda: _symmetry(space),
+    ])
+    # The classic triangle is informational only: it is not a gate.
+    checks = list(zip(verdicts, (True, True, False, space.symmetric_claim)))
     gate_failed = any(gated and not v.passed for v, gated in checks)
     report = {
         "space": space_to_json(space),
@@ -142,7 +142,11 @@ def _cmd_verify_space(args: argparse.Namespace) -> tuple[int, dict]:
 def _cmd_check_contraction(args: argparse.Namespace) -> tuple[int, dict]:
     space, self_map = _build_space(args)
     cfg = SampleConfig(seed=args.seed, count=args.samples)
-    estimate = estimate_contraction_factor(space, self_map, cfg)
+    # With --r, the estimate and Banach read one 3-tuple stream and its C(q, h, w).
+    checks = [lambda: _estimate(space, self_map, cfg)]
+    if args.r is not None:
+        checks.append(lambda: _banach(space, self_map, args.r))
+    estimate, *banach = _audit(space, cfg, checks)
     report = {
         "space": space_to_json(space),
         "map": self_map.id,
@@ -153,7 +157,7 @@ def _cmd_check_contraction(args: argparse.Namespace) -> tuple[int, dict]:
     }
     exit_code = 0
     if args.r is not None:
-        verdict = check_banach(space, self_map, args.r, cfg)
+        (verdict,) = banach
         report["r"] = args.r
         report["checks"] = [{"name": verdict.check, "verdict": verdict.to_json_dict()}]
         exit_code = 0 if verdict.passed else 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, compress
 from typing import Callable, Sequence
 
-from .axiom_audit import _NONNEG_DOMAIN, Verdict, _Collector, _sampled, _slacks
+from .axiom_audit import _NONNEG_DOMAIN, Verdict, _audit, _Collector, _slacks
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .sampling import SampleConfig
 from .spaces import (ComposedSpace, SelfMap, _image_error, _image_test, _images,
@@ -164,40 +164,52 @@ def picard(space: ComposedSpace, F: SelfMap, x0, tol: float = DEFAULT_TOL,
                        orbit=orbit)
 
 
-def estimate_contraction_factor(space: ComposedSpace, F: SelfMap,
-                                cfg: SampleConfig) -> ContractionEstimate:
-    """Maximum observed image-to-source distance ratio over sampled triples."""
-    def kernel(chunk):
-        dens = _metric_values(space, *zip(*chunk))
+def _estimate(space: ComposedSpace, F: SelfMap, cfg: SampleConfig) -> tuple:
+    def kernel(chunk, cols, d):
+        dens = d(0, 1, 2)
         kept = [den >= _RATIO_FLOOR for den in dens]
         keys, dens = list(compress(chunk, kept)), list(compress(dens, kept))
         fx = _images(space, F, chain.from_iterable(keys))
         nums = _metric_values(space, fx[0::3], fx[1::3], fx[2::3])
-        return keys, [-(n / d) for n, d in zip(nums, dens)], [True] * len(keys)
+        return keys, [-(num / den) for num, den in zip(nums, dens)], [True] * len(keys)
 
-    # The slack is -ratio, so the witness is the argmax.
-    col = _sampled(space.domain, 3, cfg, kernel)
-    if col.witness is None:
-        raise ConfigurationError(
-            "every sampled triple was degenerate; nothing to estimate")
-    slack, argmax = col.witness
-    # 0.0 - slack, not -slack: a zero ratio must not come out as -0.0.
-    return ContractionEstimate(sup_ratio=0.0 - slack, argmax_tuple=argmax,
-                               samples=col.checked)
+    def finish(col):
+        # The slack is -ratio, so the witness is the argmax.
+        if cfg.count == 0:  # only a count of 0 draws no tuple
+            raise ConfigurationError("check 'contraction_estimate' evaluated an empty sample")
+        if col.witness is None:
+            raise ConfigurationError(
+                "every sampled triple was degenerate; nothing to estimate")
+        slack, argmax = col.witness
+        # 0.0 - slack, not -slack: a zero ratio must not come out as -0.0.
+        return ContractionEstimate(sup_ratio=0.0 - slack, argmax_tuple=argmax,
+                                   samples=col.checked)
+
+    return [(space.domain, 3, kernel)], finish
+
+
+def estimate_contraction_factor(space: ComposedSpace, F: SelfMap,
+                                cfg: SampleConfig) -> ContractionEstimate:
+    """Maximum observed image-to-source distance ratio over sampled triples."""
+    return _audit(space, cfg, [lambda: _estimate(space, F, cfg)])[0]
+
+
+def _banach(space: ComposedSpace, F: SelfMap, r: float) -> tuple:
+    if not (0.0 < r < 1.0):
+        raise ConfigurationError(f"contraction factor must lie in (0, 1), got {r!r}")
+
+    def kernel(chunk, cols, d):
+        fx = _images(space, F, chain.from_iterable(chunk))
+        lhs = _metric_values(space, fx[0::3], fx[1::3], fx[2::3])
+        return (chunk, *_slacks(lhs, [r * v for v in d(0, 1, 2)]))
+
+    return [(space.domain, 3, kernel)], "banach_contraction"
 
 
 def check_banach(space: ComposedSpace, F: SelfMap, r: float,
                  cfg: SampleConfig) -> Verdict:
     """C(Fq, Fh, Fw) <= r * C(q, h, w) over sampled triples."""
-    if not (0.0 < r < 1.0):
-        raise ConfigurationError(f"contraction factor must lie in (0, 1), got {r!r}")
-
-    def kernel(chunk):
-        fx = _images(space, F, chain.from_iterable(chunk))
-        lhs = _metric_values(space, fx[0::3], fx[1::3], fx[2::3])
-        return (chunk, *_slacks(lhs, [r * d for d in _metric_values(space, *zip(*chunk))]))
-
-    return _sampled(space.domain, 3, cfg, kernel).verdict("banach_contraction", cfg.seed)
+    return _audit(space, cfg, [lambda: _banach(space, F, r)])[0]
 
 
 def check_m1(Mf: MfFunction, r: float, cfg: SampleConfig) -> Verdict:
@@ -206,23 +218,23 @@ def check_m1(Mf: MfFunction, r: float, cfg: SampleConfig) -> Verdict:
     if not (0.0 <= r < 1.0):
         raise ConfigurationError(f"reduction factor must lie in [0, 1), got {r!r}")
 
-    def kernel(chunk):
+    def kernel(chunk, cols, d):
         # An unguarded tuple counts with slack +inf: checked, never the worst.
         lhs = [h if w <= 2 * o + h and h <= Mf.fn(o, o, 0.0, w, h) else -math.inf
                for o, h, w in chunk]
         return (chunk, *_slacks(lhs, [r * o for o, _, _ in chunk]))
 
-    return _sampled(_NONNEG_DOMAIN, 3, cfg, kernel).verdict("m1", cfg.seed)
+    return _audit(None, cfg, [lambda: ([(_NONNEG_DOMAIN, 3, kernel)], "m1")])[0]
 
 
 def check_m2(Mf: MfFunction, cfg: SampleConfig) -> Verdict:
     """Selection property two: h <= Mf(h, 0, h, h, 0) forces h = 0."""
-    def kernel(chunk):
+    def kernel(chunk, cols, d):
         # An unguarded h counts with slack +inf, as in check_m1.
         lhs = [h if h <= Mf.fn(h, 0.0, h, h, 0.0) else -math.inf for (h,) in chunk]
         return (chunk, *_slacks(lhs, [0.0] * len(lhs)))
 
-    return _sampled(_NONNEG_DOMAIN, 1, cfg, kernel).verdict("m2", cfg.seed)
+    return _audit(None, cfg, [lambda: ([(_NONNEG_DOMAIN, 1, kernel)], "m2")])[0]
 
 
 def check_mf_contraction(space: ComposedSpace, F: SelfMap, Mf: MfFunction,
@@ -232,17 +244,17 @@ def check_mf_contraction(space: ComposedSpace, F: SelfMap, Mf: MfFunction,
     if not space.symmetric_claim:
         raise PreconditionError("the generalized contraction check needs a symmetric space")
 
-    def kernel(chunk):
-        o, h = zip(*chunk)
+    def kernel(chunk, cols, d):
+        o, h = cols
         fx = _images(space, F, chain.from_iterable(chunk))
         fo, fh = fx[0::2], fx[1::2]
         lhs = _metric_values(space, fo, fo, fh)
-        rhs = map(Mf.fn, _metric_values(space, o, o, h), _metric_values(space, fo, fo, o),
+        rhs = map(Mf.fn, d(0, 0, 1), _metric_values(space, fo, fo, o),
                   _metric_values(space, fo, fo, h), _metric_values(space, fh, fh, o),
                   _metric_values(space, fh, fh, h))
         return (chunk, *_slacks(lhs, list(rhs)))
 
-    return _sampled(space.domain, 2, cfg, kernel).verdict("mf_contraction", cfg.seed)
+    return _audit(space, cfg, [lambda: ([(space.domain, 2, kernel)], "mf_contraction")])[0]
 
 
 def verify_fixed_point(space: ComposedSpace, F: SelfMap, x,

@@ -13,13 +13,11 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .axiom_audit import (DEFAULT_K_SET, Verdict, _Collector,
-                          check_alpha_subhomogeneity, check_alpha_zero,
-                          check_composed_triangle, check_identity_axiom,
-                          check_series_vanishing, check_symmetry)
+from .axiom_audit import (DEFAULT_K_SET, Verdict, _audit, _Collector,
+                          _identity, _subhomogeneity, _symmetry, _triangle,
+                          _unsampled, check_alpha_zero, check_series_vanishing)
 from .errors import DomainError, InternalError
-from .fixed_point import (DEFAULT_TOL, SolveResult, check_banach, picard,
-                          uniqueness_probe)
+from .fixed_point import DEFAULT_TOL, SolveResult, _banach, picard, uniqueness_probe
 from .sampling import SampleConfig
 from .spaces import ComposedSpace, SelfMap, make_builtin_space
 
@@ -161,17 +159,18 @@ def verify_theorem_4_1(m: int, seed: int = 42, samples: int = 10000,
     cfg = SampleConfig(seed=seed, count=samples)
     r = contraction_bound(m)
 
-    hypotheses = [
-        check_identity_axiom(space, cfg),
-        check_composed_triangle(space, cfg),
-        check_symmetry(space, cfg),
-        check_alpha_zero(space.alpha),
-        check_alpha_subhomogeneity(space.alpha, cfg, DEFAULT_K_SET),
-        check_banach(space, F, r, cfg),
-        check_series_vanishing(space.alpha, r, 2.0, SERIES_GAPS, SERIES_SCHEDULE,
-                               SERIES_TOL),
-        uniqueness_probe(space, F, _UNIQUENESS_STARTS, tol=tol),
-    ]
+    # Identity and Banach read one 3-tuple stream and its C(q, h, w).
+    hypotheses = _audit(space, cfg, [
+        lambda: _identity(space),
+        lambda: _triangle(space, "composed_triangle", space.alpha),
+        lambda: _symmetry(space),
+        _unsampled(check_alpha_zero, space.alpha),
+        lambda: _subhomogeneity(space.alpha, DEFAULT_K_SET),
+        lambda: _banach(space, F, r),
+        _unsampled(check_series_vanishing, space.alpha, r, 2.0, SERIES_GAPS,
+                   SERIES_SCHEDULE, SERIES_TOL),
+        _unsampled(uniqueness_probe, space, F, _UNIQUENESS_STARTS, tol),
+    ])
     solved = solve_poly(m, 0.5, tol)
     oracle = oracle_agreement(m, solved, tol)
     hypotheses.append(oracle)

@@ -318,11 +318,19 @@ def _image_error(space: ComposedSpace, F: SelfMap, x: Point, y: Point) -> Domain
 
 def _images(space: ComposedSpace, F: SelfMap, points: Iterable) -> list:
     """F at each of points, which lie in space.domain, through F.apply when
-    F.domain differs; every image must pass _image_test."""
+    F.domain differs; every image must pass _image_test.  When the domains
+    agree on a real interval, the batch is tested at once and scanned only
+    when it fails."""
     points = list(points)
-    inside = _image_test(space, F)
-    images = list(map(F.fn if F.domain == space.domain else F.apply, points))
-    if not all(map(inside, images)):
+    inside, same, dom = _image_test(space, F), F.domain == space.domain, F.domain
+    images = list(map(F.fn if same else F.apply, points))
+    try:  # min and max pass a NaN, which the sum does not
+        batch = (same and dom.kind == "real_interval" and {int, float}.issuperset(map(type, images))
+                 and dom.lo <= min(images, default=dom.lo)
+                 and max(images, default=dom.hi) <= dom.hi and not math.isnan(sum(images, 0.0)))
+    except OverflowError:  # an int too large for a float
+        batch = False
+    if not (batch or all(map(inside, images))):
         raise next(_image_error(space, F, x, y) for x, y in zip(points, images)
                    if not inside(y))
     return images

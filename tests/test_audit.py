@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from csmetric import (DEFAULT_K_SET, ComposedSpace, ConfigurationError,
+from csmetric import (BUILTIN_SPACES, DEFAULT_K_SET, ComposedSpace, ConfigurationError,
                       DomainError, MfFunction, NumericError, PointDomain,
                       SampleConfig, SelfMap, TripleMetric, banach_mf,
                       bianchini_mf, check_alpha_dominates_orbit,
@@ -17,7 +17,8 @@ from csmetric import (DEFAULT_K_SET, ComposedSpace, ConfigurationError,
                       check_symmetry, estimate_contraction_factor, eval_alpha,
                       kannan_mf, make_alpha, make_builtin_space,
                       make_self_map, poly_map, sample_tuples, series_tail,
-                      slack_tolerance)
+                      slack_tolerance, verify_theorem_4_1)
+from csmetric import axiom_audit, cli, fixed_point
 
 TWO_SQRT = make_alpha("two_sqrt")
 IDENTITY = make_alpha("identity")
@@ -650,3 +651,130 @@ _DOUBLING = SelfMap(id="doubling", fn=lambda x: 2.0 * x,
 def test_image_outside_the_space_is_a_domain_error(check):
     with pytest.raises(DomainError, match=r"^point \S+ is outside the space domain$"):
         check(SampleConfig(seed=1, count=200))
+
+
+# --- the shared-stream driver -------------------------------------------------
+# ``_audit`` runs a list of checks over shared sample streams; its results
+# and its errors must be those of the checks run one after another.
+
+def _space_checks(space):
+    """The checks of ``verify-space``, in its order."""
+    return [lambda: axiom_audit._identity(space),
+            lambda: axiom_audit._triangle(space, "composed_triangle", space.alpha),
+            lambda: axiom_audit._triangle(space, "classic_triangle", None),
+            lambda: axiom_audit._symmetry(space)]
+
+
+_SPACE_PUBLIC = (check_identity_axiom, check_composed_triangle, check_classic_triangle,
+                 check_symmetry)
+
+
+def _first_error(calls):
+    """The type and message of the first call that raises, in order."""
+    for call in calls:
+        try:
+            call()
+        except Exception as exc:
+            return type(exc), str(exc)
+    return None
+
+
+def _audit_error(space, cfg, checks):
+    try:
+        axiom_audit._audit(space, cfg, checks)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("count", [1, 1023, 1024, 1025, 2500])
+@pytest.mark.parametrize("seed", [3, 17, 2024])
+@pytest.mark.parametrize("name", BUILTIN_SPACES)
+def test_audit_verdicts_equal_the_single_checks(name, seed, count):
+    space = make_builtin_space(name)
+    cfg = SampleConfig(seed=seed, count=count)
+    shared = axiom_audit._audit(space, cfg, _space_checks(space))
+    assert shared == [check(space, cfg) for check in _SPACE_PUBLIC]
+    if name in ("squared_diff", "discrete_nat") and count == 2500:
+        assert not shared[2].passed  # the classic triangle fails on these
+
+
+@pytest.mark.parametrize("count", [1023, 2500])
+def test_shared_banach_and_estimate_equal_the_single_checks(count):
+    cfg = SampleConfig(seed=11, count=count)
+    space, F = _POLY3.space, _POLY3.map
+    checks = [lambda: axiom_audit._identity(space),
+              lambda: fixed_point._estimate(space, F, cfg),
+              lambda: fixed_point._banach(space, F, 1.0 / 81.0)]
+    assert axiom_audit._audit(space, cfg, checks) == [
+        check_identity_axiom(space, cfg), estimate_contraction_factor(space, F, cfg),
+        check_banach(space, F, 1.0 / 81.0, cfg)]
+
+
+def _counting_draws(monkeypatch):
+    calls = []
+    draw = axiom_audit.sample_tuples
+    monkeypatch.setattr(axiom_audit, "sample_tuples",
+                        lambda *args: calls.append(args) or draw(*args))
+    return calls
+
+
+def test_verify_space_draws_each_stream_once(monkeypatch, tmp_path):
+    calls = _counting_draws(monkeypatch)
+    assert cli.main(["verify-space", "--builtin", "app_metric", "--samples", "50",
+                     "--out", str(tmp_path / "report.txt")]) == 0
+    assert [arity for _, arity, _ in calls] == [1, 3, 4, 2]
+
+
+def test_verify_theorem_draws_each_stream_once(monkeypatch):
+    calls = _counting_draws(monkeypatch)
+    assert verify_theorem_4_1(3, samples=50)["all_passed"]
+    # Identity and Banach read one 3-tuple stream.
+    assert len(calls) == 5
+    assert len(set(calls)) == 5
+
+
+def test_triangles_evaluate_each_metric_batch_once():
+    calls = []
+    metric = TripleMetric(id="counting", fn=lambda q, h, w: calls.append(1) or (
+        abs(q - w) + abs(h - w)))
+    space = ComposedSpace(PointDomain.real_interval(0.0, 1.0), metric, TWO_SQRT)
+    cfg = SampleConfig(seed=8, count=2500)
+    axiom_audit._audit(space, cfg, _space_checks(space)[1:3])
+    # C(q, h, w) and the three C(x, x, u), each once for both triangles
+    assert len(calls) == 4 * 2500
+
+
+def test_empty_sample_is_the_identity_error():
+    cfg = SampleConfig(seed=1, count=0)
+    expected = _first_error([partial(check, _APP, cfg) for check in _SPACE_PUBLIC])
+    assert expected == (ConfigurationError, "check 'identity_axiom' evaluated an empty sample")
+    assert _audit_error(_APP, cfg, _space_checks(_APP)) == expected
+
+
+def test_earliest_check_error_wins_over_an_earlier_chunk_error():
+    # Banach's map escapes in chunk 0 of the shared 3-tuple stream; identity
+    # meets a metric value of -1 only in a later chunk, and is the first check.
+    domain = PointDomain.real_interval(0.0, 1.0)
+    cfg = SampleConfig(seed=5, count=2500, strategy="uniform_random")
+    bad = sample_tuples(domain, 3, cfg)[1500]
+    metric = TripleMetric(id="minus_one_once", fn=lambda q, h, w: (
+        -1 if (q, h, w) == bad else abs(q - w) + abs(h - w)))
+    space = ComposedSpace(domain, metric, TWO_SQRT)
+    F = make_self_map("scale", domain, factor=2.0)
+    expected = _first_error([lambda: check_identity_axiom(space, cfg),
+                             lambda: check_banach(space, F, 0.5, cfg)])
+    assert expected[0] is NumericError
+    assert _first_error([lambda: check_banach(space, F, 0.5, cfg)])[0] is DomainError
+    assert _audit_error(space, cfg, [lambda: axiom_audit._identity(space),
+                                     lambda: fixed_point._banach(space, F, 0.5)]) == expected
+
+
+def test_composed_triangle_alpha_error_is_raised():
+    alpha = make_alpha("t")
+    object.__setattr__(alpha, "_fn", lambda t: math.nan if t > 0.9 else t)
+    space = replace(_APP, alpha=alpha)
+    cfg = SampleConfig(seed=2, count=3000)
+    expected = _first_error([partial(check, space, cfg) for check in _SPACE_PUBLIC])
+    assert expected[0] is NumericError and "composing function" in expected[1]
+    assert _audit_error(space, cfg, _space_checks(space)) == expected

@@ -224,6 +224,37 @@ class TestCheckContraction:
         assert proc.stderr.startswith(b"csmetric: error: point 0.0123")
         assert proc.stderr.endswith(b" is outside the space domain\n")
 
+    @pytest.mark.parametrize("r", [(), ("--r", "0.5")], ids=["estimate", "with-r"])
+    def test_empty_sample_says_so(self, r):
+        space = json.dumps({"metric": "app_metric", "map": {"kind": "scale", "factor": 0.5}})
+        proc = run_cli("check-contraction", "--space", space, "--samples", "0", *r)
+        assert proc.returncode == 2
+        assert proc.stderr == (b"csmetric: error: check 'contraction_estimate' "
+                               b"evaluated an empty sample\n")
+
+    def test_all_degenerate_sample_says_so(self):
+        # A one-point domain: every sampled triple is at distance 0.
+        space = json.dumps({"metric": "app_metric", "map": {"kind": "identity"},
+                            "domain": {"kind": "finite_real_set", "elements": [0.5]}})
+        proc = run_cli("check-contraction", "--space", space, "--samples", "5")
+        assert proc.returncode == 2
+        assert proc.stderr == (b"csmetric: error: every sampled triple was degenerate; "
+                               b"nothing to estimate\n")
+
+    def test_estimate_error_comes_before_a_bad_claimed_factor(self):
+        # The estimate runs first, so its error wins over --r's, as it would
+        # if the two checks ran one after the other.
+        space = json.dumps({"metric": "app_metric", "map": {"kind": "scale", "factor": 2}})
+        proc = run_cli("check-contraction", "--space", space, "--r", "1.5", "--samples", "50")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"csmetric: error: map 'scale(2.0)' escaped its domain")
+        proc = run_cli("check-contraction", "--space",
+                       json.dumps({"metric": "app_metric", "map": {"kind": "identity"}}),
+                       "--r", "1.5", "--samples", "50")
+        assert proc.returncode == 2
+        assert proc.stderr == (b"csmetric: error: contraction factor must lie in (0, 1), "
+                               b"got 1.5\n")
+
 
 class TestIterate:
     def test_halving_map(self):

@@ -10,7 +10,7 @@ from csmetric import (ComposedSpace, ConfigurationError, DomainError,
                       eval_alpha, eval_metric, iterate_alpha, make_alpha,
                       make_builtin_space, make_self_map, space_from_json,
                       space_to_json)
-from csmetric.spaces import _metric_values, metric_value
+from csmetric.spaces import _images, _metric_values, metric_value
 
 ALPHA_IDS = ("identity", "exp", "exp_2t", "two_t_plus_one", "two_sqrt")
 
@@ -319,3 +319,52 @@ class TestSerialization:
         # bool("false") is True: read with bool(), a string turns the gate on.
         with pytest.raises(ConfigurationError, match="symmetric must be true or false"):
             space_from_json({"metric": "app_metric", "symmetric": value})
+
+
+# --- the batch image test ------------------------------------------------------
+
+class _Real(float):
+    """A float subclass: inside the domain, but not an exact float."""
+
+
+_UNIT = PointDomain.real_interval(0.0, 1.0)
+_IMAGE_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "true": True,
+                 "huge-int": 10 ** 400, "int-0": 0, "int-1": 1, "int-2": 2,
+                 "float-subclass": _Real(0.5), "minus-zero": -0.0, "lo": 0.0, "hi": 1.0,
+                 "above": 1.0000000000000002, "below": -5e-324}
+
+
+def _reference_images(space, F, points):
+    """_images by the per-image membership scan: the images, or the error
+    for the first image outside the domain."""
+    images = [F.fn(x) for x in points]
+    for x, y in zip(points, images):
+        if not F.domain.contains(y):
+            return str(F.escape_error(x, y))
+    return images
+
+
+@pytest.mark.parametrize("position", [0, 500, 999], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("value", _IMAGE_VALUES.values(), ids=_IMAGE_VALUES.keys())
+def test_batch_image_test_agrees_with_contains(value, position):
+    space = make_builtin_space("app_metric")
+    points = [i / 1000 for i in range(1000)]
+    table = dict.fromkeys(points, 0.25)
+    table[points[position]] = value
+    F = SelfMap(id="table", fn=table.__getitem__, domain=_UNIT)
+    expected = _reference_images(space, F, points)
+    if isinstance(expected, str):
+        with pytest.raises(DomainError) as info:
+            _images(space, F, points)
+        assert str(info.value) == expected
+    else:
+        got = _images(space, F, points)
+        assert got == expected and list(map(type, got)) == list(map(type, expected))
+
+
+def test_batch_image_test_names_the_first_bad_image():
+    space = make_builtin_space("app_metric")
+    table = {0.0: 0.5, 0.25: 1.5, 0.5: math.nan, 0.75: -1.0}
+    F = SelfMap(id="table", fn=table.__getitem__, domain=_UNIT)
+    with pytest.raises(DomainError, match=r"F\(0\.25\) = 1\.5$"):
+        _images(space, F, list(table))

@@ -1,0 +1,30 @@
+"""The benchmark's traced mode, perfbench/tracer.py, still runs the command
+line and sees every sample draw."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("command", [
+    ["verify-space", "--builtin", "app_metric"],
+    ["verify-thm41", "--m", "3"],
+], ids=["verify-space", "verify-thm41"])
+def test_traced_run_draws_no_stream_twice(command, tmp_path):
+    stats = tmp_path / "stats.json"
+    env = {k: v for k, v in os.environ.items() if k != "CSMETRIC_SEED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(stats), "--", *command,
+         "--samples", "300", "--seed", "7", "--output", "json"],
+        capture_output=True, env=env, cwd=ROOT, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    figures = json.loads(stats.read_text())
+    assert figures["sampling.redrawn_tuples"] == 0
+    assert figures["sampling.tuples_drawn"] > 0
