@@ -653,7 +653,7 @@ def test_image_outside_the_space_is_a_domain_error(check):
         check(SampleConfig(seed=1, count=200))
 
 
-# --- the shared-stream driver -------------------------------------------------
+# --- checks run together over shared streams ------------------------------------
 # ``_audit`` runs a list of checks over shared sample streams; its results
 # and its errors must be those of the checks run one after another.
 
