@@ -10,9 +10,10 @@ which absorbs double-precision noise from exp/sqrt chains.  The reported
 witness is the violating tuple with the most negative slack, ties broken
 toward the lexicographically smallest tuple, so results are independent of
 evaluation order.  ``_audit`` draws each sample stream once and hands it,
-CHUNK tuples at a time, to every check that reads it.  These auditors are
-falsifiers and evidence gatherers: a pass is evidence over the sample, not a
-proof of the quantified claim.
+CHUNK tuples at a time, to every check that reads it, and replays the checks
+one by one when anything raises, so an error is the one they raise run one
+after another.  These auditors are falsifiers and evidence gatherers: a pass
+is evidence over the sample, not a proof of the quantified claim.
 """
 
 from __future__ import annotations
@@ -159,39 +160,30 @@ def _audit(space: ComposedSpace | None, cfg: SampleConfig,
     (d(0, 1, 2) is C(q, h, w), d(0, 0, 3) is C(q, q, u)), to keys, slacks
     and violations.  finish maps the collector to the result, or names the
     verdict.  Kernels share columns and batches, so they must not change
-    them.  Each (domain, arity) stream is drawn once.  A check that raises
-    is fed no more, and the error of the earliest failing check is raised
-    once the others are done."""
-    n = len(checks)
-    collectors, finishes, errors = [_Collector() for _ in range(n)], [None] * n, [None] * n
-    streams: dict[tuple, list] = {}
-    for i, build in enumerate(checks):
-        try:  # any error is kept, and raised below in check order
-            parts, finishes[i] = build()
-        except Exception as exc:
-            parts, errors[i] = (), exc
-        for domain, arity, kernel in parts:
-            streams.setdefault((domain, arity), []).append((i, kernel))
-    for (domain, arity), readers in streams.items():
-        sample = sample_tuples(domain, arity, cfg)
-        for start in range(0, len(sample), CHUNK):
-            chunk = sample[start:start + CHUNK]
-            cols = list(zip(*chunk))
-            d = cache(lambda *pattern: _metric_values(space, *(cols[c] for c in pattern)))
-            for i, kernel in readers:
-                if errors[i] is None:
-                    try:
-                        collectors[i].add(*kernel(chunk, cols, d))
-                    except Exception as exc:
-                        errors[i] = exc
-        del sample  # before the next stream is drawn, so one sample is held at a time
-    results = []
-    for col, finish, error in zip(collectors, finishes, errors):
-        if error is not None:
-            raise error
-        results.append(col.verdict(finish, cfg.seed) if isinstance(finish, str)
-                       else finish(col))
-    return results
+    them.  Each (domain, arity) stream is drawn once.  If anything raises,
+    the checks run again one by one, so the error is a one-by-one run's."""
+    try:
+        built = [(_Collector(), *build()) for build in checks]
+        streams: dict[tuple, list] = {}
+        for col, parts, _ in built:
+            for domain, arity, kernel in parts:
+                streams.setdefault((domain, arity), []).append((col, kernel))
+        for (domain, arity), readers in streams.items():
+            sample = sample_tuples(domain, arity, cfg)
+            for start in range(0, len(sample), CHUNK):
+                chunk = sample[start:start + CHUNK]
+                cols = list(zip(*chunk))
+                d = cache(lambda *pattern: _metric_values(space, *(cols[c] for c in pattern)))
+                for col, kernel in readers:
+                    col.add(*kernel(chunk, cols, d))
+            del sample  # before the next stream is drawn, so one sample is held at a time
+        return [col.verdict(finish, cfg.seed) if isinstance(finish, str) else finish(col)
+                for col, _, finish in built]
+    except Exception:
+        if len(checks) == 1:
+            raise
+        sample = None  # not held through the replay, which draws its own
+    return [_audit(space, cfg, [check])[0] for check in checks]
 
 
 def _unsampled(fn: Callable, *args) -> Callable[[], tuple]:

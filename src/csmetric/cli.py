@@ -68,9 +68,9 @@ def _build_space(args: argparse.Namespace,
         doc = _parse_json(args.space, "space")
     else:
         doc = {"metric": args.builtin, "params": args.params or []}
-    if args.alpha:
+    if args.alpha is not None:
         doc["alpha"] = make_alpha(args.alpha).to_json()
-    if getattr(args, "map_spec", None):  # verify-space has no --map
+    if getattr(args, "map_spec", None) is not None:  # verify-space has no --map
         doc["map"] = _parse_json(args.map_spec, "map")
     space = space_from_json(doc)
     if "map" in doc:

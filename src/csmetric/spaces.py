@@ -245,10 +245,14 @@ def alpha_from_json(doc: dict) -> AlphaFunction:
     if alpha_id == "custom":
         if "expr" not in doc:
             raise ConfigurationError("custom alpha document must carry an 'expr' field")
-        return AlphaFunction(id="custom", expr=doc["expr"])
-    if isinstance(alpha_id, str) and (alpha_id == "linear" or alpha_id in BUILTIN_ALPHAS):
-        return make_alpha(alpha_id, doc.get("params", ()))
-    raise ConfigurationError(f"unknown alpha id {alpha_id!r}")
+        alpha = AlphaFunction(id="custom", expr=doc["expr"])
+    elif isinstance(alpha_id, str) and (alpha_id == "linear" or alpha_id in BUILTIN_ALPHAS):
+        alpha = make_alpha(alpha_id, doc.get("params", ()))
+    else:
+        raise ConfigurationError(f"unknown alpha id {alpha_id!r}")
+    if not doc.items() <= alpha.to_json().items():  # an expr or params its id disagrees with
+        raise ConfigurationError(f"alpha document {doc!r} disagrees with {alpha.to_json()!r}")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -533,6 +537,9 @@ def space_from_json(doc: dict) -> ComposedSpace:
         raise ConfigurationError("space document must be a JSON object")
     if "metric" not in doc:
         raise ConfigurationError("space document missing field 'metric'")
+    unknown = doc.keys() - {"metric", "params", "domain", "alpha", "symmetric", "map"}
+    if unknown:
+        raise ConfigurationError(f"unknown space field(s): {', '.join(sorted(map(repr, unknown)))}")
     name = doc["metric"]
     space = make_builtin_space(name, doc.get("params", []))
     if "domain" in doc:

@@ -3,7 +3,7 @@ from dataclasses import replace
 from functools import partial
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csmetric import (BUILTIN_SPACES, DEFAULT_K_SET, ComposedSpace, ConfigurationError,
@@ -17,8 +17,9 @@ from csmetric import (BUILTIN_SPACES, DEFAULT_K_SET, ComposedSpace, Configuratio
                       check_symmetry, estimate_contraction_factor, eval_alpha,
                       kannan_mf, make_alpha, make_builtin_space,
                       make_self_map, poly_map, sample_tuples, series_tail,
-                      slack_tolerance, verify_theorem_4_1)
+                      slack_tolerance, uniqueness_probe, verify_theorem_4_1)
 from csmetric import axiom_audit, cli, fixed_point
+from csmetric.poly_solver import SERIES_GAPS, SERIES_SCHEDULE, SERIES_TOL
 
 TWO_SQRT = make_alpha("two_sqrt")
 IDENTITY = make_alpha("identity")
@@ -778,3 +779,88 @@ def test_composed_triangle_alpha_error_is_raised():
     expected = _first_error([partial(check, space, cfg) for check in _SPACE_PUBLIC])
     assert expected[0] is NumericError and "composing function" in expected[1]
     assert _audit_error(space, cfg, _space_checks(space)) == expected
+
+
+# --- a failing shared run replays its checks one by one ---------------------
+
+def _pairs(space, F, r, cfg):
+    """(builder, public check) for each check of verify-space,
+    verify_theorem_4_1 and check-contraction, unsampled ones included."""
+    alpha, starts = space.alpha, (0.0, 0.5, 1.0)
+    series = (alpha, r, 2.0, SERIES_GAPS, SERIES_SCHEDULE, SERIES_TOL)
+    return [
+        (lambda: axiom_audit._identity(space), partial(check_identity_axiom, space, cfg)),
+        (lambda: axiom_audit._triangle(space, "composed_triangle", alpha),
+         partial(check_composed_triangle, space, cfg)),
+        (lambda: axiom_audit._triangle(space, "classic_triangle", None),
+         partial(check_classic_triangle, space, cfg)),
+        (lambda: axiom_audit._symmetry(space), partial(check_symmetry, space, cfg)),
+        (axiom_audit._unsampled(check_alpha_zero, alpha), partial(check_alpha_zero, alpha)),
+        (lambda: axiom_audit._subhomogeneity(alpha, DEFAULT_K_SET),
+         partial(check_alpha_subhomogeneity, alpha, cfg)),
+        (lambda: fixed_point._estimate(space, F, cfg),
+         partial(estimate_contraction_factor, space, F, cfg)),
+        (lambda: fixed_point._banach(space, F, r), partial(check_banach, space, F, r, cfg)),
+        (axiom_audit._unsampled(check_series_vanishing, *series),
+         partial(check_series_vanishing, *series)),
+        (axiom_audit._unsampled(uniqueness_probe, space, F, starts),
+         partial(uniqueness_probe, space, F, starts)),
+    ]
+
+
+def _outcome_of(run):
+    """run()'s results, or the type and message of what it raises."""
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_UNIT = PointDomain.real_interval(0.0, 1.0)
+_ESCAPING = make_self_map("scale", _UNIT, factor=2.0)
+
+
+def _faulty_space(fault, cfg):
+    """app_metric on [0, 1] whose metric returns fault at 3-tuple 1050 of
+    cfg's stream at 1100 tuples, past chunk 0; with fault None it is exact."""
+    bad = sample_tuples(_UNIT, 3, replace(cfg, count=1100))[1050]
+    metric = TripleMetric(id="faulty", fn=lambda q, h, w: (
+        fault if fault is not None and (q, h, w) == bad else abs(q - h) + abs(h - w)))
+    return ComposedSpace(_UNIT, metric, TWO_SQRT, symmetric_claim=True)
+
+
+# Each fault is drawn about one time in four, so that most lists meet none,
+# one or two of them.
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(picks=st.lists(st.integers(0, 9), min_size=2, max_size=5),
+       fault=st.sampled_from([None] * 4 + [-1, math.nan]),
+       escaping=st.sampled_from([False] * 3 + [True]),
+       r=st.sampled_from([1.0 / 81.0] * 3 + [1.5]), count=st.sampled_from([1100] * 3 + [0]),
+       seed=st.integers(0, 3))
+@example(picks=[7, 0], fault=math.nan, escaping=False, r=1.0 / 81.0, count=1100, seed=0)
+@example(picks=[0, 7, 9], fault=-1, escaping=True, r=1.0 / 81.0, count=1100, seed=1)
+@example(picks=[4, 8, 3], fault=None, escaping=False, r=1.5, count=1100, seed=2)
+def test_audit_equals_the_public_checks_run_one_after_another(picks, fault, escaping, r,
+                                                              count, seed):
+    cfg = SampleConfig(seed=seed, count=count, strategy="uniform_random")
+    space = _faulty_space(fault, cfg)
+    F = _ESCAPING if escaping else _POLY3.map
+    pairs = [_pairs(space, F, r, cfg)[i] for i in picks]
+    assert _outcome_of(lambda: axiom_audit._audit(space, cfg, [b for b, _ in pairs])) == \
+        _outcome_of(lambda: [check() for _, check in pairs])
+
+
+@pytest.mark.parametrize("fault, escaping, r, count", [
+    pytest.param(None, False, 1.5, 1100, id="build"),
+    pytest.param(-1, True, 0.5, 1100, id="kernel-past-chunk-0"),
+    pytest.param(math.nan, False, 0.5, 1100, id="nan-past-chunk-0"),
+    pytest.param(None, False, 0.5, 0, id="finish"),
+])
+def test_audit_error_is_not_chained(fault, escaping, r, count):
+    cfg = SampleConfig(seed=1, count=count, strategy="uniform_random")
+    space = _faulty_space(fault, cfg)
+    F = _ESCAPING if escaping else _POLY3.map
+    builders = [b for b, _ in _pairs(space, F, r, cfg)]
+    with pytest.raises(Exception) as info:
+        axiom_audit._audit(space, cfg, builders)
+    assert info.value.__context__ is None and info.value.__cause__ is None

@@ -138,12 +138,26 @@ class TestVerifySpace:
         pytest.param('{"metric":"squared_diff",'
                      '"domain":{"kind":"finite_real_set","elements":[0.5,2,3]}}',
                      b"squared_diff lives on [1, inf)", id="squared-diff-finite-set"),
+        pytest.param('{"metric":"abs_sum","parms":[1,2]}',
+                     b"unknown space field(s): 'parms'", id="unknown-field"),
+        pytest.param('{"metric":"app_metric","alpha":{"id":"exp","expr":"exp(3*t)"}}',
+                     b"disagrees with {'id': 'exp', 'expr': 'exp(t)'}", id="builtin-alpha-expr"),
+        pytest.param('{"metric":"app_metric","alpha":{"id":"linear","params":[2],"expr":"3*t"}}',
+                     b"disagrees with {'id': 'linear', 'expr': '2.0*t', 'params': [2.0]}",
+                     id="linear-alpha-expr"),
+        pytest.param('{"metric":"app_metric","alpha":{"id":"custom","expr":"t","params":[2]}}',
+                     b"disagrees with {'id': 'custom', 'expr': 't'}", id="custom-alpha-params"),
     ])
     def test_malformed_space_json(self, space, message):
         proc = run_cli("verify-space", "--space", space, "--samples", "10")
         assert proc.returncode == 2
         assert message in proc.stderr
         assert b"Traceback" not in proc.stderr
+
+    def test_empty_alpha_is_a_usage_error(self):
+        proc = run_cli("verify-space", "--builtin", "app_metric", "--alpha", "")
+        assert proc.returncode == 2
+        assert proc.stderr == b"csmetric: error: expression must be a non-empty string\n"
 
     def test_space_required(self):
         proc = run_cli("verify-space")
@@ -213,6 +227,11 @@ class TestCheckContraction:
     def test_map_is_required(self):
         proc = run_cli("check-contraction", "--builtin", "app_metric")
         assert proc.returncode == 2
+
+    def test_empty_map_is_a_usage_error(self):
+        proc = run_cli("check-contraction", "--builtin", "app_metric", "--map", "")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"csmetric: error: malformed map JSON")
 
     def test_image_outside_the_space_is_a_usage_error(self):
         # The poly map sends [0.5, 1] to about [0.0123, 0.0125], outside the space.
