@@ -1,8 +1,9 @@
 """Deterministic tuple sampling for the audit checks.
 
-A sample is the prefix of a fixed infinite (or exhaustively finite) stream
-determined by (domain, arity, seed, strategy, pinned).  Prefix stability
-gives two guarantees the auditors rely on:
+A sample is the first ``count`` tuples of one stream determined by
+(domain, arity, seed, strategy, pinned): the pinned tuples of that arity,
+then the strategy's tuples.  Prefix stability gives two guarantees the
+auditors rely on:
 
 * replay: identical configurations enumerate identical tuples, and
 * monotonicity: raising ``count`` only appends tuples, so a witness found
@@ -10,11 +11,10 @@ gives two guarantees the auditors rely on:
 
 Strategies:
 
-* ``uniform_random``: seeded independent draws, made in one batch for the
-  whole random part of a sample.
-* ``stratified_grid``: for discrete domains the full lexicographic product
-  (the stream is finite, which makes exhaustive checks possible); for real
-  intervals a dyadically refined lattice emitted level by level.
+* ``uniform_random``: seeded independent draws, drawn a batch at a time.
+* ``stratified_grid``: the full lexicographic product of a finite domain;
+  the stream is finite, which makes exhaustive checks possible.  A real
+  interval has no such product and is a configuration error.
 * ``grid_plus_random``: a bounded coarse lattice that always contains the
   domain corners, followed by the uniform random stream.
 """
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -35,6 +36,8 @@ STRATEGIES = ("uniform_random", "stratified_grid", "grid_plus_random")
 
 # The coarse block of grid_plus_random is capped so that high arities stay cheap.
 _GRID_BLOCK_CAP = 4096
+# Random tuples are drawn this many at a time; the rest of the last batch is dropped.
+_DRAW_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -50,8 +53,9 @@ class SampleConfig:
     def __post_init__(self):
         if not (0 <= self.seed < 2 ** 64):
             raise ConfigurationError("seed must be an unsigned 64-bit integer")
-        if self.count < 0:
-            raise ConfigurationError("count must be nonnegative")
+        if type(self.count) is not int or not 0 <= self.count <= sys.maxsize:
+            raise ConfigurationError(
+                f"sample count must be an integer in [0, {sys.maxsize}], got {self.count!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigurationError(
                 f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
@@ -63,21 +67,21 @@ def _rng_for(seed: int, arity: int) -> random.Random:
     return random.Random((seed * 1000003 + arity) % 2 ** 64)
 
 
-def _random_tuples(domain: PointDomain, arity: int, seed: int, n: int) -> Iterator[tuple]:
+def _random_batches(domain: PointDomain, arity: int, seed: int) -> Iterator[Iterator[tuple]]:
     # lo + (hi - lo) * random() is what uniform(lo, hi) computes, and
     # randrange(max + 1) takes the path of randint(0, max): same stream.
-    rng = _rng_for(seed, arity)
-    size = n * arity
-    if domain.kind == "real_interval":
-        lo, width, rand = domain.lo, domain.hi - domain.lo, rng.random
-        draws = [lo + width * rand() for _ in range(size)]
-    elif domain.kind == "naturals_up_to":
-        stop, randrange = domain.max_value + 1, rng.randrange
-        draws = [randrange(stop) for _ in range(size)]
-    else:
-        elements, randrange = domain.elements, rng.randrange
-        draws = [elements[randrange(len(elements))] for _ in range(size)]
-    return zip(*[iter(draws)] * arity)
+    rng, span = _rng_for(seed, arity), range(_DRAW_BATCH * arity)
+    while True:
+        if domain.kind == "real_interval":
+            lo, width, rand = domain.lo, domain.hi - domain.lo, rng.random
+            draws = [lo + width * rand() for _ in span]
+        elif domain.kind == "naturals_up_to":
+            stop, randrange = domain.max_value + 1, rng.randrange
+            draws = [randrange(stop) for _ in span]
+        else:
+            elements, randrange = domain.elements, rng.randrange
+            draws = [elements[randrange(len(elements))] for _ in span]
+        yield zip(*[iter(draws)] * arity)
 
 
 def _axis_points(domain: PointDomain, per_axis: int) -> list:
@@ -100,26 +104,6 @@ def _grid_block(domain: PointDomain, arity: int) -> Iterator[tuple]:
     return itertools.product(axis, repeat=arity)
 
 
-def _dyadic_stream(domain: PointDomain, arity: int, count: int) -> Iterator[tuple]:
-    if domain.is_discrete:
-        # Exhaustive and finite.  A tuple of lexicographic rank below count
-        # uses only the first count members, hence the cut.
-        yield from itertools.product(domain.members()[:count], repeat=arity)
-        return
-    lo, hi = domain.lo, domain.hi
-    known: set[float] = set()
-    for level in itertools.count(1):
-        n = 2 ** level
-        axis = [lo + (hi - lo) * i / n for i in range(n + 1)]
-        if any(x not in known for x in axis):
-            # Emit only tuples that use at least one fresh coordinate, in
-            # lexicographic order over the refined axis.
-            for tup in itertools.product(axis, repeat=arity):
-                if any(x not in known for x in tup):
-                    yield tup
-            known = set(axis)
-
-
 def sample_tuples(domain: PointDomain, arity: int, cfg: SampleConfig) -> list[tuple]:
     """Materialize the first ``cfg.count`` tuples of the configured stream.
 
@@ -136,10 +120,10 @@ def sample_tuples(domain: PointDomain, arity: int, cfg: SampleConfig) -> list[tu
             if not domain.contains(x):
                 raise DomainError(f"pinned tuple {tup!r} leaves the domain")
     if cfg.strategy == "stratified_grid":
-        stream = itertools.chain(pinned, _dyadic_stream(domain, arity, cfg.count))
-        return list(itertools.islice(stream, cfg.count))
-    head = list(pinned[:cfg.count])
-    if cfg.strategy == "grid_plus_random":
-        head.extend(itertools.islice(_grid_block(domain, arity), cfg.count - len(head)))
-    head.extend(_random_tuples(domain, arity, cfg.seed, cfg.count - len(head)))
-    return head
+        # members() rejects a real interval.  A tuple of lexicographic rank
+        # below count uses only the first count members, hence the cut.
+        parts = (pinned, itertools.product(domain.members()[:cfg.count], repeat=arity))
+    else:
+        grid = _grid_block(domain, arity) if cfg.strategy == "grid_plus_random" else ()
+        parts = itertools.chain((pinned, grid), _random_batches(domain, arity, cfg.seed))
+    return list(itertools.islice(itertools.chain.from_iterable(parts), cfg.count))

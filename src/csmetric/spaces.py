@@ -495,12 +495,23 @@ def make_builtin_space(name: str, params: Sequence[float] = ()) -> ComposedSpace
 
 # --- built-in self-maps -----------------------------------------------------
 
+# The fields each map kind takes.
+_MAP_FIELDS = {"identity": set(), "const": {"value"}, "scale": {"factor"}, "poly": {"m"}}
+
+
 def make_self_map(kind: str, domain: PointDomain, **kwargs) -> SelfMap:
     """Build a named self-map on the given domain.
 
     Kinds: ``identity``; ``const`` (value=...); ``scale`` (factor=...);
     ``poly`` (m=..., an integer >= 3; the polynomial fixed-point map on [0, 1]).
+    Any other field is a configuration error.
     """
+    if not isinstance(kind, str) or kind not in _MAP_FIELDS:
+        raise ConfigurationError(f"unknown map kind {kind!r}")
+    unknown = kwargs.keys() - _MAP_FIELDS[kind]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown field(s) for map kind {kind!r}: {', '.join(sorted(map(repr, unknown)))}")
     if kind == "identity":
         return SelfMap(id="identity", fn=lambda x: x, domain=domain)
     if kind == "const":
@@ -517,7 +528,6 @@ def make_self_map(kind: str, domain: PointDomain, **kwargs) -> SelfMap:
         (m,) = _check_reals([kwargs.get("m")], "poly map degree m")
         from .poly_solver import poly_map  # local import to avoid a cycle
         return poly_map(int(m) if m == int(m) else m).map
-    raise ConfigurationError(f"unknown map kind {kind!r}")
 
 
 # --- JSON (de)serialization -------------------------------------------------

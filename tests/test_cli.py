@@ -147,11 +147,25 @@ class TestVerifySpace:
                      id="linear-alpha-expr"),
         pytest.param('{"metric":"app_metric","alpha":{"id":"custom","expr":"t","params":[2]}}',
                      b"disagrees with {'id': 'custom', 'expr': 't'}", id="custom-alpha-params"),
+        pytest.param('{"metric":"app_metric","map":{"kind":"identity","factor":0.5}}',
+                     b"unknown field(s) for map kind 'identity': 'factor'", id="identity-map-field"),
+        pytest.param('{"metric":"app_metric","map":{"kind":"const","value":1,"extra":3}}',
+                     b"unknown field(s) for map kind 'const': 'extra'", id="const-map-field"),
+        pytest.param('{"metric":"app_metric","map":{"kind":"poly","m":3,"factor":2}}',
+                     b"unknown field(s) for map kind 'poly': 'factor'", id="poly-map-field"),
+        pytest.param('{"metric":"app_metric","map":{"kind":"scale","factor":0.5,"m":3}}',
+                     b"unknown field(s) for map kind 'scale': 'm'", id="scale-map-field"),
     ])
     def test_malformed_space_json(self, space, message):
         proc = run_cli("verify-space", "--space", space, "--samples", "10")
         assert proc.returncode == 2
         assert message in proc.stderr
+        assert b"Traceback" not in proc.stderr
+
+    def test_sample_count_above_maxsize_is_a_usage_error(self):
+        proc = run_cli("verify-space", "--builtin", "app_metric", "--samples", str(2 ** 63))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(b"csmetric: error: sample count must be an integer in [0, ")
         assert b"Traceback" not in proc.stderr
 
     def test_empty_alpha_is_a_usage_error(self):

@@ -1,5 +1,5 @@
 import itertools
-import time
+import sys
 
 import pytest
 
@@ -9,21 +9,28 @@ from csmetric import (ConfigurationError, DomainError, PointDomain,
 INTERVAL = PointDomain.real_interval(0.0, 1.0)
 NATS = PointDomain.naturals_up_to(4)
 FINITE = PointDomain.finite_real_set([0.5, 1.5, 2.5])
+# stratified_grid needs a finite domain; this one's product is cut by the
+# counts below (41 ** 2 pairs, 41 ** 3 triples).
+WIDE_NATS = PointDomain.naturals_up_to(40)
 
 
 @pytest.mark.parametrize("strategy", ["uniform_random", "stratified_grid", "grid_plus_random"])
 @pytest.mark.parametrize("domain", [INTERVAL, NATS, FINITE])
 def test_replay_is_exact(strategy, domain):
+    if strategy == "stratified_grid" and domain is INTERVAL:
+        domain = WIDE_NATS
     cfg = SampleConfig(seed=7, count=500, strategy=strategy)
     assert sample_tuples(domain, 3, cfg) == sample_tuples(domain, 3, cfg)
 
 
 @pytest.mark.parametrize("strategy", ["uniform_random", "stratified_grid", "grid_plus_random"])
 def test_count_growth_only_appends(strategy):
+    domain = WIDE_NATS if strategy == "stratified_grid" else INTERVAL
     small = SampleConfig(seed=3, count=400, strategy=strategy)
     large = SampleConfig(seed=3, count=800, strategy=strategy)
-    a = sample_tuples(INTERVAL, 2, small)
-    b = sample_tuples(INTERVAL, 2, large)
+    a = sample_tuples(domain, 2, small)
+    b = sample_tuples(domain, 2, large)
+    assert len(a) == 400
     assert b[:len(a)] == a
 
 
@@ -54,10 +61,10 @@ def test_discrete_grid_exhausts_quadruples():
     assert len(set(tuples)) == 5 ** 4
 
 
-def test_dyadic_refinement_never_repeats():
-    cfg = SampleConfig(seed=0, count=2000, strategy="stratified_grid")
-    tuples = sample_tuples(INTERVAL, 2, cfg)
-    assert len(set(tuples)) == len(tuples)
+def test_stratified_grid_rejects_a_real_interval():
+    cfg = SampleConfig(count=10, strategy="stratified_grid")
+    with pytest.raises(ConfigurationError, match="no finite member list"):
+        sample_tuples(INTERVAL, 2, cfg)
 
 
 def test_grid_block_contains_corners():
@@ -93,6 +100,10 @@ def test_config_validation():
         SampleConfig(seed=-1)
     with pytest.raises(ConfigurationError):
         SampleConfig(count=-5)
+    for count in (2 ** 63, 2.5, 3.0, True, "10"):
+        with pytest.raises(ConfigurationError, match="sample count"):
+            SampleConfig(count=count)
+    assert SampleConfig(count=sys.maxsize).count == sys.maxsize
     with pytest.raises(ConfigurationError):
         SampleConfig(strategy="lattice")
     with pytest.raises(ConfigurationError):
@@ -130,10 +141,15 @@ def _reference_sample(domain, arity, cfg):
 def test_batch_draw_matches_draw_by_draw_reference(domain, arity, strategy):
     corner = tuple(domain.members()[-1] if domain.is_discrete else domain.hi
                    for _ in range(arity))
-    # Counts 0 and 1, and one above every grid block (at most 4096 tuples);
+    # Counts 0 and 1, one above every grid block (at most 4096 tuples), and
+    # both sides of one and two draw batches after the pins and grid block;
     # the last pinned pool is longer than the smallest counts.
-    for count in (0, 1, 4100):
-        for pinned in ((), (corner,), (corner,) * 3):
+    grid = len(list(sampling._grid_block(domain, arity))) if strategy == "grid_plus_random" else 0
+    batch = sampling._DRAW_BATCH
+    for pinned in ((), (corner,), (corner,) * 3):
+        head = grid + len(pinned)
+        for count in (0, 1, 4100, head + batch - 1, head + batch, head + batch + 1,
+                      head + 2 * batch - 1, head + 2 * batch, head + 2 * batch + 1):
             cfg = SampleConfig(seed=count + len(pinned), count=count,
                                strategy=strategy, pinned=pinned)
             got = sample_tuples(domain, arity, cfg)
@@ -141,17 +157,6 @@ def test_batch_draw_matches_draw_by_draw_reference(domain, arity, strategy):
             assert got == want
             assert [tuple(map(type, t)) for t in got] == \
                 [tuple(map(type, t)) for t in want]
-
-
-def test_dyadic_grid_stays_fast_on_long_real_samples():
-    # The fresh-point test once scanned a list per point: 32,000 points
-    # took about 9 s; a set makes it linear.
-    start = time.perf_counter()
-    cfg = SampleConfig(count=32000, strategy="stratified_grid")
-    tuples = sample_tuples(INTERVAL, 1, cfg)
-    assert time.perf_counter() - start < 3.0
-    assert len(set(tuples)) == 32000
-    assert tuples[:5] == [(0.0,), (0.5,), (1.0,), (0.25,), (0.75,)]
 
 
 @pytest.mark.parametrize("arity", [1, 2, 3])
