@@ -6,53 +6,35 @@ Grammar (whitespace ignored)::
     term   := factor ('*' factor)*
     factor := atom ('^' number)?
     atom   := number | 't' | 'sqrt' '(' expr ')' | 'exp' '(' expr ')' | '(' expr ')'
+    number := decimal literal with an optional exponent, such as 2, .5, 3. or 1e-3
 
 Only nonnegative numeric literals are allowed, so every expression maps
-[0, inf) into [0, inf) by construction.  An expression compiles to one
-Python function whose source is generated by the parser and which can
-reach no name but ``sqrt``, ``exp`` and ``pow``.  ``exp`` and ``^``
-saturate to ``math.inf`` instead of overflowing so that inequality checks
-involving huge right-hand sides stay well defined.
+[0, inf) into [0, inf) by construction.  A token scan rejects every
+character and literal form outside the grammar, Python's own parser reads
+the tokens with '^' as '**', and a transformer keeps only the grammar's
+nodes.  The tree is unparsed into one Python function that can reach no
+name but ``sqrt``, ``exp`` and ``pow``.  ``exp`` and ``^`` saturate to
+``math.inf`` instead of overflowing so that inequality checks involving
+huge right-hand sides stay well defined.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import re
 from typing import Callable
 
 from .errors import ConfigurationError
 
 __all__ = ["compile_expression"]
 
-_TOKEN_CHARS = set("+*^()")
-
-
-def _tokenize(src: str) -> list[str]:
-    tokens: list[str] = []
-    i, n = 0, len(src)
-    while i < n:
-        c = src[i]
-        if c.isspace():
-            i += 1
-        elif c in _TOKEN_CHARS:
-            tokens.append(c)
-            i += 1
-        elif c.isdigit() or c == ".":
-            j = i
-            while j < n and (src[j].isdigit() or src[j] in ".eE" or
-                             (src[j] in "+-" and src[j - 1] in "eE")):
-                j += 1
-            tokens.append(src[i:j])
-            i = j
-        elif c.isalpha():
-            j = i
-            while j < n and src[j].isalpha():
-                j += 1
-            tokens.append(src[i:j])
-            i = j
-        else:
-            raise ConfigurationError(f"unexpected character {c!r} in expression {src!r}")
-    return tokens
+_NUMBER = r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# A token and the whitespace after it.  A literal loses the leading zeros
+# Python rejects in "01"; '^' must precede a literal and 'sqrt'/'exp' a '(',
+# since Python's parser drops the parentheses of "t^(2)" and "(sqrt)(t)".
+_TOKEN = re.compile(
+    rf"(?:0(?=[0-9]))*([+*()t]|(?:sqrt|exp)(?=\s*\()|\^(?=\s*{_NUMBER})|{_NUMBER})\s*")
 
 
 def _safe_exp(x: float) -> float:
@@ -74,85 +56,55 @@ _NAMESPACE = {"sqrt": math.sqrt, "exp": _safe_exp, "pow": _safe_pow,
               "__builtins__": {}}
 
 
-class _Parser:
-    """Recursive-descent parser that emits Python source.  Sums and products
-    are emitted flat (Python evaluates them left to right) and literals as
-    the ``repr`` of their float value, so no operation is added or reordered."""
+class _Grammar(ast.NodeTransformer):
+    """Rejects every node outside the grammar and turns each literal into a
+    float and each '^' into a call of ``pow``, adding or reordering nothing."""
 
     def __init__(self, src: str):
         self.src = src
-        self.tokens = _tokenize(src)
-        self.pos = 0
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def generic_visit(self, node: ast.AST) -> ast.AST:
+        raise ConfigurationError(
+            f"{ast.unparse(node)!r} is outside the grammar in expression {self.src!r}")
 
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ConfigurationError(f"unexpected end of expression {self.src!r}")
-        if expected is not None and tok != expected:
-            raise ConfigurationError(
-                f"expected {expected!r} but found {tok!r} in expression {self.src!r}")
-        self.pos += 1
-        return tok
+    def visit_Name(self, node: ast.Name) -> ast.AST:
+        return node if node.id == "t" else self.generic_visit(node)
 
-    def parse(self) -> str:
-        code = self.expr()
-        if self.peek() is not None:
-            raise ConfigurationError(
-                f"trailing input {self.peek()!r} in expression {self.src!r}")
-        return code
-
-    def expr(self) -> str:
-        code = self.term()
-        while self.peek() == "+":
-            self.take("+")
-            code += " + " + self.term()
-        return code
-
-    def term(self) -> str:
-        code = self.factor()
-        while self.peek() == "*":
-            self.take("*")
-            code += " * " + self.factor()
-        return code
-
-    def factor(self) -> str:
-        code = self.atom()
-        if self.peek() == "^":
-            self.take("^")
-            code = f"pow({code}, {self.number(self.take())!r})"
-        return code
-
-    def number(self, tok: str) -> float:
+    def visit_Constant(self, node: ast.Constant) -> ast.AST:
         try:
-            value = float(tok)
-        except ValueError:
-            raise ConfigurationError(
-                f"expected a number but found {tok!r} in expression {self.src!r}") from None
-        if value < 0 or not math.isfinite(value):
-            raise ConfigurationError(f"numeric literals must be finite and nonnegative: {tok!r}")
-        return value
+            value = float(node.value)
+        except OverflowError:  # an integer literal beyond the floats
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigurationError(f"numeric literal out of range in expression {self.src!r}")
+        return ast.Constant(value)
 
-    def atom(self) -> str:
-        tok = self.take()
-        if tok == "t":
-            return "t"
-        if tok in ("sqrt", "exp"):
-            tok += self.take("(")
-        if tok.endswith("("):
-            code = tok + self.expr() + ")"
-            self.take(")")
-            return code
-        return repr(self.number(tok))
+    def visit_BinOp(self, node: ast.BinOp) -> ast.AST:
+        args = [self.visit(node.left), self.visit(node.right)]
+        if isinstance(node.op, (ast.Add, ast.Mult)):
+            return ast.BinOp(args[0], node.op, args[1])
+        if isinstance(node.op, ast.Pow) and isinstance(node.right, ast.Constant):
+            return ast.Call(ast.Name("pow"), args, [])
+        return self.generic_visit(node)
+
+    def visit_Call(self, node: ast.Call) -> ast.AST:
+        if (isinstance(node.func, ast.Name) and node.func.id in ("sqrt", "exp")
+                and len(node.args) == 1 and not node.keywords):
+            return ast.Call(node.func, [self.visit(node.args[0])], [])
+        return self.generic_visit(node)
 
 
 def compile_expression(src: str) -> Callable[[float], float]:
     """Compile an expression in the variable ``t`` into a float -> float function."""
     if not isinstance(src, str) or not src.strip():
         raise ConfigurationError("expression must be a non-empty string")
+    rest = _TOKEN.sub("", src.lstrip())
+    if rest:
+        raise ConfigurationError(f"unexpected character {rest[0]!r} in expression {src!r}")
     try:
-        return eval(f"lambda t: {_Parser(src).parse()}", _NAMESPACE)
-    except (SyntaxError, RecursionError):  # Python caps nesting at 200 levels
+        tree = ast.parse(" ".join(_TOKEN.findall(src)).replace("^", "**"), mode="eval")
+        return eval(f"lambda t: {ast.unparse(_Grammar(src).visit(tree.body))}", _NAMESPACE)
+    except SyntaxError as exc:  # Python also caps nesting at 200 parentheses
+        raise ConfigurationError(f"malformed expression {src!r}: {exc.msg}") from None
+    except RecursionError:
         raise ConfigurationError(f"expression {src[:40]!r}... nests too deeply") from None

@@ -36,7 +36,7 @@ STRATEGIES = ("uniform_random", "stratified_grid", "grid_plus_random")
 
 # The coarse block of grid_plus_random is capped so that high arities stay cheap.
 _GRID_BLOCK_CAP = 4096
-# Random tuples are drawn this many at a time; the rest of the last batch is dropped.
+# Random batches double from one tuple up to this size; the rest of the last is dropped.
 _DRAW_BATCH = 256
 
 
@@ -51,8 +51,8 @@ class SampleConfig:
     pinned: tuple = ()
 
     def __post_init__(self):
-        if not (0 <= self.seed < 2 ** 64):
-            raise ConfigurationError("seed must be an unsigned 64-bit integer")
+        if type(self.seed) is not int or not 0 <= self.seed < 2 ** 64:
+            raise ConfigurationError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if type(self.count) is not int or not 0 <= self.count <= sys.maxsize:
             raise ConfigurationError(
                 f"sample count must be an integer in [0, {sys.maxsize}], got {self.count!r}")
@@ -70,8 +70,9 @@ def _rng_for(seed: int, arity: int) -> random.Random:
 def _random_batches(domain: PointDomain, arity: int, seed: int) -> Iterator[Iterator[tuple]]:
     # lo + (hi - lo) * random() is what uniform(lo, hi) computes, and
     # randrange(max + 1) takes the path of randint(0, max): same stream.
-    rng, span = _rng_for(seed, arity), range(_DRAW_BATCH * arity)
+    rng, size = _rng_for(seed, arity), 1
     while True:
+        span, size = range(size * arity), min(2 * size, _DRAW_BATCH)
         if domain.kind == "real_interval":
             lo, width, rand = domain.lo, domain.hi - domain.lo, rng.random
             draws = [lo + width * rand() for _ in span]

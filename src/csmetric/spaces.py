@@ -95,6 +95,10 @@ class PointDomain:
             if self.max_value < 4:
                 raise ConfigurationError(
                     "naturals domain needs max >= 4 to hold a distinct triple plus one more point")
+            if self.max_value > 2 ** 53:
+                raise ConfigurationError(
+                    f"naturals max {self.max_value} exceeds 2**53, above which "
+                    "floats no longer hold every integer")
         elif self.kind == "finite_real_set":
             if not self.elements:
                 raise ConfigurationError("finite set domain must be non-empty")
@@ -132,10 +136,6 @@ class PointDomain:
     def members(self) -> Sequence[float]:
         """The full element list of a discrete domain; a range for naturals."""
         if self.kind == "naturals_up_to":
-            if self.max_value > 2 ** 53:
-                raise ConfigurationError(
-                    f"naturals max {self.max_value} exceeds 2**53, above which "
-                    "floats no longer hold every integer")
             return range(self.max_value + 1)
         if self.kind == "finite_real_set":
             return self.elements

@@ -223,6 +223,15 @@ def test_naturals_max_must_be_integral(params, code):
     assert b"Traceback" not in proc.stderr
 
 
+def test_naturals_max_above_2_53_is_a_usage_error():
+    # The domain is rejected when it is built, not only when it is enumerated.
+    proc = run_cli("iterate", "--builtin", "discrete_nat", "--params", "1e17",
+                   "--map", '{"kind":"const","value":7}', "--x0", "3")
+    assert proc.returncode == 2
+    assert b"exceeds 2**53" in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 class TestCheckContraction:
     def test_polynomial_map_under_quoted_factor(self):
         space = json.dumps({"metric": "app_metric", "map": {"kind": "poly", "m": 3}})

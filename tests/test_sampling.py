@@ -96,8 +96,10 @@ def test_pinned_must_live_in_domain():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        SampleConfig(seed=-1)
+    for seed in (-1, 2 ** 64, 2.5, True, "a"):
+        with pytest.raises(ConfigurationError, match="seed"):
+            SampleConfig(seed=seed)
+    assert SampleConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
     with pytest.raises(ConfigurationError):
         SampleConfig(count=-5)
     for count in (2 ** 63, 2.5, 3.0, True, "10"):
@@ -173,3 +175,12 @@ def test_discrete_grid_on_a_huge_naturals_domain():
     domain = PointDomain.naturals_up_to(2 ** 40)
     cfg = SampleConfig(count=5, strategy="stratified_grid")
     assert sample_tuples(domain, 2, cfg) == [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)]
+
+
+@pytest.mark.parametrize("domain", [INTERVAL, NATS, FINITE], ids=["interval", "naturals", "finite"])
+def test_random_batches_double_from_one_tuple(domain):
+    # A one-tuple sample draws one tuple, not a whole batch.
+    batches = sampling._random_batches(domain, 3, 11)
+    sizes = [len(list(next(batches))) for _ in range(11)]
+    assert sizes == [1, 2, 4, 8, 16, 32, 64, 128, 256, 256, 256]
+    assert sampling._DRAW_BATCH == 256
