@@ -186,11 +186,6 @@ def _audit(space: ComposedSpace | None, cfg: SampleConfig,
     return [_audit(space, cfg, [check])[0] for check in checks]
 
 
-def _unsampled(fn: Callable, *args) -> Callable[[], tuple]:
-    """fn(*args) as an _audit check with no parts, called in its turn."""
-    return lambda: ((), lambda col: fn(*args))
-
-
 def _identity(space: ComposedSpace) -> tuple:
     def self_distances(chunk, cols, d):
         dist = d(0, 0, 0)

@@ -30,7 +30,7 @@ import sys
 
 from .axiom_audit import _audit, _identity, _symmetry, _triangle
 from .errors import ConfigurationError, CsmetricError, DomainError
-from .fixed_point import _banach, _estimate, picard
+from .fixed_point import DEFAULT_MAX_ITER, DEFAULT_TOL, _banach, _estimate, picard
 from .poly_solver import oracle_agreement, solve_poly, verify_theorem_4_1
 from .sampling import SampleConfig
 from .spaces import (BUILTIN_SPACES, ComposedSpace, SelfMap, make_alpha,
@@ -233,14 +233,14 @@ def _build_parser() -> argparse.ArgumentParser:
         if with_map:
             p.add_argument("--map", dest="map_spec",
                            help="map JSON, e.g. '{\"kind\": \"scale\", \"factor\": 0.5}'")
-        p.add_argument("--seed", type=int, default=42,
-                       help="sampling seed (default 42; CSMETRIC_SEED overrides)")
+        p.add_argument("--seed", type=int, default=SampleConfig.seed,
+                       help="sampling seed (default %(default)s; CSMETRIC_SEED overrides)")
         if samples:
-            p.add_argument("--samples", type=int, default=10000,
-                           help="sample count for audits (default 10000)")
+            p.add_argument("--samples", type=int, default=SampleConfig.count,
+                           help="sample count for audits (default %(default)s)")
         if tol:
-            p.add_argument("--tol", type=_finite_float, default=1e-12,
-                           help="solver tolerance (default 1e-12)")
+            p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL,
+                           help="solver tolerance (default %(default)s)")
         p.add_argument("--output", choices=("text", "json"), default="text",
                        help="report format (default text)")
         p.add_argument("--out", dest="out_path", default=None,
@@ -264,7 +264,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("iterate", _cmd_iterate, "run Picard iteration on a space and map",
                 space=True, with_map=True, tol=True)
     p.add_argument("--x0", type=_finite_float, required=True, help="start point")
-    p.add_argument("--max-iter", type=int, default=10000, dest="max_iter")
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, dest="max_iter")
 
     p = command("verify-thm41", _cmd_verify_thm41,
                 "run the full polynomial verification pipeline", samples=True, tol=True)

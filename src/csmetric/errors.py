@@ -4,6 +4,9 @@ The CLI maps ConfigurationError and DomainError to exit code 2 (usage),
 everything else to a nonzero failure exit.
 """
 
+__all__ = ["CsmetricError", "DomainError", "ConfigurationError", "NumericError",
+           "PreconditionError", "InternalError"]
+
 
 class CsmetricError(Exception):
     """Base class for all errors raised by this package."""

@@ -12,10 +12,10 @@ Only nonnegative numeric literals are allowed, so every expression maps
 [0, inf) into [0, inf) by construction.  A token scan rejects every
 character and literal form outside the grammar, Python's own parser reads
 the tokens with '^' as '**', and a transformer keeps only the grammar's
-nodes.  The tree is unparsed into one Python function that can reach no
-name but ``sqrt``, ``exp`` and ``pow``.  ``exp`` and ``^`` saturate to
-``math.inf`` instead of overflowing so that inequality checks involving
-huge right-hand sides stay well defined.
+nodes.  The checked tree is compiled as the body of one Python function
+that can reach no name but ``sqrt``, ``exp`` and ``pow``.  ``exp`` and
+``^`` saturate to ``math.inf`` instead of overflowing so that inequality
+checks involving huge right-hand sides stay well defined.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class _Grammar(ast.NodeTransformer):
         if isinstance(node.op, (ast.Add, ast.Mult)):
             return ast.BinOp(args[0], node.op, args[1])
         if isinstance(node.op, ast.Pow) and isinstance(node.right, ast.Constant):
-            return ast.Call(ast.Name("pow"), args, [])
+            return ast.Call(ast.Name("pow", ast.Load()), args, [])
         return self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> ast.AST:
@@ -103,7 +103,9 @@ def compile_expression(src: str) -> Callable[[float], float]:
         raise ConfigurationError(f"unexpected character {rest[0]!r} in expression {src!r}")
     try:
         tree = ast.parse(" ".join(_TOKEN.findall(src)).replace("^", "**"), mode="eval")
-        return eval(f"lambda t: {ast.unparse(_Grammar(src).visit(tree.body))}", _NAMESPACE)
+        function = ast.parse("lambda t: t", mode="eval")
+        function.body.body = _Grammar(src).visit(tree.body)
+        return eval(compile(ast.fix_missing_locations(function), "<string>", "eval"), _NAMESPACE)
     except SyntaxError as exc:  # Python also caps nesting at 200 parentheses
         raise ConfigurationError(f"malformed expression {src!r}: {exc.msg}") from None
     except RecursionError:

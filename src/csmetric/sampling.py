@@ -68,28 +68,23 @@ def _rng_for(seed: int, arity: int) -> random.Random:
 
 
 def _random_batches(domain: PointDomain, arity: int, seed: int) -> Iterator[Iterator[tuple]]:
-    # lo + (hi - lo) * random() is what uniform(lo, hi) computes, and
-    # randrange(max + 1) takes the path of randint(0, max): same stream.
+    # lo + (hi - lo) * random() is what uniform(lo, hi) computes, and on
+    # range(max + 1) members[randrange(max + 1)] is what randint(0, max) draws.
     rng, size = _rng_for(seed, arity), 1
     while True:
         span, size = range(size * arity), min(2 * size, _DRAW_BATCH)
-        if domain.kind == "real_interval":
+        if domain.is_discrete:
+            members, randrange = domain.members(), rng.randrange
+            draws = [members[randrange(len(members))] for _ in span]
+        else:
             lo, width, rand = domain.lo, domain.hi - domain.lo, rng.random
             draws = [lo + width * rand() for _ in span]
-        elif domain.kind == "naturals_up_to":
-            stop, randrange = domain.max_value + 1, rng.randrange
-            draws = [randrange(stop) for _ in span]
-        else:
-            elements, randrange = domain.elements, rng.randrange
-            draws = [elements[randrange(len(elements))] for _ in span]
         yield zip(*[iter(draws)] * arity)
 
 
 def _axis_points(domain: PointDomain, per_axis: int) -> list:
     if domain.is_discrete:
         members = domain.members()
-        if len(members) <= per_axis:
-            return list(members)
         step = (len(members) - 1) / (per_axis - 1)
         return [members[round(i * step)] for i in range(per_axis)]
     lo, hi = domain.lo, domain.hi

@@ -29,8 +29,6 @@ __all__ = [
     "ComposedSpace",
     "SelfMap",
     "eval_metric",
-    "metric_value",
-    "require_in_space",
     "eval_alpha",
     "iterate_alpha",
     "make_builtin_space",

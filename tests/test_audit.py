@@ -17,9 +17,8 @@ from csmetric import (BUILTIN_SPACES, DEFAULT_K_SET, ComposedSpace, Configuratio
                       check_symmetry, estimate_contraction_factor, eval_alpha,
                       kannan_mf, make_alpha, make_builtin_space,
                       make_self_map, poly_map, sample_tuples, series_tail,
-                      slack_tolerance, uniqueness_probe, verify_theorem_4_1)
+                      slack_tolerance, verify_theorem_4_1)
 from csmetric import axiom_audit, cli, fixed_point
-from csmetric.poly_solver import SERIES_GAPS, SERIES_SCHEDULE, SERIES_TOL
 
 TWO_SQRT = make_alpha("two_sqrt")
 IDENTITY = make_alpha("identity")
@@ -753,6 +752,18 @@ def test_empty_sample_is_the_identity_error():
     assert _audit_error(_APP, cfg, _space_checks(_APP)) == expected
 
 
+@pytest.mark.parametrize("samples, message", [
+    (0, "check 'identity_axiom' evaluated an empty sample"),
+    (50, "tolerance must be positive"),
+])
+def test_verify_theorem_raises_its_first_check_error(samples, message):
+    # The sampled checks run first, so an empty sample is identity's error;
+    # of the rest, the uniqueness probe is the first to read tol.
+    with pytest.raises(ConfigurationError) as info:
+        verify_theorem_4_1(3, samples=samples, tol=-1.0)
+    assert str(info.value) == message
+
+
 def test_earliest_check_error_wins_over_an_earlier_chunk_error():
     # Banach's map escapes in chunk 0 of the shared 3-tuple stream; identity
     # meets a metric value of -1 only in a later chunk, and is the first check.
@@ -784,10 +795,9 @@ def test_composed_triangle_alpha_error_is_raised():
 # --- a failing shared run replays its checks one by one ---------------------
 
 def _pairs(space, F, r, cfg):
-    """(builder, public check) for each check of verify-space,
-    verify_theorem_4_1 and check-contraction, unsampled ones included."""
-    alpha, starts = space.alpha, (0.0, 0.5, 1.0)
-    series = (alpha, r, 2.0, SERIES_GAPS, SERIES_SCHEDULE, SERIES_TOL)
+    """(builder, public check) for each sampled check of verify-space,
+    verify_theorem_4_1 and check-contraction."""
+    alpha = space.alpha
     return [
         (lambda: axiom_audit._identity(space), partial(check_identity_axiom, space, cfg)),
         (lambda: axiom_audit._triangle(space, "composed_triangle", alpha),
@@ -795,16 +805,11 @@ def _pairs(space, F, r, cfg):
         (lambda: axiom_audit._triangle(space, "classic_triangle", None),
          partial(check_classic_triangle, space, cfg)),
         (lambda: axiom_audit._symmetry(space), partial(check_symmetry, space, cfg)),
-        (axiom_audit._unsampled(check_alpha_zero, alpha), partial(check_alpha_zero, alpha)),
         (lambda: axiom_audit._subhomogeneity(alpha, DEFAULT_K_SET),
          partial(check_alpha_subhomogeneity, alpha, cfg)),
         (lambda: fixed_point._estimate(space, F, cfg),
          partial(estimate_contraction_factor, space, F, cfg)),
         (lambda: fixed_point._banach(space, F, r), partial(check_banach, space, F, r, cfg)),
-        (axiom_audit._unsampled(check_series_vanishing, *series),
-         partial(check_series_vanishing, *series)),
-        (axiom_audit._unsampled(uniqueness_probe, space, F, starts),
-         partial(uniqueness_probe, space, F, starts)),
     ]
 
 
@@ -832,14 +837,14 @@ def _faulty_space(fault, cfg):
 # Each fault is drawn about one time in four, so that most lists meet none,
 # one or two of them.
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(picks=st.lists(st.integers(0, 9), min_size=2, max_size=5),
+@given(picks=st.lists(st.integers(0, 6), min_size=2, max_size=5),
        fault=st.sampled_from([None] * 4 + [-1, math.nan]),
        escaping=st.sampled_from([False] * 3 + [True]),
        r=st.sampled_from([1.0 / 81.0] * 3 + [1.5]), count=st.sampled_from([1100] * 3 + [0]),
        seed=st.integers(0, 3))
-@example(picks=[7, 0], fault=math.nan, escaping=False, r=1.0 / 81.0, count=1100, seed=0)
-@example(picks=[0, 7, 9], fault=-1, escaping=True, r=1.0 / 81.0, count=1100, seed=1)
-@example(picks=[4, 8, 3], fault=None, escaping=False, r=1.5, count=1100, seed=2)
+@example(picks=[6, 0], fault=math.nan, escaping=False, r=1.0 / 81.0, count=1100, seed=0)
+@example(picks=[0, 6], fault=-1, escaping=True, r=1.0 / 81.0, count=1100, seed=1)
+@example(picks=[4, 6, 3], fault=None, escaping=False, r=1.5, count=1100, seed=2)
 def test_audit_equals_the_public_checks_run_one_after_another(picks, fault, escaping, r,
                                                               count, seed):
     cfg = SampleConfig(seed=seed, count=count, strategy="uniform_random")

@@ -441,6 +441,14 @@ class TestVerifyThm41:
         assert proc.returncode == 2
         assert b"m >= 3" in proc.stderr
 
+    def test_degree_whose_contraction_bound_underflows_is_a_usage_error(self):
+        m = str(10 ** 47)
+        proc = run_cli("verify-thm41", "--m", m)
+        assert proc.returncode == 2
+        assert f"degree m = {m} is too large".encode() in proc.stderr
+        assert b"underflows to 0" in proc.stderr
+        assert run_cli("solve-poly", "--m", m).returncode == 0  # needs no bound
+
     def test_byte_identical_reruns(self):
         args = ("verify-thm41", "--m", "3", "--seed", "42", "--samples", "2000",
                 "--output", "json")

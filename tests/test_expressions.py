@@ -63,6 +63,7 @@ def test_rejects_malformed(bad):
 
 @pytest.mark.parametrize("expr,value", [
     pytest.param("+".join(["t"] * 200), 200.0, id="200-term-sum"),
+    pytest.param("+".join(["t"] * 450), 450.0, id="450-term-sum"),
     pytest.param("*".join(["2*t"] * 100), 2.0 ** 100, id="200-term-product"),
     pytest.param("(" * 100 + "t" + ")^1" * 100, 1.0, id="100-nested-powers"),
     pytest.param("sqrt(" * 50 + "exp(" * 50 + "t" + ")" * 100, math.inf, id="100-nested-calls"),

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -81,6 +82,12 @@ class TestContractionBound:
     def test_scope(self):
         with pytest.raises(DomainError):
             contraction_bound(2)
+
+    def test_bound_that_underflows_is_a_domain_error(self):
+        # m**-7 is subnormal at 1e46 and rounds to 0 at 2e46.
+        assert 0.0 < contraction_bound(10 ** 46) < sys.float_info.min
+        with pytest.raises(DomainError, match=r"^degree m = 2\d{46} is too large: .*underflows to 0$"):
+            contraction_bound(2 * 10 ** 46)
 
     @pytest.mark.parametrize("m", range(3, 11))
     def test_sampled_ratio_stays_under_bound(self, m):

@@ -74,6 +74,12 @@ def test_grid_block_contains_corners():
     assert (1.0, 1.0, 1.0) in tuples
 
 
+def test_grid_block_of_a_two_element_set_at_high_arity_is_its_full_product():
+    # 2 ** 13 tuples exceed the block cap, and the axis keeps both elements.
+    pair = PointDomain.finite_real_set([0.0, 2.0])
+    assert list(sampling._grid_block(pair, 13)) == list(itertools.product([0.0, 2.0], repeat=13))
+
+
 def test_pinned_tuples_lead_the_stream():
     pins = ((0.25, 0.75), (0.5, 0.5))
     cfg = SampleConfig(seed=5, count=100, pinned=pins)
