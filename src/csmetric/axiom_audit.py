@@ -21,15 +21,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress, islice
-from operator import eq
+from itertools import compress, count, islice, repeat
+from operator import eq, le
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, DomainError, NumericError
 from .sampling import SampleConfig, sample_tuples
 from .spaces import (AlphaFunction, ComposedSpace, PointDomain, SelfMap,
-                     _alpha_values, _images, _metric_values, eval_alpha,
-                     iterate_alpha, metric_value, require_in_space)
+                     _alpha_values, _images, _images_inside, _metric_batch_valid,
+                     _metric_values, eval_alpha, iterate_alpha, metric_value,
+                     require_in_space)
 
 __all__ = [
     "Verdict",
@@ -282,20 +283,56 @@ def check_alpha_subhomogeneity(alpha: AlphaFunction, cfg: SampleConfig,
     return _audit(None, cfg, [lambda: _subhomogeneity(alpha, k_set)])[0]
 
 
+def _orbit(space: ComposedSpace, F: SelfMap, x0, tol: float, n: int) -> tuple[list, list]:
+    """The orbit x_{k+1} = F(x_k) of x_0 = x0 in space.domain and its step
+    distances d_k = C(x_k, x_k, x_{k+1}) as floats, to the first d_k <= tol or
+    n steps.  Blocks of 1, 2, 4, ... up to CHUNK steps run F.fn and the metric
+    unchecked, are cut after their first d_k <= tol and must pass the batch
+    tests of _images and _metric_values, or are stepped again one checked step
+    at a time: an error names the first bad step.  F.fn and the metric may
+    run up to one block past the stop or the first bad step."""
+    if not F.domain.contains(x0):
+        raise F.outside_error(x0)
+    fn, metric = F.fn, space.metric.fn
+    iterates, distances, size = [x0], [], 1
+    while len(distances) < n:
+        block, size = min(size, n - len(distances)), min(2 * size, CHUNK)
+        x = iterates[-1]
+        try:
+            ys = [x := fn(x) for _ in range(block)]
+            xs = iterates[-1:] + ys[:-1]
+            values = list(map(metric, xs, xs, ys))
+            ds = list(map(float, values))
+            if not min(ds) > tol:  # some d <= tol, or a NaN first in ds
+                k = next(compress(count(1), map(le, ds, repeat(tol))), block)
+                ys, ds, values = ys[:k], ds[:k], values[:k]
+            passed = _images_inside(space, F, ys) and _metric_batch_valid(values)
+        except Exception:
+            passed = False
+        if not passed:  # outside the except, so the error carries no context
+            x, ys, ds = iterates[-1], [], []
+            for _ in range(block):
+                (y,) = _images(space, F, (x,))
+                ys.append(y)
+                ds.append(metric_value(space, x, x, y))
+                if ds[-1] <= tol:
+                    break
+                x = y
+        iterates += ys
+        distances += ds
+        if ds[-1] <= tol:
+            break
+    return iterates, distances
+
+
 def check_alpha_dominates_orbit(space: ComposedSpace, F: SelfMap, x0,
                                 n_max: int) -> Verdict:
     """alpha(d_n) <= d_n along the orbit, d_n the successive step distance."""
     if n_max < 1:
         raise ConfigurationError("n_max must be >= 1")
     require_in_space(space, x0)
-    keys, distances = [], []
-    x = x0
-    for n in range(n_max + 1):
-        (y,) = _images(space, F, (x,))
-        d = metric_value(space, x, x, y)
-        keys.append((float(n), d))
-        distances.append(d)
-        x = y
+    _, distances = _orbit(space, F, x0, -math.inf, n_max + 1)
+    keys = [(float(n), d) for n, d in enumerate(distances)]
     slacks = _slacks(_alpha_values(space.alpha, distances), distances)
     return _Collector().add(keys, *slacks).verdict("alpha_dominates_orbit", None)
 

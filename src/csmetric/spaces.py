@@ -303,38 +303,33 @@ def require_in_space(space: ComposedSpace, p: Point) -> None:
         raise DomainError(f"point {p!r} is outside the space domain")
 
 
-def _image_test(space: ComposedSpace, F: SelfMap) -> Callable[[Point], bool]:
-    """The test of every image F(x): it lies in F.domain, and in space.domain
-    when that differs."""
-    if F.domain == space.domain:
-        return F.domain.contains
-    return lambda y: F.domain.contains(y) and space.domain.contains(y)
-
-
-def _image_error(space: ComposedSpace, F: SelfMap, x: Point, y: Point) -> DomainError:
-    """The error for an image y = F(x) that fails _image_test."""
-    if F.domain.contains(y):
-        return DomainError(f"point {y!r} is outside the space domain")
-    return F.escape_error(x, y)
+def _images_inside(space: ComposedSpace, F: SelfMap, images: Sequence) -> bool:
+    """Does every image lie in F.domain and in space.domain?  When the two
+    are one real interval, the batch is tested at once."""
+    dom = F.domain
+    if dom != space.domain:
+        return all(dom.contains(y) and space.domain.contains(y) for y in images)
+    try:  # min and max pass a NaN, which the sum does not
+        if (dom.kind == "real_interval" and {int, float}.issuperset(map(type, images))
+                and dom.lo <= min(images, default=dom.lo)
+                and max(images, default=dom.hi) <= dom.hi and not math.isnan(sum(images, 0.0))):
+            return True
+    except OverflowError:  # an int too large for a float
+        pass
+    return all(map(dom.contains, images))
 
 
 def _images(space: ComposedSpace, F: SelfMap, points: Iterable) -> list:
     """F at each of points, which lie in space.domain, through F.apply when
-    F.domain differs; every image must pass _image_test.  When the domains
-    agree on a real interval, the batch is tested at once and scanned only
-    when it fails."""
+    F.domain differs; the images must pass _images_inside, or the first
+    that fails is named."""
     points = list(points)
-    inside, same, dom = _image_test(space, F), F.domain == space.domain, F.domain
-    images = list(map(F.fn if same else F.apply, points))
-    try:  # min and max pass a NaN, which the sum does not
-        batch = (same and dom.kind == "real_interval" and {int, float}.issuperset(map(type, images))
-                 and dom.lo <= min(images, default=dom.lo)
-                 and max(images, default=dom.hi) <= dom.hi and not math.isnan(sum(images, 0.0)))
-    except OverflowError:  # an int too large for a float
-        batch = False
-    if not (batch or all(map(inside, images))):
-        raise next(_image_error(space, F, x, y) for x, y in zip(points, images)
-                   if not inside(y))
+    images = list(map(F.fn if F.domain == space.domain else F.apply, points))
+    if not _images_inside(space, F, images):
+        x, y = next((x, y) for x, y in zip(points, images) if not _images_inside(space, F, (y,)))
+        if F.domain.contains(y):
+            raise DomainError(f"point {y!r} is outside the space domain")
+        raise F.escape_error(x, y)
     return images
 
 
@@ -348,19 +343,24 @@ def metric_value(space: ComposedSpace, q: Point, h: Point, w: Point) -> float:
     return float(value)
 
 
+def _metric_batch_valid(values: Sequence) -> bool:
+    """Does metric_value accept each of values, tested at once?  False can
+    still be a batch it accepts one by one, such as one holding a bool."""
+    try:
+        # Values >= 0 whose sum fits a float are each finite.
+        return ({int, float}.issuperset(map(type, values)) and
+                min(values, default=0) >= 0 and sum(values, 0.0) <= _FLOAT_MAX)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _metric_values(space: ComposedSpace, q: Sequence, h: Sequence,
                   w: Sequence) -> list:
     """metric_value at each triple (q[i], h[i], w[i]), returning the values
-    as the metric gave them.  The batch is tested at once; a batch that fails
-    is evaluated again through metric_value, which names the first bad value."""
+    as the metric gave them.  A batch that fails _metric_batch_valid is
+    evaluated again through metric_value, which names the first bad value."""
     values = list(map(space.metric.fn, q, h, w))
-    try:
-        # Values >= 0 whose sum fits a float are each finite.
-        valid = ({int, float}.issuperset(map(type, values)) and
-                 min(values, default=0) >= 0 and sum(values, 0.0) <= _FLOAT_MAX)
-    except OverflowError:  # an int too large for a float
-        valid = False
-    if not valid:
+    if not _metric_batch_valid(values):
         for triple in zip(q, h, w):
             metric_value(space, *triple)
     return values

@@ -2,15 +2,17 @@ import math
 
 import pytest
 
-from csmetric import (ComposedSpace, ConfigurationError, DomainError,
-                      MfFunction, NumericError, PointDomain,
-                      PreconditionError, SampleConfig, SelfMap, TripleMetric,
+from csmetric import (DEFAULT_MAX_ITER, DEFAULT_TOL, ComposedSpace,
+                      ConfigurationError, DomainError, MfFunction,
+                      NumericError, Orbit, PointDomain, PreconditionError,
+                      SampleConfig, SelfMap, SolveResult, TripleMetric,
                       banach_mf, bianchini_mf, check_banach, check_m1,
                       check_m2, check_mf_contraction,
                       estimate_contraction_factor, eval_metric, kannan_mf,
                       make_alpha, make_builtin_space, make_self_map, picard,
-                      poly_map, sample_tuples, uniqueness_probe,
-                      verify_fixed_point)
+                      poly_map, poly_solver, sample_tuples, solve_poly,
+                      uniqueness_probe, verify_fixed_point)
+from csmetric.spaces import metric_value
 
 # Pinned by the bisection oracle ahead of the build.
 ROOT_M3 = 0.012345679299142365
@@ -320,3 +322,198 @@ class TestGeometricDecay:
         d0 = steps[0]
         for n, d in enumerate(steps):
             assert d <= (1.0 / 81.0) ** n * d0 * (1.0 + 1e-6)
+
+
+# --- picard against a step-by-step reference ------------------------------------
+# picard steps the orbit in doubling blocks and checks each block in batch.  It
+# must return, or raise, exactly what the loop it replaced did: one checked
+# step at a time, stopping at the first step distance <= tol.
+
+def _stepwise_picard(space, F, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    if not tol > 0:
+        raise ConfigurationError("tolerance must be positive")
+    if max_iter < 1:
+        raise ConfigurationError("max_iter must be >= 1")
+    if not space.domain.contains(x0):
+        raise DomainError(f"start point {x0!r} is outside the domain")
+    if not F.domain.contains(x0):
+        raise F.outside_error(x0)
+    iterates, steps, x, stopped = [x0], [], x0, False
+    for _ in range(max_iter):
+        y = F.fn(x)
+        if not F.domain.contains(y):
+            raise F.escape_error(x, y)
+        if not space.domain.contains(y):
+            raise DomainError(f"point {y!r} is outside the space domain")
+        d = metric_value(space, x, x, y)
+        iterates.append(y)
+        steps.append(d)
+        if d <= tol:
+            stopped = True
+            break
+        x = y
+    fixed_point = iterates[-1]
+    residual = eval_metric(space, fixed_point, fixed_point, F.apply(fixed_point))
+    return SolveResult(fixed_point=fixed_point, iterations=len(steps), residual=residual,
+                       converged=stopped and residual <= tol,
+                       orbit=Orbit(iterates=tuple(iterates), step_distances=tuple(steps)))
+
+
+def _outcome(solve, space, F, x0, tol, max_iter):
+    """What a solve returns, types and signed zeros included by repr, or the
+    type, message and context of what it raises."""
+    try:
+        result = solve(space, F, x0, tol, max_iter)
+    except Exception as error:
+        return "raises", type(error), str(error), error.__context__
+    return "returns", repr(result), [type(d) for d in result.orbit.step_distances]
+
+
+# Steps on either side of the block boundaries: blocks hold steps 1, 2-3,
+# 4-7, ..., 512-1023, then 1024 steps each.
+_STEPS = (1, 2, 3, 1023, 1024, 1025, 2048)
+_WIDE = PointDomain.real_interval(0.0, 4096.0)
+_TOL = 0.25
+
+
+def _app(q, h, w):  # app_metric's form: C(x, x, y) = |x - y|
+    return abs(q - h) + abs(h - w)
+
+
+def _space(domain=_WIDE, metric=_app):
+    return ComposedSpace(domain, TripleMetric(id="app", fn=metric), make_alpha("identity"))
+
+
+def _map(fn, domain=_WIDE):
+    return SelfMap(id="map", fn=fn, domain=domain)
+
+
+def _down(x):
+    """Down by 1 to 0.5, then halving: from k - 0.5, d_1 ... d_{k-1} are 1
+    and d_k = 0.25 is the first step distance <= _TOL."""
+    return x - 1.0 if x >= 1.0 else x / 2
+
+
+def _failing_at(fn, bad, fault):
+    """fn, except at the points where bad holds: there fault(x), which may
+    raise."""
+    return lambda x: fault(x) if bad(x) else fn(x)
+
+
+def _raise(x):
+    raise ValueError(f"no image at {x!r}")
+
+
+# Every point k + 0.5 and every halving of 0.5 that _down reaches.
+_HALF_POINTS = PointDomain.finite_real_set(
+    [k + 0.5 for k in range(2100)] + [0.5 * 2.0 ** -j for j in range(1, 80)])
+
+
+# Faults that follow a stop at step k from k - 0.5: x_k = 0.25, the residual
+# needs F(0.25) = 0.125 and C(0.25, 0.25, 0.125), and step k + 2 is the first
+# to go below them, so a step-by-step run never reaches them.
+_AFTER_STOP = {
+    "map-raises": (_space(), _failing_at(_down, lambda x: x < 0.2, _raise)),
+    "map-escapes": (_space(), _failing_at(_down, lambda x: x < 0.2, lambda x: -1.0)),
+    "metric-nan": (_space(metric=lambda q, h, w: math.nan if w < 0.1 else _app(q, h, w)), _down),
+}
+
+
+def _cases():
+    for k in _STEPS:
+        yield f"stop-at-{k}", _space(), _map(_down), k - 0.5, _TOL, DEFAULT_MAX_ITER
+        yield f"max-iter-{k}", _space(), _map(_down), 3000.5, _TOL, k
+        yield f"stop-at-max-iter-{k}", _space(), _map(_down), k - 0.5, _TOL, k
+        yield f"stop-after-max-iter-{k}", _space(), _map(_down), k + 0.5, _TOL, k
+        yield f"escape-at-{k}", _space(), _map(lambda x: x - 1.0), k - 0.5, _TOL, 4000
+        for value in (math.nan, -1.0, math.inf, True, False, 1, 0, -0.0, 10 ** 400, "1.0", None):
+            metric = (lambda v, at: lambda q, h, w: v if w == at else _app(q, h, w))(
+                value, 3000.5 - k)
+            yield (f"metric-{value!r:.8}-at-{k}", _space(metric=metric), _map(_down), 3000.5,
+                   _TOL, DEFAULT_MAX_ITER)
+        if k < 2048:  # the stop is at step 2048
+            raising = _failing_at(_down, lambda x, at=2048.5 - k: x == at, _raise)
+            yield f"map-raises-at-{k}-before-stop", _space(), _map(raising), 2047.5, _TOL, 4000
+        for fault, (space, fn) in _AFTER_STOP.items():
+            yield f"{fault}-after-stop-{k}", space, _map(fn), k - 0.5, _TOL, DEFAULT_MAX_ITER
+        naturals = make_builtin_space("discrete_nat", [4096])
+        down_to_0 = _map(lambda n: max(n - 1, 0), naturals.domain)
+        yield f"naturals-stop-at-{k}", naturals, down_to_0, k - 1, 1e-12, DEFAULT_MAX_ITER
+        yield (f"naturals-int-metric-stop-at-{k}", _space(naturals.domain), down_to_0, k - 1,
+               1e-12, DEFAULT_MAX_ITER)
+        yield (f"naturals-escape-at-{k}", naturals, _map(lambda n: n - 1, naturals.domain),
+               k - 1, 1e-12, DEFAULT_MAX_ITER)
+        yield (f"naturals-float-images-{k}", naturals,
+               _map(lambda n: max(n - 1.0, 0.0), naturals.domain), k - 1, 1e-12,
+               DEFAULT_MAX_ITER)
+        finite = _space(_HALF_POINTS)
+        yield (f"finite-set-stop-at-{k}", finite, _map(_down, _HALF_POINTS), k - 0.5, _TOL,
+               DEFAULT_MAX_ITER)
+        yield (f"finite-set-escape-at-{k}", finite, _map(lambda x: x - 1.0, _HALF_POINTS),
+               k - 0.5, _TOL, DEFAULT_MAX_ITER)
+        wider = PointDomain.real_interval(0.0, 8192.0)
+        yield (f"wider-map-domain-stop-at-{k}", _space(), _map(_down, wider), k - 0.5, _TOL,
+               DEFAULT_MAX_ITER)
+        yield (f"wider-map-domain-leaves-space-at-{k}", _space(),
+               _map(lambda x: x + 1.0, wider), 4096.5 - k, _TOL, DEFAULT_MAX_ITER)
+    app, poly = make_builtin_space("app_metric"), poly_map(3)
+    yield "poly-m3", poly.space, poly.map, 0.5, DEFAULT_TOL, DEFAULT_MAX_ITER
+    yield ("scale-0.9999", app, make_self_map("scale", app.domain, factor=0.9999), 1.0,
+           DEFAULT_TOL, 3000)
+    yield ("flip", app, _map(lambda x: 1.0 - x, app.domain), 0.2, DEFAULT_TOL, 1500)
+
+
+@pytest.mark.parametrize("space, F, x0, tol, max_iter",
+                         [pytest.param(*case[1:], id=case[0]) for case in _cases()])
+def test_picard_matches_the_stepwise_loop(space, F, x0, tol, max_iter):
+    expected = _outcome(_stepwise_picard, space, F, x0, tol, max_iter)
+    assert _outcome(picard, space, F, x0, tol, max_iter) == expected
+    if expected[0] == "raises":
+        assert expected[3] is None
+    else:
+        assert set(expected[2]) == {float}
+
+
+@pytest.mark.parametrize("k", _STEPS)
+def test_the_reference_cases_stop_and_fail_where_they_say(k):
+    # The cases above rely on these: the stop from k - 0.5 is step k, and the
+    # faults that follow it are reached one step later, not by the run.
+    assert _stepwise_picard(_space(), _map(_down), k - 0.5, _TOL).iterations == k
+    for space, fn in _AFTER_STOP.values():
+        assert _stepwise_picard(space, _map(fn), k - 0.5, _TOL).iterations == k
+        with pytest.raises((ValueError, DomainError, NumericError)):
+            _stepwise_picard(space, _map(fn), k - 0.5, _TOL / 2)
+
+
+def _counting(F):
+    """F with F.fn counting its calls in the returned list's length."""
+    calls = []
+    return SelfMap(id=F.id, fn=lambda x: calls.append(x) or F.fn(x), domain=F.domain), calls
+
+
+@pytest.mark.parametrize("k, block_end", [(4, 7), (1024, 2047), (2045, 2047)])
+@pytest.mark.parametrize("fault", ["map-escapes", "metric-nan"])
+def test_faults_past_the_stop_in_its_block_cost_no_step_twice(k, block_end, fault):
+    # A block is cut at the stop before it is checked, so a fault from step
+    # k + 2 on does not send the block back to be stepped one by one: F.fn
+    # runs to the end of the stop's block and once more for the residual.
+    space, fn = _AFTER_STOP[fault]
+    F, calls = _counting(_map(fn))
+    assert picard(space, F, k - 0.5, _TOL).iterations == k
+    assert len(calls) == block_end + 1
+
+
+def test_short_orbits_step_at_most_one_block_past_the_stop(monkeypatch):
+    # Blocks double from one step, so an orbit of n steps runs F.fn at most
+    # 2n - 1 times, and once more for the residual.
+    problem = poly_map(3)
+    counted, calls = _counting(problem.map)
+    monkeypatch.setattr(poly_solver, "poly_map",
+                        lambda m: poly_solver.PolyProblem(m, counted, problem.space))
+    result = solve_poly(3)
+    assert result.converged and 0 < len(calls) <= 2 * result.iterations + 1
+    for x0 in poly_solver._UNIQUENESS_STARTS:
+        calls.clear()
+        assert uniqueness_probe(problem.space, counted, (x0,)).passed
+        iterations = picard(problem.space, problem.map, x0).iterations
+        assert 0 < len(calls) <= 2 * iterations + 1
