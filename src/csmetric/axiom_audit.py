@@ -62,6 +62,10 @@ _NONNEG_DOMAIN = PointDomain.real_interval(0.0, 10.0)
 
 CHUNK = 1024  # tuples per kernel call, so per-chunk lists stay small
 
+# Picard's defaults, which fixed_point exports; the command line reads them here.
+DEFAULT_TOL = 1e-12
+DEFAULT_MAX_ITER = 10000
+
 
 def slack_tolerance(rhs: float) -> float:
     """Allowed negative slack for an inequality with right-hand side rhs."""

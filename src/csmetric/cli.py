@@ -28,10 +28,8 @@ import math
 import os
 import sys
 
-from .axiom_audit import _audit, _identity, _symmetry, _triangle
+from .axiom_audit import DEFAULT_MAX_ITER, DEFAULT_TOL, _audit, _identity, _symmetry, _triangle
 from .errors import ConfigurationError, CsmetricError, DomainError
-from .fixed_point import DEFAULT_MAX_ITER, DEFAULT_TOL, _banach, _estimate, picard
-from .poly_solver import oracle_agreement, solve_poly, verify_theorem_4_1
 from .sampling import SampleConfig
 from .spaces import (BUILTIN_SPACES, ComposedSpace, SelfMap, make_alpha,
                      map_from_json, space_from_json, space_to_json)
@@ -99,7 +97,10 @@ def _render_text(report: dict) -> str:
 
 # --- command implementations -------------------------------------------------
 
+# Handlers import fixed_point and poly_solver, so only commands that run them load them.
+
 def _cmd_solve_poly(args: argparse.Namespace) -> tuple[int, dict]:
+    from .poly_solver import oracle_agreement, solve_poly
     result = solve_poly(args.m, args.x0, args.tol)
     oracle = oracle_agreement(args.m, result, args.tol)
     report = {
@@ -140,6 +141,7 @@ def _cmd_verify_space(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_check_contraction(args: argparse.Namespace) -> tuple[int, dict]:
+    from .fixed_point import _banach, _estimate
     space, self_map = _build_space(args)
     cfg = SampleConfig(seed=args.seed, count=args.samples)
     # With --r, the estimate and Banach read one 3-tuple stream and its C(q, h, w).
@@ -165,6 +167,7 @@ def _cmd_check_contraction(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_iterate(args: argparse.Namespace) -> tuple[int, dict]:
+    from .fixed_point import picard
     space, self_map = _build_space(args)
     result = picard(space, self_map, args.x0, args.tol, args.max_iter)
     report = {
@@ -182,6 +185,7 @@ def _cmd_iterate(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_verify_thm41(args: argparse.Namespace) -> tuple[int, dict]:
+    from .poly_solver import verify_theorem_4_1
     body = verify_theorem_4_1(args.m, seed=args.seed, samples=args.samples,
                               tol=args.tol)
     report = {"seed": args.seed, "samples": args.samples, "tol": args.tol, **body}

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from itertools import chain, combinations, compress
 from typing import Callable, Sequence
 
-from .axiom_audit import _NONNEG_DOMAIN, Verdict, _audit, _Collector, _orbit, _slacks
+from .axiom_audit import (_NONNEG_DOMAIN, DEFAULT_MAX_ITER, DEFAULT_TOL, Verdict, _audit,
+                          _Collector, _orbit, _slacks)
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .sampling import SampleConfig
 from .spaces import ComposedSpace, SelfMap, _images, _metric_values, eval_metric
@@ -44,9 +45,6 @@ __all__ = [
     "DEFAULT_TOL",
     "DEFAULT_MAX_ITER",
 ]
-
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 10000
 
 # Ratios are not formed below this step distance; the contraction inequality
 # is vacuous at zero distance.

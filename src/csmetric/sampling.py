@@ -11,7 +11,9 @@ auditors rely on:
 
 Strategies:
 
-* ``uniform_random``: seeded independent draws, drawn a batch at a time.
+* ``uniform_random``: seeded independent draws, drawn a batch at a time; a
+  discrete domain draws ``members[randrange(len(members))]``, computed from
+  the same ``getrandbits`` words as ``randrange`` with no Python call per draw.
 * ``stratified_grid``: the full lexicographic product of a finite domain;
   the stream is finite, which makes exhaustive checks possible.  A real
   interval has no such product and is a configuration error.
@@ -25,7 +27,7 @@ import itertools
 import random
 import sys
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import ConfigurationError, DomainError
 from .spaces import PointDomain
@@ -67,15 +69,23 @@ def _rng_for(seed: int, arity: int) -> random.Random:
     return random.Random((seed * 1000003 + arity) % 2 ** 64)
 
 
+def _discrete_draws(members: Sequence, rng: random.Random) -> Iterator:
+    """members[rng.randrange(n)] over and over, n = len(members): like it,
+    draw getrandbits(n.bit_length()) words and keep those below n."""
+    n = len(members)
+    return map(members.__getitem__,
+               filter(n.__gt__, map(rng.getrandbits, itertools.repeat(n.bit_length()))))
+
+
 def _random_batches(domain: PointDomain, arity: int, seed: int) -> Iterator[Iterator[tuple]]:
     # lo + (hi - lo) * random() is what uniform(lo, hi) computes, and on
     # range(max + 1) members[randrange(max + 1)] is what randint(0, max) draws.
     rng, size = _rng_for(seed, arity), 1
+    points = _discrete_draws(domain.members(), rng) if domain.is_discrete else None
     while True:
         span, size = range(size * arity), min(2 * size, _DRAW_BATCH)
         if domain.is_discrete:
-            members, randrange = domain.members(), rng.randrange
-            draws = [members[randrange(len(members))] for _ in span]
+            draws = list(itertools.islice(points, len(span)))
         else:
             lo, width, rand = domain.lo, domain.hi - domain.lo, rng.random
             draws = [lo + width * rand() for _ in span]

@@ -345,10 +345,12 @@ def metric_value(space: ComposedSpace, q: Point, h: Point, w: Point) -> float:
 
 def _metric_batch_valid(values: Sequence) -> bool:
     """Does metric_value accept each of values, tested at once?  False can
-    still be a batch it accepts one by one, such as one holding a bool."""
+    still be a batch it accepts one by one, such as one whose sum overflows."""
     try:
-        # Values >= 0 whose sum fits a float are each finite.
-        return ({int, float}.issuperset(map(type, values)) and
+        # Values >= 0 whose sum fits a float are each finite.  Subclasses, such
+        # as numpy.float64, pass the type test after the exact types fail it.
+        return (({int, float}.issuperset(map(type, values)) or
+                 all(issubclass(t, (int, float)) for t in set(map(type, values)))) and
                 min(values, default=0) >= 0 and sum(values, 0.0) <= _FLOAT_MAX)
     except OverflowError:  # an int too large for a float
         return False

@@ -481,6 +481,39 @@ class TestTextRendering:
         assert proc.returncode == 2
 
 
+# --- a command loads only the modules it runs ---------------------------------
+
+AUDIT_MODULES = {"csmetric", "csmetric.errors", "csmetric.expressions", "csmetric.spaces",
+                 "csmetric.sampling", "csmetric.axiom_audit", "csmetric.cli"}
+
+
+@pytest.mark.parametrize("argv,modules", [
+    (("verify-space", "--builtin", "app_metric", "--samples", "50"), AUDIT_MODULES),
+    (("iterate", "--space", '{"metric":"app_metric","map":{"kind":"scale","factor":0.5}}',
+      "--x0", "1"), AUDIT_MODULES | {"csmetric.fixed_point"}),
+    (("solve-poly", "--m", "3"),
+     AUDIT_MODULES | {"csmetric.fixed_point", "csmetric.poly_solver"}),
+], ids=["verify-space", "iterate", "solve-poly"])
+def test_a_command_loads_only_the_modules_it_runs(argv, modules):
+    # -X importtime names every module as the interpreter first imports it.
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "csmetric", *argv],
+                          capture_output=True, env=cli_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.decode().splitlines() if line.startswith("import time:")}
+    assert {name for name in imported if name.startswith("csmetric")} == modules
+
+
+def test_the_package_lists_the_same_64_names_every_way():
+    import csmetric
+    namespace = {}
+    exec("from csmetric import *", namespace)
+    listed = {name for name in dir(csmetric) if not name.startswith("_")
+              and not isinstance(getattr(csmetric, name), type(csmetric))}
+    assert len(csmetric.__all__) == len(set(csmetric.__all__)) == 64
+    assert set(namespace) - {"__builtins__"} == listed == set(csmetric.__all__)
+
+
 # --- the command line is the parser: each command takes the flags it reads ---
 
 SPACE_SOURCE = {"--builtin", "--space", "--space-file", "--params", "--alpha"}

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -6,8 +7,9 @@ from csmetric import (DEFAULT_MAX_ITER, DEFAULT_TOL, ComposedSpace,
                       ConfigurationError, DomainError, MfFunction,
                       NumericError, Orbit, PointDomain, PreconditionError,
                       SampleConfig, SelfMap, SolveResult, TripleMetric,
-                      banach_mf, bianchini_mf, check_banach, check_m1,
-                      check_m2, check_mf_contraction,
+                      banach_mf, bianchini_mf, check_banach,
+                      check_identity_axiom, check_m1, check_m2,
+                      check_mf_contraction,
                       estimate_contraction_factor, eval_metric, kannan_mf,
                       make_alpha, make_builtin_space, make_self_map, picard,
                       poly_map, poly_solver, sample_tuples, solve_poly,
@@ -517,3 +519,21 @@ def test_short_orbits_step_at_most_one_block_past_the_stop(monkeypatch):
         assert uniqueness_probe(problem.space, counted, (x0,)).passed
         iterations = picard(problem.space, problem.map, x0).iterations
         assert 0 < len(calls) <= 2 * iterations + 1
+
+
+class _Float(float):
+    """A float subclass, as numpy.float64 is one."""
+
+
+def test_float_subclass_metric_values_are_evaluated_once(app_space):
+    # Such values pass the batch test as they are, so no batch or block is
+    # evaluated a second time, value by value.
+    calls, fn = [], app_space.metric.fn
+    metric = TripleMetric(id="subclass", fn=lambda q, h, w: calls.append(q) or _Float(fn(q, h, w)))
+    space = replace(app_space, metric=metric)
+    F = make_self_map("scale", space.domain, factor=0.99)
+    assert picard(space, F, 1.0, max_iter=300).iterations == 300
+    assert len(calls) == 300 + 1  # and the residual
+    calls.clear()
+    assert check_identity_axiom(space, SampleConfig(count=10000)).passed
+    assert len(calls) == 2 * 10000  # once per point and once per triple

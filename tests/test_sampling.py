@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 
 import pytest
@@ -181,6 +182,17 @@ def test_discrete_grid_on_a_huge_naturals_domain():
     domain = PointDomain.naturals_up_to(2 ** 40)
     cfg = SampleConfig(count=5, strategy="stratified_grid")
     assert sample_tuples(domain, 2, cfg) == [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 51, 64, 65, 2 ** 32, 2 ** 32 + 1, 2 ** 53 + 1])
+def test_discrete_draws_are_randrange_draws(n):
+    # The same values from the same words: both rules leave the generator in
+    # the same state, at member counts on both sides of powers of two.
+    for seed in (0, 1, 7, 2 ** 63 + 5):
+        ours, reference = random.Random(seed), random.Random(seed)
+        draws = list(itertools.islice(sampling._discrete_draws(range(n), ours), 500))
+        assert draws == [reference.randrange(n) for _ in range(500)]
+        assert ours.getstate() == reference.getstate()
 
 
 @pytest.mark.parametrize("domain", [INTERVAL, NATS, FINITE], ids=["interval", "naturals", "finite"])
