@@ -1,8 +1,13 @@
 """Composed S-metric spaces with sampling-based axiom audits, a Picard
 fixed-point solver for generalized contractions, and a polynomial-equation
-application verified against an independent bisection oracle."""
+application verified against an independent bisection oracle.
+
+A submodule, such as ``cli``, is imported alone; any other name is looked up
+in the library modules, so an unknown one loads all six before it raises
+AttributeError."""
 
 from importlib import import_module as _import_module
+from importlib.util import find_spec as _find_spec
 
 __version__ = "0.1.0"
 
@@ -13,7 +18,7 @@ _MODULES = ("errors", "spaces", "sampling", "axiom_audit", "fixed_point", "poly_
 
 
 def __getattr__(name: str):
-    if name in _MODULES:
+    if name.isidentifier() and _find_spec(f"{__name__}.{name}"):  # a submodule
         return _import_module(f"{__name__}.{name}")
     if name == "__all__":
         value = [n for module in sorted(_MODULES) for n in __getattr__(module).__all__]

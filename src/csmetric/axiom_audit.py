@@ -21,16 +21,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import compress, count, islice, repeat
-from operator import eq, le
+from itertools import compress, islice
+from operator import eq
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, DomainError, NumericError
 from .sampling import SampleConfig, sample_tuples
-from .spaces import (AlphaFunction, ComposedSpace, PointDomain, SelfMap,
-                     _alpha_values, _images, _images_inside, _metric_batch_valid,
-                     _metric_values, eval_alpha, iterate_alpha, metric_value,
-                     require_in_space)
+from .spaces import (_FLOAT_MAX, AlphaFunction, ComposedSpace, PointDomain, SelfMap,
+                     _alpha_values, _check_image, _check_metric, _metric_values,
+                     eval_alpha, iterate_alpha, require_in_space)
 
 __all__ = [
     "Verdict",
@@ -290,42 +289,29 @@ def check_alpha_subhomogeneity(alpha: AlphaFunction, cfg: SampleConfig,
 def _orbit(space: ComposedSpace, F: SelfMap, x0, tol: float, n: int) -> tuple[list, list]:
     """The orbit x_{k+1} = F(x_k) of x_0 = x0 in space.domain and its step
     distances d_k = C(x_k, x_k, x_{k+1}) as floats, to the first d_k <= tol or
-    n steps.  Blocks of 1, 2, 4, ... up to CHUNK steps run F.fn and the metric
-    unchecked, are cut after their first d_k <= tol and must pass the batch
-    tests of _images and _metric_values, or are stepped again one checked step
-    at a time: an error names the first bad step.  F.fn and the metric may
-    run up to one block past the stop or the first bad step."""
+    n steps.  Each step runs F.fn and the metric once.  When F.domain is
+    space.domain, an image in it passes a quick test, by its bounds for a
+    float in a real interval; a finite float distance >= 0 passes another.
+    Anything else goes to _check_image or _check_metric, which name the first
+    bad step."""
     if not F.domain.contains(x0):
         raise F.outside_error(x0)
-    fn, metric = F.fn, space.metric.fn
-    iterates, distances, size = [x0], [], 1
-    while len(distances) < n:
-        block, size = min(size, n - len(distances)), min(2 * size, CHUNK)
-        x = iterates[-1]
-        try:
-            ys = [x := fn(x) for _ in range(block)]
-            xs = iterates[-1:] + ys[:-1]
-            values = list(map(metric, xs, xs, ys))
-            ds = list(map(float, values))
-            if not min(ds) > tol:  # some d <= tol, or a NaN first in ds
-                k = next(compress(count(1), map(le, ds, repeat(tol))), block)
-                ys, ds, values = ys[:k], ds[:k], values[:k]
-            passed = _images_inside(space, F, ys) and _metric_batch_valid(values)
-        except Exception:
-            passed = False
-        if not passed:  # outside the except, so the error carries no context
-            x, ys, ds = iterates[-1], [], []
-            for _ in range(block):
-                (y,) = _images(space, F, (x,))
-                ys.append(y)
-                ds.append(metric_value(space, x, x, y))
-                if ds[-1] <= tol:
-                    break
-                x = y
-        iterates += ys
-        distances += ds
-        if ds[-1] <= tol:
+    fn, metric, dom = F.fn, space.metric.fn, F.domain
+    same = dom == space.domain
+    lo, hi = (dom.lo, dom.hi) if same and dom.kind == "real_interval" else (1, 0)  # (1, 0): none
+    iterates, distances, x = [x0], [], x0
+    for _ in range(n):
+        y = fn(x)
+        if not (type(y) is float and lo <= y <= hi or same and dom.contains(y)):
+            _check_image(space, F, x, y)
+        d = metric(x, x, y)
+        if not (type(d) is float and 0 <= d <= _FLOAT_MAX):
+            d = _check_metric(space, d, x, x, y)
+        iterates.append(y)
+        distances.append(d)
+        if d <= tol:
             break
+        x = y
     return iterates, distances
 
 

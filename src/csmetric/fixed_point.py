@@ -3,10 +3,8 @@
 ``picard`` iterates x -> F(x) and stops once the step distance
 C(x_n, x_n, x_{n+1}) falls to the requested tolerance; the residual
 C(x, x, F(x)) at the reported point is recomputed independently, and a run
-only counts as converged when that residual is also within tolerance.  The
-orbit is stepped in doubling blocks of up to 1024 steps checked in batch; an
-error still names the first bad step, and F and the metric may run up to
-one block past the stop step or the first bad one.
+only counts as converged when that residual is also within tolerance.  F
+and the metric run once per reported step, and once each for the residual.
 
 The five-argument contraction family is represented by ``MfFunction`` with
 Banach, Kannan, and Bianchini-max built-ins, together with samplers for the
@@ -127,10 +125,8 @@ def picard(space: ComposedSpace, F: SelfMap, x0, tol: float = DEFAULT_TOL,
 
     Returns the newest iterate with the full orbit.  ``converged`` is set
     only when the stop was tolerance-driven and the independently recomputed
-    residual C(x, x, F(x)) is itself at most tol.  Steps run in doubling
-    blocks checked in batch, so an error still names the first bad step, but
-    F and the metric, which must be pure, may run up to one block past it or
-    past the stop.
+    residual C(x, x, F(x)) is itself at most tol.  F and the metric run once
+    per step, and an error names the first bad step.
     """
     if not tol > 0:
         raise ConfigurationError("tolerance must be positive")

@@ -303,68 +303,67 @@ def require_in_space(space: ComposedSpace, p: Point) -> None:
         raise DomainError(f"point {p!r} is outside the space domain")
 
 
-def _images_inside(space: ComposedSpace, F: SelfMap, images: Sequence) -> bool:
-    """Does every image lie in F.domain and in space.domain?  When the two
-    are one real interval, the batch is tested at once."""
-    dom = F.domain
-    if dom != space.domain:
-        return all(dom.contains(y) and space.domain.contains(y) for y in images)
-    try:  # min and max pass a NaN, which the sum does not
-        if (dom.kind == "real_interval" and {int, float}.issuperset(map(type, images))
-                and dom.lo <= min(images, default=dom.lo)
-                and max(images, default=dom.hi) <= dom.hi and not math.isnan(sum(images, 0.0))):
-            return True
-    except OverflowError:  # an int too large for a float
-        pass
-    return all(map(dom.contains, images))
+def _check_image(space: ComposedSpace, F: SelfMap, x: Point, y: Point) -> None:
+    """Raise the error for an image y = F(x) outside F.domain, then for one
+    outside space.domain."""
+    if not F.domain.contains(y):
+        raise F.escape_error(x, y)
+    if not space.domain.contains(y):
+        raise DomainError(f"point {y!r} is outside the space domain")
 
 
 def _images(space: ComposedSpace, F: SelfMap, points: Iterable) -> list:
     """F at each of points, which lie in space.domain, through F.apply when
-    F.domain differs; the images must pass _images_inside, or the first
-    that fails is named."""
-    points = list(points)
-    images = list(map(F.fn if F.domain == space.domain else F.apply, points))
-    if not _images_inside(space, F, images):
-        x, y = next((x, y) for x, y in zip(points, images) if not _images_inside(space, F, (y,)))
-        if F.domain.contains(y):
-            raise DomainError(f"point {y!r} is outside the space domain")
-        raise F.escape_error(x, y)
+    F.domain differs; every image must pass _check_image.  When the domains
+    agree, the batch is tested at once and scanned only when it fails."""
+    points, dom = list(points), F.domain
+    same = dom == space.domain
+    images = list(map(F.fn if same else F.apply, points))
+    try:  # min and max pass a NaN, which the sum does not
+        if (same and dom.kind == "real_interval" and {int, float}.issuperset(map(type, images))
+                and dom.lo <= min(images, default=dom.lo)
+                and max(images, default=dom.hi) <= dom.hi and not math.isnan(sum(images, 0.0))):
+            return images
+    except OverflowError:  # an int too large for a float
+        pass
+    if not (same and all(map(dom.contains, images))):
+        for x, y in zip(points, images):
+            _check_image(space, F, x, y)
     return images
 
 
-def metric_value(space: ComposedSpace, q: Point, h: Point, w: Point) -> float:
-    """The triple metric at points already known to lie in the domain; the
-    value must be a finite real >= 0, or NumericError is raised."""
-    value = space.metric.fn(q, h, w)
+def _check_metric(space: ComposedSpace, value, q: Point, h: Point, w: Point) -> float:
+    """value, the metric at (q, h, w), as a float; it must be a finite real
+    >= 0, or NumericError names it."""
     if not (isinstance(value, (int, float)) and 0 <= value <= _FLOAT_MAX):
         raise NumericError(
             f"metric {space.metric.id!r} returned {value!r} at ({q!r}, {h!r}, {w!r})")
     return float(value)
 
 
-def _metric_batch_valid(values: Sequence) -> bool:
-    """Does metric_value accept each of values, tested at once?  False can
-    still be a batch it accepts one by one, such as one whose sum overflows."""
-    try:
-        # Values >= 0 whose sum fits a float are each finite.  Subclasses, such
-        # as numpy.float64, pass the type test after the exact types fail it.
-        return (({int, float}.issuperset(map(type, values)) or
-                 all(issubclass(t, (int, float)) for t in set(map(type, values)))) and
-                min(values, default=0) >= 0 and sum(values, 0.0) <= _FLOAT_MAX)
-    except OverflowError:  # an int too large for a float
-        return False
+def metric_value(space: ComposedSpace, q: Point, h: Point, w: Point) -> float:
+    """The triple metric at points already known to lie in the domain; the
+    value must pass _check_metric."""
+    return _check_metric(space, space.metric.fn(q, h, w), q, h, w)
 
 
 def _metric_values(space: ComposedSpace, q: Sequence, h: Sequence,
                   w: Sequence) -> list:
     """metric_value at each triple (q[i], h[i], w[i]), returning the values
-    as the metric gave them.  A batch that fails _metric_batch_valid is
-    evaluated again through metric_value, which names the first bad value."""
+    as the metric gave them.  The batch is tested at once; a batch that fails
+    is scanned by _check_metric, which names the first bad value."""
     values = list(map(space.metric.fn, q, h, w))
-    if not _metric_batch_valid(values):
-        for triple in zip(q, h, w):
-            metric_value(space, *triple)
+    try:
+        # Values >= 0 whose sum fits a float are each finite.  Subclasses, such
+        # as numpy.float64, pass the type test after the exact types fail it.
+        valid = (({int, float}.issuperset(map(type, values)) or
+                  all(issubclass(t, (int, float)) for t in set(map(type, values)))) and
+                 min(values, default=0) >= 0 and sum(values, 0.0) <= _FLOAT_MAX)
+    except OverflowError:  # an int too large for a float
+        valid = False
+    if not valid:
+        for value, *triple in zip(values, q, h, w):
+            _check_metric(space, value, *triple)
     return values
 
 

@@ -504,6 +504,23 @@ def test_a_command_loads_only_the_modules_it_runs(argv, modules):
     assert {name for name in imported if name.startswith("csmetric")} == modules
 
 
+def _loaded_modules(statement):
+    code = f"import sys; {statement}; print(*sorted(m for m in sys.modules if 'csmetric' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env(),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.decode().split()
+
+
+@pytest.mark.parametrize("submodule", ["cli", "expressions"])
+def test_a_submodule_taken_from_the_package_loads_what_its_import_loads(submodule):
+    # The import system asks the package for the name before it imports the
+    # submodule, so the name must not be looked up in the library modules.
+    modules = _loaded_modules(f"from csmetric import {submodule}")
+    assert modules == _loaded_modules(f"import csmetric.{submodule}")
+    assert not {"csmetric.fixed_point", "csmetric.poly_solver"} & set(modules)
+
+
 def test_the_package_lists_the_same_64_names_every_way():
     import csmetric
     namespace = {}

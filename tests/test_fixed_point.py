@@ -327,9 +327,10 @@ class TestGeometricDecay:
 
 
 # --- picard against a step-by-step reference ------------------------------------
-# picard steps the orbit in doubling blocks and checks each block in batch.  It
-# must return, or raise, exactly what the loop it replaced did: one checked
-# step at a time, stopping at the first step distance <= tol.
+# picard checks each step with quick inline tests before the named checks.  It
+# must return, or raise, exactly what this loop does, and call the map and the
+# metric as often: one checked step at a time, stopping at the first step
+# distance <= tol.
 
 def _stepwise_picard(space, F, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     if not tol > 0:
@@ -371,8 +372,7 @@ def _outcome(solve, space, F, x0, tol, max_iter):
     return "returns", repr(result), [type(d) for d in result.orbit.step_distances]
 
 
-# Steps on either side of the block boundaries: blocks hold steps 1, 2-3,
-# 4-7, ..., 512-1023, then 1024 steps each.
+# Orbit lengths from one step to a few thousand.
 _STEPS = (1, 2, 3, 1023, 1024, 1025, 2048)
 _WIDE = PointDomain.real_interval(0.0, 4096.0)
 _TOL = 0.25
@@ -468,8 +468,11 @@ def _cases():
 @pytest.mark.parametrize("space, F, x0, tol, max_iter",
                          [pytest.param(*case[1:], id=case[0]) for case in _cases()])
 def test_picard_matches_the_stepwise_loop(space, F, x0, tol, max_iter):
-    expected = _outcome(_stepwise_picard, space, F, x0, tol, max_iter)
-    assert _outcome(picard, space, F, x0, tol, max_iter) == expected
+    *counted, expected_calls = _counting(space, F)
+    expected = _outcome(_stepwise_picard, *counted, x0, tol, max_iter)
+    *counted, calls = _counting(space, F)
+    assert _outcome(picard, *counted, x0, tol, max_iter) == expected
+    assert calls == expected_calls
     if expected[0] == "raises":
         assert expected[3] is None
     else:
@@ -487,38 +490,40 @@ def test_the_reference_cases_stop_and_fail_where_they_say(k):
             _stepwise_picard(space, _map(fn), k - 0.5, _TOL / 2)
 
 
-def _counting(F):
-    """F with F.fn counting its calls in the returned list's length."""
-    calls = []
-    return SelfMap(id=F.id, fn=lambda x: calls.append(x) or F.fn(x), domain=F.domain), calls
+def _counting(space, F):
+    """space and F, with the metric and F.fn logging each call, in order, to
+    the returned list."""
+    calls, metric, fn = [], space.metric.fn, F.fn
+    counted = TripleMetric(id=space.metric.id,
+                           fn=lambda q, h, w: calls.append("metric") or metric(q, h, w))
+    return (replace(space, metric=counted),
+            replace(F, fn=lambda x: calls.append("map") or fn(x)), calls)
 
 
-@pytest.mark.parametrize("k, block_end", [(4, 7), (1024, 2047), (2045, 2047)])
+@pytest.mark.parametrize("k", [4, 1024, 2045])
 @pytest.mark.parametrize("fault", ["map-escapes", "metric-nan"])
-def test_faults_past_the_stop_in_its_block_cost_no_step_twice(k, block_end, fault):
-    # A block is cut at the stop before it is checked, so a fault from step
-    # k + 2 on does not send the block back to be stepped one by one: F.fn
-    # runs to the end of the stop's block and once more for the residual.
+def test_faults_past_the_stop_are_never_reached(k, fault):
+    # The faults follow the stop at step k: the map and the metric run once
+    # per step and once more each for the residual, and never reach them.
     space, fn = _AFTER_STOP[fault]
-    F, calls = _counting(_map(fn))
+    space, F, calls = _counting(space, _map(fn))
     assert picard(space, F, k - 0.5, _TOL).iterations == k
-    assert len(calls) == block_end + 1
+    assert calls.count("map") == calls.count("metric") == k + 1
 
 
-def test_short_orbits_step_at_most_one_block_past_the_stop(monkeypatch):
-    # Blocks double from one step, so an orbit of n steps runs F.fn at most
-    # 2n - 1 times, and once more for the residual.
+def test_short_orbits_run_the_map_once_per_step(monkeypatch):
+    # Once per step, and once more for the residual.
     problem = poly_map(3)
-    counted, calls = _counting(problem.map)
+    _, counted, calls = _counting(problem.space, problem.map)
     monkeypatch.setattr(poly_solver, "poly_map",
                         lambda m: poly_solver.PolyProblem(m, counted, problem.space))
     result = solve_poly(3)
-    assert result.converged and 0 < len(calls) <= 2 * result.iterations + 1
+    assert result.converged and calls.count("map") == result.iterations + 1
     for x0 in poly_solver._UNIQUENESS_STARTS:
         calls.clear()
         assert uniqueness_probe(problem.space, counted, (x0,)).passed
         iterations = picard(problem.space, problem.map, x0).iterations
-        assert 0 < len(calls) <= 2 * iterations + 1
+        assert calls.count("map") == iterations + 1
 
 
 class _Float(float):

@@ -116,12 +116,15 @@ class TestMetricValues:
     @pytest.mark.parametrize("value", [10 ** 400, "1", 1j, -1e-300],
                              ids=["huge-int", "str", "complex", "negative"])
     def test_the_first_invalid_value_is_named(self, value):
-        metric = TripleMetric(id="late", fn=lambda q, h, w: value if q == 2.0 else 1.0)
+        calls = []
+        metric = TripleMetric(
+            id="late", fn=lambda q, h, w: calls.append(q) or (value if q == 2.0 else 1.0))
         space = ComposedSpace(PointDomain.real_interval(0, 5), metric, make_alpha("identity"))
         triples = [(1.0, 1.0, 1.0), (2.0, 0.0, 1.0), (2.0, 3.0, 4.0)]
         message = f"metric 'late' returned {value!r} at (2.0, 0.0, 1.0)"
         with pytest.raises(NumericError, match=re.escape(message)):
             _metric_values(space, *zip(*triples))
+        assert len(calls) == len(triples)  # the value is named, not evaluated again
         with pytest.raises(NumericError, match=re.escape(message)):
             metric_value(space, *triples[1])
 

@@ -28,3 +28,18 @@ def test_traced_run_draws_no_stream_twice(command, tmp_path):
     figures = json.loads(stats.read_text())
     assert figures["sampling.redrawn_tuples"] == 0
     assert figures["sampling.tuples_drawn"] > 0
+
+
+def test_traced_iterate_counts_the_reported_iterations(tmp_path):
+    stats = tmp_path / "stats.json"
+    env = {k: v for k, v in os.environ.items() if k != "CSMETRIC_SEED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(stats), "--", "iterate",
+         "--space", '{"metric": "app_metric", "map": {"kind": "scale", "factor": 0.5}}',
+         "--x0", "1.0", "--output", "json"],
+        capture_output=True, env=env, cwd=ROOT, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["iterations"] == 40
+    assert json.loads(stats.read_text())["fixed_point.iterations"] == report["iterations"]
