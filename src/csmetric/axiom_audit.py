@@ -19,15 +19,14 @@ is evidence over the sample, not a proof of the quantified claim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import cache
 from itertools import compress, islice
 from operator import eq
-from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, DomainError, NumericError
 from .sampling import SampleConfig, sample_tuples
-from .spaces import (_FLOAT_MAX, AlphaFunction, ComposedSpace, PointDomain, SelfMap,
+from .spaces import (_FLOAT_MAX, AlphaFunction, ComposedSpace, PointDomain, Record, SelfMap,
                      _alpha_values, _check_image, _check_metric, _metric_values,
                      eval_alpha, iterate_alpha, require_in_space)
 
@@ -73,8 +72,7 @@ def slack_tolerance(rhs: float) -> float:
     return ABS_TOL + REL_TOL * abs(rhs)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of a sampled check.
 
     ``worst_margin`` is the most negative slack observed (the minimum slack
@@ -83,6 +81,7 @@ class Verdict:
     serialized form.
     """
 
+    _fields = ("check", "passed", "checked", "witness", "worst_margin", "seed", "details")
     check: str
     passed: bool
     checked: int
@@ -92,14 +91,9 @@ class Verdict:
     details: Mapping | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "passed": self.passed,
-            "checked": self.checked,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "worst_margin": self.worst_margin,
-            "seed": self.seed,
-        }
+        doc = self._asdict()
+        del doc["details"]
+        return {**doc, "witness": list(self.witness) if self.witness is not None else None}
 
 
 class _Collector:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import ast
 import math
 import re
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import ConfigurationError
 

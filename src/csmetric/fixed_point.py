@@ -14,15 +14,14 @@ two selection properties that make the family's fixed-point argument work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from itertools import chain, combinations, compress
-from typing import Callable, Sequence
 
 from .axiom_audit import (_NONNEG_DOMAIN, DEFAULT_MAX_ITER, DEFAULT_TOL, Verdict, _audit,
                           _Collector, _orbit, _slacks)
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .sampling import SampleConfig
-from .spaces import ComposedSpace, SelfMap, _images, _metric_values, eval_metric
+from .spaces import ComposedSpace, Record, SelfMap, _images, _metric_values, eval_metric
 
 __all__ = [
     "Orbit",
@@ -49,19 +48,16 @@ __all__ = [
 _RATIO_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(Record):
     """A Picard orbit with per-step distances d_n = C(x_n, x_n, x_{n+1})."""
 
+    _fields = ("iterates", "step_distances")
     iterates: tuple
     step_distances: tuple
 
-    def to_json_dict(self) -> dict:
-        return {"iterates": self.iterates, "step_distances": self.step_distances}
 
-
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Record):
+    _fields = ("fixed_point", "iterations", "residual", "converged", "orbit")
     fixed_point: float
     iterations: int
     residual: float
@@ -69,19 +65,13 @@ class SolveResult:
     orbit: Orbit
 
     def to_json_dict(self) -> dict:
-        return {
-            "fixed_point": self.fixed_point,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "converged": self.converged,
-            "orbit": self.orbit.to_json_dict(),
-        }
+        return {**self._asdict(), "orbit": self.orbit._asdict()}
 
 
-@dataclass(frozen=True)
-class MfFunction:
+class MfFunction(Record):
     """A continuous five-argument bound used as a generalized contraction."""
 
+    _fields = ("id", "fn", "params")
     id: str
     fn: Callable[[float, float, float, float, float], float]
     params: tuple[float, ...] = ()
@@ -110,10 +100,10 @@ def bianchini_mf(a: float) -> MfFunction:
                       params=(a,))
 
 
-@dataclass(frozen=True)
-class ContractionEstimate:
+class ContractionEstimate(Record):
     """The largest observed ratio C(Fq,Fh,Fw)/C(q,h,w) with its argmax."""
 
+    _fields = ("sup_ratio", "argmax_tuple", "samples")
     sup_ratio: float
     argmax_tuple: tuple
     samples: int

@@ -11,7 +11,6 @@ ties roots of the polynomial to fixed points of F.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 
 from .axiom_audit import (DEFAULT_K_SET, Verdict, _audit, _Collector,
                           _identity, _subhomogeneity, _symmetry, _triangle,
@@ -19,7 +18,7 @@ from .axiom_audit import (DEFAULT_K_SET, Verdict, _audit, _Collector,
 from .errors import DomainError, InternalError
 from .fixed_point import DEFAULT_TOL, SolveResult, _banach, picard, uniqueness_probe
 from .sampling import SampleConfig
-from .spaces import ComposedSpace, SelfMap, make_builtin_space
+from .spaces import ComposedSpace, Record, SelfMap, make_builtin_space
 
 __all__ = [
     "PolyProblem",
@@ -41,10 +40,10 @@ SERIES_TOL = 1e-6
 _UNIQUENESS_STARTS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-@dataclass(frozen=True)
-class PolyProblem:
+class PolyProblem(Record):
     """Degree parameter, fixed-point map, and the unit-interval space."""
 
+    _fields = ("m", "map", "space")
     m: int
     map: SelfMap
     space: ComposedSpace

@@ -26,11 +26,10 @@ from __future__ import annotations
 import itertools
 import random
 import sys
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .errors import ConfigurationError, DomainError
-from .spaces import PointDomain
+from .spaces import PointDomain, Record
 
 __all__ = ["SampleConfig", "sample_tuples", "STRATEGIES"]
 
@@ -42,11 +41,11 @@ _GRID_BLOCK_CAP = 4096
 _DRAW_BATCH = 256
 
 
-@dataclass(frozen=True)
-class SampleConfig:
+class SampleConfig(Record):
     """Provenance of a sampled check: seed, tuple count, strategy, and an
     optional tuple of pinned tuples enumerated ahead of the stream."""
 
+    _fields = ("seed", "count", "strategy", "pinned")
     seed: int = 42
     count: int = 10000
     strategy: str = "grid_plus_random"

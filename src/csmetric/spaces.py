@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from bisect import bisect_left
+from collections.abc import Callable, Iterable, Sequence
 
 from .errors import ConfigurationError, DomainError, NumericError
 from .expressions import compile_expression
@@ -66,11 +66,59 @@ def _check_reals(values, what: str, arity: int | None = None):
     return values
 
 
-@dataclass(frozen=True)
-class PointDomain:
+class Record:
+    """Base of the immutable value types.  A subclass names its fields, in
+    constructor order, in ``_fields``, gives defaults as class attributes, and
+    may narrow equality and hashing to ``_compared``.  Construction ends with
+    ``__post_init__``; assignment raises AttributeError."""
+
+    _compared = property(lambda self: self._fields)
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = type(self), self._fields
+        values = dict(zip(fields, args), **kwargs)
+        # An extra or repeated argument leaves values short.
+        if (len(values) < len(args) + len(kwargs) or not values.keys() <= set(fields)
+                or not all(f in values or hasattr(cls, f) for f in fields)):
+            raise TypeError(f"{cls.__name__} takes {fields}, got {args!r} and {kwargs!r}")
+        self.__dict__.update({f: values[f] if f in values else getattr(cls, f) for f in fields})
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def _asdict(self) -> dict:
+        return {f: self.__dict__[f] for f in self._fields}
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._compared))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={v!r}" for f, v in self._asdict().items())
+        return f"{type(self).__qualname__}({shown})"
+
+
+def replace(value: Record, **changes) -> Record:
+    """A copy of value with the given fields changed, validated again."""
+    return type(value)(**{**value._asdict(), **changes})
+
+
+class PointDomain(Record):
     """A sampleable point set: a real interval, an initial segment of the
     naturals, or an explicit finite set of reals."""
 
+    _fields = ("kind", "lo", "hi", "max_value", "elements")
     kind: str
     lo: float = 0.0
     hi: float = 0.0
@@ -151,7 +199,9 @@ class PointDomain:
             return self.lo <= x <= self.hi
         if self.kind == "naturals_up_to":
             return float(x).is_integer() and 0 <= x <= self.max_value
-        return float(x) in self.elements
+        x = float(x)
+        i = bisect_left(self.elements, x)
+        return i < len(self.elements) and self.elements[i] == x
 
     def to_json(self) -> dict:
         if self.kind == "real_interval":
@@ -179,8 +229,7 @@ class PointDomain:
         raise ConfigurationError(f"unknown domain kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class AlphaFunction:
+class AlphaFunction(Record):
     """A composing function alpha: [0, inf) -> [0, inf).
 
     Defined by a closed-form expression in ``t`` so that serialization and
@@ -189,10 +238,11 @@ class AlphaFunction:
     evaluated through ``eval_alpha``, which checks the argument and value.
     """
 
+    _fields = ("id", "expr", "params")
     id: str
     expr: str
     params: tuple[float, ...] = ()
-    _fn: Callable[[float], float] = field(init=False, repr=False, compare=False)
+    _fn: Callable[[float], float]  # compiled from expr by __post_init__
 
     def __post_init__(self):
         fn = compile_expression(self.expr)
@@ -253,31 +303,31 @@ def alpha_from_json(doc: dict) -> AlphaFunction:
     return alpha
 
 
-@dataclass(frozen=True)
-class TripleMetric:
+class TripleMetric(Record):
     """A function from point triples to nonnegative reals."""
 
+    _fields, _compared = ("id", "fn"), ("id",)
     id: str
-    fn: Callable[[Point, Point, Point], float] = field(compare=False)
+    fn: Callable[[Point, Point, Point], float]
 
 
-@dataclass(frozen=True)
-class ComposedSpace:
+class ComposedSpace(Record):
     """A point domain with a triple metric and its composing function."""
 
+    _fields = ("domain", "metric", "alpha", "symmetric_claim")
     domain: PointDomain
     metric: TripleMetric
     alpha: AlphaFunction
     symmetric_claim: bool = False
 
 
-@dataclass(frozen=True)
-class SelfMap:
+class SelfMap(Record):
     """A map from a domain into itself, the object of fixed-point search."""
 
+    _fields, _compared = ("id", "fn", "domain"), ("id", "domain")
     id: str
-    fn: Callable[[Point], Point] = field(compare=False)
-    domain: PointDomain = field(default_factory=lambda: PointDomain.real_interval(0.0, 1.0))
+    fn: Callable[[Point], Point]
+    domain: PointDomain = PointDomain.real_interval(0.0, 1.0)
 
     def apply(self, x: Point) -> Point:
         """Apply the map, enforcing closure: the image must stay in the domain."""
@@ -551,15 +601,13 @@ def space_from_json(doc: dict) -> ComposedSpace:
         raise ConfigurationError(f"unknown space field(s): {', '.join(sorted(map(repr, unknown)))}")
     name = doc["metric"]
     space = make_builtin_space(name, doc.get("params", []))
-    if "domain" in doc:
-        space = replace(space, domain=_builtin_domain(name, PointDomain.from_json(doc["domain"])))
-    if "alpha" in doc:
-        space = replace(space, alpha=alpha_from_json(doc["alpha"]))
-    if "symmetric" in doc:
-        if not isinstance(doc["symmetric"], bool):
-            raise ConfigurationError(f"symmetric must be true or false, got {doc['symmetric']!r}")
-        space = replace(space, symmetric_claim=doc["symmetric"])
-    return space
+    domain = (_builtin_domain(name, PointDomain.from_json(doc["domain"])) if "domain" in doc
+              else space.domain)
+    alpha = alpha_from_json(doc["alpha"]) if "alpha" in doc else space.alpha
+    symmetric = doc.get("symmetric", space.symmetric_claim)
+    if not isinstance(symmetric, bool):
+        raise ConfigurationError(f"symmetric must be true or false, got {symmetric!r}")
+    return ComposedSpace(domain, space.metric, alpha, symmetric)
 
 
 def map_from_json(doc: dict, domain: PointDomain) -> SelfMap:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -19,6 +18,7 @@ from csmetric import (BUILTIN_SPACES, DEFAULT_K_SET, ComposedSpace, Configuratio
                       make_self_map, poly_map, sample_tuples, series_tail,
                       slack_tolerance, verify_theorem_4_1)
 from csmetric import axiom_audit, cli, fixed_point
+from csmetric.spaces import replace
 
 TWO_SQRT = make_alpha("two_sqrt")
 IDENTITY = make_alpha("identity")

@@ -521,6 +521,25 @@ def test_a_submodule_taken_from_the_package_loads_what_its_import_loads(submodul
     assert not {"csmetric.fixed_point", "csmetric.poly_solver"} & set(modules)
 
 
+def test_commands_load_neither_dataclasses_nor_inspect():
+    # Every command is a fresh interpreter; dataclasses would cost each one
+    # its import of inspect, dis and tokenize.
+    code = ("import sys, csmetric.cli as cli\n"
+            "codes = [cli.main(['verify-space', '--builtin', 'app_metric', '--samples', '50']),\n"
+            "         cli.main(['verify-thm41', '--m', '3', '--samples', '50'])]\n"
+            "print(codes, sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env(),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines()[-1] == "[0, 0] []"
+
+
+def test_the_console_script_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert project["project"]["scripts"] == {"csmetric": "csmetric.cli:main"}
+
+
 def test_the_package_lists_the_same_64_names_every_way():
     import csmetric
     namespace = {}

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -14,7 +13,7 @@ from csmetric import (DEFAULT_MAX_ITER, DEFAULT_TOL, ComposedSpace,
                       make_alpha, make_builtin_space, make_self_map, picard,
                       poly_map, poly_solver, sample_tuples, solve_poly,
                       uniqueness_probe, verify_fixed_point)
-from csmetric.spaces import metric_value
+from csmetric.spaces import metric_value, replace
 
 # Pinned by the bisection oracle ahead of the build.
 ROOT_M3 = 0.012345679299142365

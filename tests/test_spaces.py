@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import pytest
@@ -6,11 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from csmetric import (ComposedSpace, ConfigurationError, DomainError,
-                      NumericError, PointDomain, SelfMap, TripleMetric,
+                      NumericError, PointDomain, SampleConfig, SelfMap, TripleMetric,
                       eval_alpha, eval_metric, iterate_alpha, make_alpha,
                       make_builtin_space, make_self_map, space_from_json,
                       space_to_json)
-from csmetric.spaces import _images, _metric_values, metric_value
+from csmetric.spaces import _images, _metric_values, metric_value, replace
 
 ALPHA_IDS = ("identity", "exp", "exp_2t", "two_t_plus_one", "two_sqrt")
 
@@ -37,6 +38,20 @@ class TestPointDomain:
         assert d.elements == (1.0, 2.0, 3.0)
         assert d.contains(2.0) and not d.contains(2.5)
 
+    def test_finite_set_membership_matches_a_set(self):
+        rng = random.Random(20000)
+        elements = [rng.uniform(-1e6, 1e6) for _ in range(20000)]
+        elements += list(range(-9, 10)) + [2.0 ** 53]
+        d = PointDomain.finite_real_set(elements)
+        reference = set(d.elements)
+        picked = rng.sample(elements, 500) + [min(elements), max(elements)]
+        probes = (picked + [math.nextafter(x, to) for x in picked for to in (-math.inf, math.inf)]
+                  + [rng.uniform(-2e6, 2e6) for _ in range(500)]
+                  + [-0.0, 0.0, 5, -5, 10 ** 7, -10 ** 7, 2 ** 53 + 1, 2 ** 53 + 2])
+        for x in probes:
+            assert d.contains(x) is (float(x) in reference), x
+        assert all(map(d.contains, elements))
+
     def test_naturals_membership(self):
         d = PointDomain.naturals_up_to(10)
         assert d.contains(7) and d.contains(7.0)
@@ -53,6 +68,68 @@ class TestPointDomain:
     @pytest.mark.parametrize("x", [10 ** 400, -10 ** 400, math.nan, math.inf])
     def test_values_beyond_the_floats_are_outside(self, domain, x):
         assert not domain.contains(x)
+
+
+class TestValues:
+    @pytest.mark.parametrize("value,name", [
+        (SampleConfig(), "seed"), (PointDomain.real_interval(0, 1), "elements"),
+        (make_alpha("exp"), "_fn"), (make_builtin_space("app_metric"), "alpha"),
+        (make_self_map("identity", PointDomain.real_interval(0, 1)), "fn"),
+    ], ids=lambda v: type(v).__name__ if not isinstance(v, str) else v)
+    def test_fields_cannot_be_assigned_or_deleted(self, value, name):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.other = 1
+
+    def test_equal_domains_are_one_dict_key(self):
+        keys = {PointDomain.real_interval(0, 1): "unit", PointDomain.naturals_up_to(9): "nat"}
+        assert keys[PointDomain.real_interval(0.0, 1.0)] == "unit"
+        assert PointDomain.finite_real_set([2, 1]) == PointDomain.finite_real_set([1.0, 2.0, 1])
+        assert PointDomain.real_interval(0, 1) != PointDomain.real_interval(0, 2)
+        assert PointDomain.real_interval(0, 1) != ("real_interval", 0.0, 1.0, 0, ())
+
+    def test_equality_leaves_out_functions(self):
+        assert make_alpha("exp") == make_alpha("exp")
+        assert make_alpha("exp")._fn is not make_alpha("exp")._fn
+        assert TripleMetric("m", abs) == TripleMetric("m", lambda q, h, w: 0.0)
+        assert TripleMetric("m", abs) != TripleMetric("n", abs)
+        unit = PointDomain.real_interval(0, 1)
+        assert SelfMap("f", abs, unit) == SelfMap("f", round, unit)
+        assert SelfMap("f", abs, unit) != SelfMap("f", abs, PointDomain.real_interval(0, 2))
+        assert hash(SelfMap("f", abs, unit)) == hash(SelfMap("f", round, unit))
+
+    def test_repr_names_every_field(self):
+        assert repr(SampleConfig()) == (
+            "SampleConfig(seed=42, count=10000, strategy='grid_plus_random', pinned=())")
+        assert repr(make_alpha("exp")) == "AlphaFunction(id='exp', expr='exp(t)', params=())"
+
+    def test_defaults_are_class_attributes(self):
+        assert (SampleConfig.seed, SampleConfig.count) == (42, 10000)
+        assert SampleConfig(7, 5) == SampleConfig(count=5, seed=7)
+        assert SelfMap("f", abs).domain == PointDomain.real_interval(0, 1)
+
+    @pytest.mark.parametrize("args,kwargs", [
+        ((1, 2, "uniform_random", (), 5), {}), ((), {"sead": 1}), ((1,), {"seed": 2}),
+    ], ids=["extra", "unknown", "repeated"])
+    def test_a_wrong_argument_is_a_type_error(self, args, kwargs):
+        with pytest.raises(TypeError):
+            SampleConfig(*args, **kwargs)
+
+    def test_a_missing_field_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            TripleMetric("m")
+
+    def test_replace_validates_again(self):
+        cfg = SampleConfig(pinned=[[1, 2]])
+        assert replace(cfg, count=5) == SampleConfig(count=5, pinned=((1, 2),))
+        assert cfg.count == 10000
+        with pytest.raises(ConfigurationError, match="seed"):
+            replace(cfg, seed=-1)
+        with pytest.raises(TypeError):
+            replace(cfg, sead=1)
 
 
 class TestEvalMetric:
