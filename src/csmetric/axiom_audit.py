@@ -81,7 +81,6 @@ class Verdict(Record):
     serialized form.
     """
 
-    _fields = ("check", "passed", "checked", "witness", "worst_margin", "seed", "details")
     check: str
     passed: bool
     checked: int

@@ -51,13 +51,11 @@ _RATIO_FLOOR = 1e-12
 class Orbit(Record):
     """A Picard orbit with per-step distances d_n = C(x_n, x_n, x_{n+1})."""
 
-    _fields = ("iterates", "step_distances")
     iterates: tuple
     step_distances: tuple
 
 
 class SolveResult(Record):
-    _fields = ("fixed_point", "iterations", "residual", "converged", "orbit")
     fixed_point: float
     iterations: int
     residual: float
@@ -71,7 +69,6 @@ class SolveResult(Record):
 class MfFunction(Record):
     """A continuous five-argument bound used as a generalized contraction."""
 
-    _fields = ("id", "fn", "params")
     id: str
     fn: Callable[[float, float, float, float, float], float]
     params: tuple[float, ...] = ()
@@ -103,7 +100,6 @@ def bianchini_mf(a: float) -> MfFunction:
 class ContractionEstimate(Record):
     """The largest observed ratio C(Fq,Fh,Fw)/C(q,h,w) with its argmax."""
 
-    _fields = ("sup_ratio", "argmax_tuple", "samples")
     sup_ratio: float
     argmax_tuple: tuple
     samples: int

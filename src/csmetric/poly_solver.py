@@ -43,7 +43,6 @@ _UNIQUENESS_STARTS = (0.0, 0.25, 0.5, 0.75, 1.0)
 class PolyProblem(Record):
     """Degree parameter, fixed-point map, and the unit-interval space."""
 
-    _fields = ("m", "map", "space")
     m: int
     map: SelfMap
     space: ComposedSpace
@@ -172,7 +171,7 @@ def verify_theorem_4_1(m: int, seed: int = SampleConfig.seed,
                   banach, check_series_vanishing(space.alpha, r, 2.0, SERIES_GAPS,
                                                  SERIES_SCHEDULE, SERIES_TOL),
                   uniqueness_probe(space, F, _UNIQUENESS_STARTS, tol)]
-    solved = solve_poly(m, 0.5, tol)
+    solved = picard(space, F, 0.5, tol)
     oracle = oracle_agreement(m, solved, tol)
     hypotheses.append(oracle)
 

@@ -45,7 +45,6 @@ class SampleConfig(Record):
     """Provenance of a sampled check: seed, tuple count, strategy, and an
     optional tuple of pinned tuples enumerated ahead of the stream."""
 
-    _fields = ("seed", "count", "strategy", "pinned")
     seed: int = 42
     count: int = 10000
     strategy: str = "grid_plus_random"

@@ -67,12 +67,16 @@ def _check_reals(values, what: str, arity: int | None = None):
 
 
 class Record:
-    """Base of the immutable value types.  A subclass names its fields, in
-    constructor order, in ``_fields``, gives defaults as class attributes, and
-    may narrow equality and hashing to ``_compared``.  Construction ends with
-    ``__post_init__``; assignment raises AttributeError."""
+    """Base of the immutable value types.  A subclass's fields, listed in
+    ``_fields``, are the names it annotates that do not start with ``_``, in
+    declaration order.  Defaults are class attributes; ``_compared`` may narrow
+    equality and hashing.  Construction ends with ``__post_init__``;
+    assignment raises AttributeError."""
 
     _compared = property(lambda self: self._fields)
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(f for f in cls.__annotations__ if not f.startswith("_"))
 
     def __init__(self, *args, **kwargs):
         cls, fields = type(self), self._fields
@@ -118,7 +122,6 @@ class PointDomain(Record):
     """A sampleable point set: a real interval, an initial segment of the
     naturals, or an explicit finite set of reals."""
 
-    _fields = ("kind", "lo", "hi", "max_value", "elements")
     kind: str
     lo: float = 0.0
     hi: float = 0.0
@@ -238,7 +241,6 @@ class AlphaFunction(Record):
     evaluated through ``eval_alpha``, which checks the argument and value.
     """
 
-    _fields = ("id", "expr", "params")
     id: str
     expr: str
     params: tuple[float, ...] = ()
@@ -306,7 +308,7 @@ def alpha_from_json(doc: dict) -> AlphaFunction:
 class TripleMetric(Record):
     """A function from point triples to nonnegative reals."""
 
-    _fields, _compared = ("id", "fn"), ("id",)
+    _compared = ("id",)
     id: str
     fn: Callable[[Point, Point, Point], float]
 
@@ -314,7 +316,6 @@ class TripleMetric(Record):
 class ComposedSpace(Record):
     """A point domain with a triple metric and its composing function."""
 
-    _fields = ("domain", "metric", "alpha", "symmetric_claim")
     domain: PointDomain
     metric: TripleMetric
     alpha: AlphaFunction
@@ -324,7 +325,7 @@ class ComposedSpace(Record):
 class SelfMap(Record):
     """A map from a domain into itself, the object of fixed-point search."""
 
-    _fields, _compared = ("id", "fn", "domain"), ("id", "domain")
+    _compared = ("id", "domain")
     id: str
     fn: Callable[[Point], Point]
     domain: PointDomain = PointDomain.real_interval(0.0, 1.0)
@@ -358,8 +359,7 @@ def _check_image(space: ComposedSpace, F: SelfMap, x: Point, y: Point) -> None:
     outside space.domain."""
     if not F.domain.contains(y):
         raise F.escape_error(x, y)
-    if not space.domain.contains(y):
-        raise DomainError(f"point {y!r} is outside the space domain")
+    require_in_space(space, y)
 
 
 def _images(space: ComposedSpace, F: SelfMap, points: Iterable) -> list:
@@ -391,23 +391,16 @@ def _check_metric(space: ComposedSpace, value, q: Point, h: Point, w: Point) -> 
     return float(value)
 
 
-def metric_value(space: ComposedSpace, q: Point, h: Point, w: Point) -> float:
-    """The triple metric at points already known to lie in the domain; the
-    value must pass _check_metric."""
-    return _check_metric(space, space.metric.fn(q, h, w), q, h, w)
-
-
 def _metric_values(space: ComposedSpace, q: Sequence, h: Sequence,
                   w: Sequence) -> list:
-    """metric_value at each triple (q[i], h[i], w[i]), returning the values
-    as the metric gave them.  The batch is tested at once; a batch that fails
-    is scanned by _check_metric, which names the first bad value."""
+    """The metric at each triple (q[i], h[i], w[i]) in the domain, as it gave
+    the values.  The batch is tested at once; a batch that fails, such as one of
+    numpy.float64 values, is scanned by _check_metric, which names the first
+    bad value without evaluating anything again."""
     values = list(map(space.metric.fn, q, h, w))
     try:
-        # Values >= 0 whose sum fits a float are each finite.  Subclasses, such
-        # as numpy.float64, pass the type test after the exact types fail it.
-        valid = (({int, float}.issuperset(map(type, values)) or
-                  all(issubclass(t, (int, float)) for t in set(map(type, values)))) and
+        # Values >= 0 whose sum fits a float are each finite.
+        valid = ({int, float}.issuperset(map(type, values)) and
                  min(values, default=0) >= 0 and sum(values, 0.0) <= _FLOAT_MAX)
     except OverflowError:  # an int too large for a float
         valid = False
@@ -421,7 +414,7 @@ def eval_metric(space: ComposedSpace, q: Point, h: Point, w: Point) -> float:
     """Evaluate the triple metric at (q, h, w) with domain and range checks."""
     for p in (q, h, w):
         require_in_space(space, p)
-    return metric_value(space, q, h, w)
+    return _check_metric(space, space.metric.fn(q, h, w), q, h, w)
 
 
 def eval_alpha(alpha: AlphaFunction, t: float) -> float:

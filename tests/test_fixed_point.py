@@ -13,7 +13,7 @@ from csmetric import (DEFAULT_MAX_ITER, DEFAULT_TOL, ComposedSpace,
                       make_alpha, make_builtin_space, make_self_map, picard,
                       poly_map, poly_solver, sample_tuples, solve_poly,
                       uniqueness_probe, verify_fixed_point)
-from csmetric.spaces import metric_value, replace
+from csmetric.spaces import replace
 
 # Pinned by the bisection oracle ahead of the build.
 ROOT_M3 = 0.012345679299142365
@@ -347,7 +347,7 @@ def _stepwise_picard(space, F, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
             raise F.escape_error(x, y)
         if not space.domain.contains(y):
             raise DomainError(f"point {y!r} is outside the space domain")
-        d = metric_value(space, x, x, y)
+        d = eval_metric(space, x, x, y)
         iterates.append(y)
         steps.append(d)
         if d <= tol:

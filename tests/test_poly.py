@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from csmetric import (DomainError, SampleConfig, bisection_oracle,
-                      contraction_bound, estimate_contraction_factor,
+from csmetric import (AlphaFunction, DomainError, PolyProblem, SampleConfig,
+                      bisection_oracle, contraction_bound, estimate_contraction_factor,
                       poly_map, residual, sample_tuples, solve_poly,
                       verify_theorem_4_1)
 
@@ -170,6 +170,14 @@ class TestVerifyPipeline:
     def test_degree_two_rejected(self):
         with pytest.raises(DomainError):
             verify_theorem_4_1(2)
+
+    def test_the_problem_is_built_once(self, monkeypatch):
+        built = []
+        for cls in (AlphaFunction, PolyProblem):
+            monkeypatch.setattr(cls, "__post_init__", lambda self, post_init=cls.__post_init__:
+                                built.append(type(self).__name__) or post_init(self))
+        assert verify_theorem_4_1(3, samples=50)["all_passed"]
+        assert sorted(built) == ["AlphaFunction", "PolyProblem"]
 
     def test_report_is_deterministic(self):
         a = verify_theorem_4_1(3, seed=7, samples=2000)

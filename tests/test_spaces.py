@@ -6,14 +6,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from csmetric import (ComposedSpace, ConfigurationError, DomainError,
-                      NumericError, PointDomain, SampleConfig, SelfMap, TripleMetric,
+from csmetric import (AlphaFunction, ComposedSpace, ConfigurationError,
+                      ContractionEstimate, DomainError, MfFunction, NumericError,
+                      Orbit, PointDomain, PolyProblem, SampleConfig, SelfMap,
+                      SolveResult, TripleMetric, Verdict,
                       eval_alpha, eval_metric, iterate_alpha, make_alpha,
                       make_builtin_space, make_self_map, space_from_json,
                       space_to_json)
-from csmetric.spaces import _images, _metric_values, metric_value, replace
+from csmetric.spaces import Record, _images, _metric_values, replace
 
 ALPHA_IDS = ("identity", "exp", "exp_2t", "two_t_plus_one", "two_sqrt")
+
+
+class _Float(float):
+    """A float subclass, as numpy.float64 is one."""
 
 
 class TestPointDomain:
@@ -122,6 +128,38 @@ class TestValues:
         with pytest.raises(TypeError):
             TripleMetric("m")
 
+    @pytest.mark.parametrize("cls,fields", [
+        (PointDomain, ("kind", "lo", "hi", "max_value", "elements")),
+        (AlphaFunction, ("id", "expr", "params")),
+        (TripleMetric, ("id", "fn")),
+        (ComposedSpace, ("domain", "metric", "alpha", "symmetric_claim")),
+        (SelfMap, ("id", "fn", "domain")),
+        (SampleConfig, ("seed", "count", "strategy", "pinned")),
+        (Verdict, ("check", "passed", "checked", "witness", "worst_margin", "seed", "details")),
+        (Orbit, ("iterates", "step_distances")),
+        (SolveResult, ("fixed_point", "iterations", "residual", "converged", "orbit")),
+        (MfFunction, ("id", "fn", "params")),
+        (ContractionEstimate, ("sup_ratio", "argmax_tuple", "samples")),
+        (PolyProblem, ("m", "map", "space")),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+    def test_fields_keep_their_constructor_order(self, cls, fields):
+        # Positional construction follows this order, so it is public API.
+        assert cls._fields == fields
+
+    def test_a_subclass_takes_its_annotated_fields(self):
+        class Pair(Record):
+            _hidden: int
+            left: int
+            right: str = "r"
+
+        assert "_fn" not in AlphaFunction._fields and Pair._fields == ("left", "right")
+        assert Pair(1) == Pair(left=1, right="r") != Pair(1, "s")
+        assert repr(Pair(1)).endswith(".Pair(left=1, right='r')")
+        assert hash(Pair(2, "x")) == hash(Pair(2, "x"))
+        assert Pair(1, "s")._asdict() == {"left": 1, "right": "s"}
+        with pytest.raises(TypeError):
+            Pair()
+
     def test_replace_validates_again(self):
         cfg = SampleConfig(pinned=[[1, 2]])
         assert replace(cfg, count=5) == SampleConfig(count=5, pinned=((1, 2),))
@@ -182,13 +220,15 @@ class TestMetricValues:
         space = ComposedSpace(PointDomain.real_interval(0, 1), big, make_alpha("identity"))
         assert _metric_values(space, [0.0] * 3, [0.5] * 3, [1.0] * 3) == [1.5e308] * 3
 
-    @pytest.mark.parametrize("value", [True, 3, 2.5], ids=["bool", "int", "float"])
+    @pytest.mark.parametrize("value", [True, 3, 2.5, _Float(0.75)],
+                             ids=["bool", "int", "float", "float-subclass"])
     def test_every_value_metric_value_accepts_passes(self, value):
         space = ComposedSpace(PointDomain.real_interval(0, 1),
                               TripleMetric(id="const", fn=lambda q, h, w: value),
                               make_alpha("identity"))
-        assert _metric_values(space, [0.0], [0.5], [1.0]) == [value]
-        assert metric_value(space, 0.0, 0.5, 1.0) == float(value)
+        values = _metric_values(space, [0.0], [0.5], [1.0])
+        assert values == [value] and type(values[0]) is type(value)
+        assert eval_metric(space, 0.0, 0.5, 1.0) == float(value)
 
     @pytest.mark.parametrize("value", [10 ** 400, "1", 1j, -1e-300],
                              ids=["huge-int", "str", "complex", "negative"])
@@ -203,7 +243,7 @@ class TestMetricValues:
             _metric_values(space, *zip(*triples))
         assert len(calls) == len(triples)  # the value is named, not evaluated again
         with pytest.raises(NumericError, match=re.escape(message)):
-            metric_value(space, *triples[1])
+            eval_metric(space, *triples[1])
 
 
 class TestEvalAlpha:
