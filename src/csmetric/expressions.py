@@ -38,6 +38,8 @@ _TOKEN = re.compile(
 
 
 def _safe_exp(x: float) -> float:
+    if x > 710.0:  # exp(710) overflows already, so skip raising OverflowError
+        return math.inf
     try:
         return math.exp(x)
     except OverflowError:

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 
 import pytest
@@ -40,6 +41,32 @@ def test_whitespace_ignored():
 def test_exp_saturates_instead_of_overflowing():
     for expr, t in (("exp(t)", 1e6), ("t^400", 1e3)):
         assert compile_expression(expr)(t) == math.inf
+
+
+def _exp_by_overflow(x):
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _neighbours(x, steps=64):
+    below = above = x
+    for _ in range(steps):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        yield below
+        yield above
+
+
+def test_safe_exp_matches_the_overflow_form():
+    # 709.782712893384 is about log(DBL_MAX), where exp starts to overflow.
+    rng = random.Random(20)
+    values = [709.782712893384, 710.0, *_neighbours(709.782712893384), *_neighbours(710.0),
+              math.inf, -math.inf, math.nan, -0.0, 5e-324, 10 ** 400,
+              *(rng.uniform(-800.0, 800.0) for _ in range(10 ** 5))]
+    for x in values:
+        got, want = expressions._safe_exp(x), _exp_by_overflow(x)
+        assert (type(got), repr(got)) == (type(want), repr(want)), x
 
 
 @pytest.mark.parametrize("bad", [

@@ -530,8 +530,9 @@ class _Float(float):
 
 
 def test_float_subclass_metric_values_are_evaluated_once(app_space):
-    # Such values pass the batch test as they are, so no batch or block is
-    # evaluated a second time, value by value.
+    # Such values fail the exact-type tests, so _check_metric checks them one
+    # by one without calling the metric again: each Picard step's distance
+    # (Picard has no blocks), and each value of the identity audit's batches.
     calls, fn = [], app_space.metric.fn
     metric = TripleMetric(id="subclass", fn=lambda q, h, w: calls.append(q) or _Float(fn(q, h, w)))
     space = replace(app_space, metric=metric)
