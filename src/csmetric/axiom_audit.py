@@ -12,22 +12,27 @@ toward the lexicographically smallest tuple, so results are independent of
 evaluation order.  ``_audit`` draws each sample stream once and hands it,
 CHUNK tuples at a time, to every check that reads it, and replays the checks
 one by one when anything raises, so an error is the one they raise run one
-after another.  These auditors are falsifiers and evidence gatherers: a pass
-is evidence over the sample, not a proof of the quantified claim.
+after another.  On a built-in metric, and for the alpha alone, a check first
+runs a fused kernel: its slacks as one comprehension with the metric and
+alpha inlined, the same float operations in the same order.  A chunk where
+that raises or finds anything to report runs again on the checked kernel.
+These auditors are falsifiers and evidence gatherers: a pass is evidence
+over the sample, not a proof of the quantified claim.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from functools import cache
+from functools import cache, lru_cache
 from itertools import compress, islice
 from operator import eq
 
 from .errors import ConfigurationError, DomainError, NumericError
+from .expressions import compile_fused
 from .sampling import SampleConfig, sample_tuples
 from .spaces import (_FLOAT_MAX, AlphaFunction, ComposedSpace, PointDomain, Record, SelfMap,
-                     _alpha_values, _check_image, _check_metric, _metric_values,
+                     _alpha_values, _check_image, _check_metric, _fused_metric, _metric_values,
                      eval_alpha, iterate_alpha, require_in_space)
 
 __all__ = [
@@ -147,18 +152,66 @@ def _slacks(lhs: Sequence[float], rhs: Sequence[float]) -> tuple[list, Sequence[
     return slacks, [s < -ABS_TOL and s < -slack_tolerance(r) for s, r in zip(slacks, rhs)]
 
 
+@lru_cache(maxsize=256)  # a command compiles a few; a long-lived process may see many alphas
+def _compiled(template: str, metric: str | None, alpha: AlphaFunction | None) -> Callable:
+    return compile_fused(template, metric, alpha and alpha._tree)
+
+
+def _fused(template: str, space: ComposedSpace | None,
+           alpha: AlphaFunction | None = None) -> Callable | None:
+    """template, a lambda over a chunk, compiled with space's metric for C
+    and alpha for A (A(x) is x when alpha is None), or None when space's
+    metric has no fused form on its domain.  space None: template reads no
+    metric."""
+    metric = None if space is None else _fused_metric(space)
+    if space is not None and metric is None:
+        return None
+    try:
+        return _compiled(template, metric, alpha)
+    except RecursionError:  # a flat sum of about 490 terms is too deep to inline
+        return None
+
+
+def _fast(kernel: Callable, fused: Callable | None, floor: float = -ABS_TOL) -> Callable:
+    """kernel, run only on the chunks where fused(chunk), the same slacks by
+    the same float operations, raises, sums to NaN or has a slack below
+    floor.  A chunk with no slack below floor has nothing to report (at
+    -ABS_TOL, the least tolerance), so its keys and violations are left out.
+    A chunk after one with a violation goes to kernel at once, as a check
+    that fails tends to fail on every chunk."""
+    if fused is None:
+        return kernel
+    clean = True
+
+    def fast(chunk, cols, d):
+        nonlocal clean
+        if clean:
+            try:
+                slacks = fused(chunk)
+                total = sum(slacks, 0.0)
+                if total == total and min(slacks) >= floor:
+                    return (), slacks, ()
+            except Exception:  # kernel raises the checked path's error, if any
+                pass
+        keys, slacks, violates = kernel(chunk, cols, d)
+        clean = not any(violates)
+        return keys, slacks, violates
+    return fast
+
+
 def _audit(space: ComposedSpace | None, cfg: SampleConfig,
            checks: Sequence[Callable[[], tuple]]) -> list:
     """Run checks on space and return their results, as if one by one.
 
     Calling a check validates its arguments and gives (parts, finish).  A
     part (domain, arity, kernel) maps a chunk of its sample, the chunk's
-    columns and its checked metric batches d, each evaluated once per chunk
-    (d(0, 1, 2) is C(q, h, w), d(0, 0, 3) is C(q, q, u)), to keys, slacks
-    and violations.  finish maps the collector to the result, or names the
-    verdict.  Kernels share columns and batches, so they must not change
-    them.  Each (domain, arity) stream is drawn once.  If anything raises,
-    the checks run again one by one, so the error is a one-by-one run's."""
+    columns cols() and its checked metric batches d, each evaluated on
+    first use and then kept for the chunk (d(0, 1, 2) is C(q, h, w),
+    d(0, 0, 3) is C(q, q, u)), to keys, slacks and violations.  finish maps
+    the collector to the result, or names the verdict.  Kernels share
+    columns and batches, so they must not change them.  Each (domain, arity)
+    stream is drawn once.  If anything raises, the checks run again one by
+    one, so the error is a one-by-one run's."""
     try:
         built = [(_Collector(), *build()) for build in checks]
         streams: dict[tuple, list] = {}
@@ -169,8 +222,8 @@ def _audit(space: ComposedSpace | None, cfg: SampleConfig,
             sample = sample_tuples(domain, arity, cfg)
             for start in range(0, len(sample), CHUNK):
                 chunk = sample[start:start + CHUNK]
-                cols = list(zip(*chunk))
-                d = cache(lambda *pattern: _metric_values(space, *(cols[c] for c in pattern)))
+                cols = cache(lambda: list(zip(*chunk)))
+                d = cache(lambda *pattern: _metric_values(space, *(cols()[c] for c in pattern)))
                 for col, kernel in readers:
                     col.add(*kernel(chunk, cols, d))
             del sample  # before the next stream is drawn, so one sample is held at a time
@@ -191,7 +244,7 @@ def _identity(space: ComposedSpace) -> tuple:
         return [(p, p, p) for (p,) in chunk], [-v for v in dist], [v != 0.0 for v in dist]
 
     def triples(chunk, cols, d):
-        q, h, _ = cols
+        q, h, _ = cols()
         dist = d(0, 1, 2)
         # Strict positivity off the diagonal: the slack is the distance itself.
         if min(dist) > 0 and not any(map(eq, q, h)):  # no q == h: no diagonal triple
@@ -200,7 +253,14 @@ def _identity(space: ComposedSpace) -> tuple:
         return chunk, slacks, [s < 0 or (s == 0 and not q == h == w)
                                for s, (q, h, w) in zip(slacks, chunk)]
 
-    return [(space.domain, 1, self_distances), (space.domain, 3, triples)], "identity_axiom"
+    # At the floor 0 a chunk passes exactly when it has no violation: every
+    # self distance is 0, and so is every diagonal triple's, whose slack is
+    # -0.0; any other triple's is above 0, as a zero one turns into -1.0.
+    return [(space.domain, 1, _fast(self_distances, _fused(
+                "lambda chunk: [0.0 - C(p, p, p) for (p,) in chunk]", space), 0.0)),
+            (space.domain, 3, _fast(triples, _fused(
+                "lambda chunk: [-C(q, h, w) if q == h == w else C(q, h, w) or -1.0"
+                " for q, h, w in chunk]", space), 0.0))], "identity_axiom"
 
 
 def check_identity_axiom(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
@@ -217,7 +277,9 @@ def _triangle(space: ComposedSpace, check: str, alpha: AlphaFunction | None) -> 
             terms = [_alpha_values(alpha, t) for t in terms]
         return (chunk, *_slacks(lhs, [a + b + c for a, b, c in zip(*terms)]))
 
-    return [(space.domain, 4, kernel)], check
+    fused = _fused("lambda chunk: [A(C(q, q, u)) + A(C(h, h, u)) + A(C(w, w, u)) - C(q, h, w)"
+                   " for q, h, w, u in chunk]", space, alpha)
+    return [(space.domain, 4, _fast(kernel, fused))], check
 
 
 def check_composed_triangle(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
@@ -240,7 +302,8 @@ def _symmetry(space: ComposedSpace) -> tuple:
         return chunk, slacks, [s < -(ABS_TOL + REL_TOL * max(x, y))
                                for s, x, y in zip(slacks, a, b)]
 
-    return [(space.domain, 2, kernel)], "symmetry"
+    fused = _fused("lambda chunk: [-abs(C(q, q, h) - C(h, h, q)) for q, h in chunk]", space)
+    return [(space.domain, 2, _fast(kernel, fused))], "symmetry"
 
 
 def check_symmetry(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
@@ -263,14 +326,17 @@ def _subhomogeneity(alpha: AlphaFunction, k_set: Sequence[float]) -> tuple:
 
     def kernel(chunk, cols, d):
         # alpha(s) and alpha(t) once per pair, outside the k loop
-        a_s, a_t = (_alpha_values(alpha, x) for x in cols)
+        a_s, a_t = (_alpha_values(alpha, x) for x in cols())
         # A generator: the collector builds the keys one at a time, and only
         # when the chunk has a violation or a NaN.
         keys = ((k, s, t) for s, t in chunk for k in k_set)
         lhs = _alpha_values(alpha, [k * s + t for s, t in chunk for k in k_set])
         return (keys, *_slacks(lhs, [k * x + y for x, y in zip(a_s, a_t) for k in k_set]))
 
-    return [(_NONNEG_DOMAIN, 2, kernel)], "alpha_subhomogeneity"
+    fused = _fused("lambda chunk, ks: [k * a_s + a_t - A(k * s + t) for s, t in chunk"
+                   " for a_s, a_t in [(A(s), A(t))] for k in ks]", None, alpha)
+    return [(_NONNEG_DOMAIN, 2, _fast(kernel, fused and (lambda chunk: fused(chunk, k_set))))
+            ], "alpha_subhomogeneity"
 
 
 def check_alpha_subhomogeneity(alpha: AlphaFunction, cfg: SampleConfig,

@@ -120,7 +120,7 @@ def _cmd_solve_poly(args: argparse.Namespace) -> tuple[int, dict]:
 def _cmd_verify_space(args: argparse.Namespace) -> tuple[int, dict]:
     space, _ = _build_space(args, needs_map=False)
     cfg = SampleConfig(seed=args.seed, count=args.samples)
-    verdicts = _audit(space, cfg, [  # the triangles share their metric batches
+    verdicts = _audit(space, cfg, [  # the triangles read one 4-tuple stream
         lambda: _identity(space),
         lambda: _triangle(space, "composed_triangle", space.alpha),
         lambda: _triangle(space, "classic_triangle", None),

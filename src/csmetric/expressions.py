@@ -12,10 +12,12 @@ Only nonnegative numeric literals are allowed, so every expression maps
 [0, inf) into [0, inf) by construction.  A token scan rejects every
 character and literal form outside the grammar, Python's own parser reads
 the tokens with '^' as '**', and a transformer keeps only the grammar's
-nodes.  The checked tree is compiled as the body of one Python function
-that can reach no name but ``sqrt``, ``exp`` and ``pow``.  ``exp`` and
-``^`` saturate to ``math.inf`` instead of overflowing so that inequality
-checks involving huge right-hand sides stay well defined.
+nodes.  The checked tree, ``lambda t: ...``, is compiled as one Python
+function that can reach no name but ``sqrt``, ``exp`` and ``pow``.  ``exp``
+and ``^`` saturate to ``math.inf`` instead of overflowing so that inequality
+checks involving huge right-hand sides stay well defined.  ``compile_fused``
+inlines such a tree, and a metric's body, into a comprehension of this
+package, compiled in the same namespace.
 """
 
 from __future__ import annotations
@@ -53,8 +55,9 @@ def _safe_pow(x: float, p: float) -> float:
         return math.inf
 
 
-# The only names generated code can reach.
-_NAMESPACE = {"sqrt": math.sqrt, "exp": _safe_exp, "pow": _safe_pow,
+# The only names generated code can reach; the grammar admits no call of
+# abs or zip, which only the fused comprehensions make.
+_NAMESPACE = {"sqrt": math.sqrt, "exp": _safe_exp, "pow": _safe_pow, "abs": abs, "zip": zip,
               "__builtins__": {}}
 
 
@@ -96,8 +99,9 @@ class _Grammar(ast.NodeTransformer):
         return self.generic_visit(node)
 
 
-def compile_expression(src: str) -> Callable[[float], float]:
-    """Compile an expression in the variable ``t`` into a float -> float function."""
+def expression_tree(src: str) -> ast.Expression:
+    """The checked tree of an expression in the variable ``t``, as the Python
+    expression ``lambda t: ...``."""
     if not isinstance(src, str) or not src.strip():
         raise ConfigurationError("expression must be a non-empty string")
     rest = _TOKEN.sub("", src.lstrip())
@@ -107,8 +111,50 @@ def compile_expression(src: str) -> Callable[[float], float]:
         tree = ast.parse(" ".join(_TOKEN.findall(src)).replace("^", "**"), mode="eval")
         function = ast.parse("lambda t: t", mode="eval")
         function.body.body = _Grammar(src).visit(tree.body)
-        return eval(compile(ast.fix_missing_locations(function), "<string>", "eval"), _NAMESPACE)
+        return function
     except SyntaxError as exc:  # Python also caps nesting at 200 parentheses
         raise ConfigurationError(f"malformed expression {src!r}: {exc.msg}") from None
     except RecursionError:
         raise ConfigurationError(f"expression {src[:40]!r}... nests too deeply") from None
+
+
+def compile_tree(tree: ast.Expression) -> Callable:
+    """Compile a checked tree, or a fused one, in the float namespace."""
+    return eval(compile(ast.fix_missing_locations(tree), "<string>", "eval"), _NAMESPACE)
+
+
+def compile_expression(src: str) -> Callable[[float], float]:
+    """Compile an expression in the variable ``t`` into a float -> float function."""
+    return compile_tree(expression_tree(src))
+
+
+def _inline(node, functions: dict, args: dict):
+    """A copy of the tree node with each name in args replaced by its value,
+    and each call of a name in functions by that function's body, its
+    parameters bound to the call's arguments, inlined first.  An argument
+    used twice is evaluated twice, which costs time but, as every function
+    here is pure, no bit of the result."""
+    if isinstance(node, list):
+        return [_inline(x, functions, args) for x in node]
+    if not isinstance(node, ast.AST):
+        return node
+    if isinstance(node, ast.Name) and node.id in args:
+        return args[node.id]
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in functions:
+        function = functions[node.func.id].body
+        values = _inline(node.args, functions, args)
+        return _inline(function.body, {}, dict(zip((a.arg for a in function.args.args), values)))
+    return type(node)(**{f: _inline(getattr(node, f, None), functions, args)
+                         for f in node._fields})
+
+
+def compile_fused(template: str, metric: str | None, alpha: ast.Expression | None) -> Callable:
+    """Compile template, a lambda of this package, in the float namespace,
+    with each call C(q, h, w) replaced by the body of metric, a lambda of
+    this package, and each call A(x) by the body of alpha, a checked tree
+    (by x itself when alpha is None).  No text from outside the package is
+    compiled: an alpha enters only as its checked tree."""
+    functions = {"A": alpha or ast.parse("lambda t: t", mode="eval")}
+    if metric is not None:
+        functions["C"] = ast.parse(metric, mode="eval")
+    return compile_tree(_inline(ast.parse(template, mode="eval"), functions, {}))

@@ -18,7 +18,7 @@ from collections.abc import Callable, Sequence
 from itertools import chain, combinations, compress
 
 from .axiom_audit import (_NONNEG_DOMAIN, DEFAULT_MAX_ITER, DEFAULT_TOL, Verdict, _audit,
-                          _Collector, _orbit, _slacks)
+                          _Collector, _fast, _fused, _orbit, _slacks)
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .sampling import SampleConfig
 from .spaces import ComposedSpace, Record, SelfMap, _images, _metric_values, eval_metric
@@ -168,7 +168,11 @@ def _banach(space: ComposedSpace, F: SelfMap, r: float) -> tuple:
         lhs = _metric_values(space, fx[0::3], fx[1::3], fx[2::3])
         return (chunk, *_slacks(lhs, [r * v for v in d(0, 1, 2)]))
 
-    return [(space.domain, 3, kernel)], "banach_contraction"
+    # Images pass _images, so they lie in the domain, where the fused metric is finite.
+    fused = _fused("lambda chunk, r, fx: [r * C(q, h, w) - C(a, b, c) for (q, h, w), a, b, c"
+                   " in zip(chunk, fx[0::3], fx[1::3], fx[2::3])]", space)
+    return [(space.domain, 3, _fast(kernel, fused and (lambda chunk: fused(
+        chunk, r, _images(space, F, chain.from_iterable(chunk))))))], "banach_contraction"
 
 
 def check_banach(space: ComposedSpace, F: SelfMap, r: float,
@@ -210,7 +214,7 @@ def check_mf_contraction(space: ComposedSpace, F: SelfMap, Mf: MfFunction,
         raise PreconditionError("the generalized contraction check needs a symmetric space")
 
     def kernel(chunk, cols, d):
-        o, h = cols
+        o, h = cols()
         fx = _images(space, F, chain.from_iterable(chunk))
         fo, fh = fx[0::2], fx[1::2]
         lhs = _metric_values(space, fo, fo, fh)

@@ -24,6 +24,7 @@ Strategies:
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import sys
 from collections.abc import Iterator, Sequence
@@ -95,8 +96,11 @@ def _axis_points(domain: PointDomain, per_axis: int) -> list:
         members = domain.members()
         step = (len(members) - 1) / (per_axis - 1)
         return [members[round(i * step)] for i in range(per_axis)]
-    lo, hi = domain.lo, domain.hi
-    return [lo + (hi - lo) * i / (per_axis - 1) for i in range(per_axis)]
+    lo, hi, width, n = domain.lo, domain.hi, domain.hi - domain.lo, per_axis - 1
+    # width * i overflows on the widest intervals, where width * (i / n) does
+    # not; min keeps a point that rounds up past hi in the domain.
+    return [min(hi, lo + (width * i / n if width * i < math.inf else width * (i / n)))
+            for i in range(per_axis)]
 
 
 def _grid_block(domain: PointDomain, arity: int) -> Iterator[tuple]:

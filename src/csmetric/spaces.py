@@ -20,7 +20,7 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterable, Sequence
 
 from .errors import ConfigurationError, DomainError, NumericError
-from .expressions import compile_expression
+from .expressions import compile_tree, expression_tree
 
 __all__ = [
     "PointDomain",
@@ -238,16 +238,20 @@ class AlphaFunction(Record):
     Defined by a closed-form expression in ``t`` so that serialization and
     command-line round-trips are exact.  Constant expressions are rejected:
     a composing function must separate at least two probe points.  It is
-    evaluated through ``eval_alpha``, which checks the argument and value.
+    evaluated through ``eval_alpha``, which checks the argument and value,
+    or inlined from its checked tree into a fused kernel.
     """
 
     id: str
     expr: str
     params: tuple[float, ...] = ()
-    _fn: Callable[[float], float]  # compiled from expr by __post_init__
+    _tree: object  # the checked tree of expr, ``lambda t: ...``, set by __post_init__
+    _fn: Callable[[float], float]  # compiled from _tree by __post_init__
 
     def __post_init__(self):
-        fn = compile_expression(self.expr)
+        tree = expression_tree(self.expr)
+        fn = compile_tree(tree)
+        object.__setattr__(self, "_tree", tree)
         object.__setattr__(self, "_fn", fn)
         probe = {fn(t) for t in _NONCONSTANT_PROBE}
         if len(probe) < 2:
@@ -480,16 +484,17 @@ def _metric_discrete_nat(a, b, c):
 
 
 # name: (metric, default params, domain from params, composing function,
-#        lowest point the space is defined at)
+#        lowest point the space is defined at, the metric's float operations
+#        as a lambda for fused kernels)
 _BUILTINS = {
     "squared_diff": (_metric_squared_diff, (1.0, 100.0), PointDomain.real_interval, "exp",
-                     1.0),
+                     1.0, "lambda q, h, w: (q - w) ** 2 + (h - w) ** 2"),
     "discrete_nat": (_metric_discrete_nat, (50,), PointDomain.naturals_up_to,
-                     "two_t_plus_one", -math.inf),
+                     "two_t_plus_one", 0.0, None),
     "abs_sum": (_metric_abs_sum, (1.0, 100.0), PointDomain.real_interval, "exp_2t",
-                -math.inf),
+                -math.inf, "lambda q, h, w: abs(q - w) + abs(h - w)"),
     "app_metric": (_metric_app, (), lambda: PointDomain.real_interval(0.0, 1.0),
-                   "two_sqrt", -math.inf),
+                   "two_sqrt", -math.inf, "lambda p, s, q: abs(p - s) + abs(s - q)"),
 }
 
 BUILTIN_SPACES = tuple(_BUILTINS)
@@ -498,6 +503,21 @@ BUILTIN_SPACES = tuple(_BUILTINS)
 def metric_by_name(name: str) -> TripleMetric:
     """The triple metric of the built-in space ``name``."""
     return TripleMetric(id=name, fn=_BUILTINS[name][0])
+
+
+def _fused_metric(space: ComposedSpace) -> str | None:
+    """The lambda of space's metric for fused kernels, or None: only for a
+    built-in metric that has one, on a real interval where it is at most
+    _FLOAT_MAX / 2 at the corners of the cube, where it is largest.  Float
+    operations are monotone and the margin covers int points, which are
+    exact, so no value in the domain overflows."""
+    dom, fn = space.domain, space.metric.fn
+    row = next((row for row in _BUILTINS.values() if row[0] is fn), None)
+    if row is None or row[5] is None or dom.kind != "real_interval":
+        return None
+    ends = (dom.lo, dom.hi)
+    sup = max(fn(q, h, w) for q in ends for h in ends for w in ends)
+    return row[5] if sup <= _FLOAT_MAX / 2 else None
 
 
 def _builtin_domain(name: str, domain: PointDomain) -> PointDomain:
@@ -525,7 +545,7 @@ def make_builtin_space(name: str, params: Sequence[float] = ()) -> ComposedSpace
     """
     if not isinstance(name, str) or name not in _BUILTINS:
         raise ConfigurationError(f"unknown builtin space {name!r}; expected one of {BUILTIN_SPACES}")
-    _, defaults, domain, alpha, _ = _BUILTINS[name]
+    _, defaults, domain, alpha, _, _ = _BUILTINS[name]
     if isinstance(params, (list, tuple)) and not params:
         params = defaults
     _check_reals(params, f"{name} params", len(defaults))

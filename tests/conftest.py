@@ -1,7 +1,16 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from csmetric import (ComposedSpace, PointDomain, SampleConfig, TripleMetric,
                       make_alpha, make_builtin_space)
+
+# HYPOTHESIS_PROFILE=ci runs the property tests that set no max_examples of
+# their own, the fused-against-checked differential test among them, on five
+# times as many examples.
+settings.register_profile("ci", max_examples=500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

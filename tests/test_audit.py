@@ -17,7 +17,7 @@ from csmetric import (BUILTIN_SPACES, DEFAULT_K_SET, ComposedSpace, Configuratio
                       kannan_mf, make_alpha, make_builtin_space,
                       make_self_map, poly_map, sample_tuples, series_tail,
                       slack_tolerance, verify_theorem_4_1)
-from csmetric import axiom_audit, cli, fixed_point
+from csmetric import axiom_audit, cli, expressions, fixed_point
 from csmetric.spaces import replace
 
 TWO_SQRT = make_alpha("two_sqrt")
@@ -370,15 +370,35 @@ def test_composed_triangle_matches_naive_loop(name, seed):
         _outcome(lambda: _reference_composed_triangle(space, cfg))
 
 
-def test_subhomogeneity_evaluates_alpha_six_times_per_pair():
+def _alpha_evaluations(monkeypatch, pinned):
+    """The verdict of subhomogeneity on 50 pairs, and the alpha values it
+    evaluated in all and through alpha._fn.  They are counted through sqrt,
+    which both kernels call once per value of this alpha: the fused kernel
+    inlines the alpha, and the checked one calls alpha._fn."""
     alpha = make_alpha("2*sqrt(t)+t^2")
-    calls = []
+    sqrt_calls, fn_calls = [], []
+    monkeypatch.setitem(expressions._NAMESPACE, "sqrt",
+                        lambda t: sqrt_calls.append(t) or math.sqrt(t))
     fn = alpha._fn
-    object.__setattr__(alpha, "_fn", lambda t: calls.append(t) or fn(t))
-    v = check_alpha_subhomogeneity(alpha, SampleConfig(seed=5, count=50))
+    object.__setattr__(alpha, "_fn", lambda t: fn_calls.append(t) or fn(t))
+    v = check_alpha_subhomogeneity(alpha, SampleConfig(seed=5, count=50, pinned=pinned))
     assert v.checked == 50 * len(DEFAULT_K_SET)
+    return v, len(sqrt_calls), len(fn_calls)
+
+
+def test_subhomogeneity_evaluates_alpha_six_times_per_pair(monkeypatch):
+    v, evaluated, checked = _alpha_evaluations(monkeypatch, ())
+    assert v.passed and checked == 0  # the fused kernel alone
     # alpha(s) and alpha(t) once, alpha(k*s + t) once for each of the 4 k
-    assert len(calls) == 50 * 6
+    assert evaluated == 50 * 6
+
+
+def test_a_violating_chunk_evaluates_alpha_six_times_per_pair_on_each_kernel(monkeypatch):
+    # alpha(8) > 8 alpha(1): the pinned pair (1, 0) violates, so the chunk
+    # runs on the fused kernel and then on the checked one.
+    v, evaluated, checked = _alpha_evaluations(monkeypatch, ((1.0, 0.0),))
+    assert not v.passed
+    assert checked == 50 * 6 and evaluated == 2 * 50 * 6
 
 
 # --- every sampled check against a naive loop --------------------------------
@@ -783,8 +803,9 @@ def test_earliest_check_error_wins_over_an_earlier_chunk_error():
 
 
 def test_composed_triangle_alpha_error_is_raised():
-    alpha = make_alpha("t")
-    object.__setattr__(alpha, "_fn", lambda t: math.nan if t > 0.9 else t)
+    # NaN from t >= 0.71 on, where exp(1000*t) is inf; the fused kernel's NaN
+    # sends the chunk to the checked one, which raises.
+    alpha = make_alpha("t+0*exp(1000*t)")
     space = replace(_APP, alpha=alpha)
     cfg = SampleConfig(seed=2, count=3000)
     expected = _first_error([partial(check, space, cfg) for check in _SPACE_PUBLIC])

@@ -140,6 +140,9 @@ class TestVerifySpace:
         pytest.param('{"metric":"squared_diff",'
                      '"domain":{"kind":"finite_real_set","elements":[0.5,2,3]}}',
                      b"squared_diff lives on [1, inf)", id="squared-diff-finite-set"),
+        pytest.param('{"metric":"discrete_nat",'
+                     '"domain":{"kind":"finite_real_set","elements":[-5,1,2,3]}}',
+                     b"discrete_nat lives on [0, inf)", id="discrete-nat-negative-set"),
         pytest.param('{"metric":"abs_sum","parms":[1,2]}',
                      b"unknown space field(s): 'parms'", id="unknown-field"),
         pytest.param('{"metric":"app_metric","alpha":{"id":"exp","expr":"exp(3*t)"}}',

@@ -75,6 +75,25 @@ def test_grid_block_contains_corners():
     assert (1.0, 1.0, 1.0) in tuples
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.7e308), (-1.7e308, 0.0), (-8.9e307, 8.9e307),
+                                    (1.0, sys.float_info.max), (0.1, 0.3)])
+@pytest.mark.parametrize("arity", [1, 2, 3, 4, 6])
+def test_grid_block_stays_in_domain_on_wide_intervals(lo, hi, arity):
+    # (hi - lo) * i overflows on all but the last interval.
+    domain = PointDomain.real_interval(lo, hi)
+    block = list(sampling._grid_block(domain, arity))
+    assert all(domain.contains(x) for tup in block for x in tup)
+    assert (lo,) * arity in block and (hi,) * arity in block
+    axis = sorted({tup[0] for tup in block})
+    assert len(axis) == max(2, int(4096 ** (1.0 / arity)))
+
+
+def test_grid_block_keeps_its_points_where_the_product_is_finite():
+    lo, hi, n = 1.0, 100.0, 15
+    assert sampling._axis_points(PointDomain.real_interval(lo, hi), n + 1) == [
+        lo + (hi - lo) * i / n for i in range(n + 1)]
+
+
 def test_grid_block_of_a_two_element_set_at_high_arity_is_its_full_product():
     # 2 ** 13 tuples exceed the block cap, and the axis keeps both elements.
     pair = PointDomain.finite_real_set([0.0, 2.0])
