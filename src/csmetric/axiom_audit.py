@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from functools import cache, lru_cache
+from functools import cache
 from itertools import compress, islice
 from operator import eq
 
@@ -152,11 +152,6 @@ def _slacks(lhs: Sequence[float], rhs: Sequence[float]) -> tuple[list, Sequence[
     return slacks, [s < -ABS_TOL and s < -slack_tolerance(r) for s, r in zip(slacks, rhs)]
 
 
-@lru_cache(maxsize=256)  # a command compiles a few; a long-lived process may see many alphas
-def _compiled(template: str, metric: str | None, alpha: AlphaFunction | None) -> Callable:
-    return compile_fused(template, metric, alpha and alpha._tree)
-
-
 def _fused(template: str, space: ComposedSpace | None,
            alpha: AlphaFunction | None = None) -> Callable | None:
     """template, a lambda over a chunk, compiled with space's metric for C
@@ -167,7 +162,7 @@ def _fused(template: str, space: ComposedSpace | None,
     if space is not None and metric is None:
         return None
     try:
-        return _compiled(template, metric, alpha)
+        return compile_fused(template, metric, alpha and alpha._tree)
     except RecursionError:  # a flat sum of about 490 terms is too deep to inline
         return None
 

@@ -144,10 +144,11 @@ def _cmd_check_contraction(args: argparse.Namespace) -> tuple[int, dict]:
     from .fixed_point import _banach, _estimate
     space, self_map = _build_space(args)
     cfg = SampleConfig(seed=args.seed, count=args.samples)
-    # With --r, the estimate and Banach read one 3-tuple stream and its C(q, h, w).
+    # With --r, the estimate and Banach read one 3-tuple stream and its C(q, h, w),
+    # which the estimate always evaluates, so Banach runs checked.
     checks = [lambda: _estimate(space, self_map, cfg)]
     if args.r is not None:
-        checks.append(lambda: _banach(space, self_map, args.r))
+        checks.append(lambda: _banach(space, self_map, args.r, fuse=False))
     estimate, *banach = _audit(space, cfg, checks)
     report = {
         "space": space_to_json(space),

@@ -159,7 +159,10 @@ def estimate_contraction_factor(space: ComposedSpace, F: SelfMap,
     return _audit(space, cfg, [lambda: _estimate(space, F, cfg)])[0]
 
 
-def _banach(space: ComposedSpace, F: SelfMap, r: float) -> tuple:
+def _banach(space: ComposedSpace, F: SelfMap, r: float, fuse: bool = True) -> tuple:
+    """fuse False: the checked kernel alone, for a stream whose C(q, h, w)
+    another checked kernel evaluates anyway, where a fused kernel gains
+    nothing measurable."""
     if not (0.0 < r < 1.0):
         raise ConfigurationError(f"contraction factor must lie in (0, 1), got {r!r}")
 
@@ -170,7 +173,7 @@ def _banach(space: ComposedSpace, F: SelfMap, r: float) -> tuple:
 
     # Images pass _images, so they lie in the domain, where the fused metric is finite.
     fused = _fused("lambda chunk, r, fx: [r * C(q, h, w) - C(a, b, c) for (q, h, w), a, b, c"
-                   " in zip(chunk, fx[0::3], fx[1::3], fx[2::3])]", space)
+                   " in zip(chunk, fx[0::3], fx[1::3], fx[2::3])]", space) if fuse else None
     return [(space.domain, 3, _fast(kernel, fused and (lambda chunk: fused(
         chunk, r, _images(space, F, chain.from_iterable(chunk))))))], "banach_contraction"
 

@@ -14,6 +14,7 @@ is safe to share across threads.
 
 from __future__ import annotations
 
+import ast
 import math
 import sys
 from bisect import bisect_left
@@ -453,19 +454,21 @@ def iterate_alpha(alpha: AlphaFunction, j: int, t: float) -> float:
 
 # --- built-in spaces --------------------------------------------------------
 
+# The float operations of the built-in metrics as lambdas, which fused
+# kernels inline.  abs_sum and app_metric are compiled from theirs, so each
+# formula is stated once; squared_diff's function also saturates overflow.
+_SQUARED_DIFF = "lambda q, h, w: (q - w) ** 2 + (h - w) ** 2"
+_ABS_SUM = "lambda q, h, w: abs(q - w) + abs(h - w)"
+_APP = "lambda p, s, q: abs(p - s) + abs(s - q)"
+_metric_abs_sum, _metric_app = (compile_tree(ast.parse(src, mode="eval"))
+                                for src in (_ABS_SUM, _APP))
+
+
 def _metric_squared_diff(q, h, w):
     try:
         return (q - w) ** 2 + (h - w) ** 2
     except OverflowError:  # saturates to inf, as exp and ^ do
         return math.inf
-
-
-def _metric_abs_sum(q, h, w):
-    return abs(q - w) + abs(h - w)
-
-
-def _metric_app(p, s, q):
-    return abs(p - s) + abs(s - q)
 
 
 def _metric_discrete_nat(a, b, c):
@@ -488,13 +491,13 @@ def _metric_discrete_nat(a, b, c):
 #        as a lambda for fused kernels)
 _BUILTINS = {
     "squared_diff": (_metric_squared_diff, (1.0, 100.0), PointDomain.real_interval, "exp",
-                     1.0, "lambda q, h, w: (q - w) ** 2 + (h - w) ** 2"),
+                     1.0, _SQUARED_DIFF),
     "discrete_nat": (_metric_discrete_nat, (50,), PointDomain.naturals_up_to,
                      "two_t_plus_one", 0.0, None),
     "abs_sum": (_metric_abs_sum, (1.0, 100.0), PointDomain.real_interval, "exp_2t",
-                -math.inf, "lambda q, h, w: abs(q - w) + abs(h - w)"),
+                -math.inf, _ABS_SUM),
     "app_metric": (_metric_app, (), lambda: PointDomain.real_interval(0.0, 1.0),
-                   "two_sqrt", -math.inf, "lambda p, s, q: abs(p - s) + abs(s - q)"),
+                   "two_sqrt", -math.inf, _APP),
 }
 
 BUILTIN_SPACES = tuple(_BUILTINS)

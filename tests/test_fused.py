@@ -138,14 +138,14 @@ def test_a_distance_that_underflows_to_zero_is_a_violation(monkeypatch):
 def test_a_swapped_sum_is_caught(monkeypatch):
     """The comparison sees a kernel whose float operations differ only in
     order: alpha's terms summed from the right."""
-    compiled = axiom_audit._compiled.__wrapped__
+    compiled = axiom_audit.compile_fused
 
     def swapped(template, metric, alpha):
         return compiled(template.replace("A(C(q, q, u)) + A(C(h, h, u)) + A(C(w, w, u))",
                                          "A(C(q, q, u)) + (A(C(h, h, u)) + A(C(w, w, u)))"),
                         metric, alpha)
 
-    monkeypatch.setattr(axiom_audit, "_compiled", swapped)
+    monkeypatch.setattr(axiom_audit, "compile_fused", swapped)
     space = make_builtin_space("abs_sum", [0.0, 1.0])
     with pytest.raises(AssertionError):
         _assert_same(monkeypatch, space, SampleConfig(seed=1, count=3000), 0.5)
@@ -156,6 +156,18 @@ def test_a_kernel_too_deep_to_compile_runs_checked(monkeypatch):
     recurses too deep; the check then runs on its checked kernel alone."""
     def too_deep(*args):
         raise RecursionError
-    monkeypatch.setattr(axiom_audit, "_compiled", too_deep)
+    monkeypatch.setattr(axiom_audit, "compile_fused", too_deep)
     (part,), _ = axiom_audit._subhomogeneity(make_alpha("two_sqrt"), DEFAULT_K_SET)
     assert part[2].__name__ == "kernel"
+
+
+def test_banach_beside_the_estimate_runs_checked():
+    """check-contraction's estimate evaluates C(q, h, w) on every chunk, so
+    its Banach check reads that batch on the checked kernel; verify-thm41's
+    is fused."""
+    space = make_builtin_space("app_metric")
+    F = _halving(space.domain)
+    (part,), _ = fixed_point._banach(space, F, 0.5, fuse=False)
+    assert part[2].__name__ == "kernel"
+    (part,), _ = fixed_point._banach(space, F, 0.5)
+    assert part[2].__name__ == "fast"
