@@ -45,6 +45,16 @@ CASES = {
     "verify-space-discrete_nat-identity-alpha.json": [
         "verify-space", "--builtin", "discrete_nat", "--alpha", "identity",
         "--samples", "3000", "--output", "json"],
+    # Each built-in metric on a domain kind other than its default one.
+    **{f"verify-space-{name}.json": ["verify-space", "--space", space,
+                                     "--samples", "3000", "--output", "json"]
+       for name, space in [
+           ("abs_sum-finite-set", '{"metric":"abs_sum","domain":{"kind":"finite_real_set",'
+                                  '"elements":[1,2.5,4,7.25,10]}}'),
+           ("app_metric-naturals", '{"metric":"app_metric","domain":'
+                                   '{"kind":"naturals_up_to","max":20}}'),
+           ("discrete_nat-interval", '{"metric":"discrete_nat","domain":'
+                                     '{"kind":"real_interval","lo":0,"hi":60}}')]},
 }
 
 
