@@ -12,10 +12,11 @@ toward the lexicographically smallest tuple, so results are independent of
 evaluation order.  ``_audit`` draws each sample stream once and hands it,
 CHUNK tuples at a time, to every check that reads it, and replays the checks
 one by one when anything raises, so an error is the one they raise run one
-after another.  On a built-in metric, and for the alpha alone, a check first
-runs a fused kernel: its slacks as one comprehension with the metric and
-alpha inlined, the same float operations in the same order.  A chunk where
-that raises or finds anything to report runs again on the checked kernel.
+after another.  Where ``spaces._fused_metric`` gives the metric's lambda,
+and for the alpha alone, a check first runs a fused kernel: its slacks as
+one comprehension with the metric and alpha inlined, the same float
+operations in the same order.  A chunk where that raises or finds anything
+to report runs again on the checked kernel.
 These auditors are falsifiers and evidence gatherers: a pass is evidence
 over the sample, not a proof of the quantified claim.
 """

@@ -56,9 +56,9 @@ def _safe_pow(x: float, p: float) -> float:
 
 
 # The only names generated code can reach; the grammar admits no call of
-# abs or zip, which only the fused comprehensions make.
-_NAMESPACE = {"sqrt": math.sqrt, "exp": _safe_exp, "pow": _safe_pow, "abs": abs, "zip": zip,
-              "__builtins__": {}}
+# abs, float or zip, which only this package's lambdas make.
+_NAMESPACE = {"sqrt": math.sqrt, "exp": _safe_exp, "pow": _safe_pow, "abs": abs,
+              "float": float, "zip": zip, "__builtins__": {}}
 
 
 class _Grammar(ast.NodeTransformer):

@@ -455,13 +455,18 @@ def iterate_alpha(alpha: AlphaFunction, j: int, t: float) -> float:
 # --- built-in spaces --------------------------------------------------------
 
 # The float operations of the built-in metrics as lambdas, which fused
-# kernels inline.  abs_sum and app_metric are compiled from theirs, so each
-# formula is stated once; squared_diff's function also saturates overflow.
+# kernels inline.  Each metric but squared_diff is compiled from its lambda,
+# so each formula is stated once; squared_diff's function also saturates
+# overflow.  discrete_nat resolves the pairwise pattern by multiset, so it is
+# total: 0 on equal triples, x + y when exactly two entries coincide, twice
+# the sum when all three differ.
 _SQUARED_DIFF = "lambda q, h, w: (q - w) ** 2 + (h - w) ** 2"
+_DISCRETE_NAT = ("lambda a, b, c: 0.0 if a == b == c else float(a + c) if a == b"
+                 " else float(a + b) if a == c else float(b + a) if b == c else 2.0 * (a + b + c)")
 _ABS_SUM = "lambda q, h, w: abs(q - w) + abs(h - w)"
 _APP = "lambda p, s, q: abs(p - s) + abs(s - q)"
-_metric_abs_sum, _metric_app = (compile_tree(ast.parse(src, mode="eval"))
-                                for src in (_ABS_SUM, _APP))
+_metric_discrete_nat, _metric_abs_sum, _metric_app = (
+    compile_tree(ast.parse(src, mode="eval")) for src in (_DISCRETE_NAT, _ABS_SUM, _APP))
 
 
 def _metric_squared_diff(q, h, w):
@@ -471,29 +476,13 @@ def _metric_squared_diff(q, h, w):
         return math.inf
 
 
-def _metric_discrete_nat(a, b, c):
-    # The pairwise pattern is resolved by multiset so the metric is total:
-    # 0 on equal triples, x+y when exactly two entries coincide, twice the
-    # sum when all three differ.
-    if a == b == c:
-        return 0.0
-    if a == b:
-        return float(a + c)
-    if a == c:
-        return float(a + b)
-    if b == c:
-        return float(b + a)
-    return 2.0 * (a + b + c)
-
-
 # name: (metric, default params, domain from params, composing function,
-#        lowest point the space is defined at, the metric's float operations
-#        as a lambda for fused kernels)
+#        lowest point the space is defined at, the metric's lambda)
 _BUILTINS = {
     "squared_diff": (_metric_squared_diff, (1.0, 100.0), PointDomain.real_interval, "exp",
                      1.0, _SQUARED_DIFF),
     "discrete_nat": (_metric_discrete_nat, (50,), PointDomain.naturals_up_to,
-                     "two_t_plus_one", 0.0, None),
+                     "two_t_plus_one", 0.0, _DISCRETE_NAT),
     "abs_sum": (_metric_abs_sum, (1.0, 100.0), PointDomain.real_interval, "exp_2t",
                 -math.inf, _ABS_SUM),
     "app_metric": (_metric_app, (), lambda: PointDomain.real_interval(0.0, 1.0),
@@ -509,17 +498,22 @@ def metric_by_name(name: str) -> TripleMetric:
 
 
 def _fused_metric(space: ComposedSpace) -> str | None:
-    """The lambda of space's metric for fused kernels, or None: only for a
-    built-in metric that has one, on a real interval where it is at most
-    _FLOAT_MAX / 2 at the corners of the cube, where it is largest.  Float
+    """The lambda of space's metric for fused kernels, or None.  This is the
+    one rule for every check: a built-in metric is fused on any domain where
+    none of its values exceeds _FLOAT_MAX / 2, so no fused value overflows.
+    The convex metrics are largest at a corner of [least, greatest]^3; float
     operations are monotone and the margin covers int points, which are
-    exact, so no value in the domain overflows."""
+    exact.  discrete_nat is largest off the corners, at most 6 * greatest, and
+    can be negative below 0.  Any other metric, a wrapped one too, runs checked."""
     dom, fn = space.domain, space.metric.fn
     row = next((row for row in _BUILTINS.values() if row[0] is fn), None)
-    if row is None or row[5] is None or dom.kind != "real_interval":
+    if row is None:
         return None
-    ends = (dom.lo, dom.hi)
-    sup = max(fn(q, h, w) for q in ends for h in ends for w in ends)
+    ends = (dom.least, dom.hi if dom.kind == "real_interval" else dom.members()[-1])
+    if fn is _metric_discrete_nat:
+        sup = 6 * ends[1] if ends[0] >= 0 else math.inf
+    else:
+        sup = max(fn(q, h, w) for q in ends for h in ends for w in ends)
     return row[5] if sup <= _FLOAT_MAX / 2 else None
 
 

@@ -1,11 +1,16 @@
 """Fused kernels against the checked path.
 
-Each example runs the sampled checks of ``verify-space`` and
-``verify_theorem_4_1`` in one shared run twice: as they are, and with every
-fused kernel turned off.  The two runs must hand the collector the same
-slacks, bit for bit, and give the same verdicts, witnesses and errors.
+Each example runs the sampled checks of ``verify-space``,
+``verify_theorem_4_1`` and ``check-contraction --r`` in one shared run twice:
+as they are, and with every fused kernel turned off.  The two runs must hand
+the collector the same slacks, bit for bit, and give the same verdicts,
+witnesses and errors.  The fused kernels and the built-in metrics but
+squared_diff are compiled from one lambda each, so the checked run evaluates
+each metric by a hand-written reference here, where a slip in a lambda shows.
 """
 
+import itertools
+import math
 import sys
 
 import pytest
@@ -13,13 +18,34 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from csmetric import (DEFAULT_K_SET, ComposedSpace, ConfigurationError, SampleConfig, SelfMap,
-                      axiom_audit, fixed_point, make_alpha, make_builtin_space)
-from csmetric.spaces import PointDomain, metric_by_name, replace
+                      axiom_audit, cli, fixed_point, make_alpha, make_builtin_space,
+                      poly_solver, spaces)
+from csmetric.spaces import PointDomain, TripleMetric, metric_by_name, replace
 
 MAX = sys.float_info.max
 
+
+def discrete_nat_reference(a, b, c):
+    """discrete_nat as it was written by hand before it was compiled from its
+    lambda."""
+    if a == b == c:
+        return 0.0
+    if a == b:
+        return float(a + c)
+    if a == c:
+        return float(a + b)
+    if b == c:
+        return float(b + a)
+    return 2.0 * (a + b + c)
+
+
+REFERENCE = {"discrete_nat": discrete_nat_reference,
+             "abs_sum": lambda q, h, w: abs(q - w) + abs(h - w),
+             "app_metric": lambda p, s, q: abs(p - s) + abs(s - q)}
+
 # Per metric: its default interval, and intervals just below and above the
 # largest on which it is fused (its sup at most MAX / 2), then far above.
+# discrete_nat's sup is 6 * hi, off the corners, where it is at most 2 * hi.
 INTERVALS = {
     "app_metric": [(0.0, 1.0), (-3.0, 2.5), (0.0, MAX / 4.0000001), (-MAX / 8, MAX / 8.0000001),
                    (0.0, MAX / 3.9999999), (0.0, MAX / 1.5)],
@@ -27,7 +53,17 @@ INTERVALS = {
                 (-MAX / 3.9999999, 0.0), (0.0, MAX / 1.5)],
     "squared_diff": [(1.0, 100.0), (1.0, 1.0000001), (1.0, 6.7e153), (1.0, 6.71e153),
                      (1.0, 1e154), (1.0, 1e160)],
+    "discrete_nat": [(0.0, 60.0), (0.0, MAX / 12 * (1 - 1e-7)), (0.0, MAX / 12 * (1 + 1e-7)),
+                     (0.0, 8e307)],
 }
+NATURALS = [4, 50, 2 ** 53]
+FINITE_SETS = [(1.0, 2.5, 4.0, 7.25, 10.0), (0.0, 1e-300, 3.0), (2.0, 1e150, 3e153),
+               (0.0, 1.0, 7e307)]
+# Every metric on every domain kind, its floor aside.
+DOMAINS = {metric: [PointDomain.real_interval(lo, hi) for lo, hi in intervals]
+           + [PointDomain.naturals_up_to(n) for n in NATURALS]
+           + [PointDomain.finite_real_set(elements) for elements in FINITE_SETS]
+           for metric, intervals in INTERVALS.items()}
 
 ALPHAS = ["identity", "exp", "exp_2t", "two_t_plus_one", "two_sqrt", "exp(1000*t)",
           "t+0*exp(1000*t)", "t^400", "2*sqrt(t)+t^2", "0.5*t^0.5", "t*t+t", "1e300*t"]
@@ -48,24 +84,30 @@ EXPRESSIONS = st.one_of(st.sampled_from(ALPHAS), st.recursive(LEAVES, _combine, 
 
 
 def _halving(domain):
-    """x -> lo + (x - lo) / 2: maps the interval into itself."""
-    lo = domain.lo
-    return SelfMap("halving", lambda x: lo + (x - lo) * 0.5, domain)
+    """x -> lo + (x - lo) / 2 on an interval, the member at half x's index on
+    a finite domain: maps the domain into itself."""
+    if domain.kind == "real_interval":
+        lo = domain.lo
+        return SelfMap("halving", lambda x: lo + (x - lo) * 0.5, domain)
+    members = domain.members()
+    return SelfMap("halving", lambda x: members[members.index(x) // 2], domain)
 
 
-def _checks(space, r):
+def _checks(space, r, cfg):
     F = _halving(space.domain)
     return [lambda: axiom_audit._identity(space),
             lambda: axiom_audit._triangle(space, "composed_triangle", space.alpha),
             lambda: axiom_audit._triangle(space, "classic_triangle", None),
             lambda: axiom_audit._symmetry(space),
             lambda: axiom_audit._subhomogeneity(space.alpha, DEFAULT_K_SET),
+            lambda: fixed_point._estimate(space, F, cfg),
             lambda: fixed_point._banach(space, F, r)]
 
 
 def _run(monkeypatch, space, cfg, r, fused):
     """The slacks the collector was handed, as float.hex, and the results
-    (or the error) of one shared run of _checks."""
+    (or the error) of one shared run of _checks; unfused, on the reference
+    metric."""
     handed = []
     add = axiom_audit._Collector.add
 
@@ -78,9 +120,12 @@ def _run(monkeypatch, space, cfg, r, fused):
         if not fused:
             for module in (axiom_audit, fixed_point):
                 m.setattr(module, "_fused", lambda *args: None)
+            metric = space.metric
+            space = replace(space, metric=TripleMetric(
+                metric.id, REFERENCE.get(metric.id, metric.fn)))
         try:
-            outcome = [repr(v.to_json_dict())
-                       for v in axiom_audit._audit(space, cfg, _checks(space, r))]
+            outcome = [repr(v.to_json_dict() if isinstance(v, axiom_audit.Verdict) else v)
+                       for v in axiom_audit._audit(space, cfg, _checks(space, r, cfg))]
         except Exception as exc:
             outcome = (type(exc), str(exc))
     return handed, outcome
@@ -94,35 +139,86 @@ def _assert_same(monkeypatch, space, cfg, r):
 
 @settings(deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(metric=st.sampled_from(sorted(INTERVALS)), data=st.data(), expr=EXPRESSIONS,
+@given(metric=st.sampled_from(sorted(DOMAINS)), data=st.data(), expr=EXPRESSIONS,
        seed=st.integers(0, 2 ** 32), count=st.integers(1, 1500),
        strategy=st.sampled_from(["grid_plus_random", "uniform_random"]),
        r=st.sampled_from([0.5, 0.50000000001, 0.9]))
 def test_fused_kernels_match_the_checked_path(monkeypatch, metric, data, expr, seed, count,
                                               strategy, r):
-    lo, hi = data.draw(st.sampled_from(INTERVALS[metric]))
+    domain = data.draw(st.sampled_from(DOMAINS[metric]))
     try:
         alpha = make_alpha(expr)
     except ConfigurationError:  # constant on the probe grid
         assume(False)
-    space = replace(make_builtin_space(metric), domain=PointDomain.real_interval(lo, hi),
-                    alpha=alpha)
+    space = replace(make_builtin_space(metric), domain=domain, alpha=alpha)
     _assert_same(monkeypatch, space, SampleConfig(seed=seed, count=count, strategy=strategy), r)
 
 
-@pytest.mark.parametrize("metric, lo, hi, expr", [
-    ("app_metric", 0.0, 1.0, "two_sqrt"),          # passes throughout
-    ("squared_diff", 1.0, 100.0, "exp"),           # the classic triangle fails
-    ("abs_sum", 1.0, 100.0, "identity"),           # the composed triangle fails
-    ("app_metric", 0.0, 1.0, "t+0*exp(1000*t)"),   # NaN alpha: NumericError
-    ("abs_sum", 0.0, 1.0, "t^400"),                # inf - inf in subhomogeneity
-    ("squared_diff", 1.0, 1e154, "exp"),           # not fused: the metric overflows
+def _interval(lo, hi):
+    return PointDomain.real_interval(lo, hi)
+
+
+@pytest.mark.parametrize("metric, domain, expr", [
+    ("app_metric", _interval(0.0, 1.0), "two_sqrt"),          # passes throughout
+    ("squared_diff", _interval(1.0, 100.0), "exp"),           # the classic triangle fails
+    ("abs_sum", _interval(1.0, 100.0), "identity"),           # the composed triangle fails
+    ("app_metric", _interval(0.0, 1.0), "t+0*exp(1000*t)"),   # NaN alpha: NumericError
+    ("abs_sum", _interval(0.0, 1.0), "t^400"),                # inf - inf in subhomogeneity
+    ("squared_diff", _interval(1.0, 1e154), "exp"),           # not fused: the metric overflows
+    ("discrete_nat", PointDomain.naturals_up_to(50), "two_t_plus_one"),  # its default space
+    ("discrete_nat", PointDomain.naturals_up_to(50), "identity"),  # both triangles fail
+    ("discrete_nat", PointDomain.naturals_up_to(2 ** 53), "exp"),
+    ("discrete_nat", _interval(0.0, MAX / 12 * (1 - 1e-7)), "identity"),  # fused
+    ("discrete_nat", _interval(0.0, MAX / 12 * (1 + 1e-7)), "identity"),  # not fused
+    ("discrete_nat", _interval(0.0, 8e307), "identity"),  # 2(q + h + w) overflows
+    ("discrete_nat", _interval(0.0, 60.0), "two_t_plus_one"),
+    ("app_metric", PointDomain.naturals_up_to(20), "two_sqrt"),
+    ("abs_sum", PointDomain.finite_real_set([1, 2.5, 4, 7.25, 10]), "exp_2t"),
+    # Built from its parts, a space may reach below its floor: squared_diff
+    # below 1, and discrete_nat below 0, where its values can be negative.
+    ("squared_diff", PointDomain.finite_real_set([-3.0, 0.0, 0.5, 2.0]), "exp"),
+    ("discrete_nat", PointDomain.finite_real_set([-5.0, 1.0, 2.0, 3.0]), "two_t_plus_one"),
+    ("discrete_nat", _interval(-1.0, 10.0), "identity"),
 ])
-def test_fused_kernels_match_on_known_cases(monkeypatch, metric, lo, hi, expr):
-    space = replace(make_builtin_space(metric), domain=PointDomain.real_interval(lo, hi),
-                    alpha=make_alpha(expr))
+def test_fused_kernels_match_on_known_cases(monkeypatch, metric, domain, expr):
+    space = ComposedSpace(domain, metric_by_name(metric), make_alpha(expr))
     handed, outcome = _assert_same(monkeypatch, space, SampleConfig(seed=3, count=2500), 0.5)
     assert handed
+
+
+@pytest.mark.parametrize("metric, domain, fused", [
+    ("discrete_nat", PointDomain.naturals_up_to(2 ** 53), True),
+    ("discrete_nat", PointDomain.finite_real_set([0.0, 1.0, MAX / 12 * (1 - 1e-7)]), True),
+    ("discrete_nat", PointDomain.finite_real_set([0.0, 1.0, MAX / 12 * (1 + 1e-7)]), False),
+    ("discrete_nat", _interval(0.0, 8e307), False),  # its corners are at most 8e307
+    ("discrete_nat", PointDomain.finite_real_set([-1.0, 1.0]), False),
+    ("app_metric", PointDomain.naturals_up_to(2 ** 53), True),
+    ("squared_diff", PointDomain.finite_real_set([1.0, 6.7e153]), True),
+    ("squared_diff", PointDomain.finite_real_set([1.0, 6.71e153]), False),
+    ("abs_sum", _interval(-MAX / 4.0000001, 0.0), True),
+    ("abs_sum", _interval(-MAX / 3.9999999, 0.0), False),
+])
+def test_one_fusion_rule_on_every_domain_kind(metric, domain, fused):
+    space = ComposedSpace(domain, metric_by_name(metric), make_alpha("identity"))
+    assert (spaces._fused_metric(space) is not None) is fused
+
+
+def _outcome(fn, triple):
+    try:
+        value = fn(*triple)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+def test_the_compiled_discrete_nat_is_the_hand_written_one():
+    """Value and type, and the error, on tie-heavy int and float triples."""
+    near = [x for y in (2.0 ** 53, MAX / 6)
+            for x in (math.nextafter(y, 0), y, math.nextafter(y, MAX))]
+    pool = [0, 1, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 10 ** 400, -0.0, 0.0, 2.5, *near]
+    triples = list(itertools.product(pool, repeat=3))
+    assert ([_outcome(spaces._metric_discrete_nat, t) for t in triples] ==
+            [_outcome(discrete_nat_reference, t) for t in triples])
 
 
 def test_a_distance_that_underflows_to_zero_is_a_violation(monkeypatch):
@@ -161,13 +257,21 @@ def test_a_kernel_too_deep_to_compile_runs_checked(monkeypatch):
     assert part[2].__name__ == "kernel"
 
 
-def test_banach_beside_the_estimate_runs_checked():
-    """check-contraction's estimate evaluates C(q, h, w) on every chunk, so
-    its Banach check reads that batch on the checked kernel; verify-thm41's
-    is fused."""
-    space = make_builtin_space("app_metric")
-    F = _halving(space.domain)
-    (part,), _ = fixed_point._banach(space, F, 0.5, fuse=False)
-    assert part[2].__name__ == "kernel"
-    (part,), _ = fixed_point._banach(space, F, 0.5)
-    assert part[2].__name__ == "fast"
+def test_banach_is_fused_in_check_contraction_and_in_verify_thm41(monkeypatch, tmp_path):
+    """check-contraction --r builds Banach beside the estimate, verify-thm41
+    beside the identity axiom; both builds run the fused kernel."""
+    kernels = []
+    build = fixed_point._banach
+
+    def recording(*args):
+        parts, check = build(*args)
+        kernels.extend(kernel.__name__ for _, _, kernel in parts)
+        return parts, check
+
+    monkeypatch.setattr(fixed_point, "_banach", recording)
+    monkeypatch.setattr(poly_solver, "_banach", recording)
+    assert cli.main(["check-contraction", "--space", '{"metric":"app_metric","map":{"kind":'
+                     '"poly","m":3}}', "--r", "0.0125", "--samples", "50",
+                     "--out", str(tmp_path / "report.txt")]) == 0
+    assert poly_solver.verify_theorem_4_1(3, samples=50)["all_passed"]
+    assert kernels == ["fast", "fast"]
