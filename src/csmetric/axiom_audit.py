@@ -9,14 +9,14 @@ a tuple violates when its slack drops below the evaluation tolerance
 which absorbs double-precision noise from exp/sqrt chains.  The reported
 witness is the violating tuple with the most negative slack, ties broken
 toward the lexicographically smallest tuple, so results are independent of
-evaluation order.  ``_audit`` draws each sample stream once and hands it,
-CHUNK tuples at a time, to every check that reads it, and replays the checks
-one by one when anything raises, so an error is the one they raise run one
-after another.  Where ``spaces._fused_metric`` gives the metric's lambda,
-and for the alpha alone, a check first runs a fused kernel: its slacks as
-one comprehension with the metric and alpha inlined, the same float
-operations in the same order.  A chunk where that raises or finds anything
-to report runs again on the checked kernel.
+evaluation order.  ``_audit`` draws each sample stream once, CHUNK tuples
+at a time, for every check that reads it, so no whole sample is held, and
+replays the checks one by one when anything raises, so an error is the one
+they raise run one after another.  Where ``spaces._fused_metric`` gives the
+metric's lambda, and for the alpha alone, a check first runs a fused kernel:
+its slacks as one comprehension with the metric and alpha inlined, the same
+float operations in the same order.  A chunk where that raises or finds
+anything to report runs again on the checked kernel.
 These auditors are falsifiers and evidence gatherers: a pass is evidence
 over the sample, not a proof of the quantified claim.
 """
@@ -31,7 +31,7 @@ from operator import eq
 
 from .errors import ConfigurationError, DomainError, NumericError
 from .expressions import compile_fused
-from .sampling import SampleConfig, sample_tuples
+from .sampling import SampleConfig, _stream
 from .spaces import (_FLOAT_MAX, AlphaFunction, ComposedSpace, PointDomain, Record, SelfMap,
                      _alpha_values, _check_image, _check_metric, _fused_metric, _metric_values,
                      eval_alpha, iterate_alpha, require_in_space)
@@ -206,7 +206,8 @@ def _audit(space: ComposedSpace | None, cfg: SampleConfig,
     d(0, 0, 3) is C(q, q, u)), to keys, slacks and violations.  finish maps
     the collector to the result, or names the verdict.  Kernels share
     columns and batches, so they must not change them.  Each (domain, arity)
-    stream is drawn once.  If anything raises, the checks run again one by
+    stream is drawn once, a chunk at a time as the loop reads it, so no
+    whole sample is held.  If anything raises, the checks run again one by
     one, so the error is a one-by-one run's."""
     try:
         built = [(_Collector(), *build()) for build in checks]
@@ -215,20 +216,17 @@ def _audit(space: ComposedSpace | None, cfg: SampleConfig,
             for domain, arity, kernel in parts:
                 streams.setdefault((domain, arity), []).append((col, kernel))
         for (domain, arity), readers in streams.items():
-            sample = sample_tuples(domain, arity, cfg)
-            for start in range(0, len(sample), CHUNK):
-                chunk = sample[start:start + CHUNK]
+            stream = _stream(domain, arity, cfg)
+            while chunk := list(islice(stream, CHUNK)):
                 cols = cache(lambda: list(zip(*chunk)))
                 d = cache(lambda *pattern: _metric_values(space, *(cols()[c] for c in pattern)))
                 for col, kernel in readers:
                     col.add(*kernel(chunk, cols, d))
-            del sample  # before the next stream is drawn, so one sample is held at a time
         return [col.verdict(finish, cfg.seed) if isinstance(finish, str) else finish(col)
                 for col, _, finish in built]
     except Exception:
         if len(checks) == 1:
             raise
-        sample = None  # not held through the replay, which draws its own
     return [_audit(space, cfg, [check])[0] for check in checks]
 
 

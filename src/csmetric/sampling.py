@@ -112,14 +112,8 @@ def _grid_block(domain: PointDomain, arity: int) -> Iterator[tuple]:
     return itertools.product(axis, repeat=arity)
 
 
-def sample_tuples(domain: PointDomain, arity: int, cfg: SampleConfig) -> list[tuple]:
-    """Materialize the first ``cfg.count`` tuples of the configured stream.
-
-    Pinned tuples of the requested arity come first and count toward the
-    total; pins of other arities are ignored, so one pinned pool can serve
-    checks that sample several tuple shapes.  A finite stream (exhaustive
-    discrete grid) may yield fewer than ``count`` tuples.
-    """
+def _stream(domain: PointDomain, arity: int, cfg: SampleConfig) -> Iterator[tuple]:
+    """The tuples of sample_tuples, validated now and drawn as they are read."""
     if arity < 1:
         raise ConfigurationError("tuple arity must be >= 1")
     pinned = tuple(t for t in cfg.pinned if len(t) == arity)
@@ -134,4 +128,15 @@ def sample_tuples(domain: PointDomain, arity: int, cfg: SampleConfig) -> list[tu
     else:
         grid = _grid_block(domain, arity) if cfg.strategy == "grid_plus_random" else ()
         parts = itertools.chain((pinned, grid), _random_batches(domain, arity, cfg.seed))
-    return list(itertools.islice(itertools.chain.from_iterable(parts), cfg.count))
+    return itertools.islice(itertools.chain.from_iterable(parts), cfg.count)
+
+
+def sample_tuples(domain: PointDomain, arity: int, cfg: SampleConfig) -> list[tuple]:
+    """The first ``cfg.count`` tuples of the configured stream, as a list.
+
+    Pinned tuples of the requested arity come first and count toward the
+    total; pins of other arities are ignored, so one pinned pool can serve
+    checks that sample several tuple shapes.  A finite stream (exhaustive
+    discrete grid) may yield fewer than ``count`` tuples.
+    """
+    return list(_stream(domain, arity, cfg))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 
 import pytest
@@ -13,7 +14,8 @@ from csmetric import (BUILTIN_SPACES, DEFAULT_K_SET, ComposedSpace, Configuratio
                       check_banach, check_classic_triangle,
                       check_composed_triangle, check_identity_axiom, check_m1,
                       check_m2, check_mf_contraction, check_series_vanishing,
-                      check_symmetry, estimate_contraction_factor, eval_alpha,
+                      check_symmetry, contraction_bound, estimate_contraction_factor,
+                      eval_alpha,
                       kannan_mf, make_alpha, make_builtin_space,
                       make_self_map, poly_map, sample_tuples, series_tail,
                       slack_tolerance, verify_theorem_4_1)
@@ -733,8 +735,8 @@ def test_shared_banach_and_estimate_equal_the_single_checks(count):
 
 def _counting_draws(monkeypatch):
     calls = []
-    draw = axiom_audit.sample_tuples
-    monkeypatch.setattr(axiom_audit, "sample_tuples",
+    draw = axiom_audit._stream
+    monkeypatch.setattr(axiom_audit, "_stream",
                         lambda *args: calls.append(args) or draw(*args))
     return calls
 
@@ -752,6 +754,40 @@ def test_verify_theorem_draws_each_stream_once(monkeypatch):
     # Identity and Banach read one 3-tuple stream.
     assert len(calls) == 5
     assert len(set(calls)) == 5
+
+
+def test_check_contraction_draws_its_stream_once(monkeypatch, tmp_path):
+    calls = _counting_draws(monkeypatch)
+    assert cli.main(["check-contraction", "--space",
+                     '{"metric": "app_metric", "map": {"kind": "poly", "m": 3}}',
+                     "--r", "0.0125", "--samples", "50", "--out", str(tmp_path / "report.txt")]) == 0
+    # The estimate and Banach read one 3-tuple stream.
+    assert [arity for _, arity, _ in calls] == [3]
+
+
+def _thm41_checks():
+    """The five sampled checks of ``verify-thm41 --m 3``, in its order."""
+    space, F = _POLY3.space, _POLY3.map
+    return [lambda: axiom_audit._identity(space),
+            lambda: axiom_audit._triangle(space, "composed_triangle", space.alpha),
+            lambda: axiom_audit._symmetry(space),
+            lambda: axiom_audit._subhomogeneity(space.alpha, DEFAULT_K_SET),
+            lambda: fixed_point._banach(space, F, contraction_bound(3))]
+
+
+def _audit_peak_bytes(count):
+    tracemalloc.start()
+    try:
+        axiom_audit._audit(_POLY3.space, SampleConfig(count=count), _thm41_checks())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_audit_memory_does_not_grow_with_the_sample():
+    # Held whole, the 40,000-tuple streams would take several MB more.
+    axiom_audit._audit(_POLY3.space, SampleConfig(count=100), _thm41_checks())  # warm caches
+    assert abs(_audit_peak_bytes(40000) - _audit_peak_bytes(4000)) < 2 ** 20
 
 
 def test_triangles_evaluate_each_metric_batch_once():

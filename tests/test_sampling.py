@@ -121,6 +121,18 @@ def test_pinned_must_live_in_domain():
         sample_tuples(INTERVAL, 2, cfg)
 
 
+@pytest.mark.parametrize("arity, cfg, error", [
+    (0, SampleConfig(), ConfigurationError),
+    (2, SampleConfig(pinned=((2.0, 0.5),)), DomainError),
+    (2, SampleConfig(strategy="stratified_grid"), ConfigurationError),
+], ids=["arity", "pinned", "stratified-interval"])
+def test_a_bad_stream_raises_when_requested(arity, cfg, error):
+    # Not when first read: the audit requests each stream before its kernels
+    # run, so a configuration error comes first, as with a drawn list.
+    with pytest.raises(error):
+        sampling._stream(INTERVAL, arity, cfg)
+
+
 def test_config_validation():
     for seed in (-1, 2 ** 64, 2.5, True, "a"):
         with pytest.raises(ConfigurationError, match="seed"):

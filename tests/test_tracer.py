@@ -1,5 +1,7 @@
 """The benchmark's traced mode, perfbench/tracer.py, still runs the command
-line and sees every sample draw."""
+line and gives the untraced report.  Its wrapper of ``sample_tuples`` no
+longer sees the audit's draws, which read a private stream; the draw-once
+property is tested in process, in tests/test_audit.py."""
 
 import json
 import os
@@ -20,14 +22,17 @@ def test_traced_run_draws_no_stream_twice(command, tmp_path):
     stats = tmp_path / "stats.json"
     env = {k: v for k, v in os.environ.items() if k != "CSMETRIC_SEED"}
     env["PYTHONPATH"] = str(ROOT / "src")
+    arguments = [*command, "--samples", "300", "--seed", "7", "--output", "json"]
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(stats), "--", *command,
-         "--samples", "300", "--seed", "7", "--output", "json"],
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(stats), "--", *arguments],
         capture_output=True, env=env, cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr
     figures = json.loads(stats.read_text())
     assert figures["sampling.redrawn_tuples"] == 0
-    assert figures["sampling.tuples_drawn"] > 0
+    untraced = subprocess.run([sys.executable, "-m", "csmetric", *arguments],
+                              capture_output=True, env=env, cwd=ROOT, timeout=120)
+    assert untraced.returncode == 0, untraced.stderr
+    assert proc.stdout == untraced.stdout
 
 
 def test_traced_iterate_counts_the_reported_iterations(tmp_path):
