@@ -14,7 +14,7 @@ Exit codes: 0 all verdicts passed / solve converged, 1 a verdict failed or
 the solve did not converge, 2 usage or configuration error.
 
 Reports are built as a single JSON-ready object with a fixed field order
-("schema": "csmetric/1" first); text output is a rendering of that same
+("schema": "csmetric/2" first); text output is a rendering of that same
 object.  The environment variable CSMETRIC_SEED overrides --seed.  Output
 is UTF-8 and newline-terminated, and identical configurations produce
 byte-identical JSON.
@@ -34,7 +34,7 @@ from .sampling import SampleConfig
 from .spaces import (BUILTIN_SPACES, ComposedSpace, SelfMap, make_alpha,
                      map_from_json, space_from_json, space_to_json)
 
-SCHEMA = "csmetric/1"
+SCHEMA = "csmetric/2"
 
 __all__ = ["run", "main", "SCHEMA"]
 
@@ -112,7 +112,7 @@ def _cmd_solve_poly(args: argparse.Namespace) -> tuple[int, dict]:
         "converged": result.converged,
         "iterations": result.iterations,
         "residual": result.residual,
-        "result": result.to_json_dict(),
+        "iterates": result.orbit.iterates,
     }
     return (0 if oracle.passed else 1), report
 
@@ -178,7 +178,7 @@ def _cmd_iterate(args: argparse.Namespace) -> tuple[int, dict]:
         "iterations": result.iterations,
         "residual": result.residual,
         "converged": result.converged,
-        "result": result.to_json_dict(),
+        "iterates": result.orbit.iterates,
     }
     return (0 if result.converged else 1), report
 

@@ -62,9 +62,6 @@ class SolveResult(Record):
     converged: bool
     orbit: Orbit
 
-    def to_json_dict(self) -> dict:
-        return {**self._asdict(), "orbit": self.orbit._asdict()}
-
 
 class MfFunction(Record):
     """A continuous five-argument bound used as a generalized contraction."""

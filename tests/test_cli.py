@@ -41,7 +41,7 @@ class TestSolvePoly:
                        "--output", "json")
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
-        assert report["schema"] == "csmetric/1"
+        assert report["schema"] == "csmetric/2"
         assert report["command"] == "solve-poly"
         assert abs(report["root"] - 0.012345679299142365) < 1e-11
         assert abs(report["root"] - report["oracle_root"]) == report["agreement"]
@@ -313,7 +313,7 @@ class TestIterate:
         report = json.loads(proc.stdout)
         assert report["converged"] is True
         assert report["fixed_point"] <= 1e-11
-        assert report["result"]["orbit"]["step_distances"][0] == 0.5
+        assert report["iterates"][:2] == [1.0, 0.5]
 
     def test_identity_scaling_is_already_fixed(self):
         space = json.dumps({"metric": "app_metric",
@@ -557,7 +557,7 @@ class TestVerifyThm41:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["all_passed"] is True
-        assert report["schema"] == "csmetric/1"
+        assert report["schema"] == "csmetric/2"
 
     def test_scope_rejection_names_the_bound(self):
         proc = run_cli("verify-thm41", "--m", "2")
