@@ -279,9 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
 # of _RUN items; any other, one holding a container included, item by item.
 _SCALARS = frozenset((str, int, float, bool, type(None)))
 _RUN = 4096
-# From this many runs on, _emit renders a report in two processes: the measured
-# break-even (BENCH_20.json: two processes/one 0.56-1.16 at 8 runs, 0.57-0.88 at 12).
-_FORK_RUNS = 8
 
 
 def _jobs(value, pad: str = ""):
@@ -329,62 +326,22 @@ def _pieces(value):
     return map(_render, _jobs(value))
 
 
-def _write(jobs: list, sink) -> None:
-    runs = [i for i, job in enumerate(jobs) if not isinstance(job, str)]
-    if len(runs) >= _FORK_RUNS:
-        import threading
-    if (len(runs) < _FORK_RUNS or threading.active_count() > 1
-            or not all(hasattr(os, f) for f in ("fork", "memfd_create", "sched_getaffinity"))
-            or len(os.sched_getaffinity(0)) < 2):
-        sink.writelines(map(_render, jobs))
-        return
-    back, parent, fd = jobs[runs[len(runs) // 2]:], os.getpid(), os.memfd_create("report")
-    pid = reaped = offset = 0
-    try:
-        pid = os.fork()
-        if pid == 0:
-            try:  # the helper: it never returns, flushes inherited buffers or runs exit handlers
-                for piece in map(_render, back):
-                    data = piece.encode("ascii")
-                    if os.getppid() != parent or os.write(fd, data) < len(data):
-                        os._exit(1)  # its parent died, or a short write
-                os._exit(0)
-            finally:
-                os._exit(1)
-        sink.writelines(map(_render, jobs[:-len(back)]))
-        for job in back:
-            if not reaped:
-                reaped, status = os.waitpid(pid, os.WNOHANG)
-                if reaped and status == 0:
-                    while chunk := os.pread(fd, 1 << 16, offset):
-                        offset += sink.write(chunk.decode("ascii"))
-                    return
-            offset += sink.write(_render(job))
-    finally:
-        if pid and not reaped:
-            from signal import SIGKILL
-            os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
-        os.close(fd)
-
-
 def _emit(report: dict, args: argparse.Namespace) -> None:
-    """Write the report to --out or stdout, newline-terminated.  From
-    ``_FORK_RUNS`` runs on, if fork and memfd_create exist, two CPUs are
-    usable and no other thread runs, a forked helper renders the back half
-    of the runs, and all after them, into an anonymous file.  This process
-    writes the front half, renders back-half pieces until the helper has
-    exited 0, and then copies the rest of the helper's bytes."""
-    jobs = [*_jobs(report), "\n"] if args.output == "json" else [_render_text(report), "\n"]
+    """Write the report to --out or stdout, newline-terminated.  JSON is
+    written a piece at a time as ``_pieces`` renders it, so the text is
+    never held whole."""
+    pieces = _pieces(report) if args.output == "json" else (_render_text(report),)
     if args.out_path:
         try:
             fh = open(args.out_path, "w", encoding="utf-8", newline="\n")
         except OSError as exc:
             raise ConfigurationError(f"cannot write report file: {exc}") from None
         with fh:
-            _write(jobs, fh)
+            fh.writelines(pieces)
+            fh.write("\n")
     else:
-        _write(jobs, sys.stdout)
+        sys.stdout.writelines(pieces)
+        sys.stdout.write("\n")
         sys.stdout.flush()
 
 

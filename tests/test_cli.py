@@ -4,10 +4,8 @@ import io
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
-import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -365,10 +363,6 @@ JSON_ARGS = argparse.Namespace(output="json", out_path=None)
 SCALAR_CYCLE = (0.5, -0.0, math.nan, math.inf, -math.inf, "\u00e9\u2603", 7, None, True)
 
 
-TWO_PROCESSES = pytest.mark.skipif(not all(hasattr(os, name) for name in (
-    "fork", "memfd_create", "sched_getaffinity")), reason="needs fork and memfd_create")
-
-
 class TestEmit:
     @pytest.fixture(autouse=True)
     def no_child_is_left(self):
@@ -393,11 +387,8 @@ class TestEmit:
         assert out.getvalue() == expected + "\n"
 
     def test_memory_is_bounded_by_a_piece_not_the_report(self, monkeypatch):
-        # The picard-orbit report's two orbit lists: 11.4 MB of JSON text.
-        n = 184_200
-        report = {"result": {"orbit": {"iterates": [0.9999 ** i for i in range(n)],
-                                       "step_distances": [1e-4 * 0.9999 ** i
-                                                          for i in range(n)]}}}
+        # The picard-orbit report's orbit list: 4.9 MB of JSON text.
+        report = {"iterates": [0.9999 ** i for i in range(184_200)]}
         with open(os.devnull, "w", encoding="utf-8") as sink:
             monkeypatch.setattr(sys, "stdout", sink)
             tracemalloc.start()
@@ -411,7 +402,7 @@ class TestEmit:
 
     def test_closed_stdout_is_a_failure_without_traceback(self):
         space = json.dumps({"metric": "app_metric", "map": {"kind": "scale", "factor": 0.999}})
-        # A 1.3 MB report, far more than a pipe buffers.
+        # A 0.55 MB report, far more than a pipe buffers.
         proc = subprocess.Popen(
             [sys.executable, "-m", "csmetric", "iterate", "--space", space, "--x0", "1.0",
              "--max-iter", "100000", "--output", "json"],
@@ -422,113 +413,6 @@ class TestEmit:
         assert proc.returncode == 1
         assert b"Traceback" not in stderr
         assert stderr.startswith(b"csmetric: failure: cannot write report: ")
-
-    @pytest.fixture
-    def two_processes(self, monkeypatch):
-        """Take the two-process path with runs of 3 items, whatever the CPUs.
-
-        Returns (report, emit, parent).  ``parent`` counts the forks and the
-        runs this process renders, records each wait status read from the
-        helper (None while it runs), makes the check numbered ``block_at``
-        and later ones wait for the helper to end, and has the helper call
-        ``action`` before each piece it renders."""
-        monkeypatch.setattr(cli, "_RUN", 3)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        test_pid, render, fork, waitpid = os.getpid(), cli._render, os.fork, os.waitpid
-        parent = {"runs": 0, "forks": 0, "statuses": [], "block_at": None, "action": None}
-
-        def counted_fork():
-            parent["forks"] += 1
-            return fork()
-
-        def checked_render(job):
-            if os.getpid() != test_pid:
-                if parent["action"] is not None:
-                    parent["action"]()
-            elif not isinstance(job, str):
-                parent["runs"] += 1
-            return render(job)
-
-        def checked_waitpid(pid, options):
-            # From the block_at-th check on, wait for the helper to end.
-            checks = len(parent["statuses"]) + 1
-            if parent["block_at"] is not None and checks >= parent["block_at"]:
-                options = 0
-            result = waitpid(pid, options)
-            parent["statuses"].append(result[1] if result[0] else None)
-            return result
-
-        monkeypatch.setattr(os, "fork", counted_fork)
-        monkeypatch.setattr(os, "waitpid", checked_waitpid)
-        monkeypatch.setattr(cli, "_render", checked_render)
-        seq = [SCALAR_CYCLE[i % len(SCALAR_CYCLE)] for i in range(30)]
-        report = {"\u00e9": {"orbit": seq, "nested": [seq, {"again": tuple(seq)}]}, "tail": seq}
-
-        def emit():
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                cli._emit(report, JSON_ARGS)
-            return out.getvalue()
-        return report, emit, parent
-
-    @TWO_PROCESSES
-    def test_the_helper_finishing_first_renders_the_back_half(self, two_processes):
-        report, emit, parent = two_processes
-        parent["block_at"] = 1
-        assert emit() == json.dumps(report, indent=2) + "\n"
-        assert parent["forks"] == 1 and parent["statuses"] == [0]
-        assert parent["runs"] == 20  # the front half of 40 runs
-
-    @TWO_PROCESSES
-    @pytest.mark.parametrize("block_at", [3, None], ids=["mid-way", "never"])
-    def test_a_slow_helper_is_taken_over(self, two_processes, block_at):
-        report, emit, parent = two_processes
-        parent["block_at"] = block_at
-        delays = iter([1.5 if block_at else 60])  # before its first piece only
-        parent["action"] = lambda: time.sleep(next(delays, 0))
-        assert emit() == json.dumps(report, indent=2) + "\n"
-        assert parent["forks"] == 1
-        if block_at:  # two back-half runs rendered here, the rest copied
-            assert parent["statuses"] == [None, None, 0]
-            assert parent["runs"] == 22
-        else:  # every run rendered here, and the helper killed
-            assert set(parent["statuses"][:-1]) == {None}
-            assert parent["statuses"][-1] == signal.SIGKILL
-            assert parent["runs"] == 40
-
-    @TWO_PROCESSES
-    @pytest.mark.parametrize("fault", ["raises", "orphaned"])
-    def test_a_failed_helper_leaves_every_piece_to_this_process(self, two_processes,
-                                                                 monkeypatch, fault):
-        report, emit, parent = two_processes
-        parent["block_at"] = 1
-        if fault == "raises":
-            parent["action"] = lambda: 1 / 0
-        else:  # the helper sees another parent, as when its own has died
-            monkeypatch.setattr(os, "getppid", lambda: 1)
-        assert emit() == json.dumps(report, indent=2) + "\n"
-        assert parent["forks"] == 1 and parent["statuses"] == [1 << 8]  # exit code 1
-        assert parent["runs"] == 40
-
-    @TWO_PROCESSES
-    def test_one_usable_cpu_renders_serially(self, two_processes, monkeypatch):
-        report, emit, parent = two_processes
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert emit() == json.dumps(report, indent=2) + "\n"
-        assert parent["forks"] == 0 and parent["runs"] == 40
-
-    @TWO_PROCESSES
-    def test_a_failed_write_kills_the_helper(self, two_processes, monkeypatch):
-        report, emit, parent = two_processes
-        parent["action"] = lambda: time.sleep(60)
-
-        class ClosedPipe(io.StringIO):
-            def write(self, text):
-                raise BrokenPipeError(32, "Broken pipe")
-        monkeypatch.setattr(sys, "stdout", ClosedPipe())
-        with pytest.raises(BrokenPipeError):
-            cli._emit(report, JSON_ARGS)
-        assert parent["forks"] == 1
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("to_out", [True, False], ids=["out", "stdout"])
