@@ -6,11 +6,13 @@ changes a verdict, a margin, a witness or a field order fails here.  The
 golden files are never rewritten by the test suite.
 """
 
+import json
+from itertools import pairwise
 from pathlib import Path
 
 import pytest
 
-from csmetric import cli
+from csmetric import cli, eval_metric, picard
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -64,3 +66,21 @@ def test_report_matches_golden(name, tmp_path, monkeypatch):
     out = tmp_path / name
     cli.main([*CASES[name], "--out", str(out)])
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["iterate-halving.json", "iterate-poly3.json"])
+def test_orbit_report_recomputes_its_step_distances(name):
+    # A report lists the orbit only: each d_k = C(x_k, x_k, x_{k+1}) is
+    # recomputed, bit for bit, from two of its iterates.
+    report = json.loads((GOLDEN / name).read_bytes())
+    args = cli._build_parser().parse_args(CASES[name])
+    space, self_map = cli._build_space(args)
+    orbit = picard(space, self_map, args.x0, args.tol, args.max_iter).orbit
+    steps = [eval_metric(space, a, a, b) for a, b in pairwise(report["iterates"])]
+    assert list(map(float.hex, steps)) == list(map(float.hex, orbit.step_distances))
+    assert report["fixed_point"] == report["iterates"][-1]
+
+
+def test_solve_report_root_is_the_last_iterate():
+    report = json.loads((GOLDEN / "solve-poly-m3.json").read_bytes())
+    assert report["root"] == report["iterates"][-1]
