@@ -15,7 +15,9 @@ the solve did not converge, 2 usage or configuration error.
 
 Reports are built as a single JSON-ready object with a fixed field order
 ("schema": "csmetric/2" first); text output is a rendering of that same
-object.  The environment variable CSMETRIC_SEED overrides --seed.  Output
+object.  The iterate and solve-poly reports list the orbit once, as
+"iterates"; each step distance C(x_k, x_k, x_{k+1}) is derivable from two of
+them.  The environment variable CSMETRIC_SEED overrides --seed.  Output
 is UTF-8 and newline-terminated, and identical configurations produce
 byte-identical JSON.
 """
