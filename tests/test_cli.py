@@ -414,6 +414,81 @@ class TestEmit:
         assert b"Traceback" not in stderr
         assert stderr.startswith(b"csmetric: failure: cannot write report: ")
 
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Emit with runs of 3 items, counting forks and the runs rendered.
+
+        Returns (report, parent).  ``parent["writes"]`` records, at each
+        write to the sink, the runs rendered so far; a write made once
+        ``fail_at`` runs are rendered raises BrokenPipeError."""
+        monkeypatch.setattr(cli, "_RUN", 3)
+        render, fork = cli._render, os.fork
+        parent = {"runs": 0, "forks": 0, "writes": [], "text": [], "fail_at": None}
+
+        def counted_fork():
+            parent["forks"] += 1
+            return fork()
+
+        def counted_render(job):
+            if not isinstance(job, str):
+                parent["runs"] += 1
+            return render(job)
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(cli, "_render", counted_render)
+        seq = [SCALAR_CYCLE[i % len(SCALAR_CYCLE)] for i in range(30)]
+        report = {"\u00e9": {"orbit": seq, "nested": [seq, {"again": tuple(seq)}]}, "tail": seq}
+        return report, parent
+
+    @staticmethod
+    def _sink(parent):
+        class Sink(io.StringIO):
+            def write(self, text):
+                if parent["fail_at"] is not None and parent["runs"] >= parent["fail_at"]:
+                    raise BrokenPipeError(32, "Broken pipe")
+                parent["writes"].append(parent["runs"])
+                parent["text"].append(text)
+                return super().write(text)
+        return Sink()
+
+    def _emit_to(self, to, report, parent, monkeypatch):
+        sink = self._sink(parent)
+        if to == "out":
+            monkeypatch.setattr(cli, "open", lambda *args, **kwargs: sink, raising=False)
+            cli._emit(report, argparse.Namespace(output="json", out_path="report.json"))
+        else:
+            monkeypatch.setattr(sys, "stdout", sink)
+            cli._emit(report, JSON_ARGS)
+
+    def test_one_usable_cpu_renders_serially(self, counted, monkeypatch):
+        report, parent = counted
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(report, JSON_ARGS)
+        assert out.getvalue() == json.dumps(report, indent=2) + "\n"
+        assert parent["forks"] == 0 and parent["runs"] == 40
+
+    @pytest.mark.parametrize("to", ["stdout", "out"])
+    def test_each_piece_is_written_before_the_next_is_rendered(self, counted, monkeypatch,
+                                                                to):
+        report, parent = counted
+        self._emit_to(to, report, parent, monkeypatch)
+        assert "".join(parent["text"]) == json.dumps(report, indent=2) + "\n"
+        # A writer that rendered ahead would record a run count skipped or late.
+        assert parent["writes"] == sorted(parent["writes"])
+        assert set(parent["writes"]) == set(range(41))
+        assert parent["forks"] == 0
+
+    @pytest.mark.parametrize("to", ["stdout", "out"])
+    def test_a_failed_write_renders_no_further_piece(self, counted, monkeypatch, to):
+        report, parent = counted
+        parent["fail_at"] = 10
+        with pytest.raises(BrokenPipeError):
+            self._emit_to(to, report, parent, monkeypatch)
+        assert parent["runs"] == 10 and max(parent["writes"]) == 9
+        assert parent["forks"] == 0
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("to_out", [True, False], ids=["out", "stdout"])
     def test_failed_report_write_is_a_failure_without_traceback(self, to_out):
