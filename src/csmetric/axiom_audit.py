@@ -12,11 +12,12 @@ toward the lexicographically smallest tuple, so results are independent of
 evaluation order.  ``_audit`` draws each sample stream once, CHUNK tuples
 at a time, for every check that reads it, so no whole sample is held, and
 replays the checks one by one when anything raises, so an error is the one
-they raise run one after another.  Where ``spaces._fused_metric`` gives the
-metric's lambda, and for the alpha alone, a check first runs a fused kernel:
-its slacks as one comprehension with the metric and alpha inlined, the same
-float operations in the same order.  A chunk where that raises or finds
-anything to report runs again on the checked kernel.
+they raise run one after another.  Each sampled check states its inequality
+once, as a template whose rows are (tuple, slack, tolerance), compiled
+twice (see ``_kernel``): fused, with the metric's lambda and the alpha's
+tree inlined, and checked, where each metric and alpha value is checked.
+A chunk runs checked only when its fused form raises or has something to
+report, so every error, key and violation comes from the checked form.
 These auditors are falsifiers and evidence gatherers: a pass is evidence
 over the sample, not a proof of the quantified claim.
 """
@@ -25,16 +26,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from functools import cache
 from itertools import compress, islice
-from operator import eq
 
 from .errors import ConfigurationError, DomainError, NumericError
-from .expressions import compile_fused
+from .expressions import compile_template
 from .sampling import SampleConfig, _stream
 from .spaces import (_FLOAT_MAX, AlphaFunction, ComposedSpace, PointDomain, Record, SelfMap,
-                     _alpha_values, _check_image, _check_metric, _fused_metric, _metric_values,
-                     eval_alpha, iterate_alpha, require_in_space)
+                     _check_image, _check_metric, _checked_metric, _fused_metric, eval_alpha,
+                     iterate_alpha, require_in_space)
 
 __all__ = [
     "Verdict",
@@ -144,117 +143,123 @@ class _Collector:
                        details=details)
 
 
-def _slacks(lhs: Sequence[float], rhs: Sequence[float]) -> tuple[list, Sequence[bool]]:
-    """The slacks of lhs[i] <= rhs[i] and their slack_tolerance violations."""
-    slacks = [r - l for l, r in zip(lhs, rhs)]
-    # The tolerance is at least ABS_TOL, so a slack above -ABS_TOL needs no rule.
-    if min(slacks, default=0.0) >= -ABS_TOL:
-        return slacks, ()
-    return slacks, [s < -ABS_TOL and s < -slack_tolerance(r) for s, r in zip(slacks, rhs)]
+# The tolerance of a right-hand side rhs >= 0, which templates call T: for
+# such an rhs, and for rhs = inf, where the slack is inf or NaN, it is
+# slack_tolerance.
+_TOLERANCE = f"lambda rhs: {ABS_TOL!r} + {REL_TOL!r} * rhs"
+_tolerance = compile_template(_TOLERANCE, {}, {}, False)
+_IDENTITY = "lambda t: t"  # A when a check has no composing function
 
 
-def _fused(template: str, space: ComposedSpace | None,
-           alpha: AlphaFunction | None = None) -> Callable | None:
-    """template, a lambda over a chunk, compiled with space's metric for C
-    and alpha for A (A(x) is x when alpha is None), or None when space's
-    metric has no fused form on its domain.  space None: template reads no
-    metric."""
+def _judged(rows: Sequence[tuple], n: int = 1) -> list:
+    """(keys, slacks, violations) for each of the n (slack, tol) pairs of
+    rows (key, slack, tol, ...): a slack below -tol violates.  This is the
+    one violation rule of the sampled checks."""
+    keys, *columns = list(zip(*rows)) or [()] * (1 + 2 * n)
+    return [(keys, slacks, [s < -t for s, t in zip(slacks, tols)])
+            for slacks, tols in zip(columns[0::2], columns[1::2])]
+
+
+def _checked_alpha(alpha: AlphaFunction) -> Callable:
+    """alpha as checked templates call it, by eval_alpha's value rule; a
+    value that breaks it is named by eval_alpha."""
+    fn = alpha._fn
+    return lambda t: value if (value := fn(t)) >= 0 else eval_alpha(alpha, t)
+
+
+def _kernel(template: str, space: ComposedSpace | None,
+            alphas: Mapping[str, AlphaFunction | None] = {},
+            args: Callable[[list], tuple] = lambda chunk: (), fuse: bool = True,
+            **names) -> Callable:
+    """The kernel of template, a lambda over a chunk and args(chunk) whose
+    rows are (key, slack, tol), with one (slack, tol) pair per name of
+    alphas, whose composing function (None: the identity) the template
+    calls by that name, or one when alphas is empty.  C is space's metric
+    and T the tolerance; names binds the rest.  The kernel maps a chunk to
+    the _judged rows of the checked form.  There the identity, T and a
+    metric with a fused form are inlined, as the fusion rule bounds each of
+    its values; any other metric runs through _checked_metric, and each
+    alpha through _checked_alpha.  Where fuse is set and every function
+    can be inlined, the fused form runs first, and a chunk where it neither
+    raises nor sums to NaN, so that no slack is below its -tol, gives its
+    slacks alone.  A chunk after one with a violation runs checked at once,
+    as a check that fails tends to fail on every chunk."""
+    n = max(1, len(alphas))
     metric = None if space is None else _fused_metric(space)
-    if space is not None and metric is None:
-        return None
-    try:
-        return compile_fused(template, metric, alpha and alpha._tree)
-    except RecursionError:  # a flat sum of about 490 terms is too deep to inline
-        return None
-
-
-def _fast(kernel: Callable, fused: Callable | None, floor: float = -ABS_TOL) -> Callable:
-    """kernel, run only on the chunks where fused(chunk), the same slacks by
-    the same float operations, raises, sums to NaN or has a slack below
-    floor.  A chunk with no slack below floor has nothing to report (at
-    -ABS_TOL, the least tolerance), so its keys and violations are left out.
-    A chunk after one with a violation goes to kernel at once, as a check
-    that fails tends to fail on every chunk."""
-    if fused is None:
-        return kernel
+    inline = {"T": _TOLERANCE, **({} if metric is None else {"C": metric}),
+              **{name: _IDENTITY for name, alpha in alphas.items() if alpha is None}}
+    fused = None
+    if fuse and (space is None or metric is not None):
+        try:
+            fused = compile_template(template, {**inline, **{
+                name: alpha._tree for name, alpha in alphas.items() if alpha}}, {}, True)
+        except RecursionError:  # a flat sum of about 490 terms is too deep to inline
+            pass
+    checked = None
     clean = True
 
-    def fast(chunk, cols, d):
-        nonlocal clean
-        if clean:
+    def kernel(chunk):
+        nonlocal checked, clean
+        extra = args(chunk)
+        if clean and fused is not None:
             try:
-                slacks = fused(chunk)
-                total = sum(slacks, 0.0)
-                if total == total and min(slacks) >= floor:
-                    return (), slacks, ()
-            except Exception:  # kernel raises the checked path's error, if any
+                rows = fused(chunk, *extra)
+                columns = [rows] if n == 1 else list(zip(*rows))
+                if not any(math.isnan(sum(slacks, 0.0)) for slacks in columns):
+                    return [((), slacks, ()) for slacks in columns]
+            except Exception:  # the checked form raises the error, if any
                 pass
-        keys, slacks, violates = kernel(chunk, cols, d)
-        clean = not any(violates)
-        return keys, slacks, violates
-    return fast
+        if checked is None:  # compiled on first use
+            checked = compile_template(template, inline, {
+                **names, **({} if space is None or metric else {"C": _checked_metric(space)}),
+                **{name: _checked_alpha(alpha) for name, alpha in alphas.items() if alpha}},
+                False)
+        judged = _judged(checked(chunk, *extra), n)
+        clean = not any(any(violates) for _, _, violates in judged)
+        return judged
+    return kernel
 
 
 def _audit(space: ComposedSpace | None, cfg: SampleConfig,
            checks: Sequence[Callable[[], tuple]]) -> list:
     """Run checks on space and return their results, as if one by one.
 
-    Calling a check validates its arguments and gives (parts, finish).  A
-    part (domain, arity, kernel) maps a chunk of its sample, the chunk's
-    columns cols() and its checked metric batches d, each evaluated on
-    first use and then kept for the chunk (d(0, 1, 2) is C(q, h, w),
-    d(0, 0, 3) is C(q, q, u)), to keys, slacks and violations.  finish maps
-    the collector to the result, or names the verdict.  Kernels share
-    columns and batches, so they must not change them.  Each (domain, arity)
-    stream is drawn once, a chunk at a time as the loop reads it, so no
-    whole sample is held.  If anything raises, the checks run again one by
-    one, so the error is a one-by-one run's."""
+    Calling a check validates its arguments and gives (parts, finishes), one
+    result per finish.  A part (domain, arity, kernel) maps a chunk of its
+    sample to one (keys, slacks, violations) per finish (see _kernel).  A
+    finish maps its collector to the result, or names the verdict.  Each
+    (domain, arity) stream is drawn once, a chunk at a time as the loop
+    reads it, so no whole sample is held.  If anything raises, the checks
+    run again one by one, so the error is a one-by-one run's."""
     try:
-        built = [(_Collector(), *build()) for build in checks]
+        built = [([_Collector() for _ in finishes], parts, finishes)
+                 for parts, finishes in (build() for build in checks)]
         streams: dict[tuple, list] = {}
-        for col, parts, _ in built:
+        for cols, parts, _ in built:
             for domain, arity, kernel in parts:
-                streams.setdefault((domain, arity), []).append((col, kernel))
+                streams.setdefault((domain, arity), []).append((cols, kernel))
         for (domain, arity), readers in streams.items():
             stream = _stream(domain, arity, cfg)
             while chunk := list(islice(stream, CHUNK)):
-                cols = cache(lambda: list(zip(*chunk)))
-                d = cache(lambda *pattern: _metric_values(space, *(cols()[c] for c in pattern)))
-                for col, kernel in readers:
-                    col.add(*kernel(chunk, cols, d))
+                for cols, kernel in readers:
+                    for col, judged in zip(cols, kernel(chunk)):
+                        col.add(*judged)
         return [col.verdict(finish, cfg.seed) if isinstance(finish, str) else finish(col)
-                for col, _, finish in built]
+                for cols, _, finishes in built for col, finish in zip(cols, finishes)]
     except Exception:
         if len(checks) == 1:
             raise
-    return [_audit(space, cfg, [check])[0] for check in checks]
+    return [result for check in checks for result in _audit(space, cfg, [check])]
 
 
 def _identity(space: ComposedSpace) -> tuple:
-    def self_distances(chunk, cols, d):
-        dist = d(0, 0, 0)
-        if not any(dist):  # every slack is zero
-            return (), dist, ()
-        return [(p, p, p) for (p,) in chunk], [-v for v in dist], [v != 0.0 for v in dist]
-
-    def triples(chunk, cols, d):
-        q, h, _ = cols()
-        dist = d(0, 1, 2)
-        # Strict positivity off the diagonal: the slack is the distance itself.
-        if min(dist) > 0 and not any(map(eq, q, h)):  # no q == h: no diagonal triple
-            return (), dist, ()
-        slacks = [-v if q == h == w else v for v, (q, h, w) in zip(dist, chunk)]
-        return chunk, slacks, [s < 0 or (s == 0 and not q == h == w)
-                               for s, (q, h, w) in zip(slacks, chunk)]
-
-    # At the floor 0 a chunk passes exactly when it has no violation: every
-    # self distance is 0, and so is every diagonal triple's, whose slack is
-    # -0.0; any other triple's is above 0, as a zero one turns into -1.0.
-    return [(space.domain, 1, _fast(self_distances, _fused(
-                "lambda chunk: [0.0 - C(p, p, p) for (p,) in chunk]", space), 0.0)),
-            (space.domain, 3, _fast(triples, _fused(
-                "lambda chunk: [-C(q, h, w) if q == h == w else C(q, h, w) or -1.0"
-                " for q, h, w in chunk]", space), 0.0))], "identity_axiom"
+    # Off the diagonal the distance must be strictly positive: its tolerance,
+    # minus the least float above 0, makes a zero slack violate.
+    return [(space.domain, 1, _kernel(
+                "lambda chunk: [((p, p, p), 0.0 - C(p, p, p), 0.0) for (p,) in chunk]", space)),
+            (space.domain, 3, _kernel(
+                "lambda chunk: [((q, h, w), -d, 0.0) if q == h == w else ((q, h, w), d, -5e-324)"
+                " for q, h, w in chunk for d in [C(q, h, w)]]", space))], ["identity_axiom"]
 
 
 def check_identity_axiom(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
@@ -263,41 +268,37 @@ def check_identity_axiom(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
     return _audit(space, cfg, [lambda: _identity(space)])[0]
 
 
-def _triangle(space: ComposedSpace, check: str, alpha: AlphaFunction | None) -> tuple:
-    def kernel(chunk, cols, d):
-        lhs = d(0, 1, 2)
-        terms = [d(x, x, 3) for x in range(3)]
-        if alpha is not None:
-            terms = [_alpha_values(alpha, t) for t in terms]
-        return (chunk, *_slacks(lhs, [a + b + c for a, b, c in zip(*terms)]))
+# The composed triangle C(q, h, w) <= A(C(q, q, u)) + A(C(h, h, u)) + A(C(w, w, u))
+# on l = C(q, h, w) and a, b, c = C(x, x, u): one row per composing function.
+_TRIANGLE = ("lambda chunk: [((q, h, w, u), {rows}) for q, h, w, u in chunk"
+             " for l, a, b, c in [(C(q, h, w), C(q, q, u), C(h, h, u), C(w, w, u))]]")
+_TRIANGLE_ROW = "(r := {A}(a) + {A}(b) + {A}(c)) - l, T(r)"
 
-    fused = _fused("lambda chunk: [A(C(q, q, u)) + A(C(h, h, u)) + A(C(w, w, u)) - C(q, h, w)"
-                   " for q, h, w, u in chunk]", space, alpha)
-    return [(space.domain, 4, _fast(kernel, fused))], check
+
+def _triangles(space: ComposedSpace, checks: Mapping[str, AlphaFunction | None]) -> tuple:
+    """The triangle of each check, under its composing function (None: the
+    classic triangle), in one kernel, so each 4-tuple's metric values are
+    evaluated once for all of them."""
+    alphas = {f"A{i}": alpha for i, alpha in enumerate(checks.values())}
+    rows = ", ".join(_TRIANGLE_ROW.format(A=name) for name in alphas)
+    return [(space.domain, 4, _kernel(_TRIANGLE.format(rows=rows), space, alphas))], list(checks)
 
 
 def check_composed_triangle(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
     """Triangle inequality with each right-hand term wrapped in alpha."""
-    return _audit(space, cfg, [lambda: _triangle(space, "composed_triangle", space.alpha)])[0]
+    return _audit(space, cfg, [lambda: _triangles(space, {"composed_triangle": space.alpha})])[0]
 
 
 def check_classic_triangle(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
     """Plain (unwrapped) triangle inequality; failing it while the composed
     form passes is what separates these spaces from ordinary S-metric spaces."""
-    return _audit(space, cfg, [lambda: _triangle(space, "classic_triangle", None)])[0]
+    return _audit(space, cfg, [lambda: _triangles(space, {"classic_triangle": None})])[0]
 
 
 def _symmetry(space: ComposedSpace) -> tuple:
-    def kernel(chunk, cols, d):
-        a, b = d(0, 0, 1), d(1, 1, 0)
-        slacks = [-abs(x - y) for x, y in zip(a, b)]
-        if min(slacks) >= -ABS_TOL:  # within any tolerance
-            return chunk, slacks, ()
-        return chunk, slacks, [s < -(ABS_TOL + REL_TOL * max(x, y))
-                               for s, x, y in zip(slacks, a, b)]
-
-    fused = _fused("lambda chunk: [-abs(C(q, q, h) - C(h, h, q)) for q, h in chunk]", space)
-    return [(space.domain, 2, _fast(kernel, fused))], "symmetry"
+    return [(space.domain, 2, _kernel(
+        "lambda chunk: [((q, h), -abs(x - y), T(y if y > x else x))"
+        " for q, h in chunk for x, y in [(C(q, q, h), C(h, h, q))]]", space))], ["symmetry"]
 
 
 def check_symmetry(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
@@ -317,20 +318,11 @@ def _subhomogeneity(alpha: AlphaFunction, k_set: Sequence[float]) -> tuple:
         raise ConfigurationError("k_set must be non-empty")
     if any(k <= 0 for k in k_set):
         raise ConfigurationError("all k values must be positive")
-
-    def kernel(chunk, cols, d):
-        # alpha(s) and alpha(t) once per pair, outside the k loop
-        a_s, a_t = (_alpha_values(alpha, x) for x in cols())
-        # A generator: the collector builds the keys one at a time, and only
-        # when the chunk has a violation or a NaN.
-        keys = ((k, s, t) for s, t in chunk for k in k_set)
-        lhs = _alpha_values(alpha, [k * s + t for s, t in chunk for k in k_set])
-        return (keys, *_slacks(lhs, [k * x + y for x, y in zip(a_s, a_t) for k in k_set]))
-
-    fused = _fused("lambda chunk, ks: [k * a_s + a_t - A(k * s + t) for s, t in chunk"
-                   " for a_s, a_t in [(A(s), A(t))] for k in ks]", None, alpha)
-    return [(_NONNEG_DOMAIN, 2, _fast(kernel, fused and (lambda chunk: fused(chunk, k_set))))
-            ], "alpha_subhomogeneity"
+    # alpha(s) and alpha(t) once per pair, outside the k loop
+    return [(_NONNEG_DOMAIN, 2, _kernel(
+        "lambda chunk, ks: [((k, s, t), (r := k * a_s + a_t) - A(k * s + t), T(r))"
+        " for s, t in chunk for a_s, a_t in [(A(s), A(t))] for k in ks]",
+        None, {"A": alpha}, lambda chunk: (k_set,)))], ["alpha_subhomogeneity"]
 
 
 def check_alpha_subhomogeneity(alpha: AlphaFunction, cfg: SampleConfig,
@@ -359,7 +351,7 @@ def _orbit(space: ComposedSpace, F: SelfMap, x0, tol: float, n: int) -> tuple[li
             _check_image(space, F, x, y)
         d = metric(x, x, y)
         if not (type(d) is float and 0 <= d <= _FLOAT_MAX):
-            d = _check_metric(space, d, x, x, y)
+            d = float(_check_metric(space, d, x, x, y))
         iterates.append(y)
         distances.append(d)
         if d <= tol:
@@ -375,9 +367,9 @@ def check_alpha_dominates_orbit(space: ComposedSpace, F: SelfMap, x0,
         raise ConfigurationError("n_max must be >= 1")
     require_in_space(space, x0)
     _, distances = _orbit(space, F, x0, -math.inf, n_max + 1)
-    keys = [(float(n), d) for n, d in enumerate(distances)]
-    slacks = _slacks(_alpha_values(space.alpha, distances), distances)
-    return _Collector().add(keys, *slacks).verdict("alpha_dominates_orbit", None)
+    rows = [((float(n), d), d - eval_alpha(space.alpha, d), _tolerance(d))
+            for n, d in enumerate(distances)]
+    return _Collector().add(*_judged(rows)[0]).verdict("alpha_dominates_orbit", None)
 
 
 def series_tail(alpha: AlphaFunction, r: float, c0: float, n: int, m: int,

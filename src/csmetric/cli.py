@@ -30,7 +30,7 @@ import math
 import os
 import sys
 
-from .axiom_audit import DEFAULT_MAX_ITER, DEFAULT_TOL, _audit, _identity, _symmetry, _triangle
+from .axiom_audit import DEFAULT_MAX_ITER, DEFAULT_TOL, _audit, _identity, _symmetry, _triangles
 from .errors import ConfigurationError, CsmetricError, DomainError
 from .sampling import SampleConfig
 from .spaces import (BUILTIN_SPACES, ComposedSpace, SelfMap, make_alpha,
@@ -122,10 +122,9 @@ def _cmd_solve_poly(args: argparse.Namespace) -> tuple[int, dict]:
 def _cmd_verify_space(args: argparse.Namespace) -> tuple[int, dict]:
     space, _ = _build_space(args, needs_map=False)
     cfg = SampleConfig(seed=args.seed, count=args.samples)
-    verdicts = _audit(space, cfg, [  # the triangles read one 4-tuple stream
+    verdicts = _audit(space, cfg, [  # both triangles in one kernel
         lambda: _identity(space),
-        lambda: _triangle(space, "composed_triangle", space.alpha),
-        lambda: _triangle(space, "classic_triangle", None),
+        lambda: _triangles(space, {"composed_triangle": space.alpha, "classic_triangle": None}),
         lambda: _symmetry(space),
     ])
     # The classic triangle is informational only: it is not a gate.

@@ -15,9 +15,11 @@ the tokens with '^' as '**', and a transformer keeps only the grammar's
 nodes.  The checked tree, ``lambda t: ...``, is compiled as one Python
 function that can reach no name but ``sqrt``, ``exp`` and ``pow``.  ``exp``
 and ``^`` saturate to ``math.inf`` instead of overflowing so that inequality
-checks involving huge right-hand sides stay well defined.  ``compile_fused``
-inlines such a tree, and a metric's body, into a comprehension of this
-package, compiled in the same namespace.
+checks involving huge right-hand sides stay well defined.  A check of this
+package is one template, a comprehension whose rows are (key, slack,
+tolerance), which ``compile_template`` compiles in the same namespace: its
+fused form inlines such a tree and a metric's body and reduces each row to
+its slack, or to NaN where the slack is below minus its tolerance.
 """
 
 from __future__ import annotations
@@ -56,9 +58,10 @@ def _safe_pow(x: float, p: float) -> float:
 
 
 # The only names generated code can reach; the grammar admits no call of
-# abs, float or zip, which only this package's lambdas make.
+# abs, float or zip, nor inf or nan, which only this package's lambdas use.
 _NAMESPACE = {"sqrt": math.sqrt, "exp": _safe_exp, "pow": _safe_pow, "abs": abs,
-              "float": float, "zip": zip, "__builtins__": {}}
+              "float": float, "zip": zip, "inf": math.inf, "nan": math.nan,
+              "__builtins__": {}}
 
 
 class _Grammar(ast.NodeTransformer):
@@ -148,13 +151,34 @@ def _inline(node, functions: dict, args: dict):
                          for f in node._fields})
 
 
-def compile_fused(template: str, metric: str | None, alpha: ast.Expression | None) -> Callable:
-    """Compile template, a lambda of this package, in the float namespace,
-    with each call C(q, h, w) replaced by the body of metric, a lambda of
-    this package, and each call A(x) by the body of alpha, a checked tree
-    (by x itself when alpha is None).  No text from outside the package is
-    compiled: an alpha enters only as its checked tree."""
-    functions = {"A": alpha or ast.parse("lambda t: t", mode="eval")}
-    if metric is not None:
-        functions["C"] = ast.parse(metric, mode="eval")
-    return compile_tree(_inline(ast.parse(template, mode="eval"), functions, {}))
+# A row's fused form: its slack, or NaN where the slack is below -tol.  A
+# positive slack passes at once, as no tol is below -5e-324 and no float
+# lies between 0 and 5e-324.
+_GUARD = ast.parse("slack_ if (slack_ := slack) > 0.0 or slack_ >= -tol else nan",
+                   mode="eval").body
+
+
+def _fused_rows(row: ast.expr) -> ast.expr:
+    """A row (key, slack, tol, slack, tol, ...), or a conditional choosing
+    one, with the key dropped and each pair guarded: one value or a tuple."""
+    if isinstance(row, ast.IfExp):
+        return ast.IfExp(row.test, _fused_rows(row.body), _fused_rows(row.orelse))
+    slacks = [_inline(_GUARD, {}, {"slack": slack, "tol": tol})
+              for slack, tol in zip(row.elts[1::2], row.elts[2::2])]
+    return slacks[0] if len(slacks) == 1 else ast.Tuple(slacks, ast.Load())
+
+
+def compile_template(template: str, functions: dict, names: dict, fused: bool) -> Callable:
+    """Compile template, a lambda of this package whose list comprehension
+    yields rows (key, slack, tol, ...), in the float namespace with names
+    added.  Each call of a name in functions is replaced by the body of its
+    lambda, the text of one of this package or a checked tree, so no text
+    from outside the package is compiled.  Where fused, each row is
+    replaced by its fused form."""
+    tree = _inline(ast.parse(template, mode="eval"), {
+        name: ast.parse(f, mode="eval") if isinstance(f, str) else f
+        for name, f in functions.items()}, {})
+    if fused:
+        tree.body.body.elt = _fused_rows(tree.body.body.elt)
+    return eval(compile(ast.fix_missing_locations(tree), "<template>", "eval"),
+                {**_NAMESPACE, **names})

@@ -13,15 +13,15 @@ two selection properties that make the family's fixed-point argument work.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Sequence
-from itertools import chain, combinations, compress
+from functools import partial
+from itertools import chain, combinations
 
 from .axiom_audit import (_NONNEG_DOMAIN, DEFAULT_MAX_ITER, DEFAULT_TOL, Verdict, _audit,
-                          _Collector, _fast, _fused, _orbit, _slacks)
-from .errors import ConfigurationError, DomainError, PreconditionError
+                          _Collector, _kernel, _orbit)
+from .errors import ConfigurationError, DomainError, NumericError, PreconditionError
 from .sampling import SampleConfig
-from .spaces import ComposedSpace, Record, SelfMap, _images, _metric_values, eval_metric
+from .spaces import ComposedSpace, Record, SelfMap, _images, eval_metric
 
 __all__ = [
     "Orbit",
@@ -127,16 +127,8 @@ def picard(space: ComposedSpace, F: SelfMap, x0, tol: float = DEFAULT_TOL,
 
 
 def _estimate(space: ComposedSpace, F: SelfMap, cfg: SampleConfig) -> tuple:
-    def kernel(chunk, cols, d):
-        dens = d(0, 1, 2)
-        kept = [den >= _RATIO_FLOOR for den in dens]
-        keys, dens = list(compress(chunk, kept)), list(compress(dens, kept))
-        fx = _images(space, F, chain.from_iterable(keys))
-        nums = _metric_values(space, fx[0::3], fx[1::3], fx[2::3])
-        return keys, [-(num / den) for num, den in zip(nums, dens)], [True] * len(keys)
-
     def finish(col):
-        # The slack is -ratio, so the witness is the argmax.
+        # The slack is -ratio, and every row violates, so the witness is the argmax.
         if cfg.count == 0:  # only a count of 0 draws no tuple
             raise ConfigurationError("check 'contraction_estimate' evaluated an empty sample")
         if col.witness is None:
@@ -147,7 +139,11 @@ def _estimate(space: ComposedSpace, F: SelfMap, cfg: SampleConfig) -> tuple:
         return ContractionEstimate(sup_ratio=0.0 - slack, argmax_tuple=argmax,
                                    samples=col.checked)
 
-    return [(space.domain, 3, kernel)], finish
+    # Checked only: a degenerate triple's images are not computed.
+    return [(space.domain, 3, _kernel(
+        "lambda chunk: [((q, h, w), -(C(a, b, c) / d), -inf) for q, h, w in chunk"
+        f" for d in [C(q, h, w)] if d >= {_RATIO_FLOOR!r} for a, b, c in [F((q, h, w))]]",
+        space, fuse=False, F=partial(_images, space, F)))], [finish]
 
 
 def estimate_contraction_factor(space: ComposedSpace, F: SelfMap,
@@ -159,17 +155,12 @@ def estimate_contraction_factor(space: ComposedSpace, F: SelfMap,
 def _banach(space: ComposedSpace, F: SelfMap, r: float) -> tuple:
     if not (0.0 < r < 1.0):
         raise ConfigurationError(f"contraction factor must lie in (0, 1), got {r!r}")
-
-    def kernel(chunk, cols, d):
-        fx = _images(space, F, chain.from_iterable(chunk))
-        lhs = _metric_values(space, fx[0::3], fx[1::3], fx[2::3])
-        return (chunk, *_slacks(lhs, [r * v for v in d(0, 1, 2)]))
-
     # Images pass _images, so they lie in the domain, where the fused metric is finite.
-    fused = _fused("lambda chunk, r, fx: [r * C(q, h, w) - C(a, b, c) for (q, h, w), a, b, c"
-                   " in zip(chunk, fx[0::3], fx[1::3], fx[2::3])]", space)
-    return [(space.domain, 3, _fast(kernel, fused and (lambda chunk: fused(
-        chunk, r, _images(space, F, chain.from_iterable(chunk))))))], "banach_contraction"
+    return [(space.domain, 3, _kernel(
+        "lambda chunk, r, fx: [((q, h, w), (v := r * C(q, h, w)) - C(a, b, c), T(v))"
+        " for (q, h, w), a, b, c in zip(chunk, fx[0::3], fx[1::3], fx[2::3])]",
+        space, args=lambda chunk: (r, _images(space, F, chain.from_iterable(chunk)))))
+            ], ["banach_contraction"]
 
 
 def check_banach(space: ComposedSpace, F: SelfMap, r: float,
@@ -178,29 +169,36 @@ def check_banach(space: ComposedSpace, F: SelfMap, r: float,
     return _audit(space, cfg, [lambda: _banach(space, F, r)])[0]
 
 
+def _checked_mf(Mf: MfFunction) -> Callable:
+    """Mf as checked templates call it: a value that is NaN, below 0 or not
+    a real raises NumericError."""
+    def checked(*t):
+        value = Mf.fn(*t)
+        if not (isinstance(value, (int, float)) and value >= 0):
+            raise NumericError(f"Mf {Mf.id!r} returned {value!r} at {t!r}")
+        return value
+    return checked
+
+
 def check_m1(Mf: MfFunction, r: float, cfg: SampleConfig) -> Verdict:
     """Selection property one: whenever h <= Mf(o, o, 0, w, h) and
     w <= 2o + h, the reduction h <= r*o must follow."""
     if not (0.0 <= r < 1.0):
         raise ConfigurationError(f"reduction factor must lie in [0, 1), got {r!r}")
-
-    def kernel(chunk, cols, d):
-        # An unguarded tuple counts with slack +inf: checked, never the worst.
-        lhs = [h if w <= 2 * o + h and h <= Mf.fn(o, o, 0.0, w, h) else -math.inf
-               for o, h, w in chunk]
-        return (chunk, *_slacks(lhs, [r * o for o, _, _ in chunk]))
-
-    return _audit(None, cfg, [lambda: ([(_NONNEG_DOMAIN, 3, kernel)], "m1")])[0]
+    # An unguarded tuple counts with slack +inf: checked, never the worst.
+    kernel = _kernel(
+        "lambda chunk, r: [((o, h, w), r * o - h if w <= 2 * o + h and h <= Mf(o, o, 0.0, w, h)"
+        " else inf, T(r * o)) for o, h, w in chunk]",
+        None, args=lambda chunk: (r,), fuse=False, Mf=_checked_mf(Mf))
+    return _audit(None, cfg, [lambda: ([(_NONNEG_DOMAIN, 3, kernel)], ["m1"])])[0]
 
 
 def check_m2(Mf: MfFunction, cfg: SampleConfig) -> Verdict:
     """Selection property two: h <= Mf(h, 0, h, h, 0) forces h = 0."""
-    def kernel(chunk, cols, d):
-        # An unguarded h counts with slack +inf, as in check_m1.
-        lhs = [h if h <= Mf.fn(h, 0.0, h, h, 0.0) else -math.inf for (h,) in chunk]
-        return (chunk, *_slacks(lhs, [0.0] * len(lhs)))
-
-    return _audit(None, cfg, [lambda: ([(_NONNEG_DOMAIN, 1, kernel)], "m2")])[0]
+    # An unguarded h counts with slack +inf, as in check_m1.
+    kernel = _kernel("lambda chunk: [((h,), 0.0 - h if h <= Mf(h, 0.0, h, h, 0.0) else inf,"
+                     " T(0.0)) for (h,) in chunk]", None, fuse=False, Mf=_checked_mf(Mf))
+    return _audit(None, cfg, [lambda: ([(_NONNEG_DOMAIN, 1, kernel)], ["m2"])])[0]
 
 
 def check_mf_contraction(space: ComposedSpace, F: SelfMap, Mf: MfFunction,
@@ -209,18 +207,13 @@ def check_mf_contraction(space: ComposedSpace, F: SelfMap, Mf: MfFunction,
     symmetric for the five distances to play their intended roles."""
     if not space.symmetric_claim:
         raise PreconditionError("the generalized contraction check needs a symmetric space")
-
-    def kernel(chunk, cols, d):
-        o, h = cols()
-        fx = _images(space, F, chain.from_iterable(chunk))
-        fo, fh = fx[0::2], fx[1::2]
-        lhs = _metric_values(space, fo, fo, fh)
-        rhs = map(Mf.fn, d(0, 0, 1), _metric_values(space, fo, fo, o),
-                  _metric_values(space, fo, fo, h), _metric_values(space, fh, fh, o),
-                  _metric_values(space, fh, fh, h))
-        return (chunk, *_slacks(lhs, list(rhs)))
-
-    return _audit(space, cfg, [lambda: ([(space.domain, 2, kernel)], "mf_contraction")])[0]
+    kernel = _kernel(
+        "lambda chunk, fx: [((o, h), (v := Mf(C(o, o, h), C(fo, fo, o), C(fo, fo, h),"
+        " C(fh, fh, o), C(fh, fh, h))) - C(fo, fo, fh), T(v))"
+        " for (o, h), fo, fh in zip(chunk, fx[0::2], fx[1::2])]",
+        space, args=lambda chunk: (_images(space, F, chain.from_iterable(chunk)),), fuse=False,
+        Mf=_checked_mf(Mf))
+    return _audit(space, cfg, [lambda: ([(space.domain, 2, kernel)], ["mf_contraction"])])[0]
 
 
 def verify_fixed_point(space: ComposedSpace, F: SelfMap, x,

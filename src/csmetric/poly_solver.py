@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 
 from .axiom_audit import (DEFAULT_K_SET, Verdict, _audit, _Collector,
-                          _identity, _subhomogeneity, _symmetry, _triangle,
+                          _identity, _subhomogeneity, _symmetry, _triangles,
                           check_alpha_zero, check_series_vanishing)
 from .errors import DomainError, InternalError
 from .fixed_point import DEFAULT_TOL, SolveResult, _banach, picard, uniqueness_probe
@@ -158,11 +158,11 @@ def verify_theorem_4_1(m: int, seed: int = SampleConfig.seed,
     cfg = SampleConfig(seed=seed, count=samples)
     r = contraction_bound(m)
 
-    # Identity and Banach read one 3-tuple stream and its C(q, h, w).  As alpha_zero
-    # cannot raise on two_sqrt, the first error raised is still the first in report order.
+    # Identity and Banach read one 3-tuple stream.  As alpha_zero cannot raise
+    # on two_sqrt, the first error raised is still the first in report order.
     identity, triangle, symmetry, subhomogeneity, banach = _audit(space, cfg, [
         lambda: _identity(space),
-        lambda: _triangle(space, "composed_triangle", space.alpha),
+        lambda: _triangles(space, {"composed_triangle": space.alpha}),
         lambda: _symmetry(space),
         lambda: _subhomogeneity(space.alpha, DEFAULT_K_SET),
         lambda: _banach(space, F, r),

@@ -387,59 +387,39 @@ def _images(space: ComposedSpace, F: SelfMap, points: Iterable) -> list:
     return images
 
 
-def _check_metric(space: ComposedSpace, value, q: Point, h: Point, w: Point) -> float:
-    """value, the metric at (q, h, w), as a float; it must be a finite real
-    >= 0, or NumericError names it."""
+def _check_metric(space: ComposedSpace, value, q: Point, h: Point, w: Point):
+    """value, the metric at (q, h, w), as it was given; it must be a finite
+    real >= 0, or NumericError names it."""
     if not (isinstance(value, (int, float)) and 0 <= value <= _FLOAT_MAX):
         raise NumericError(
             f"metric {space.metric.id!r} returned {value!r} at ({q!r}, {h!r}, {w!r})")
-    return float(value)
+    return value
 
 
-def _metric_values(space: ComposedSpace, q: Sequence, h: Sequence,
-                  w: Sequence) -> list:
-    """The metric at each triple (q[i], h[i], w[i]) in the domain, as it gave
-    the values.  The batch is tested at once; a batch that fails, such as one of
-    numpy.float64 values, is scanned by _check_metric, which names the first
-    bad value without evaluating anything again."""
-    values = list(map(space.metric.fn, q, h, w))
-    try:
-        # Values >= 0 whose sum fits a float are each finite.
-        valid = ({int, float}.issuperset(map(type, values)) and
-                 min(values, default=0) >= 0 and sum(values, 0.0) <= _FLOAT_MAX)
-    except OverflowError:  # an int too large for a float
-        valid = False
-    if not valid:
-        for value, *triple in zip(values, q, h, w):
-            _check_metric(space, value, *triple)
-    return values
+def _checked_metric(space: ComposedSpace) -> Callable:
+    """C of a checked template: space's metric, run once per call, with a
+    float passing a quick test and any other value _check_metric."""
+    fn = space.metric.fn
+    return lambda q, h, w: (value if type(value := fn(q, h, w)) is float
+                            and 0 <= value <= _FLOAT_MAX else _check_metric(space, value, q, h, w))
 
 
 def eval_metric(space: ComposedSpace, q: Point, h: Point, w: Point) -> float:
     """Evaluate the triple metric at (q, h, w) with domain and range checks."""
     for p in (q, h, w):
         require_in_space(space, p)
-    return _check_metric(space, space.metric.fn(q, h, w), q, h, w)
+    return float(_check_metric(space, space.metric.fn(q, h, w), q, h, w))
 
 
 def eval_alpha(alpha: AlphaFunction, t: float) -> float:
-    """Evaluate the composing function at t >= 0."""
+    """Evaluate the composing function at t >= 0; a value below 0 or NaN
+    raises NumericError."""
     if t < 0:
         raise DomainError(f"composing functions are defined on [0, inf); got {t!r}")
-    return _alpha_values(alpha, (t,))[0]
-
-
-def _alpha_values(alpha: AlphaFunction, ts: Sequence[float]) -> list:
-    """eval_alpha at each t in ts, all known to be >= 0.  Like _metric_values,
-    the batch is tested at once and scanned only when it fails."""
-    values = list(map(alpha._fn, ts))
-    total = sum(values, 0.0)  # NaN when any value is
-    if not (min(values, default=0.0) >= 0 and total == total):
-        for t, value in zip(ts, values):
-            if value < 0 or math.isnan(value):
-                raise NumericError(
-                    f"composing function {alpha.id!r} returned {value!r} at {t!r}")
-    return values
+    value = alpha._fn(t)
+    if not value >= 0:  # NaN included
+        raise NumericError(f"composing function {alpha.id!r} returned {value!r} at {t!r}")
+    return value
 
 
 def iterate_alpha(alpha: AlphaFunction, j: int, t: float) -> float:

@@ -682,8 +682,8 @@ def test_image_outside_the_space_is_a_domain_error(check):
 def _space_checks(space):
     """The checks of ``verify-space``, in its order."""
     return [lambda: axiom_audit._identity(space),
-            lambda: axiom_audit._triangle(space, "composed_triangle", space.alpha),
-            lambda: axiom_audit._triangle(space, "classic_triangle", None),
+            lambda: axiom_audit._triangles(space, {"composed_triangle": space.alpha,
+                                                   "classic_triangle": None}),
             lambda: axiom_audit._symmetry(space)]
 
 
@@ -769,7 +769,7 @@ def _thm41_checks():
     """The five sampled checks of ``verify-thm41 --m 3``, in its order."""
     space, F = _POLY3.space, _POLY3.map
     return [lambda: axiom_audit._identity(space),
-            lambda: axiom_audit._triangle(space, "composed_triangle", space.alpha),
+            lambda: axiom_audit._triangles(space, {"composed_triangle": space.alpha}),
             lambda: axiom_audit._symmetry(space),
             lambda: axiom_audit._subhomogeneity(space.alpha, DEFAULT_K_SET),
             lambda: fixed_point._banach(space, F, contraction_bound(3))]
@@ -797,7 +797,7 @@ def test_triangles_evaluate_each_metric_batch_once():
         abs(q - w) + abs(h - w)))
     space = ComposedSpace(PointDomain.real_interval(0.0, 1.0), metric, TWO_SQRT)
     cfg = SampleConfig(seed=8, count=2500)
-    axiom_audit._audit(space, cfg, _space_checks(space)[1:3])
+    axiom_audit._audit(space, cfg, _space_checks(space)[1:2])
     # C(q, h, w) and the three C(x, x, u), each once for both triangles
     assert len(calls) == 4 * 2500
 
@@ -850,6 +850,36 @@ def test_composed_triangle_alpha_error_is_raised():
     assert _audit_error(space, cfg, _space_checks(space)) == expected
 
 
+def test_the_first_fault_is_named_in_row_order():
+    """A library metric fails at one 4-tuple and the alpha at tuples before
+    it in the same chunk.  Checks evaluate tuple by tuple, each tuple's
+    metric values before its alpha values, so the composed triangle names
+    the alpha's first fault, and subhomogeneity alpha's first fault by pair."""
+    domain = PointDomain.real_interval(0.0, 1.0)
+    cfg = SampleConfig(seed=5, count=1000, strategy="uniform_random")
+    tuples = sample_tuples(domain, 4, cfg)
+    bad = tuples[600][:3]
+    metric = TripleMetric(id="late_fault", fn=lambda q, h, w: (
+        -1.0 if (q, h, w) == bad else abs(q - w) + abs(h - w)))
+    alpha = make_alpha("t+0*exp(1000*t)")  # NaN from about t = 0.71 on
+    space = ComposedSpace(domain, metric, alpha)
+    metric_fault = (NumericError, f"metric 'late_fault' returned -1.0 at {bad!r}")
+    # The composed triangle's alpha reads C(x, x, u) for x in (q, h, w).
+    i, t = next((i, metric.fn(x, x, u)) for i, (*xs, u) in enumerate(tuples) for x in xs
+                if math.isnan(alpha._fn(metric.fn(x, x, u))))
+    assert i < 600
+    alpha_fault = (NumericError, f"composing function 'custom' returned nan at {t!r}")
+    s = next(x for pair in sample_tuples(PointDomain.real_interval(0.0, 10.0), 2, cfg)
+             for x in pair if math.isnan(alpha._fn(x)))
+    assert _outcome_of(lambda: check_identity_axiom(space, cfg)).passed
+    assert _outcome_of(lambda: check_composed_triangle(space, cfg)) == alpha_fault
+    assert _outcome_of(lambda: check_classic_triangle(space, cfg)) == metric_fault
+    assert _outcome_of(lambda: check_symmetry(space, cfg)).passed
+    assert _outcome_of(lambda: check_alpha_subhomogeneity(alpha, cfg)) == (
+        NumericError, f"composing function 'custom' returned nan at {s!r}")
+    assert _audit_error(space, cfg, _space_checks(space)) == alpha_fault
+
+
 # --- a failing shared run replays its checks one by one ---------------------
 
 def _pairs(space, F, r, cfg):
@@ -858,9 +888,9 @@ def _pairs(space, F, r, cfg):
     alpha = space.alpha
     return [
         (lambda: axiom_audit._identity(space), partial(check_identity_axiom, space, cfg)),
-        (lambda: axiom_audit._triangle(space, "composed_triangle", alpha),
+        (lambda: axiom_audit._triangles(space, {"composed_triangle": alpha}),
          partial(check_composed_triangle, space, cfg)),
-        (lambda: axiom_audit._triangle(space, "classic_triangle", None),
+        (lambda: axiom_audit._triangles(space, {"classic_triangle": None}),
          partial(check_classic_triangle, space, cfg)),
         (lambda: axiom_audit._symmetry(space), partial(check_symmetry, space, cfg)),
         (lambda: axiom_audit._subhomogeneity(alpha, DEFAULT_K_SET),

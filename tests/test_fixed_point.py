@@ -226,6 +226,22 @@ class TestMfProperties:
         (h,) = v.witness
         assert h > 0 and h <= BROKEN_T1.fn(h, 0.0, h, h, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, -1.0, "0.5", 1j],
+                             ids=["nan", "negative", "str", "complex"])
+    @pytest.mark.parametrize("check, cfg, at", [
+        (lambda Mf, cfg: check_m1(Mf, 0.5, cfg), SampleConfig(count=500, pinned=((0.0, 1.0, 0.0),)),
+         (0.0, 0.0, 0.0, 0.0, 1.0)),
+        (check_m2, SampleConfig(count=500, pinned=((1.0,),)), (1.0, 0.0, 1.0, 1.0, 0.0)),
+    ], ids=["m1", "m2"])
+    def test_an_mf_value_that_is_nan_negative_or_not_a_real_is_named(self, check, cfg, at,
+                                                                       value):
+        # A NaN or negative Mf fails the guard h <= Mf(...), so every tuple
+        # would count as unguarded and the check pass with worst_margin inf.
+        Mf = MfFunction(id="bad", fn=lambda *t: value)
+        with pytest.raises(NumericError) as info:
+            check(Mf, cfg)
+        assert str(info.value) == f"Mf 'bad' returned {value!r} at {at!r}"
+
     def test_coefficient_ranges(self):
         with pytest.raises(ConfigurationError):
             kannan_mf(0.5)
@@ -259,6 +275,12 @@ class TestMfContraction:
     def test_polynomial_map_satisfies_kannan(self, poly3, cfg_small):
         # Pinned by an exhaustive 0.01-step grid sweep ahead of the build.
         assert check_mf_contraction(poly3.space, poly3.map, kannan_mf(0.4), cfg_small).passed
+
+    def test_a_nan_mf_value_is_named(self, app_space):
+        F = make_self_map("scale", app_space.domain, factor=0.5)
+        Mf = MfFunction(id="nan", fn=lambda *t: math.nan)
+        with pytest.raises(NumericError, match=r"^Mf 'nan' returned nan at \(0\.\d+, "):
+            check_mf_contraction(app_space, F, Mf, SampleConfig(count=500))
 
     def test_requires_symmetric_space(self, asymmetric_space, cfg_small):
         F = make_self_map("identity", asymmetric_space.domain)

@@ -1,26 +1,31 @@
-"""Fused kernels against the checked path.
+"""Check templates against hand-written reference kernels.
 
-Each example runs the sampled checks of ``verify-space``,
-``verify_theorem_4_1`` and ``check-contraction --r`` in one shared run twice:
-as they are, and with every fused kernel turned off.  The two runs must hand
-the collector the same slacks, bit for bit, and give the same verdicts,
-witnesses and errors.  The fused kernels and the built-in metrics but
-squared_diff are compiled from one lambda each, so the checked run evaluates
-each metric by a hand-written reference here, where a slip in a lambda shows.
+Each sampled check states its inequality once, as a template compiled into
+a fused form and a checked form, so the two forms cannot disagree on a slip
+in it.  Each example therefore runs the sampled checks of ``verify-space``,
+``verify_theorem_4_1`` and ``check-contraction --r`` in one shared run
+three times: as they are, with every fused form turned off, and through the
+reference kernels below, which state each inequality again by hand and
+evaluate it tuple by tuple, in the templates' order, on a hand-written
+reference of each metric.  The three runs must hand the collector the same
+slacks, bit for bit, and give the same verdicts, witnesses and errors.
 """
 
 import itertools
 import math
 import sys
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from csmetric import (DEFAULT_K_SET, ComposedSpace, ConfigurationError, SampleConfig, SelfMap,
-                      axiom_audit, cli, fixed_point, make_alpha, make_builtin_space,
-                      poly_solver, spaces)
-from csmetric.spaces import PointDomain, TripleMetric, metric_by_name, replace
+from csmetric import (ABS_TOL, DEFAULT_K_SET, REL_TOL, ComposedSpace, ConfigurationError,
+                      SampleConfig, SelfMap, axiom_audit, cli, fixed_point,
+                      check_alpha_subhomogeneity, make_alpha, make_builtin_space, poly_solver,
+                      slack_tolerance, spaces)
+from csmetric.expressions import compile_template
+from csmetric.spaces import PointDomain, eval_alpha, metric_by_name, replace
 
 MAX = sys.float_info.max
 
@@ -96,18 +101,152 @@ def _halving(domain):
 def _checks(space, r, cfg):
     F = _halving(space.domain)
     return [lambda: axiom_audit._identity(space),
-            lambda: axiom_audit._triangle(space, "composed_triangle", space.alpha),
-            lambda: axiom_audit._triangle(space, "classic_triangle", None),
+            lambda: axiom_audit._triangles(space, {"composed_triangle": space.alpha,
+                                                   "classic_triangle": None}),
             lambda: axiom_audit._symmetry(space),
             lambda: axiom_audit._subhomogeneity(space.alpha, DEFAULT_K_SET),
             lambda: fixed_point._estimate(space, F, cfg),
             lambda: fixed_point._banach(space, F, r)]
 
 
-def _run(monkeypatch, space, cfg, r, fused):
+# --- the reference kernels --------------------------------------------------
+# The checked kernels as they were written by hand before the templates, each
+# evaluating its tuples one at a time, with its own violation rule.
+
+def _metric(space):
+    """The reference of space's metric, its value checked and kept as given."""
+    metric = REFERENCE.get(space.metric.id, space.metric.fn)
+
+    def C(q, h, w):
+        value = metric(q, h, w)
+        spaces._check_metric(space, value, q, h, w)
+        return value
+    return C
+
+
+def _alpha(alpha):
+    return (lambda t: t) if alpha is None else partial(eval_alpha, alpha)
+
+
+def _image(space, F, x):
+    y = F.apply(x)
+    spaces.require_in_space(space, y)
+    return y
+
+
+def _reference_identity(space):
+    C = _metric(space)
+
+    def self_distances(chunk):
+        slacks = [0.0 - C(p, p, p) for (p,) in chunk]
+        return [([(p, p, p) for (p,) in chunk], slacks, [s != 0.0 for s in slacks])]
+
+    def triples(chunk):
+        slacks, violates = [], []
+        for q, h, w in chunk:
+            d = C(q, h, w)
+            slacks.append(-d if q == h == w else d)
+            violates.append(d != 0.0 if q == h == w else d <= 0.0)
+        return [(chunk, slacks, violates)]
+    return [(space.domain, 1, self_distances), (space.domain, 3, triples)], ["identity_axiom"]
+
+
+def _reference_triangles(space, checks):
+    C, alphas = _metric(space), [_alpha(alpha) for alpha in checks.values()]
+
+    def kernel(chunk):
+        judged = [(chunk, [], []) for _ in alphas]
+        for q, h, w, u in chunk:
+            lhs, a, b, c = C(q, h, w), C(q, q, u), C(h, h, u), C(w, w, u)
+            for A, (_, slacks, violates) in zip(alphas, judged):
+                rhs = A(a) + A(b) + A(c)
+                slacks.append(rhs - lhs)
+                violates.append(rhs - lhs < -slack_tolerance(rhs))
+        return judged
+    return [(space.domain, 4, kernel)], list(checks)
+
+
+def _reference_symmetry(space):
+    C = _metric(space)
+
+    def kernel(chunk):
+        slacks, violates = [], []
+        for q, h in chunk:
+            x, y = C(q, q, h), C(h, h, q)
+            slacks.append(-abs(x - y))
+            violates.append(-abs(x - y) < -(ABS_TOL + REL_TOL * max(x, y)))
+        return [(chunk, slacks, violates)]
+    return [(space.domain, 2, kernel)], ["symmetry"]
+
+
+def _reference_subhomogeneity(alpha):
+    A = _alpha(alpha)
+
+    def kernel(chunk):
+        keys, slacks, violates = [], [], []
+        for s, t in chunk:
+            a_s, a_t = A(s), A(t)
+            for k in DEFAULT_K_SET:
+                rhs = k * a_s + a_t
+                lhs = A(k * s + t)
+                keys.append((k, s, t))
+                slacks.append(rhs - lhs)
+                violates.append(rhs - lhs < -slack_tolerance(rhs))
+        return [(keys, slacks, violates)]
+    return [(PointDomain.real_interval(0.0, 10.0), 2, kernel)], ["alpha_subhomogeneity"]
+
+
+def _reference_estimate(space, F, cfg):
+    C = _metric(space)
+
+    def kernel(chunk):
+        keys, slacks = [], []
+        for tup in chunk:
+            den = C(*tup)
+            if den >= 1e-12:
+                keys.append(tup)
+                slacks.append(-(C(*(_image(space, F, x) for x in tup)) / den))
+        return [(keys, slacks, [True] * len(keys))]
+    parts, [finish] = fixed_point._estimate(space, F, cfg)
+    return [(space.domain, 3, kernel)], [finish]
+
+
+def _reference_banach(space, F, r):
+    C = _metric(space)
+
+    def kernel(chunk):
+        fx = [_image(space, F, x) for tup in chunk for x in tup]
+        slacks, violates = [], []
+        for i, tup in enumerate(chunk):
+            rhs = r * C(*tup)
+            lhs = C(*fx[3 * i:3 * i + 3])
+            slacks.append(rhs - lhs)
+            violates.append(rhs - lhs < -slack_tolerance(rhs))
+        return [(chunk, slacks, violates)]
+    return [(space.domain, 3, kernel)], ["banach_contraction"]
+
+
+def _references(space, r, cfg):
+    F = _halving(space.domain)
+    return [lambda: _reference_identity(space),
+            lambda: _reference_triangles(space, {"composed_triangle": space.alpha,
+                                                 "classic_triangle": None}),
+            lambda: _reference_symmetry(space),
+            lambda: _reference_subhomogeneity(space.alpha),
+            lambda: _reference_estimate(space, F, cfg),
+            lambda: _reference_banach(space, F, r)]
+
+
+def _no_fused_form(template, functions, names, fused, compile_template=compile_template):
+    if fused:  # as for a template too deep to inline
+        raise RecursionError
+    return compile_template(template, functions, names, fused)
+
+
+def _run(monkeypatch, space, cfg, r, run):
     """The slacks the collector was handed, as float.hex, and the results
-    (or the error) of one shared run of _checks; unfused, on the reference
-    metric."""
+    (or the error) of one shared run of the checks: run is "fused", as they
+    are; "checked", with every fused form off; or "reference"."""
     handed = []
     add = axiom_audit._Collector.add
 
@@ -117,23 +256,21 @@ def _run(monkeypatch, space, cfg, r, fused):
 
     with monkeypatch.context() as m:
         m.setattr(axiom_audit._Collector, "add", recording)
-        if not fused:
-            for module in (axiom_audit, fixed_point):
-                m.setattr(module, "_fused", lambda *args: None)
-            metric = space.metric
-            space = replace(space, metric=TripleMetric(
-                metric.id, REFERENCE.get(metric.id, metric.fn)))
+        if run == "checked":
+            m.setattr(axiom_audit, "compile_template", _no_fused_form)
+        checks = (_references if run == "reference" else _checks)(space, r, cfg)
         try:
             outcome = [repr(v.to_json_dict() if isinstance(v, axiom_audit.Verdict) else v)
-                       for v in axiom_audit._audit(space, cfg, _checks(space, r, cfg))]
+                       for v in axiom_audit._audit(space, cfg, checks)]
         except Exception as exc:
             outcome = (type(exc), str(exc))
     return handed, outcome
 
 
 def _assert_same(monkeypatch, space, cfg, r):
-    fused = _run(monkeypatch, space, cfg, r, True)
-    assert fused == _run(monkeypatch, space, cfg, r, False)
+    fused = _run(monkeypatch, space, cfg, r, "fused")
+    assert fused == _run(monkeypatch, space, cfg, r, "reference")
+    assert fused == _run(monkeypatch, space, cfg, r, "checked")
     return fused
 
 
@@ -232,46 +369,48 @@ def test_a_distance_that_underflows_to_zero_is_a_violation(monkeypatch):
 
 
 def test_a_swapped_sum_is_caught(monkeypatch):
-    """The comparison sees a kernel whose float operations differ only in
-    order: alpha's terms summed from the right."""
-    compiled = axiom_audit.compile_fused
-
-    def swapped(template, metric, alpha):
-        return compiled(template.replace("A(C(q, q, u)) + A(C(h, h, u)) + A(C(w, w, u))",
-                                         "A(C(q, q, u)) + (A(C(h, h, u)) + A(C(w, w, u)))"),
-                        metric, alpha)
-
-    monkeypatch.setattr(axiom_audit, "compile_fused", swapped)
-    space = make_builtin_space("abs_sum", [0.0, 1.0])
-    with pytest.raises(AssertionError):
-        _assert_same(monkeypatch, space, SampleConfig(seed=1, count=3000), 0.5)
+    """A template whose float operations differ only in order, alpha's terms
+    summed from the right: its two compiled forms still agree, and only the
+    reference kernels see the slip."""
+    monkeypatch.setattr(axiom_audit, "_TRIANGLE_ROW", "(r := {A}(a) + ({A}(b) + {A}(c))) - l, T(r)")
+    space, cfg = make_builtin_space("abs_sum", [0.0, 1.0]), SampleConfig(seed=1, count=3000)
+    fused = _run(monkeypatch, space, cfg, 0.5, "fused")
+    assert fused == _run(monkeypatch, space, cfg, 0.5, "checked")
+    assert fused != _run(monkeypatch, space, cfg, 0.5, "reference")
 
 
 def test_a_kernel_too_deep_to_compile_runs_checked(monkeypatch):
     """Inlining a flat sum of about 490 terms, which the grammar takes,
-    recurses too deep; the check then runs on its checked kernel alone."""
-    def too_deep(*args):
-        raise RecursionError
-    monkeypatch.setattr(axiom_audit, "compile_fused", too_deep)
-    (part,), _ = axiom_audit._subhomogeneity(make_alpha("two_sqrt"), DEFAULT_K_SET)
-    assert part[2].__name__ == "kernel"
+    recurses too deep; the check then runs its checked form on every chunk,
+    to the same verdict."""
+    alpha, cfg = make_alpha("two_sqrt"), SampleConfig(seed=2, count=3000)
+    expected = check_alpha_subhomogeneity(alpha, cfg)
+    calls, fn = [], alpha._fn
+    object.__setattr__(alpha, "_fn", lambda t: calls.append(t) or fn(t))
+    monkeypatch.setattr(axiom_audit, "compile_template", _no_fused_form)
+    assert check_alpha_subhomogeneity(alpha, cfg) == expected
+    # alpha(s), alpha(t) and alpha(k * s + t) for each of the 4 k, every pair checked
+    assert len(calls) == 6 * 3000
 
 
 def test_banach_is_fused_in_check_contraction_and_in_verify_thm41(monkeypatch, tmp_path):
     """check-contraction --r builds Banach beside the estimate, verify-thm41
-    beside the identity axiom; both builds run the fused kernel."""
-    kernels = []
-    build = fixed_point._banach
+    beside the identity axiom; both compile its fused form, and neither runs
+    its checked form on any chunk."""
+    fused, ran = [], []
 
-    def recording(*args):
-        parts, check = build(*args)
-        kernels.extend(kernel.__name__ for _, _, kernel in parts)
-        return parts, check
+    def recording(template, functions, names, fused_form):
+        kernel = compile_template(template, functions, names, fused_form)
+        if fused_form:
+            fused.append(template)
+            return kernel
+        return lambda *args: ran.append(template) or kernel(*args)
 
-    monkeypatch.setattr(fixed_point, "_banach", recording)
-    monkeypatch.setattr(poly_solver, "_banach", recording)
+    monkeypatch.setattr(axiom_audit, "compile_template", recording)
     assert cli.main(["check-contraction", "--space", '{"metric":"app_metric","map":{"kind":'
                      '"poly","m":3}}', "--r", "0.0125", "--samples", "50",
                      "--out", str(tmp_path / "report.txt")]) == 0
     assert poly_solver.verify_theorem_4_1(3, samples=50)["all_passed"]
-    assert kernels == ["fast", "fast"]
+    banach = [template for template in fused if "fx[0::3]" in template]
+    assert len(banach) == 2 and banach[0] not in ran
+    assert ran  # the estimate, which has no fused form

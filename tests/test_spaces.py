@@ -13,7 +13,7 @@ from csmetric import (AlphaFunction, ComposedSpace, ConfigurationError,
                       eval_alpha, eval_metric, iterate_alpha, make_alpha,
                       make_builtin_space, make_self_map, space_from_json,
                       space_to_json)
-from csmetric.spaces import Record, _images, _metric_values, replace
+from csmetric.spaces import Record, _checked_metric, _images, replace
 
 ALPHA_IDS = ("identity", "exp", "exp_2t", "two_t_plus_one", "two_sqrt")
 
@@ -214,34 +214,40 @@ class TestEvalMetric:
             eval_metric(negative, 0.1, 0.2, 0.3)
 
 
-class TestMetricValues:
-    def test_valid_values_whose_sum_overflows_pass(self):
+class TestCheckedMetric:
+    """The metric as checked templates call it, C(q, h, w)."""
+
+    def test_values_near_the_float_max_pass(self):
         big = TripleMetric(id="big", fn=lambda q, h, w: 1.5e308)
         space = ComposedSpace(PointDomain.real_interval(0, 1), big, make_alpha("identity"))
-        assert _metric_values(space, [0.0] * 3, [0.5] * 3, [1.0] * 3) == [1.5e308] * 3
+        C = _checked_metric(space)
+        assert [C(0.0, 0.5, 1.0) for _ in range(3)] == [1.5e308] * 3
 
     @pytest.mark.parametrize("value", [True, 3, 2.5, _Float(0.75)],
                              ids=["bool", "int", "float", "float-subclass"])
     def test_every_value_metric_value_accepts_passes(self, value):
+        calls = []
         space = ComposedSpace(PointDomain.real_interval(0, 1),
-                              TripleMetric(id="const", fn=lambda q, h, w: value),
+                              TripleMetric(id="const", fn=lambda q, h, w: calls.append(q) or value),
                               make_alpha("identity"))
-        values = _metric_values(space, [0.0], [0.5], [1.0])
-        assert values == [value] and type(values[0]) is type(value)
+        C = _checked_metric(space)
+        assert C(0.0, 0.5, 1.0) is value  # as the metric gave it, evaluated once
+        assert len(calls) == 1
         assert eval_metric(space, 0.0, 0.5, 1.0) == float(value)
 
-    @pytest.mark.parametrize("value", [10 ** 400, "1", 1j, -1e-300],
-                             ids=["huge-int", "str", "complex", "negative"])
+    @pytest.mark.parametrize("value", [10 ** 400, "1", 1j, -1e-300, math.inf, math.nan],
+                             ids=["huge-int", "str", "complex", "negative", "inf", "nan"])
     def test_the_first_invalid_value_is_named(self, value):
         calls = []
         metric = TripleMetric(
             id="late", fn=lambda q, h, w: calls.append(q) or (value if q == 2.0 else 1.0))
         space = ComposedSpace(PointDomain.real_interval(0, 5), metric, make_alpha("identity"))
+        C = _checked_metric(space)
         triples = [(1.0, 1.0, 1.0), (2.0, 0.0, 1.0), (2.0, 3.0, 4.0)]
         message = f"metric 'late' returned {value!r} at (2.0, 0.0, 1.0)"
         with pytest.raises(NumericError, match=re.escape(message)):
-            _metric_values(space, *zip(*triples))
-        assert len(calls) == len(triples)  # the value is named, not evaluated again
+            [C(*triple) for triple in triples]
+        assert len(calls) == 2  # the value is named, not evaluated again
         with pytest.raises(NumericError, match=re.escape(message)):
             eval_metric(space, *triples[1])
 
