@@ -32,8 +32,8 @@ from .errors import ConfigurationError, DomainError, NumericError
 from .expressions import compile_template
 from .sampling import SampleConfig, _stream
 from .spaces import (_FLOAT_MAX, AlphaFunction, ComposedSpace, PointDomain, Record, SelfMap,
-                     _check_image, _check_metric, _checked_metric, _fused_metric, eval_alpha,
-                     iterate_alpha, require_in_space)
+                     _check_image, _check_metric, _checked_alpha, _checked_metric, _fused_metric,
+                     eval_alpha, iterate_alpha, require_in_space)
 
 __all__ = [
     "Verdict",
@@ -143,9 +143,9 @@ class _Collector:
                        details=details)
 
 
-# The tolerance of a right-hand side rhs >= 0, which templates call T: for
-# such an rhs, and for rhs = inf, where the slack is inf or NaN, it is
-# slack_tolerance.
+# The tolerance of a right-hand side rhs >= 0, which templates call T.  It is
+# slack_tolerance at every finite rhs >= 0; at rhs = inf, where the slack is
+# inf or NaN, the two judge alike.
 _TOLERANCE = f"lambda rhs: {ABS_TOL!r} + {REL_TOL!r} * rhs"
 _tolerance = compile_template(_TOLERANCE, {}, {}, False)
 _IDENTITY = "lambda t: t"  # A when a check has no composing function
@@ -158,13 +158,6 @@ def _judged(rows: Sequence[tuple], n: int = 1) -> list:
     keys, *columns = list(zip(*rows)) or [()] * (1 + 2 * n)
     return [(keys, slacks, [s < -t for s, t in zip(slacks, tols)])
             for slacks, tols in zip(columns[0::2], columns[1::2])]
-
-
-def _checked_alpha(alpha: AlphaFunction) -> Callable:
-    """alpha as checked templates call it, by eval_alpha's value rule; a
-    value that breaks it is named by eval_alpha."""
-    fn = alpha._fn
-    return lambda t: value if (value := fn(t)) >= 0 else eval_alpha(alpha, t)
 
 
 def _kernel(template: str, space: ComposedSpace | None,

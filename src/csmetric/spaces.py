@@ -422,6 +422,13 @@ def eval_alpha(alpha: AlphaFunction, t: float) -> float:
     return value
 
 
+def _checked_alpha(alpha: AlphaFunction) -> Callable:
+    """A of a checked template: alpha by eval_alpha's value rule, which names
+    a value that breaks it."""
+    fn = alpha._fn
+    return lambda t: value if (value := fn(t)) >= 0 else eval_alpha(alpha, t)
+
+
 def iterate_alpha(alpha: AlphaFunction, j: int, t: float) -> float:
     """Apply the composing function j times; j = 0 returns t unchanged."""
     if j < 0:
