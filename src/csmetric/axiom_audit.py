@@ -263,8 +263,8 @@ def check_identity_axiom(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
 
 # The composed triangle C(q, h, w) <= A(C(q, q, u)) + A(C(h, h, u)) + A(C(w, w, u))
 # on l = C(q, h, w) and a, b, c = C(x, x, u): one row per composing function.
-_TRIANGLE = ("lambda chunk: [((q, h, w, u), {rows}) for q, h, w, u in chunk"
-             " for l, a, b, c in [(C(q, h, w), C(q, q, u), C(h, h, u), C(w, w, u))]]")
+_TRIANGLE = ("lambda chunk: [((q, h, w, u), {rows}) for q, h, w, u in chunk for l in [C(q, h, w)]"
+             " for a in [C(q, q, u)] for b in [C(h, h, u)] for c in [C(w, w, u)]]")
 _TRIANGLE_ROW = "(r := {A}(a) + {A}(b) + {A}(c)) - l, T(r)"
 
 
@@ -291,7 +291,7 @@ def check_classic_triangle(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
 def _symmetry(space: ComposedSpace) -> tuple:
     return [(space.domain, 2, _kernel(
         "lambda chunk: [((q, h), -abs(x - y), T(y if y > x else x))"
-        " for q, h in chunk for x, y in [(C(q, q, h), C(h, h, q))]]", space))], ["symmetry"]
+        " for q, h in chunk for x in [C(q, q, h)] for y in [C(h, h, q)]]", space))], ["symmetry"]
 
 
 def check_symmetry(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
@@ -314,7 +314,7 @@ def _subhomogeneity(alpha: AlphaFunction, k_set: Sequence[float]) -> tuple:
     # alpha(s) and alpha(t) once per pair, outside the k loop
     return [(_NONNEG_DOMAIN, 2, _kernel(
         "lambda chunk, ks: [((k, s, t), (r := k * a_s + a_t) - A(k * s + t), T(r))"
-        " for s, t in chunk for a_s, a_t in [(A(s), A(t))] for k in ks]",
+        " for s, t in chunk for a_s in [A(s)] for a_t in [A(t)] for k in ks]",
         None, {"A": alpha}, lambda chunk: (k_set,)))], ["alpha_subhomogeneity"]
 
 

@@ -853,8 +853,9 @@ def test_composed_triangle_alpha_error_is_raised():
 def test_the_first_fault_is_named_in_row_order():
     """A library metric fails at one 4-tuple and the alpha at tuples before
     it in the same chunk.  Checks evaluate tuple by tuple, each tuple's
-    metric values before its alpha values, so the composed triangle names
-    the alpha's first fault, and subhomogeneity alpha's first fault by pair."""
+    metric values before its alpha values, so the composed triangle, and
+    verify-space's checks run together, name the alpha's fault; the classic
+    triangle, which reads no alpha, names the metric's."""
     domain = PointDomain.real_interval(0.0, 1.0)
     cfg = SampleConfig(seed=5, count=1000, strategy="uniform_random")
     tuples = sample_tuples(domain, 4, cfg)
@@ -869,8 +870,9 @@ def test_the_first_fault_is_named_in_row_order():
                 if math.isnan(alpha._fn(metric.fn(x, x, u))))
     assert i < 600
     alpha_fault = (NumericError, f"composing function 'custom' returned nan at {t!r}")
-    s = next(x for pair in sample_tuples(PointDomain.real_interval(0.0, 10.0), 2, cfg)
-             for x in pair if math.isnan(alpha._fn(x)))
+    # Subhomogeneity reads alpha(s), alpha(t), then alpha(k * s + t) for each k.
+    s = next(x for s, t in sample_tuples(PointDomain.real_interval(0.0, 10.0), 2, cfg)
+             for x in (s, t, *(k * s + t for k in DEFAULT_K_SET)) if math.isnan(alpha._fn(x)))
     assert _outcome_of(lambda: check_identity_axiom(space, cfg)).passed
     assert _outcome_of(lambda: check_composed_triangle(space, cfg)) == alpha_fault
     assert _outcome_of(lambda: check_classic_triangle(space, cfg)) == metric_fault

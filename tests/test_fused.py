@@ -207,8 +207,8 @@ def _reference_estimate(space, F, cfg):
                 keys.append(tup)
                 slacks.append(-(C(*(_image(space, F, x) for x in tup)) / den))
         return [(keys, slacks, [True] * len(keys))]
-    parts, [finish] = fixed_point._estimate(space, F, cfg)
-    return [(space.domain, 3, kernel)], [finish]
+    _, finishes = fixed_point._estimate(space, F, cfg)  # the estimate's own finish
+    return [(space.domain, 3, kernel)], finishes
 
 
 def _reference_banach(space, F, r):
@@ -237,7 +237,7 @@ def _references(space, r, cfg):
             lambda: _reference_banach(space, F, r)]
 
 
-def _no_fused_form(template, functions, names, fused, compile_template=compile_template):
+def _no_fused_form(template, functions, names, fused):
     if fused:  # as for a template too deep to inline
         raise RecursionError
     return compile_template(template, functions, names, fused)
