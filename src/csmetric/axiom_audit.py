@@ -162,7 +162,7 @@ def _judged(rows: Sequence[tuple], n: int = 1) -> list:
 
 def _kernel(template: str, space: ComposedSpace | None,
             alphas: Mapping[str, AlphaFunction | None] = {},
-            args: Callable[[list], tuple] = lambda chunk: (), fuse: bool = True,
+            args: Callable[[list], tuple] = lambda chunk: (),
             **names) -> Callable:
     """The kernel of template, a lambda over a chunk and args(chunk) whose
     rows are (key, slack, tol), with one (slack, tol) pair per name of
@@ -172,17 +172,18 @@ def _kernel(template: str, space: ComposedSpace | None,
     the _judged rows of the checked form.  There the identity, T and a
     metric with a fused form are inlined, as the fusion rule bounds each of
     its values; any other metric runs through _checked_metric, and each
-    alpha through _checked_alpha.  Where fuse is set and every function
-    can be inlined, the fused form runs first, and a chunk where it neither
-    raises nor sums to NaN, so that no slack is below its -tol, gives its
-    slacks alone.  A chunk after one with a violation runs checked at once,
-    as a check that fails tends to fail on every chunk."""
+    alpha through _checked_alpha.  Where names is empty and the metric has
+    a fused form, so that every call inlines, the fused form runs first,
+    and a chunk where it neither raises nor sums to NaN, so that no slack
+    is below its -tol, gives its slacks alone.  A chunk after one with a
+    violation runs checked at once, as a check that fails tends to fail on
+    every chunk."""
     n = max(1, len(alphas))
     metric = None if space is None else _fused_metric(space)
     inline = {"T": _TOLERANCE, **({} if metric is None else {"C": metric}),
               **{name: _IDENTITY for name, alpha in alphas.items() if alpha is None}}
     fused = None
-    if fuse and (space is None or metric is not None):
+    if not names and (space is None or metric is not None):
         try:
             fused = compile_template(template, {**inline, **{
                 name: alpha._tree for name, alpha in alphas.items() if alpha}}, {}, True)

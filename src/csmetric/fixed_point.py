@@ -139,11 +139,11 @@ def _estimate(space: ComposedSpace, F: SelfMap, cfg: SampleConfig) -> tuple:
         return ContractionEstimate(sup_ratio=0.0 - slack, argmax_tuple=argmax,
                                    samples=col.checked)
 
-    # Checked only: a degenerate triple's images are not computed.
+    # Checked only, as F is called: a degenerate triple's images are not computed.
     return [(space.domain, 3, _kernel(
         "lambda chunk: [((q, h, w), -(C(a, b, c) / d), -inf) for q, h, w in chunk"
         f" for d in [C(q, h, w)] if d >= {_RATIO_FLOOR!r} for a, b, c in [F((q, h, w))]]",
-        space, fuse=False, F=partial(_images, space, F)))], [finish]
+        space, F=partial(_images, space, F)))], [finish]
 
 
 def estimate_contraction_factor(space: ComposedSpace, F: SelfMap,
@@ -189,7 +189,7 @@ def check_m1(Mf: MfFunction, r: float, cfg: SampleConfig) -> Verdict:
     kernel = _kernel(
         "lambda chunk, r: [((o, h, w), r * o - h if w <= 2 * o + h and h <= Mf(o, o, 0.0, w, h)"
         " else inf, T(r * o)) for o, h, w in chunk]",
-        None, args=lambda chunk: (r,), fuse=False, Mf=_checked_mf(Mf))
+        None, args=lambda chunk: (r,), Mf=_checked_mf(Mf))
     return _audit(None, cfg, [lambda: ([(_NONNEG_DOMAIN, 3, kernel)], ["m1"])])[0]
 
 
@@ -197,7 +197,7 @@ def check_m2(Mf: MfFunction, cfg: SampleConfig) -> Verdict:
     """Selection property two: h <= Mf(h, 0, h, h, 0) forces h = 0."""
     # An unguarded h counts with slack +inf, as in check_m1.
     kernel = _kernel("lambda chunk: [((h,), 0.0 - h if h <= Mf(h, 0.0, h, h, 0.0) else inf,"
-                     " T(0.0)) for (h,) in chunk]", None, fuse=False, Mf=_checked_mf(Mf))
+                     " T(0.0)) for (h,) in chunk]", None, Mf=_checked_mf(Mf))
     return _audit(None, cfg, [lambda: ([(_NONNEG_DOMAIN, 1, kernel)], ["m2"])])[0]
 
 
@@ -211,7 +211,7 @@ def check_mf_contraction(space: ComposedSpace, F: SelfMap, Mf: MfFunction,
         "lambda chunk, fx: [((o, h), (v := Mf(C(o, o, h), C(fo, fo, o), C(fo, fo, h),"
         " C(fh, fh, o), C(fh, fh, h))) - C(fo, fo, fh), T(v))"
         " for (o, h), fo, fh in zip(chunk, fx[0::2], fx[1::2])]",
-        space, args=lambda chunk: (_images(space, F, chain.from_iterable(chunk)),), fuse=False,
+        space, args=lambda chunk: (_images(space, F, chain.from_iterable(chunk)),),
         Mf=_checked_mf(Mf))
     return _audit(space, cfg, [lambda: ([(space.domain, 2, kernel)], ["mf_contraction"])])[0]
 

@@ -121,6 +121,16 @@ class TestSymmetry:
         assert v.witness == (0.0, 1.0)
         assert v.worst_margin == -3.0  # C(0,0,1) = 0 against C(1,1,0) = 3
 
+    @pytest.mark.parametrize("delta, passed", [(1.0000000001e-9, True), (1.01e-9, False)])
+    def test_the_tolerance_scales_with_the_larger_distance(self, delta, passed):
+        # C(0.25, 0.25, 0.75) = 0 and C(0.75, 0.75, 0.25) = delta: a slack of
+        # -delta is within 1e-9 + 1e-9 * max(0, delta), about 1.000000001e-9,
+        # and the first delta is not within 1e-9 + 1e-9 * min(0, delta).
+        metric = TripleMetric(id="one_sided", fn=lambda q, h, w: delta if q == 0.75 else 0.0)
+        space = ComposedSpace(PointDomain.real_interval(0.0, 1.0), metric, IDENTITY)
+        v = check_symmetry(space, SampleConfig(count=1, pinned=((0.25, 0.75),)))
+        assert v.passed is passed and v.worst_margin == -delta
+
 
 class TestAlphaZero:
     def test_two_sqrt_vanishes(self):

@@ -219,6 +219,13 @@ class TestMfProperties:
     def test_m2_holds_for_builtins(self, mf, cfg_small):
         assert check_m2(mf, cfg_small).passed
 
+    @pytest.mark.parametrize("h, passed", [(0.9e-9, True), (1.1e-9, False)])
+    def test_m2_allows_the_absolute_tolerance(self, h, passed):
+        # BROKEN_T1 guards every h, so the slack is 0 - h against a
+        # right-hand side of 0, whose tolerance is 1e-9.
+        v = check_m2(BROKEN_T1, SampleConfig(count=1, pinned=((h,),)))
+        assert v.passed is passed and v.worst_margin == -h
+
     def test_broken_t1_fails_m2(self):
         cfg = SampleConfig(seed=1, count=300, pinned=((1.0,),))
         v = check_m2(BROKEN_T1, cfg)

@@ -110,8 +110,8 @@ def _checks(space, r, cfg):
 
 
 # --- the reference kernels --------------------------------------------------
-# The checked kernels as they were written by hand before the templates, each
-# evaluating its tuples one at a time, with its own violation rule.
+# Each check's inequality stated again by hand, evaluated one tuple at a time
+# in its template's order, with its own violation rule.
 
 def _metric(space):
     """The reference of space's metric, its value checked and kept as given."""
