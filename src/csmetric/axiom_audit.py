@@ -14,10 +14,11 @@ at a time, for every check that reads it, so no whole sample is held, and
 replays the checks one by one when anything raises, so an error is the one
 they raise run one after another.  Each sampled check states its inequality
 once, as a template whose rows are (tuple, slack, tolerance), compiled
-twice (see ``_kernel``): fused, with the metric's lambda and the alpha's
-tree inlined, and checked, where each metric and alpha value is checked.
-A chunk runs checked only when its fused form raises or has something to
-report, so every error, key and violation comes from the checked form.
+twice (see ``_kernel``): fused, with the alpha's tree and, where the fusion
+rule allows, the metric's lambda inlined, and checked, where each alpha
+value is checked.  A chunk runs checked only when its fused form raises or
+has something to report, so every error, key and violation comes from the
+checked form.
 These auditors are falsifiers and evidence gatherers: a pass is evidence
 over the sample, not a proof of the quantified claim.
 """
@@ -169,24 +170,24 @@ def _kernel(template: str, space: ComposedSpace | None,
     alphas, whose composing function (None: the identity) the template
     calls by that name, or one when alphas is empty.  C is space's metric
     and T the tolerance; names binds the rest.  The kernel maps a chunk to
-    the _judged rows of the checked form.  There the identity, T and a
-    metric with a fused form are inlined, as the fusion rule bounds each of
-    its values; any other metric runs through _checked_metric, and each
-    alpha through _checked_alpha.  Where names is empty and the metric has
-    a fused form, so that every call inlines, the fused form runs first,
-    and a chunk where it neither raises nor sums to NaN, so that no slack
-    is below its -tol, gives its slacks alone.  A chunk after one with a
-    violation runs checked at once, as a check that fails tends to fail on
-    every chunk."""
+    the _judged rows of the checked form, where each alpha runs through
+    _checked_alpha.  T, the identity and a metric with a fused form, whose
+    values the fusion rule bounds, are inlined in both forms; any other
+    metric runs through _checked_metric.  Where names is empty, the fused
+    form, with every alpha inlined too, runs first, and a chunk where it
+    neither raises nor sums to NaN, so that no slack is below its -tol,
+    gives its slacks alone.  A chunk after one with a violation runs
+    checked at once, as a check that fails tends to fail on every chunk."""
     n = max(1, len(alphas))
     metric = None if space is None else _fused_metric(space)
     inline = {"T": _TOLERANCE, **({} if metric is None else {"C": metric}),
               **{name: _IDENTITY for name, alpha in alphas.items() if alpha is None}}
+    called = {} if space is None or metric else {"C": _checked_metric(space)}
     fused = None
-    if not names and (space is None or metric is not None):
+    if not names:
         try:
             fused = compile_template(template, {**inline, **{
-                name: alpha._tree for name, alpha in alphas.items() if alpha}}, {}, True)
+                name: alpha._tree for name, alpha in alphas.items() if alpha}}, called, True)
         except RecursionError:  # a flat sum of about 490 terms is too deep to inline
             pass
     checked = None
@@ -204,10 +205,8 @@ def _kernel(template: str, space: ComposedSpace | None,
             except Exception:  # the checked form raises the error, if any
                 pass
         if checked is None:  # compiled on first use
-            checked = compile_template(template, inline, {
-                **names, **({} if space is None or metric else {"C": _checked_metric(space)}),
-                **{name: _checked_alpha(alpha) for name, alpha in alphas.items() if alpha}},
-                False)
+            checked = compile_template(template, inline, {**names, **called, **{
+                name: _checked_alpha(alpha) for name, alpha in alphas.items() if alpha}}, False)
         judged = _judged(checked(chunk, *extra), n)
         clean = not any(any(violates) for _, _, violates in judged)
         return judged
