@@ -18,7 +18,12 @@ twice (see ``_kernel``): fused, with the alpha's tree and, where the fusion
 rule allows, the metric's lambda inlined, and checked, where each alpha
 value is checked.  A chunk runs checked only when its fused form raises or
 has something to report, so every error, key and violation comes from the
-checked form.
+checked form.  Where the metric is fused, both forms evaluate C(x, x, u)
+by its self-distance S(x, u), which equals it bit for bit at finite points.
+The Picard orbit that ``_orbit`` walks for ``fixed_point.picard`` and
+``check_alpha_dominates_orbit`` is one compiled loop, with a built-in map's
+lambda and S inlined where the metric is fused, and a user's map and any
+other metric called.
 These auditors are falsifiers and evidence gatherers: a pass is evidence
 over the sample, not a proof of the quantified claim.
 """
@@ -27,14 +32,16 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from itertools import compress, islice
+from functools import lru_cache, partial
+from itertools import chain, compress, islice
 
 from .errors import ConfigurationError, DomainError, NumericError
-from .expressions import compile_template
+from .expressions import compile_function, compile_template
 from .sampling import SampleConfig, _stream
-from .spaces import (_FLOAT_MAX, AlphaFunction, ComposedSpace, PointDomain, Record, SelfMap,
-                     _check_image, _check_metric, _checked_alpha, _checked_metric, _fused_metric,
-                     eval_alpha, iterate_alpha, require_in_space)
+from .spaces import (_FLOAT_MAX, _SELF_CALLED, AlphaFunction, ComposedSpace, PointDomain, Record,
+                     SelfMap, _check_image, _check_metric, _checked_alpha, _checked_metric,
+                     _fused_metric, _images, _map_text, eval_alpha, iterate_alpha,
+                     require_in_space)
 
 __all__ = [
     "Verdict",
@@ -150,6 +157,11 @@ class _Collector:
 _TOLERANCE = f"lambda rhs: {ABS_TOL!r} + {REL_TOL!r} * rhs"
 _tolerance = compile_template(_TOLERANCE, {}, {}, False)
 _IDENTITY = "lambda t: t"  # A when a check has no composing function
+# I of a fused form: F's images of a chunk's points, each outside the interval
+# [lo, hi], NaN included, turned to NaN, which every built-in metric carries
+# to its value, so the row's slack is NaN and the chunk runs checked.
+_IMAGES = ("lambda chunk: [y if {lo!r} <= y <= {hi!r} else nan"
+           " for t in chunk for x in t for y in [F(x)]]")
 
 
 def _judged(rows: Sequence[tuple], n: int = 1) -> list:
@@ -164,30 +176,40 @@ def _judged(rows: Sequence[tuple], n: int = 1) -> list:
 def _kernel(template: str, space: ComposedSpace | None,
             alphas: Mapping[str, AlphaFunction | None] = {},
             args: Callable[[list], tuple] = lambda chunk: (),
-            **names) -> Callable:
+            images: SelfMap | None = None, **names) -> Callable:
     """The kernel of template, a lambda over a chunk and args(chunk) whose
     rows are (key, slack, tol), with one (slack, tol) pair per name of
     alphas, whose composing function (None: the identity) the template
-    calls by that name, or one when alphas is empty.  C is space's metric
-    and T the tolerance; names binds the rest.  The kernel maps a chunk to
-    the _judged rows of the checked form, where each alpha runs through
-    _checked_alpha.  T, the identity and a metric with a fused form, whose
-    values the fusion rule bounds, are inlined in both forms; any other
-    metric runs through _checked_metric.  Where names is empty, the fused
-    form, with every alpha inlined too, runs first, and a chunk where it
-    neither raises nor sums to NaN, so that no slack is below its -tol,
-    gives its slacks alone.  A chunk after one with a violation runs
-    checked at once, as a check that fails tends to fail on every chunk."""
+    calls by that name, or one when alphas is empty.  C is space's metric,
+    S(x, u) its self-distance C(x, x, u), T the tolerance, and I(chunk) the
+    images of the chunk's points, in order, under the self-map images;
+    names binds the rest.  The kernel maps a chunk to the _judged rows of
+    the checked form, where each alpha runs through _checked_alpha and I
+    through _images.  T, the identity and a metric with a fused form, whose
+    values the fusion rule bounds, are inlined in both forms, C and S; any
+    other metric runs through _checked_metric.  Where names is empty, the
+    fused form, with every alpha inlined too, runs first, and a chunk where
+    it neither raises nor sums to NaN, so that no slack is below its -tol,
+    gives its slacks alone.  Its I inlines the map's lambda (see
+    spaces._map_text) where the metric is fused and the map's domain is
+    space's, a real interval; an image outside it is NaN there.  A chunk
+    after one with a violation runs checked at once, as a check that fails
+    tends to fail on every chunk."""
     n = max(1, len(alphas))
     metric = None if space is None else _fused_metric(space)
-    inline = {"T": _TOLERANCE, **({} if metric is None else {"C": metric}),
+    inline = {"T": _TOLERANCE, **(dict(zip("CS", metric)) if metric else {"S": _SELF_CALLED}),
               **{name: _IDENTITY for name, alpha in alphas.items() if alpha is None}}
     called = {} if space is None or metric else {"C": _checked_metric(space)}
+    fused_only = {name: alpha._tree for name, alpha in alphas.items() if alpha}
+    if images is not None:
+        called["I"] = lambda chunk: _images(space, images, chain.from_iterable(chunk))
+        dom, text = images.domain, _map_text(images)
+        if metric and text and dom == space.domain and dom.kind == "real_interval":
+            fused_only.update(I=_IMAGES.format(lo=dom.lo, hi=dom.hi), F=text)
     fused = None
     if not names:
         try:
-            fused = compile_template(template, {**inline, **{
-                name: alpha._tree for name, alpha in alphas.items() if alpha}}, called, True)
+            fused = compile_template(template, {**inline, **fused_only}, called, True)
         except RecursionError:  # a flat sum of about 490 terms is too deep to inline
             pass
     checked = None
@@ -249,7 +271,7 @@ def _identity(space: ComposedSpace) -> tuple:
     # Off the diagonal the distance must be strictly positive: its tolerance,
     # minus the least float above 0, makes a zero slack violate.
     return [(space.domain, 1, _kernel(
-                "lambda chunk: [((p, p, p), 0.0 - C(p, p, p), 0.0) for (p,) in chunk]", space)),
+                "lambda chunk: [((p, p, p), 0.0 - S(p, p), 0.0) for (p,) in chunk]", space)),
             (space.domain, 3, _kernel(
                 "lambda chunk: [((q, h, w), -d, 0.0) if q == h == w else ((q, h, w), d, -5e-324)"
                 " for q, h, w in chunk for d in [C(q, h, w)]]", space))], ["identity_axiom"]
@@ -262,9 +284,9 @@ def check_identity_axiom(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
 
 
 # The composed triangle C(q, h, w) <= A(C(q, q, u)) + A(C(h, h, u)) + A(C(w, w, u))
-# on l = C(q, h, w) and a, b, c = C(x, x, u): one row per composing function.
+# on l = C(q, h, w) and a, b, c = S(x, u): one row per composing function.
 _TRIANGLE = ("lambda chunk: [((q, h, w, u), {rows}) for q, h, w, u in chunk for l in [C(q, h, w)]"
-             " for a in [C(q, q, u)] for b in [C(h, h, u)] for c in [C(w, w, u)]]")
+             " for a in [S(q, u)] for b in [S(h, u)] for c in [S(w, u)]]")
 _TRIANGLE_ROW = "(r := {A}(a) + {A}(b) + {A}(c)) - l, T(r)"
 
 
@@ -291,7 +313,7 @@ def check_classic_triangle(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
 def _symmetry(space: ComposedSpace) -> tuple:
     return [(space.domain, 2, _kernel(
         "lambda chunk: [((q, h), -abs(x - y), T(y if y > x else x))"
-        " for q, h in chunk for x in [C(q, q, h)] for y in [C(h, h, q)]]", space))], ["symmetry"]
+        " for q, h in chunk for x in [S(q, h)] for y in [S(h, q)]]", space))], ["symmetry"]
 
 
 def check_symmetry(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
@@ -324,33 +346,53 @@ def check_alpha_subhomogeneity(alpha: AlphaFunction, cfg: SampleConfig,
     return _audit(None, cfg, [lambda: _subhomogeneity(alpha, k_set)])[0]
 
 
-def _orbit(space: ComposedSpace, F: SelfMap, x0, tol: float, n: int) -> tuple[list, list]:
-    """The orbit x_{k+1} = F(x_k) of x_0 = x0 in space.domain and its step
-    distances d_k = C(x_k, x_k, x_{k+1}) as floats, to the first d_k <= tol or
-    n steps.  Each step runs F.fn and the metric once.  When F.domain is
-    space.domain, an image in it passes a quick test, by its bounds for a
-    float in a real interval; a finite float distance >= 0 passes another.
-    Anything else goes to _check_image or _check_metric, which name the first
-    bad step."""
-    if not F.domain.contains(x0):
-        raise F.outside_error(x0)
-    fn, metric, dom = F.fn, space.metric.fn, F.domain
-    same = dom == space.domain
-    lo, hi = (dom.lo, dom.hi) if same and dom.kind == "real_interval" else (1, 0)  # (1, 0): none
-    iterates, distances, x = [x0], [], x0
+# The Picard loop: x_{k+1} = F(x_k) and d_k = S(x_k, x_{k+1}), each step tested
+# as it is taken.
+_ORBIT = f"""
+def orbit(F, C, x, n, tol, lo, hi, same, contains, check_image, check_metric):
+    iterates, distances = [x], []
     for _ in range(n):
-        y = fn(x)
-        if not (type(y) is float and lo <= y <= hi or same and dom.contains(y)):
-            _check_image(space, F, x, y)
-        d = metric(x, x, y)
-        if not (type(d) is float and 0 <= d <= _FLOAT_MAX):
-            d = float(_check_metric(space, d, x, x, y))
+        y = F(x)
+        if not (type(y) is float and lo <= y <= hi or same and contains(y)):
+            check_image(x, y)
+        d = S(x, y)
+        if not (type(d) is float and 0.0 <= d <= {_FLOAT_MAX!r}):
+            d = float(check_metric(d, x, x, y))
         iterates.append(y)
         distances.append(d)
         if d <= tol:
             break
         x = y
     return iterates, distances
+"""
+
+
+@lru_cache(maxsize=64)
+def _orbit_loop(F: str | None, S: str) -> Callable:
+    """_ORBIT with the lambdas F and S inlined, compiled once per pair.  With
+    F None the map is called, and S is _SELF_CALLED, which calls C."""
+    return compile_function(_ORBIT, {"S": S} if F is None else {"F": F, "S": S}, {})
+
+
+def _orbit(space: ComposedSpace, F: SelfMap, x0, tol: float, n: int) -> tuple[list, list]:
+    """The orbit x_{k+1} = F(x_k) of x_0 = x0 in space.domain and its step
+    distances d_k = C(x_k, x_k, x_{k+1}) as floats, to the first d_k <= tol or
+    n steps, in one compiled loop.  It inlines the map's lambda and the
+    metric's self-distance where the map is a built-in one (see
+    spaces._map_text) and the metric fused; any other map, a user's or a
+    wrapped one, runs F.fn once per step and the metric once, called.  When
+    F.domain is space.domain, an image in it passes a quick test, by its
+    bounds for a float in a real interval; a finite float distance >= 0
+    passes another.  Anything else goes to _check_image or _check_metric,
+    which name the first bad step."""
+    if not F.domain.contains(x0):
+        raise F.outside_error(x0)
+    dom, metric, text = F.domain, _fused_metric(space), _map_text(F)
+    same = dom == space.domain
+    lo, hi = (dom.lo, dom.hi) if same and dom.kind == "real_interval" else (1, 0)  # (1, 0): none
+    loop = _orbit_loop(text, metric[1]) if metric and text else _orbit_loop(None, _SELF_CALLED)
+    return loop(F.fn, space.metric.fn, x0, n, tol, lo, hi, same, dom.contains,
+                partial(_check_image, space, F), partial(_check_metric, space))
 
 
 def check_alpha_dominates_orbit(space: ComposedSpace, F: SelfMap, x0,

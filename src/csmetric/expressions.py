@@ -20,6 +20,8 @@ package is one template, a comprehension whose rows are (key, slack,
 tolerance), which ``compile_template`` compiles in the same namespace: its
 fused form inlines such a tree and a metric's body and reduces each row to
 its slack, or to NaN where the slack is below minus its tolerance.
+``compile_function`` compiles the Picard loop, a def, with a map's and a
+self-distance's lambdas inlined the same way.
 """
 
 from __future__ import annotations
@@ -58,10 +60,11 @@ def _safe_pow(x: float, p: float) -> float:
 
 
 # The only names generated code can reach; the grammar admits no call of
-# abs, float or zip, nor inf or nan, which only this package's lambdas use.
+# abs, float, zip, type or range, nor inf or nan, which only this package's
+# lambdas and loops use.
 _NAMESPACE = {"sqrt": math.sqrt, "exp": _safe_exp, "pow": _safe_pow, "abs": abs,
-              "float": float, "zip": zip, "inf": math.inf, "nan": math.nan,
-              "__builtins__": {}}
+              "float": float, "zip": zip, "type": type, "range": range, "inf": math.inf,
+              "nan": math.nan, "__builtins__": {}}
 
 
 class _Grammar(ast.NodeTransformer):
@@ -134,9 +137,10 @@ def compile_expression(src: str) -> Callable[[float], float]:
 def _inline(node, functions: dict, args: dict):
     """A copy of the tree node with each name in args replaced by its value,
     and each call of a name in functions by that function's body, its
-    parameters bound to the call's arguments, inlined first.  An argument
-    used twice is evaluated twice, which costs time but, as every function
-    here is pure, no bit of the result."""
+    parameters bound to the call's arguments, inlined first, and the calls
+    in the body inlined in turn.  An argument used twice is evaluated twice,
+    which costs time but, as every function here is pure, no bit of the
+    result."""
     if isinstance(node, list):
         return [_inline(x, functions, args) for x in node]
     if not isinstance(node, ast.AST):
@@ -146,7 +150,8 @@ def _inline(node, functions: dict, args: dict):
     if isinstance(node, ast.Call) and getattr(node.func, "id", None) in functions:
         function = functions[node.func.id].body
         values = _inline(node.args, functions, args)
-        return _inline(function.body, {}, dict(zip((a.arg for a in function.args.args), values)))
+        return _inline(function.body, functions,
+                       dict(zip((a.arg for a in function.args.args), values)))
     return type(node)(**{f: _inline(getattr(node, f, None), functions, args)
                          for f in node._fields})
 
@@ -168,6 +173,12 @@ def _fused_rows(row: ast.expr) -> ast.expr:
     return slacks[0] if len(slacks) == 1 else ast.Tuple(slacks, ast.Load())
 
 
+def _parsed(functions: dict) -> dict:
+    """functions, each a lambda's text of this package or a checked tree, as trees."""
+    return {name: ast.parse(f, mode="eval") if isinstance(f, str) else f
+            for name, f in functions.items()}
+
+
 def compile_template(template: str, functions: dict, names: dict, fused: bool) -> Callable:
     """Compile template, a lambda of this package whose list comprehension
     yields rows (key, slack, tol, ...), in the float namespace with names
@@ -175,10 +186,18 @@ def compile_template(template: str, functions: dict, names: dict, fused: bool) -
     lambda, the text of one of this package or a checked tree, so no text
     from outside the package is compiled.  Where fused, each row is
     replaced by its fused form."""
-    tree = _inline(ast.parse(template, mode="eval"), {
-        name: ast.parse(f, mode="eval") if isinstance(f, str) else f
-        for name, f in functions.items()}, {})
+    tree = _inline(ast.parse(template, mode="eval"), _parsed(functions), {})
     if fused:
         tree.body.body.elt = _fused_rows(tree.body.body.elt)
     return eval(compile(ast.fix_missing_locations(tree), "<template>", "eval"),
                 {**_NAMESPACE, **names})
+
+
+def compile_function(source: str, functions: dict, names: dict) -> Callable:
+    """The function that source, the text of one def of this package,
+    defines, compiled as compile_template compiles a template: in the float
+    namespace with names added, each call of a name in functions inlined."""
+    tree = _inline(ast.parse(source), _parsed(functions), {})
+    namespace = {**_NAMESPACE, **names}
+    exec(compile(ast.fix_missing_locations(tree), "<function>", "exec"), namespace)
+    return namespace[tree.body[0].name]

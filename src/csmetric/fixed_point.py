@@ -5,6 +5,9 @@ C(x_n, x_n, x_{n+1}) falls to the requested tolerance; the residual
 C(x, x, F(x)) at the reported point is recomputed independently, and a run
 only counts as converged when that residual is also within tolerance.  F
 and the metric run once per reported step, and once each for the residual.
+The steps run in one compiled loop, which inlines a built-in map and the
+metric's self-distance where the metric is fused, and calls a user's map.
+Banach's fused kernel inlines a built-in map the same way.
 
 The five-argument contraction family is represented by ``MfFunction`` with
 Banach, Kannan, and Bianchini-max built-ins, together with samplers for the
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from functools import partial
-from itertools import chain, combinations
+from itertools import combinations
 
 from .axiom_audit import (_NONNEG_DOMAIN, DEFAULT_MAX_ITER, DEFAULT_TOL, Verdict, _audit,
                           _Collector, _kernel, _orbit)
@@ -109,7 +112,10 @@ def picard(space: ComposedSpace, F: SelfMap, x0, tol: float = DEFAULT_TOL,
     Returns the newest iterate with the full orbit.  ``converged`` is set
     only when the stop was tolerance-driven and the independently recomputed
     residual C(x, x, F(x)) is itself at most tol.  F and the metric run once
-    per step, and an error names the first bad step.
+    per step, and an error names the first bad step.  A built-in map (see
+    make_self_map) on a metric with a fused form runs inlined, with the
+    metric's self-distance, in one compiled loop; any other map or metric is
+    called from it.
     """
     if not tol > 0:
         raise ConfigurationError("tolerance must be positive")
@@ -155,12 +161,12 @@ def estimate_contraction_factor(space: ComposedSpace, F: SelfMap,
 def _banach(space: ComposedSpace, F: SelfMap, r: float) -> tuple:
     if not (0.0 < r < 1.0):
         raise ConfigurationError(f"contraction factor must lie in (0, 1), got {r!r}")
-    # Images pass _images, so they lie in the domain, where the fused metric is finite.
+    # Images pass _images, or in the fused form its bounds, so they lie in the
+    # domain, where the fused metric is finite.
     return [(space.domain, 3, _kernel(
-        "lambda chunk, r, fx: [((q, h, w), (v := r * C(q, h, w)) - C(a, b, c), T(v))"
-        " for (q, h, w), a, b, c in zip(chunk, fx[0::3], fx[1::3], fx[2::3])]",
-        space, args=lambda chunk: (r, _images(space, F, chain.from_iterable(chunk)))))
-            ], ["banach_contraction"]
+        "lambda chunk, r: [((q, h, w), (v := r * C(q, h, w)) - C(a, b, c), T(v))"
+        " for fx in [I(chunk)] for (q, h, w), a, b, c in zip(chunk, fx[0::3], fx[1::3], fx[2::3])]",
+        space, args=lambda chunk: (r,), images=F))], ["banach_contraction"]
 
 
 def check_banach(space: ComposedSpace, F: SelfMap, r: float,
@@ -208,11 +214,10 @@ def check_mf_contraction(space: ComposedSpace, F: SelfMap, Mf: MfFunction,
     if not space.symmetric_claim:
         raise PreconditionError("the generalized contraction check needs a symmetric space")
     kernel = _kernel(
-        "lambda chunk, fx: [((o, h), (v := Mf(C(o, o, h), C(fo, fo, o), C(fo, fo, h),"
-        " C(fh, fh, o), C(fh, fh, h))) - C(fo, fo, fh), T(v))"
-        " for (o, h), fo, fh in zip(chunk, fx[0::2], fx[1::2])]",
-        space, args=lambda chunk: (_images(space, F, chain.from_iterable(chunk)),),
-        Mf=_checked_mf(Mf))
+        "lambda chunk: [((o, h), (v := Mf(S(o, h), S(fo, o), S(fo, h), S(fh, o), S(fh, h)))"
+        " - S(fo, fh), T(v))"
+        " for fx in [I(chunk)] for (o, h), fo, fh in zip(chunk, fx[0::2], fx[1::2])]",
+        space, images=F, Mf=_checked_mf(Mf))
     return _audit(space, cfg, [lambda: ([(space.domain, 2, kernel)], ["mf_contraction"])])[0]
 
 

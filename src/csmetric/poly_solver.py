@@ -18,7 +18,7 @@ from .axiom_audit import (DEFAULT_K_SET, Verdict, _audit, _Collector,
 from .errors import DomainError, InternalError
 from .fixed_point import DEFAULT_TOL, SolveResult, _banach, picard, uniqueness_probe
 from .sampling import SampleConfig
-from .spaces import ComposedSpace, Record, SelfMap, make_builtin_space
+from .spaces import ComposedSpace, Record, SelfMap, _compiled_map, make_builtin_space
 
 __all__ = [
     "PolyProblem",
@@ -71,13 +71,12 @@ def poly_map(m: int) -> PolyProblem:
     """
     _require_degree(m)
     d = float(m ** 4)
-
-    def F(p: float) -> float:
-        pm = p ** m
-        return (pm + 1.0) / ((d - 1.0) * pm + d)
-
+    # p ** m is computed twice, not bound once, as the lambda is inlined
+    # where an assignment expression is not allowed; both give one value.
     space = make_builtin_space("app_metric")
-    self_map = SelfMap(id=f"poly_m{m}", fn=F, domain=space.domain)
+    self_map = _compiled_map(
+        f"poly_m{m}", f"lambda p: (p ** {m} + 1.0) / (({d!r} - 1.0) * p ** {m} + {d!r})",
+        space.domain)
     return PolyProblem(m=m, map=self_map, space=space)
 
 

@@ -82,12 +82,13 @@ def _random_batches(domain: PointDomain, arity: int, seed: int) -> Iterator[Iter
     rng, size = _rng_for(seed, arity), 1
     points = _discrete_draws(domain.members(), rng) if domain.is_discrete else None
     while True:
-        span, size = range(size * arity), min(2 * size, _DRAW_BATCH)
+        n, size = size * arity, min(2 * size, _DRAW_BATCH)
         if domain.is_discrete:
-            draws = list(itertools.islice(points, len(span)))
+            draws = list(itertools.islice(points, n))
         else:
-            lo, width, rand = domain.lo, domain.hi - domain.lo, rng.random
-            draws = [lo + width * rand() for _ in span]
+            lo, width = domain.lo, domain.hi - domain.lo
+            draws = [lo + width * u
+                     for u in itertools.starmap(rng.random, itertools.repeat((), n))]
         yield zip(*[iter(draws)] * arity)
 
 

@@ -446,7 +446,9 @@ def iterate_alpha(alpha: AlphaFunction, j: int, t: float) -> float:
 # so each formula is stated once; squared_diff's function also saturates
 # overflow.  discrete_nat resolves the pairwise pattern by multiset, so it is
 # total: 0 on equal triples, x + y when exactly two entries coincide, twice
-# the sum when all three differ.
+# the sum when all three differ.  Each metric's self-distance S(x, u) is
+# C(x, x, u) at every finite x and u, by value and by type: x - x is exactly
+# 0 or 0.0 there, and a + a is exactly 2 * a.
 _SQUARED_DIFF = "lambda q, h, w: (q - w) ** 2 + (h - w) ** 2"
 _DISCRETE_NAT = ("lambda a, b, c: 0.0 if a == b == c else float(a + c) if a == b"
                  " else float(a + b) if a == c else float(b + a) if b == c else 2.0 * (a + b + c)")
@@ -454,6 +456,8 @@ _ABS_SUM = "lambda q, h, w: abs(q - w) + abs(h - w)"
 _APP = "lambda p, s, q: abs(p - s) + abs(s - q)"
 _metric_discrete_nat, _metric_abs_sum, _metric_app = (
     compile_tree(ast.parse(src, mode="eval")) for src in (_DISCRETE_NAT, _ABS_SUM, _APP))
+# S(x, u) of a metric that is called, not inlined.
+_SELF_CALLED = "lambda x, u: C(x, x, u)"
 
 
 def _metric_squared_diff(q, h, w):
@@ -464,16 +468,18 @@ def _metric_squared_diff(q, h, w):
 
 
 # name: (metric, default params, domain from params, composing function,
-#        lowest point the space is defined at, the metric's lambda)
+#        lowest point the space is defined at, the metric's lambda, the
+#        lambda of its self-distance)
 _BUILTINS = {
     "squared_diff": (_metric_squared_diff, (1.0, 100.0), PointDomain.real_interval, "exp",
-                     1.0, _SQUARED_DIFF),
+                     1.0, _SQUARED_DIFF, "lambda x, u: 2 * (x - u) ** 2"),
     "discrete_nat": (_metric_discrete_nat, (50,), PointDomain.naturals_up_to,
-                     "two_t_plus_one", 0.0, _DISCRETE_NAT),
+                     "two_t_plus_one", 0.0, _DISCRETE_NAT,
+                     "lambda x, u: 0.0 if x == u else float(x + u)"),
     "abs_sum": (_metric_abs_sum, (1.0, 100.0), PointDomain.real_interval, "exp_2t",
-                -math.inf, _ABS_SUM),
+                -math.inf, _ABS_SUM, "lambda x, u: 2 * abs(x - u)"),
     "app_metric": (_metric_app, (), lambda: PointDomain.real_interval(0.0, 1.0),
-                   "two_sqrt", -math.inf, _APP),
+                   "two_sqrt", -math.inf, _APP, "lambda x, u: abs(x - u)"),
 }
 
 BUILTIN_SPACES = tuple(_BUILTINS)
@@ -484,10 +490,12 @@ def metric_by_name(name: str) -> TripleMetric:
     return TripleMetric(id=name, fn=_BUILTINS[name][0])
 
 
-def _fused_metric(space: ComposedSpace) -> str | None:
-    """The lambda of space's metric for fused kernels, or None.  This is the
-    one rule for every check: a built-in metric is fused on any domain where
-    none of its values exceeds _FLOAT_MAX / 2, so no fused value overflows.
+def _fused_metric(space: ComposedSpace) -> tuple[str, str] | None:
+    """The lambdas of space's metric C and of its self-distance S for fused
+    kernels and Picard's inlined loop, or None.  This is the one rule for
+    every check and for Picard: a built-in metric is fused on any domain
+    where none of its values exceeds _FLOAT_MAX / 2, so no fused value
+    overflows, and whose points, all finite, make S exactly C(x, x, u).
     The convex metrics are largest at a corner of [least, greatest]^3; float
     operations are monotone and the margin covers int points, which are
     exact.  discrete_nat is largest off the corners, at most 6 * greatest, and
@@ -501,7 +509,7 @@ def _fused_metric(space: ComposedSpace) -> str | None:
         sup = 6 * ends[1] if ends[0] >= 0 else math.inf
     else:
         sup = max(fn(q, h, w) for q in ends for h in ends for w in ends)
-    return row[5] if sup <= _FLOAT_MAX / 2 else None
+    return row[5:] if sup <= _FLOAT_MAX / 2 else None
 
 
 def _builtin_domain(name: str, domain: PointDomain) -> PointDomain:
@@ -529,7 +537,7 @@ def make_builtin_space(name: str, params: Sequence[float] = ()) -> ComposedSpace
     """
     if not isinstance(name, str) or name not in _BUILTINS:
         raise ConfigurationError(f"unknown builtin space {name!r}; expected one of {BUILTIN_SPACES}")
-    _, defaults, domain, alpha, _, _ = _BUILTINS[name]
+    _, defaults, domain, alpha, *_ = _BUILTINS[name]
     if isinstance(params, (list, tuple)) and not params:
         params = defaults
     _check_reals(params, f"{name} params", len(defaults))
@@ -545,12 +553,32 @@ def make_builtin_space(name: str, params: Sequence[float] = ()) -> ComposedSpace
 _MAP_FIELDS = {"identity": set(), "const": {"value"}, "scale": {"factor"}, "poly": {"m"}}
 
 
+def _compiled_map(id: str, text: str, domain: PointDomain) -> SelfMap:
+    """A self-map whose fn is compiled from text, a built-in map's lambda,
+    and carries it as fn._text, for Picard's loop and Banach's fused form to
+    inline (see _map_text)."""
+    fn = compile_tree(ast.parse(text, mode="eval"))
+    fn._text = text
+    return SelfMap(id=id, fn=fn, domain=domain)
+
+
+def _map_text(F: SelfMap) -> str | None:
+    """The lambda F.fn was compiled from, for a built-in map, or None: found
+    on the function, so a map whose fn is any other function, a wrapped one
+    too, is called."""
+    text = getattr(F.fn, "_text", None)
+    return text if type(text) is str else None
+
+
 def make_self_map(kind: str, domain: PointDomain, **kwargs) -> SelfMap:
     """Build a named self-map on the given domain.
 
     Kinds: ``identity``; ``const`` (value=...); ``scale`` (factor=...);
     ``poly`` (m=..., an integer >= 3; the polynomial fixed-point map on [0, 1]).
-    Any other field is a configuration error.
+    Any other field is a configuration error.  Each kind states its float
+    operations once, as a lambda its fn is compiled from; Picard's loop and
+    Banach's fused kernel inline that lambda, and call a map built any other
+    way.
     """
     if not isinstance(kind, str) or kind not in _MAP_FIELDS:
         raise ConfigurationError(f"unknown map kind {kind!r}")
@@ -559,17 +587,17 @@ def make_self_map(kind: str, domain: PointDomain, **kwargs) -> SelfMap:
         raise ConfigurationError(
             f"unknown field(s) for map kind {kind!r}: {', '.join(sorted(map(repr, unknown)))}")
     if kind == "identity":
-        return SelfMap(id="identity", fn=lambda x: x, domain=domain)
+        return _compiled_map("identity", "lambda x: x", domain)
     if kind == "const":
         value = kwargs.get("value")
         if value is None or not domain.contains(value):
             raise ConfigurationError(f"const map needs a 'value' inside the domain, got {value!r}")
         v = float(value)
-        return SelfMap(id=f"const({v!r})", fn=lambda x: v, domain=domain)
+        return _compiled_map(f"const({v!r})", f"lambda x: {v!r}", domain)
     if kind == "scale":
         (k,) = _check_reals([kwargs.get("factor")], "scale map factor")
         k = float(k)
-        return SelfMap(id=f"scale({k!r})", fn=lambda x: k * x, domain=domain)
+        return _compiled_map(f"scale({k!r})", f"lambda x: {k!r} * x", domain)
     if kind == "poly":
         (m,) = _check_reals([kwargs.get("m")], "poly map degree m")
         from .poly_solver import poly_map  # local import to avoid a cycle

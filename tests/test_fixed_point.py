@@ -13,6 +13,7 @@ from csmetric import (DEFAULT_MAX_ITER, DEFAULT_TOL, ComposedSpace,
                       make_alpha, make_builtin_space, make_self_map, picard,
                       poly_map, poly_solver, sample_tuples, solve_poly,
                       uniqueness_probe, verify_fixed_point)
+from csmetric import axiom_audit, spaces
 from csmetric.spaces import replace
 
 # Pinned by the bisection oracle ahead of the build.
@@ -367,10 +368,19 @@ def _stepwise_picard(space, F, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         raise ConfigurationError("max_iter must be >= 1")
     if not space.domain.contains(x0):
         raise DomainError(f"start point {x0!r} is outside the domain")
+    iterates, steps = _stepwise_orbit(space, F, x0, tol, max_iter)
+    fixed_point = iterates[-1]
+    residual = eval_metric(space, fixed_point, fixed_point, F.apply(fixed_point))
+    return SolveResult(fixed_point=fixed_point, iterations=len(steps), residual=residual,
+                       converged=steps[-1] <= tol and residual <= tol,
+                       orbit=Orbit(iterates=tuple(iterates), step_distances=tuple(steps)))
+
+
+def _stepwise_orbit(space, F, x0, tol, n):
     if not F.domain.contains(x0):
         raise F.outside_error(x0)
-    iterates, steps, x, stopped = [x0], [], x0, False
-    for _ in range(max_iter):
+    iterates, steps, x = [x0], [], x0
+    for _ in range(n):
         y = F.fn(x)
         if not F.domain.contains(y):
             raise F.escape_error(x, y)
@@ -380,14 +390,9 @@ def _stepwise_picard(space, F, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         iterates.append(y)
         steps.append(d)
         if d <= tol:
-            stopped = True
             break
         x = y
-    fixed_point = iterates[-1]
-    residual = eval_metric(space, fixed_point, fixed_point, F.apply(fixed_point))
-    return SolveResult(fixed_point=fixed_point, iterations=len(steps), residual=residual,
-                       converged=stopped and residual <= tol,
-                       orbit=Orbit(iterates=tuple(iterates), step_distances=tuple(steps)))
+    return iterates, steps
 
 
 def _outcome(solve, space, F, x0, tol, max_iter):
@@ -491,6 +496,34 @@ def _cases():
     yield ("scale-0.9999", app, make_self_map("scale", app.domain, factor=0.9999), 1.0,
            DEFAULT_TOL, 3000)
     yield ("flip", app, _map(lambda x: 1.0 - x, app.domain), 0.2, DEFAULT_TOL, 1500)
+    yield from _inlined_cases()
+
+
+# Every built-in map kind on every built-in metric, each fused on each domain,
+# so that picard inlines both.  From x0, halving stops on the interval, and
+# leaves the naturals at step 4 and the powers of 2 at step 30, where
+# squared_diff stops first; doubling leaves each domain; the poly map's
+# images leave both discrete domains at step 1.  Its own domain is [0, 1].
+_INLINED_DOMAINS = {
+    "interval": (PointDomain.real_interval(0.0, 100.0), 1.0, 0.25),
+    "naturals": (PointDomain.naturals_up_to(50), 40, 3),
+    "finite-set": (PointDomain.finite_real_set([2.0 ** -j for j in range(30)]), 1.0, 0.25),
+}
+
+
+def _builtin_maps(domain, value):
+    return [make_self_map("identity", domain), make_self_map("const", domain, value=value),
+            make_self_map("scale", domain, factor=0.5),
+            make_self_map("scale", domain, factor=2.0), make_self_map("poly", domain, m=3)]
+
+
+def _inlined_cases():
+    for metric in ("app_metric", "abs_sum", "squared_diff", "discrete_nat"):
+        for name, (domain, x0, value) in _INLINED_DOMAINS.items():
+            space = replace(make_builtin_space(metric), domain=domain)
+            for F in _builtin_maps(domain, value):
+                start = min(x0, 1) if F.id == "poly_m3" else x0
+                yield f"inlined-{metric}-{name}-{F.id}", space, F, start, DEFAULT_TOL, 3000
 
 
 @pytest.mark.parametrize("space, F, x0, tol, max_iter",
@@ -501,6 +534,8 @@ def test_picard_matches_the_stepwise_loop(space, F, x0, tol, max_iter):
     *counted, calls = _counting(space, F)
     assert _outcome(picard, *counted, x0, tol, max_iter) == expected
     assert calls == expected_calls
+    # Unwrapped, a built-in map on a fused metric runs the inlined loop.
+    assert _outcome(picard, space, F, x0, tol, max_iter) == expected
     if expected[0] == "raises":
         assert expected[3] is None
     else:
@@ -552,6 +587,72 @@ def test_short_orbits_run_the_map_once_per_step(monkeypatch):
         assert uniqueness_probe(problem.space, counted, (x0,)).passed
         iterations = picard(problem.space, problem.map, x0).iterations
         assert calls.count("map") == iterations + 1
+
+
+def _orbit_outcome(orbit, space, F, x0, tol, n):
+    """An orbit's iterates and distances by repr, types included, or the type
+    and message of what it raises."""
+    try:
+        iterates, distances = orbit(space, F, x0, tol, n)
+    except Exception as error:
+        return "raises", type(error), str(error)
+    return [(type(x), repr(x)) for x in iterates], [(type(d), repr(d)) for d in distances]
+
+
+def _loops_taken(monkeypatch):
+    """The map lambda of each loop _orbit runs, None for the called loop."""
+    taken, loop = [], axiom_audit._orbit_loop
+    monkeypatch.setattr(axiom_audit, "_orbit_loop", lambda F, S: taken.append(F) or loop(F, S))
+    return taken
+
+
+@pytest.mark.parametrize("space, F, x0", [pytest.param(*case[1:4], id=case[0])
+                                          for case in _inlined_cases()])
+def test_an_orbit_that_never_stops_is_inlined_too(monkeypatch, space, F, x0):
+    # tol = -inf, check_alpha_dominates_orbit's: the orbit runs its n steps
+    # or escapes.
+    taken = _loops_taken(monkeypatch)
+    expected = _orbit_outcome(_stepwise_orbit, space, F, x0, -math.inf, 60)
+    assert _orbit_outcome(axiom_audit._orbit, space, F, x0, -math.inf, 60) == expected
+    assert taken == [spaces._map_text(F)] and taken[0] is not None
+
+
+def test_a_user_map_and_a_replaced_fn_run_the_called_loop(monkeypatch):
+    space = make_builtin_space("app_metric")
+    F = make_self_map("scale", space.domain, factor=0.5)
+    taken = _loops_taken(monkeypatch)
+    results = {repr(picard(space, G, 1.0)) for G in (
+        F, SelfMap("halving", lambda x: 0.5 * x, space.domain), replace(F, fn=lambda x: 0.5 * x))}
+    assert taken == [F.fn._text, None, None] and len(results) == 1
+
+
+def test_verify_thm41_compiles_its_inlined_loop_once(monkeypatch):
+    # Six Picard runs: the solve and the five starts of the uniqueness probe.
+    compiled, compile_function = [], axiom_audit.compile_function
+    monkeypatch.setattr(axiom_audit, "compile_function", lambda source, functions, names: (
+        compiled.append(sorted(functions)) or compile_function(source, functions, names)))
+    axiom_audit._orbit_loop.cache_clear()
+    assert poly_solver.verify_theorem_4_1(3, samples=50)["all_passed"]
+    assert compiled == [["F", "S"]]
+
+
+@pytest.mark.parametrize("metric, lo, hi, factor, message", [
+    ("app_metric", 0.0, 1.0, 2.0,
+     "map 'scale(2.0)' escaped its domain: F(0.5714285714285714) = 1.1428571428571428"),
+    ("abs_sum", 0.0, 100.0, 1e308,
+     "map 'scale(1e+308)' escaped its domain: F(7.142857142857143) = inf"),
+    # A contraction whose images leave [1, 100] below 2: each slack is >= 0.
+    ("squared_diff", 1.0, 100.0, 0.5, "map 'scale(0.5)' escaped its domain: F(1.0) = 0.5"),
+])
+def test_banach_names_the_first_image_to_leave_the_domain(metric, lo, hi, factor, message):
+    # Banach inlines the map in its fused form, where these images are NaN;
+    # the chunk runs checked, which names the first of them in sample order.
+    space = replace(make_builtin_space(metric), domain=PointDomain.real_interval(lo, hi))
+    F = make_self_map("scale", space.domain, factor=factor)
+    for G in (F, replace(F, fn=lambda x: factor * x)):
+        with pytest.raises(DomainError) as info:
+            check_banach(space, G, 0.5, SampleConfig(seed=1, count=3000))
+        assert str(info.value) == message
 
 
 class _Float(float):

@@ -11,6 +11,7 @@ reference of each metric.  The three runs must hand the collector the same
 slacks, bit for bit, and give the same verdicts, witnesses and errors.
 """
 
+import ast
 import itertools
 import math
 import sys
@@ -24,7 +25,7 @@ from csmetric import (ABS_TOL, DEFAULT_K_SET, REL_TOL, ComposedSpace, Configurat
                       SampleConfig, SelfMap, axiom_audit, cli, fixed_point,
                       check_alpha_subhomogeneity, make_alpha, make_builtin_space, poly_solver,
                       slack_tolerance, spaces)
-from csmetric.expressions import compile_template
+from csmetric.expressions import compile_template, compile_tree
 from csmetric.spaces import PointDomain, eval_alpha, metric_by_name, replace
 
 MAX = sys.float_info.max
@@ -243,10 +244,11 @@ def _no_fused_form(template, functions, names, fused):
     return compile_template(template, functions, names, fused)
 
 
-def _run(monkeypatch, space, cfg, r, run):
+def _run(monkeypatch, space, cfg, r, run, checks=None):
     """The slacks the collector was handed, as float.hex, and the results
     (or the error) of one shared run of the checks: run is "fused", as they
-    are; "checked", with every fused form off; or "reference"."""
+    are; "checked", with every fused form off; or "reference".  checks, when
+    given, is a pair that replaces (_checks, _references)."""
     handed = []
     add = axiom_audit._Collector.add
 
@@ -258,7 +260,7 @@ def _run(monkeypatch, space, cfg, r, run):
         m.setattr(axiom_audit._Collector, "add", recording)
         if run == "checked":
             m.setattr(axiom_audit, "compile_template", _no_fused_form)
-        checks = (_references if run == "reference" else _checks)(space, r, cfg)
+        checks = (checks or (_checks, _references))[run == "reference"](space, r, cfg)
         try:
             outcome = [repr(v.to_json_dict() if isinstance(v, axiom_audit.Verdict) else v)
                        for v in axiom_audit._audit(space, cfg, checks)]
@@ -267,10 +269,10 @@ def _run(monkeypatch, space, cfg, r, run):
     return handed, outcome
 
 
-def _assert_same(monkeypatch, space, cfg, r):
-    fused = _run(monkeypatch, space, cfg, r, "fused")
-    assert fused == _run(monkeypatch, space, cfg, r, "reference")
-    assert fused == _run(monkeypatch, space, cfg, r, "checked")
+def _assert_same(monkeypatch, space, cfg, r, checks=None):
+    fused = _run(monkeypatch, space, cfg, r, "fused", checks)
+    assert fused == _run(monkeypatch, space, cfg, r, "reference", checks)
+    assert fused == _run(monkeypatch, space, cfg, r, "checked", checks)
     return fused
 
 
@@ -414,3 +416,103 @@ def test_banach_is_fused_in_check_contraction_and_in_verify_thm41(monkeypatch, t
     banach = [template for template in fused if "fx[0::3]" in template]
     assert len(banach) == 2 and banach[0] not in ran
     assert ran  # the estimate, which has no fused form
+
+
+# --- built-in maps and self-distances ---------------------------------------
+# Picard's loop and the fused forms inline a built-in map's lambda and a fused
+# metric's self-distance S(x, u) in place of C(x, x, u).
+
+def _fused_domains(metric):
+    return [domain for domain in DOMAINS[metric] if spaces._fused_metric(
+        ComposedSpace(domain, metric_by_name(metric), make_alpha("identity")))]
+
+
+def _points(domain):
+    """Points of domain: floats of an interval or a finite set, ints of the
+    naturals, its ends and -0.0 where it holds them."""
+    ends = [domain.least, domain.hi if domain.kind == "real_interval" else domain.members()[-1]]
+    if domain.kind == "real_interval":
+        drawn = st.floats(domain.lo, domain.hi)
+        ends += [-0.0] if domain.contains(-0.0) else []
+    elif domain.kind == "naturals_up_to":
+        drawn = st.integers(0, domain.max_value)
+    else:
+        drawn = st.sampled_from(domain.elements)
+    return st.one_of(st.sampled_from(ends), drawn)
+
+
+@settings(deadline=None, derandomize=True, max_examples=500)
+@given(metric=st.sampled_from(sorted(DOMAINS)), data=st.data())
+def test_each_self_distance_is_the_metric_at_a_repeated_point(metric, data):
+    """By value and by type, on every domain kind where the metric is fused."""
+    domain = data.draw(st.sampled_from(_fused_domains(metric)))
+    C, S = spaces._fused_metric(ComposedSpace(domain, metric_by_name(metric),
+                                              make_alpha("identity")))
+    x, u = data.draw(_points(domain)), data.draw(_points(domain))
+    expected = metric_by_name(metric).fn(x, x, u)
+    value = compile_tree(ast.parse(S, mode="eval"))(x, u)
+    assert (type(value), repr(value)) == (type(expected), repr(expected))
+
+
+@pytest.mark.parametrize("metric", sorted(DOMAINS))
+def test_every_metric_lambda_carries_a_nan_to_its_value(metric):
+    """The fused Banach form turns an image outside the domain into NaN, and
+    relies on the metric's lambda to make the slack NaN."""
+    C, _ = spaces._fused_metric(make_builtin_space(metric))
+    C = compile_tree(ast.parse(C, mode="eval"))
+    for triple in itertools.product([math.nan, 1.0, 2.0], repeat=3):
+        assert math.isnan(C(*triple)) == (math.nan in triple)
+
+
+def _builtin_map(kind, domain, factor):
+    kwargs = {"const": {"value": domain.least}, "scale": {"factor": factor}, "poly": {"m": 3}}
+    return spaces.make_self_map(kind, domain, **kwargs.get(kind, {}))
+
+
+def _banach_only(F):
+    return (lambda space, r, cfg: [lambda: fixed_point._banach(space, F, r)],
+            lambda space, r, cfg: [lambda: _reference_banach(space, F, r)])
+
+
+@settings(deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(metric=st.sampled_from(sorted(DOMAINS)), data=st.data(),
+       kind=st.sampled_from(["identity", "const", "scale", "poly"]),
+       factor=st.sampled_from([0.5, -0.5, 0.9999, 2.0, 1e308]), seed=st.integers(0, 2 ** 32),
+       count=st.integers(1, 2500), r=st.sampled_from([0.5, 0.9]))
+def test_banach_with_a_builtin_map_matches_the_checked_path(monkeypatch, metric, data, kind,
+                                                             factor, seed, count, r):
+    """Its fused form inlines the map where the metric is fused and the
+    domain is the map's interval; images that leave it, doubled, scaled past
+    the floats or negated, run checked and name the same error.  The poly
+    map lives on [0, 1], and runs on a domain that holds its images."""
+    domain = data.draw(st.sampled_from([_interval(0.0, 1.0), _interval(0.0, 0.5)]
+                                       if kind == "poly" else DOMAINS[metric]))
+    space = replace(make_builtin_space(metric), domain=domain)
+    F = _builtin_map(kind, domain, factor)
+    _assert_same(monkeypatch, space, SampleConfig(seed=seed, count=count), r, _banach_only(F))
+
+
+@pytest.mark.parametrize("metric, domain, kind, factor, inlined", [
+    ("app_metric", _interval(0.0, 1.0), "poly", None, True),     # verify-thm41's Banach
+    ("abs_sum", _interval(-3.0, 2.5), "scale", -0.5, True),
+    ("app_metric", _interval(0.0, 1.0), "scale", 2.0, True),     # every image past 0.5 leaves
+    ("squared_diff", _interval(1.0, 100.0), "scale", 0.5, True),  # leaves below 2, contracting
+    ("discrete_nat", _interval(0.0, 60.0), "const", None, True),
+    ("squared_diff", _interval(1.0, 1e154), "identity", None, False),  # the metric is not fused
+    ("abs_sum", PointDomain.naturals_up_to(20), "identity", None, False),  # not an interval
+    ("abs_sum", _interval(0.0, 0.5), "poly", None, False),      # the poly map lives on [0, 1]
+])
+def test_banach_inlines_a_builtin_map_where_the_rule_allows(monkeypatch, metric, domain, kind,
+                                                            factor, inlined):
+    fused, compile_template = [], axiom_audit.compile_template
+    monkeypatch.setattr(axiom_audit, "compile_template", lambda template, functions, *rest: (
+        fused.append("F" in functions) if rest[-1] else None) or compile_template(
+        template, functions, *rest))
+    space = replace(make_builtin_space(metric), domain=domain)
+    F = _builtin_map(kind, domain, factor)
+    _assert_same(monkeypatch, space, SampleConfig(seed=4, count=2500), 0.5, _banach_only(F))
+    assert fused[0] is inlined
+    replaced = replace(F, fn=lambda x: F.fn(x))
+    _assert_same(monkeypatch, space, SampleConfig(seed=4, count=2500), 0.5, _banach_only(replaced))
+    assert fused[-1] is False

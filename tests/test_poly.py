@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import pytest
@@ -59,6 +60,14 @@ class TestPolyMap:
         for i in range(101):
             p = i / 100.0
             assert 0.0 <= F(p) <= cap
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 8, 10 ** 6])
+    def test_the_compiled_map_is_the_hand_written_one(self, m):
+        """Bit for bit, on the ends and 20,000 points of [0, 1]."""
+        rng, d, F = random.Random(m), float(m ** 4), poly_map(m).map.fn
+        for p in [0.0, -0.0, 1.0, 5e-324] + [rng.random() for _ in range(20000)]:
+            pm = p ** m
+            assert F(p).hex() == ((pm + 1.0) / ((d - 1.0) * pm + d)).hex()
 
     @given(p=st.floats(min_value=0.0, max_value=1.0),
            m=st.integers(min_value=3, max_value=6))

@@ -233,3 +233,33 @@ def test_random_batches_double_from_one_tuple(domain):
     sizes = [len(list(next(batches))) for _ in range(11)]
     assert sizes == [1, 2, 4, 8, 16, 32, 64, 128, 256, 256, 256]
     assert sampling._DRAW_BATCH == 256
+
+
+def _comprehension_batches(domain, arity, seed):
+    """_random_batches as it drew an interval before: one rng.random() call
+    per draw, from a comprehension over a range."""
+    rng, size = sampling._rng_for(seed, arity), 1
+    points = sampling._discrete_draws(domain.members(), rng) if domain.is_discrete else None
+    while True:
+        span, size = range(size * arity), min(2 * size, sampling._DRAW_BATCH)
+        if domain.is_discrete:
+            draws = list(itertools.islice(points, len(span)))
+        else:
+            lo, width, rand = domain.lo, domain.hi - domain.lo, rng.random
+            draws = [lo + width * rand() for _ in span]
+        yield zip(*[iter(draws)] * arity)
+
+
+@pytest.mark.parametrize("domain", [
+    PointDomain.real_interval(-0.25, 3.0),
+    PointDomain.real_interval(-sys.float_info.max / 4, sys.float_info.max / 4), NATS, FINITE,
+], ids=["interval", "wide", "naturals", "finite"])
+def test_random_batches_equal_the_comprehension_they_replace(domain):
+    # The first 300 tuples: into the first batch of 256 tuples, at 255.
+    def stream(batches):
+        return [tuple((type(x), float(x).hex()) for x in t)
+                for t in itertools.islice(itertools.chain.from_iterable(batches), 300)]
+    for seed in range(128):
+        for arity in (1, 2, 3, 4):
+            assert stream(sampling._random_batches(domain, arity, seed)) == \
+                stream(_comprehension_batches(domain, arity, seed))
