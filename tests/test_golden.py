@@ -41,6 +41,10 @@ CASES = {
                                      "--r", "0.0125", "--samples", "3000",
                                      "--output", "json"],
     "solve-poly-m3.json": ["solve-poly", "--m", "3", "--output", "json"],
+    # Banach on a naturals domain, with a built-in map.
+    "check-contraction-discrete_nat-const.json": [
+        "check-contraction", "--builtin", "discrete_nat", "--map", '{"kind":"const","value":3}',
+        "--r", "0.5", "--samples", "3000", "--output", "json"],
     "verify-space-app_metric-custom-alpha.json": [
         "verify-space", "--builtin", "app_metric", "--alpha", "2*sqrt(t)+t^2",
         "--samples", "3000", "--seed", "7", "--output", "json"],
