@@ -20,10 +20,10 @@ value is checked.  A chunk runs checked only when its fused form raises or
 has something to report, so every error, key and violation comes from the
 checked form.  Where the metric is fused, both forms evaluate C(x, x, u)
 by its self-distance S(x, u), which equals it bit for bit at finite points.
-The Picard orbit that ``_orbit`` walks for ``fixed_point.picard`` and
-``check_alpha_dominates_orbit`` is one compiled loop, with a built-in map's
-lambda and S inlined where the metric is fused, and a user's map and any
-other metric called.
+Every image y = F(x) is tested as it is taken, by one text, ``_IMAGE``,
+which the Picard loop of ``_orbit`` and the image function I(chunk) of the
+templates inline, with a built-in map's lambda where the map's domain is
+the space's; a user's map is called.
 These auditors are falsifiers and evidence gatherers: a pass is evidence
 over the sample, not a proof of the quantified claim.
 """
@@ -33,15 +33,14 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import lru_cache, partial
-from itertools import chain, compress, islice
+from itertools import compress, islice
 
 from .errors import ConfigurationError, DomainError, NumericError
 from .expressions import compile_function, compile_template
 from .sampling import SampleConfig, _stream
 from .spaces import (_FLOAT_MAX, _SELF_CALLED, AlphaFunction, ComposedSpace, PointDomain, Record,
                      SelfMap, _check_image, _check_metric, _checked_alpha, _checked_metric,
-                     _fused_metric, _images, _map_text, eval_alpha, iterate_alpha,
-                     require_in_space)
+                     _fused_metric, _map_text, eval_alpha, iterate_alpha, require_in_space)
 
 __all__ = [
     "Verdict",
@@ -157,11 +156,6 @@ class _Collector:
 _TOLERANCE = f"lambda rhs: {ABS_TOL!r} + {REL_TOL!r} * rhs"
 _tolerance = compile_template(_TOLERANCE, {}, {}, False)
 _IDENTITY = "lambda t: t"  # A when a check has no composing function
-# I of a fused form: F's images of a chunk's points, each outside the interval
-# [lo, hi], NaN included, turned to NaN, which every built-in metric carries
-# to its value, so the row's slack is NaN and the chunk runs checked.
-_IMAGES = ("lambda chunk: [y if {lo!r} <= y <= {hi!r} else nan"
-           " for t in chunk for x in t for y in [F(x)]]")
 
 
 def _judged(rows: Sequence[tuple], n: int = 1) -> list:
@@ -182,30 +176,26 @@ def _kernel(template: str, space: ComposedSpace | None,
     alphas, whose composing function (None: the identity) the template
     calls by that name, or one when alphas is empty.  C is space's metric,
     S(x, u) its self-distance C(x, x, u), T the tolerance, and I(chunk) the
-    images of the chunk's points, in order, under the self-map images;
-    names binds the rest.  The kernel maps a chunk to the _judged rows of
-    the checked form, where each alpha runs through _checked_alpha and I
-    through _images.  T, the identity and a metric with a fused form, whose
+    images of the chunk's points under the self-map images, by
+    _image_function; names binds the rest.  The kernel maps a chunk to the
+    _judged rows of the checked form, where each alpha runs through
+    _checked_alpha.  T, the identity and a metric with a fused form, whose
     values the fusion rule bounds, are inlined in both forms, C and S; any
-    other metric runs through _checked_metric.  Where names is empty, the
-    fused form, with every alpha inlined too, runs first, and a chunk where
-    it neither raises nor sums to NaN, so that no slack is below its -tol,
-    gives its slacks alone.  Its I inlines the map's lambda (see
-    spaces._map_text) where the metric is fused and the map's domain is
-    space's, a real interval; an image outside it is NaN there.  A chunk
-    after one with a violation runs checked at once, as a check that fails
-    tends to fail on every chunk."""
+    other metric runs through _checked_metric, and I is called in both, so
+    no map's lambda sits in a comprehension's iterable.  Where names is
+    empty, the fused form, with every alpha inlined too, runs first, and a
+    chunk where it neither raises nor sums to NaN, so that no slack is
+    below its -tol, gives its slacks alone.  A chunk after one with a
+    violation runs checked at once, as a check that fails tends to fail on
+    every chunk."""
     n = max(1, len(alphas))
     metric = None if space is None else _fused_metric(space)
     inline = {"T": _TOLERANCE, **(dict(zip("CS", metric)) if metric else {"S": _SELF_CALLED}),
               **{name: _IDENTITY for name, alpha in alphas.items() if alpha is None}}
     called = {} if space is None or metric else {"C": _checked_metric(space)}
-    fused_only = {name: alpha._tree for name, alpha in alphas.items() if alpha}
     if images is not None:
-        called["I"] = lambda chunk: _images(space, images, chain.from_iterable(chunk))
-        dom, text = images.domain, _map_text(images)
-        if metric and text and dom == space.domain and dom.kind == "real_interval":
-            fused_only.update(I=_IMAGES.format(lo=dom.lo, hi=dom.hi), F=text)
+        called["I"] = _image_function(space, images)
+    fused_only = {name: alpha._tree for name, alpha in alphas.items() if alpha}
     fused = None
     if not names:
         try:
@@ -346,14 +336,22 @@ def check_alpha_subhomogeneity(alpha: AlphaFunction, cfg: SampleConfig,
     return _audit(None, cfg, [lambda: _subhomogeneity(alpha, k_set)])[0]
 
 
+# The image rule: y = F(x) passes this test where it is a float in [lo, hi]
+# or, when F.domain is the space's, a member of it; check_image returns any
+# other y or names it.  _image_rule binds its names.
+_IMAGE = "type(y := F(x)) is float and lo <= y <= hi or same and contains(y)"
+_IMAGES = f"""
+def images(F, lo, hi, same, contains, check_image):
+    return lambda chunk: [y if {_IMAGE} else check_image(x, y) for t in chunk for x in t]
+"""
+
 # The Picard loop: x_{k+1} = F(x_k) and d_k = S(x_k, x_{k+1}), each step tested
 # as it is taken.
 _ORBIT = f"""
-def orbit(F, C, x, n, tol, lo, hi, same, contains, check_image, check_metric):
+def orbit(F, lo, hi, same, contains, check_image, C, check_metric, x, n, tol):
     iterates, distances = [x], []
     for _ in range(n):
-        y = F(x)
-        if not (type(y) is float and lo <= y <= hi or same and contains(y)):
+        if not ({_IMAGE}):
             check_image(x, y)
         d = S(x, y)
         if not (type(d) is float and 0.0 <= d <= {_FLOAT_MAX!r}):
@@ -367,6 +365,31 @@ def orbit(F, C, x, n, tol, lo, hi, same, contains, check_image, check_metric):
 """
 
 
+def _image_rule(space: ComposedSpace, F: SelfMap) -> tuple:
+    """(text, names): the lambda of F that _IMAGE inlines (see
+    spaces._map_text) where F.domain is space.domain, else None, and the
+    values of its names.  On another domain F.apply, which tests the source
+    point first, is called, and every image goes to _check_image."""
+    dom = F.domain
+    same = dom == space.domain
+    lo, hi = (dom.lo, dom.hi) if same and dom.kind == "real_interval" else (1, 0)  # (1, 0): none
+    return (_map_text(F) if same else None,
+            (F.fn if same else F.apply, lo, hi, same, dom.contains, partial(_check_image, space, F)))
+
+
+@lru_cache(maxsize=64)
+def _images_loop(F: str | None) -> Callable:
+    """_IMAGES with the lambda F inlined, compiled once per text; None calls F."""
+    return compile_function(_IMAGES, {} if F is None else {"F": F}, {})
+
+
+def _image_function(space: ComposedSpace, F: SelfMap) -> Callable:
+    """I: a chunk of tuples of points to the list of their images under F,
+    in sample order, each tested by _IMAGE."""
+    text, names = _image_rule(space, F)
+    return _images_loop(text)(*names)
+
+
 @lru_cache(maxsize=64)
 def _orbit_loop(F: str | None, S: str) -> Callable:
     """_ORBIT with the lambdas F and S inlined, compiled once per pair.  With
@@ -377,22 +400,14 @@ def _orbit_loop(F: str | None, S: str) -> Callable:
 def _orbit(space: ComposedSpace, F: SelfMap, x0, tol: float, n: int) -> tuple[list, list]:
     """The orbit x_{k+1} = F(x_k) of x_0 = x0 in space.domain and its step
     distances d_k = C(x_k, x_k, x_{k+1}) as floats, to the first d_k <= tol or
-    n steps, in one compiled loop.  It inlines the map's lambda and the
-    metric's self-distance where the map is a built-in one (see
-    spaces._map_text) and the metric fused; any other map, a user's or a
-    wrapped one, runs F.fn once per step and the metric once, called.  When
-    F.domain is space.domain, an image in it passes a quick test, by its
-    bounds for a float in a real interval; a finite float distance >= 0
-    passes another.  Anything else goes to _check_image or _check_metric,
-    which name the first bad step."""
-    if not F.domain.contains(x0):
-        raise F.outside_error(x0)
-    dom, metric, text = F.domain, _fused_metric(space), _map_text(F)
-    same = dom == space.domain
-    lo, hi = (dom.lo, dom.hi) if same and dom.kind == "real_interval" else (1, 0)  # (1, 0): none
-    loop = _orbit_loop(text, metric[1]) if metric and text else _orbit_loop(None, _SELF_CALLED)
-    return loop(F.fn, space.metric.fn, x0, n, tol, lo, hi, same, dom.contains,
-                partial(_check_image, space, F), partial(_check_metric, space))
+    n steps, in one compiled loop.  Each image is tested by _IMAGE; S is
+    inlined where the metric is fused, and any other metric called.  A
+    finite float distance >= 0 passes a quick test, any other goes to
+    _check_metric, so an error names the first bad step."""
+    metric = _fused_metric(space)
+    text, names = _image_rule(space, F)
+    loop = _orbit_loop(text, metric[1] if metric else _SELF_CALLED)
+    return loop(*names, space.metric.fn, partial(_check_metric, space), x0, n, tol)
 
 
 def check_alpha_dominates_orbit(space: ComposedSpace, F: SelfMap, x0,

@@ -20,8 +20,8 @@ package is one template, a comprehension whose rows are (key, slack,
 tolerance), which ``compile_template`` compiles in the same namespace: its
 fused form inlines such a tree and a metric's body and reduces each row to
 its slack, or to NaN where the slack is below minus its tolerance.
-``compile_function`` compiles the Picard loop, a def, with a map's and a
-self-distance's lambdas inlined the same way.
+``compile_function`` compiles the Picard loop and the image function, each
+a def, with a map's and a self-distance's lambdas inlined the same way.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ C(x_n, x_n, x_{n+1}) falls to the requested tolerance; the residual
 C(x, x, F(x)) at the reported point is recomputed independently, and a run
 only counts as converged when that residual is also within tolerance.  F
 and the metric run once per reported step, and once each for the residual.
-The steps run in one compiled loop, which inlines a built-in map and the
-metric's self-distance where the metric is fused, and calls a user's map.
-Banach's fused kernel inlines a built-in map the same way.
+The steps run in one compiled loop; the sampled checks take their images
+through one compiled image function.  Both test each image by one rule and
+inline a built-in map where its domain is the space's.
 
 The five-argument contraction family is represented by ``MfFunction`` with
 Banach, Kannan, and Bianchini-max built-ins, together with samplers for the
@@ -17,14 +17,13 @@ two selection properties that make the family's fixed-point argument work.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from functools import partial
 from itertools import combinations
 
 from .axiom_audit import (_NONNEG_DOMAIN, DEFAULT_MAX_ITER, DEFAULT_TOL, Verdict, _audit,
-                          _Collector, _kernel, _orbit)
+                          _Collector, _image_function, _kernel, _orbit)
 from .errors import ConfigurationError, DomainError, NumericError, PreconditionError
 from .sampling import SampleConfig
-from .spaces import ComposedSpace, Record, SelfMap, _images, eval_metric
+from .spaces import ComposedSpace, Record, SelfMap, eval_metric
 
 __all__ = [
     "Orbit",
@@ -145,11 +144,11 @@ def _estimate(space: ComposedSpace, F: SelfMap, cfg: SampleConfig) -> tuple:
         return ContractionEstimate(sup_ratio=0.0 - slack, argmax_tuple=argmax,
                                    samples=col.checked)
 
-    # Checked only, as F is called: a degenerate triple's images are not computed.
+    # Checked only, as every row violates; a degenerate triple has no images.
     return [(space.domain, 3, _kernel(
         "lambda chunk: [((q, h, w), -(C(a, b, c) / d), -inf) for q, h, w in chunk"
-        f" for d in [C(q, h, w)] if d >= {_RATIO_FLOOR!r} for a, b, c in [F((q, h, w))]]",
-        space, F=partial(_images, space, F)))], [finish]
+        f" for d in [C(q, h, w)] if d >= {_RATIO_FLOOR!r} for a, b, c in [I([(q, h, w)])]]",
+        space, I=_image_function(space, F)))], [finish]
 
 
 def estimate_contraction_factor(space: ComposedSpace, F: SelfMap,
@@ -161,8 +160,8 @@ def estimate_contraction_factor(space: ComposedSpace, F: SelfMap,
 def _banach(space: ComposedSpace, F: SelfMap, r: float) -> tuple:
     if not (0.0 < r < 1.0):
         raise ConfigurationError(f"contraction factor must lie in (0, 1), got {r!r}")
-    # Images pass _images, or in the fused form its bounds, so they lie in the
-    # domain, where the fused metric is finite.
+    # Images pass the image rule in both forms, so they lie in the domain,
+    # where the fused metric is finite.
     return [(space.domain, 3, _kernel(
         "lambda chunk, r: [((q, h, w), (v := r * C(q, h, w)) - C(a, b, c), T(v))"
         " for fx in [I(chunk)] for (q, h, w), a, b, c in zip(chunk, fx[0::3], fx[1::3], fx[2::3])]",

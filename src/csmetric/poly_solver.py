@@ -71,11 +71,9 @@ def poly_map(m: int) -> PolyProblem:
     """
     _require_degree(m)
     d = float(m ** 4)
-    # p ** m is computed twice, not bound once, as the lambda is inlined
-    # where an assignment expression is not allowed; both give one value.
     space = make_builtin_space("app_metric")
     self_map = _compiled_map(
-        f"poly_m{m}", f"lambda p: (p ** {m} + 1.0) / (({d!r} - 1.0) * p ** {m} + {d!r})",
+        f"poly_m{m}", f"lambda p: ((pm := p ** {m}) + 1.0) / (({d!r} - 1.0) * pm + {d!r})",
         space.domain)
     return PolyProblem(m=m, map=self_map, space=space)
 

@@ -18,7 +18,7 @@ import ast
 import math
 import sys
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import ConfigurationError, DomainError, NumericError
 from .expressions import compile_tree, expression_tree
@@ -359,32 +359,13 @@ def require_in_space(space: ComposedSpace, p: Point) -> None:
         raise DomainError(f"point {p!r} is outside the space domain")
 
 
-def _check_image(space: ComposedSpace, F: SelfMap, x: Point, y: Point) -> None:
-    """Raise the error for an image y = F(x) outside F.domain, then for one
-    outside space.domain."""
+def _check_image(space: ComposedSpace, F: SelfMap, x: Point, y: Point) -> Point:
+    """y, an image y = F(x) in F.domain and space.domain; otherwise the error
+    for one outside F.domain, then for one outside space.domain."""
     if not F.domain.contains(y):
         raise F.escape_error(x, y)
     require_in_space(space, y)
-
-
-def _images(space: ComposedSpace, F: SelfMap, points: Iterable) -> list:
-    """F at each of points, which lie in space.domain, through F.apply when
-    F.domain differs; every image must pass _check_image.  When the domains
-    agree, the batch is tested at once and scanned only when it fails."""
-    points, dom = list(points), F.domain
-    same = dom == space.domain
-    images = list(map(F.fn if same else F.apply, points))
-    try:  # min and max pass a NaN, which the sum does not
-        if (same and dom.kind == "real_interval" and {int, float}.issuperset(map(type, images))
-                and dom.lo <= min(images, default=dom.lo)
-                and max(images, default=dom.hi) <= dom.hi and not math.isnan(sum(images, 0.0))):
-            return images
-    except OverflowError:  # an int too large for a float
-        pass
-    if not (same and all(map(dom.contains, images))):
-        for x, y in zip(points, images):
-            _check_image(space, F, x, y)
-    return images
+    return y
 
 
 def _check_metric(space: ComposedSpace, value, q: Point, h: Point, w: Point):
@@ -555,8 +536,8 @@ _MAP_FIELDS = {"identity": set(), "const": {"value"}, "scale": {"factor"}, "poly
 
 def _compiled_map(id: str, text: str, domain: PointDomain) -> SelfMap:
     """A self-map whose fn is compiled from text, a built-in map's lambda,
-    and carries it as fn._text, for Picard's loop and Banach's fused form to
-    inline (see _map_text)."""
+    and carries it as fn._text, for the image rule to inline (see
+    _map_text)."""
     fn = compile_tree(ast.parse(text, mode="eval"))
     fn._text = text
     return SelfMap(id=id, fn=fn, domain=domain)
@@ -577,8 +558,8 @@ def make_self_map(kind: str, domain: PointDomain, **kwargs) -> SelfMap:
     ``poly`` (m=..., an integer >= 3; the polynomial fixed-point map on [0, 1]).
     Any other field is a configuration error.  Each kind states its float
     operations once, as a lambda its fn is compiled from; Picard's loop and
-    Banach's fused kernel inline that lambda, and call a map built any other
-    way.
+    the image function of the sampled checks inline that lambda on the
+    map's own domain, and call a map built any other way.
     """
     if not isinstance(kind, str) or kind not in _MAP_FIELDS:
         raise ConfigurationError(f"unknown map kind {kind!r}")

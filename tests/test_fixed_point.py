@@ -610,11 +610,13 @@ def _loops_taken(monkeypatch):
                                           for case in _inlined_cases()])
 def test_an_orbit_that_never_stops_is_inlined_too(monkeypatch, space, F, x0):
     # tol = -inf, check_alpha_dominates_orbit's: the orbit runs its n steps
-    # or escapes.
+    # or escapes.  The map is inlined on its own domain; the poly map, whose
+    # domain is [0, 1], is called elsewhere.
     taken = _loops_taken(monkeypatch)
     expected = _orbit_outcome(_stepwise_orbit, space, F, x0, -math.inf, 60)
     assert _orbit_outcome(axiom_audit._orbit, space, F, x0, -math.inf, 60) == expected
-    assert taken == [spaces._map_text(F)] and taken[0] is not None
+    inlined = F.domain == space.domain
+    assert taken == [spaces._map_text(F) if inlined else None] and inlined != (F.id == "poly_m3")
 
 
 def test_a_user_map_and_a_replaced_fn_run_the_called_loop(monkeypatch):
@@ -627,13 +629,15 @@ def test_a_user_map_and_a_replaced_fn_run_the_called_loop(monkeypatch):
 
 
 def test_verify_thm41_compiles_its_inlined_loop_once(monkeypatch):
-    # Six Picard runs: the solve and the five starts of the uniqueness probe.
+    # Banach's image function, then one loop for six Picard runs: the solve
+    # and the five starts of the uniqueness probe.
     compiled, compile_function = [], axiom_audit.compile_function
     monkeypatch.setattr(axiom_audit, "compile_function", lambda source, functions, names: (
         compiled.append(sorted(functions)) or compile_function(source, functions, names)))
     axiom_audit._orbit_loop.cache_clear()
+    axiom_audit._images_loop.cache_clear()
     assert poly_solver.verify_theorem_4_1(3, samples=50)["all_passed"]
-    assert compiled == [["F", "S"]]
+    assert compiled == [["F"], ["F", "S"]]
 
 
 @pytest.mark.parametrize("metric, lo, hi, factor, message", [
@@ -645,14 +649,23 @@ def test_verify_thm41_compiles_its_inlined_loop_once(monkeypatch):
     ("squared_diff", 1.0, 100.0, 0.5, "map 'scale(0.5)' escaped its domain: F(1.0) = 0.5"),
 ])
 def test_banach_names_the_first_image_to_leave_the_domain(metric, lo, hi, factor, message):
-    # Banach inlines the map in its fused form, where these images are NaN;
-    # the chunk runs checked, which names the first of them in sample order.
+    # The image function, inlined map or called, names the first of these
+    # images in sample order, in the fused form and in the checked one.
     space = replace(make_builtin_space(metric), domain=PointDomain.real_interval(lo, hi))
     F = make_self_map("scale", space.domain, factor=factor)
     for G in (F, replace(F, fn=lambda x: factor * x)):
         with pytest.raises(DomainError) as info:
             check_banach(space, G, 0.5, SampleConfig(seed=1, count=3000))
         assert str(info.value) == message
+
+
+def test_banach_tests_each_image_as_it_is_taken():
+    # The poly map lives on [0, 1]; on [1, 100] its image of the first point,
+    # 1.0, leaves the space before any later point leaves the map's domain.
+    space = replace(make_builtin_space("abs_sum"), domain=PointDomain.real_interval(1.0, 100.0))
+    with pytest.raises(DomainError) as info:
+        check_banach(space, poly_map(3).map, 0.5, SampleConfig(seed=1, count=3000))
+    assert str(info.value) == "point 0.012422360248447204 is outside the space domain"
 
 
 class _Float(float):

@@ -22,9 +22,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from csmetric import (ABS_TOL, DEFAULT_K_SET, REL_TOL, ComposedSpace, ConfigurationError,
-                      SampleConfig, SelfMap, axiom_audit, cli, fixed_point,
-                      check_alpha_subhomogeneity, make_alpha, make_builtin_space, poly_solver,
-                      slack_tolerance, spaces)
+                      DomainError, SampleConfig, SelfMap, TripleMetric, axiom_audit, cli,
+                      fixed_point, check_alpha_subhomogeneity, make_alpha, make_builtin_space,
+                      poly_solver, slack_tolerance, spaces)
 from csmetric.expressions import compile_template, compile_tree
 from csmetric.spaces import PointDomain, eval_alpha, metric_by_name, replace
 
@@ -419,8 +419,9 @@ def test_banach_is_fused_in_check_contraction_and_in_verify_thm41(monkeypatch, t
 
 
 # --- built-in maps and self-distances ---------------------------------------
-# Picard's loop and the fused forms inline a built-in map's lambda and a fused
-# metric's self-distance S(x, u) in place of C(x, x, u).
+# Picard's loop and the image function inline a built-in map's lambda on its
+# own domain, and the loop and the fused forms a fused metric's self-distance
+# S(x, u) in place of C(x, x, u).
 
 def _fused_domains(metric):
     return [domain for domain in DOMAINS[metric] if spaces._fused_metric(
@@ -454,16 +455,6 @@ def test_each_self_distance_is_the_metric_at_a_repeated_point(metric, data):
     assert (type(value), repr(value)) == (type(expected), repr(expected))
 
 
-@pytest.mark.parametrize("metric", sorted(DOMAINS))
-def test_every_metric_lambda_carries_a_nan_to_its_value(metric):
-    """The fused Banach form turns an image outside the domain into NaN, and
-    relies on the metric's lambda to make the slack NaN."""
-    C, _ = spaces._fused_metric(make_builtin_space(metric))
-    C = compile_tree(ast.parse(C, mode="eval"))
-    for triple in itertools.product([math.nan, 1.0, 2.0], repeat=3):
-        assert math.isnan(C(*triple)) == (math.nan in triple)
-
-
 def _builtin_map(kind, domain, factor):
     kwargs = {"const": {"value": domain.least}, "scale": {"factor": factor}, "poly": {"m": 3}}
     return spaces.make_self_map(kind, domain, **kwargs.get(kind, {}))
@@ -482,37 +473,63 @@ def _banach_only(F):
        count=st.integers(1, 2500), r=st.sampled_from([0.5, 0.9]))
 def test_banach_with_a_builtin_map_matches_the_checked_path(monkeypatch, metric, data, kind,
                                                              factor, seed, count, r):
-    """Its fused form inlines the map where the metric is fused and the
-    domain is the map's interval; images that leave it, doubled, scaled past
-    the floats or negated, run checked and name the same error.  The poly
-    map lives on [0, 1], and runs on a domain that holds its images."""
-    domain = data.draw(st.sampled_from([_interval(0.0, 1.0), _interval(0.0, 0.5)]
-                                       if kind == "poly" else DOMAINS[metric]))
+    """Its image function inlines the map on the map's own domain; images
+    that leave it, doubled, scaled past the floats or negated, name the same
+    error in both forms.  The poly map lives on [0, 1], so on any other
+    domain it is called, and the first point outside [0, 1], or image
+    outside the space, is named."""
+    domain = data.draw(st.sampled_from(DOMAINS[metric]))
     space = replace(make_builtin_space(metric), domain=domain)
     F = _builtin_map(kind, domain, factor)
     _assert_same(monkeypatch, space, SampleConfig(seed=seed, count=count), r, _banach_only(F))
 
 
-@pytest.mark.parametrize("metric, domain, kind, factor, inlined", [
-    ("app_metric", _interval(0.0, 1.0), "poly", None, True),     # verify-thm41's Banach
-    ("abs_sum", _interval(-3.0, 2.5), "scale", -0.5, True),
-    ("app_metric", _interval(0.0, 1.0), "scale", 2.0, True),     # every image past 0.5 leaves
-    ("squared_diff", _interval(1.0, 100.0), "scale", 0.5, True),  # leaves below 2, contracting
-    ("discrete_nat", _interval(0.0, 60.0), "const", None, True),
-    ("squared_diff", _interval(1.0, 1e154), "identity", None, False),  # the metric is not fused
-    ("abs_sum", PointDomain.naturals_up_to(20), "identity", None, False),  # not an interval
-    ("abs_sum", _interval(0.0, 0.5), "poly", None, False),      # the poly map lives on [0, 1]
-])
-def test_banach_inlines_a_builtin_map_where_the_rule_allows(monkeypatch, metric, domain, kind,
-                                                            factor, inlined):
-    fused, compile_template = [], axiom_audit.compile_template
-    monkeypatch.setattr(axiom_audit, "compile_template", lambda template, functions, *rest: (
-        fused.append("F" in functions) if rest[-1] else None) or compile_template(
-        template, functions, *rest))
+def _library_metric(space):
+    """space with its metric as a library metric, which is never fused."""
+    fn = space.metric.fn
+    return replace(space, metric=TripleMetric(id="library", fn=lambda q, h, w: fn(q, h, w)))
+
+
+@pytest.mark.parametrize("library", [False, True], ids=["fused", "library"])
+@pytest.mark.parametrize("metric, domain", [
+    ("app_metric", _interval(0.0, 1.0)), ("abs_sum", _interval(-3.0, 2.5)),
+    ("squared_diff", _interval(1.0, 100.0)), ("squared_diff", _interval(1.0, 1e154)),
+    ("discrete_nat", _interval(0.0, 60.0)), ("abs_sum", PointDomain.naturals_up_to(20)),
+    ("discrete_nat", PointDomain.naturals_up_to(50)),
+    ("app_metric", PointDomain.finite_real_set([0.0, 0.25, 0.5, 1.0])),
+    ("squared_diff", PointDomain.finite_real_set([1.0, 2.5, 4.0, 7.25, 10.0]))],
+    ids=lambda value: getattr(value, "kind", value))
+@pytest.mark.parametrize("kind", ["identity", "const", "scale", "poly"])
+def test_banach_inlines_every_builtin_map_on_its_own_domain(monkeypatch, metric, domain, kind,
+                                                            library):
+    """On any domain kind, under a fused metric or a library one; a user's
+    map and a replaced fn are called.  The poly map is moved to domain, whose
+    points it mostly maps out of it."""
+    taken, images_loop = [], axiom_audit._images_loop
+    monkeypatch.setattr(axiom_audit, "_images_loop", lambda F: taken.append(F) or images_loop(F))
     space = replace(make_builtin_space(metric), domain=domain)
-    F = _builtin_map(kind, domain, factor)
-    _assert_same(monkeypatch, space, SampleConfig(seed=4, count=2500), 0.5, _banach_only(F))
-    assert fused[0] is inlined
-    replaced = replace(F, fn=lambda x: F.fn(x))
-    _assert_same(monkeypatch, space, SampleConfig(seed=4, count=2500), 0.5, _banach_only(replaced))
-    assert fused[-1] is False
+    space = _library_metric(space) if library else space
+    F = replace(_builtin_map(kind, domain, 0.5), domain=domain)
+    user = SelfMap("user", lambda x: F.fn(x), domain)
+    for G in (F, user, replace(F, fn=lambda x: F.fn(x))):
+        _assert_same(monkeypatch, space, SampleConfig(seed=4, count=2500), 0.5, _banach_only(G))
+    # Once each in the fused and in the checked run; the reference has none.
+    assert taken == [F.fn._text] * 2 + [None] * 4
+
+
+def test_a_slip_in_the_image_rule_shows_in_picard_and_in_banach(monkeypatch):
+    """The loop and the image function inline one text, so a slip in it, an
+    image in the map's domain taken outside a narrower space, shows in both."""
+    mutant = axiom_audit._IMAGE.replace("same and contains(y)", "contains(y)")
+    for name in ("_ORBIT", "_IMAGES"):
+        monkeypatch.setattr(axiom_audit, name, getattr(axiom_audit, name).replace(
+            axiom_audit._IMAGE, mutant))
+    for name in ("_orbit_loop", "_images_loop"):  # uncached, so the mutant is compiled
+        monkeypatch.setattr(axiom_audit, name, getattr(axiom_audit, name).__wrapped__)
+    space, cfg = make_builtin_space("app_metric"), SampleConfig(seed=4, count=2500)
+    F = spaces.make_self_map("scale", _interval(0.0, 4.0), factor=2.0)
+    _, reference = _run(monkeypatch, space, cfg, 0.5, "reference", _banach_only(F))
+    assert reference[0] is DomainError
+    assert _run(monkeypatch, space, cfg, 0.5, "fused", _banach_only(F))[1] != reference
+    with pytest.raises(DomainError, match="escaped its domain: F\\(3.0\\) = 6.0"):
+        fixed_point.picard(space, F, 0.75)  # and not "point 1.5 is outside the space domain"

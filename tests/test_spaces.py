@@ -13,7 +13,8 @@ from csmetric import (AlphaFunction, ComposedSpace, ConfigurationError,
                       eval_alpha, eval_metric, iterate_alpha, make_alpha,
                       make_builtin_space, make_self_map, space_from_json,
                       space_to_json)
-from csmetric.spaces import Record, _checked_metric, _images, replace
+from csmetric.axiom_audit import _image_function
+from csmetric.spaces import Record, _checked_metric, replace, require_in_space
 
 ALPHA_IDS = ("identity", "exp", "exp_2t", "two_t_plus_one", "two_sqrt")
 
@@ -447,7 +448,7 @@ class TestSerialization:
             space_from_json({"metric": "app_metric", "symmetric": value})
 
 
-# --- the batch image test ------------------------------------------------------
+# --- the image rule -------------------------------------------------------------
 
 class _Real(float):
     """A float subclass: inside the domain, but not an exact float."""
@@ -457,40 +458,50 @@ _UNIT = PointDomain.real_interval(0.0, 1.0)
 _IMAGE_VALUES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "true": True,
                  "huge-int": 10 ** 400, "int-0": 0, "int-1": 1, "int-2": 2,
                  "float-subclass": _Real(0.5), "minus-zero": -0.0, "lo": 0.0, "hi": 1.0,
-                 "above": 1.0000000000000002, "below": -5e-324}
+                 "above": 1.0000000000000002, "below": -5e-324,
+                 "in-space-only": 0.75}  # outside the narrower map domain
 
 
 def _reference_images(space, F, points):
-    """_images by the per-image membership scan: the images, or the error
-    for the first image outside the domain."""
-    images = [F.fn(x) for x in points]
-    for x, y in zip(points, images):
-        if not F.domain.contains(y):
-            return str(F.escape_error(x, y))
+    """The image rule one point at a time, by membership: the images, or the
+    error for the first source point outside F.domain, or image outside
+    F.domain, then outside space.domain."""
+    images = []
+    for x in points:
+        try:
+            y = F.apply(x)
+            require_in_space(space, y)
+        except DomainError as error:
+            return str(error)
+        images.append(y)
     return images
 
 
+@pytest.mark.parametrize("map_domain", [_UNIT, PointDomain.real_interval(-1.0, 2.0),
+                                        PointDomain.real_interval(0.0, 0.5)],
+                         ids=["same", "wider", "narrower"])
 @pytest.mark.parametrize("position", [0, 500, 999], ids=["first", "middle", "last"])
 @pytest.mark.parametrize("value", _IMAGE_VALUES.values(), ids=_IMAGE_VALUES.keys())
-def test_batch_image_test_agrees_with_contains(value, position):
+def test_image_function_agrees_with_contains(value, position, map_domain):
     space = make_builtin_space("app_metric")
     points = [i / 1000 for i in range(1000)]
     table = dict.fromkeys(points, 0.25)
     table[points[position]] = value
-    F = SelfMap(id="table", fn=table.__getitem__, domain=_UNIT)
+    F = SelfMap(id="table", fn=table.__getitem__, domain=map_domain)
     expected = _reference_images(space, F, points)
+    images = _image_function(space, F)
     if isinstance(expected, str):
         with pytest.raises(DomainError) as info:
-            _images(space, F, points)
+            images([(x,) for x in points])
         assert str(info.value) == expected
     else:
-        got = _images(space, F, points)
+        got = images([(x,) for x in points])
         assert got == expected and list(map(type, got)) == list(map(type, expected))
 
 
-def test_batch_image_test_names_the_first_bad_image():
+def test_image_function_names_the_first_bad_image():
     space = make_builtin_space("app_metric")
     table = {0.0: 0.5, 0.25: 1.5, 0.5: math.nan, 0.75: -1.0}
     F = SelfMap(id="table", fn=table.__getitem__, domain=_UNIT)
     with pytest.raises(DomainError, match=r"F\(0\.25\) = 1\.5$"):
-        _images(space, F, list(table))
+        _image_function(space, F)([(0.0, 0.25), (0.5, 0.75)])
