@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -356,11 +357,20 @@ JSON_VALUES = st.recursive(JSON_SCALARS, lambda children: st.one_of(
 def test_dumps_matches_indented_json_dumps(value):
     # A run of three items makes the small values drawn here cross runs.
     with mock.patch.object(cli, "_RUN", 3):
-        assert "".join(cli._pieces(value)) == json.dumps(value, indent=2)
+        assert "".join(map(cli._render, cli._jobs(value))) == json.dumps(value, indent=2)
 
 
 JSON_ARGS = argparse.Namespace(output="json", out_path=None)
 SCALAR_CYCLE = (0.5, -0.0, math.nan, math.inf, -math.inf, "\u00e9\u2603", 7, None, True)
+# The usable CPUs _emit sees: with two, a report of _FORK_RUNS runs or more is
+# rendered by two processes where fork and memfd_create exist.
+CPUS = [1, pytest.param(2, marks=pytest.mark.skipif(
+    not all(hasattr(os, f) for f in ("fork", "memfd_create", "sched_getaffinity")),
+    reason="needs fork, memfd_create and sched_getaffinity"))]
+
+
+def usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 class TestEmit:
@@ -377,7 +387,7 @@ class TestEmit:
         seq = kind(SCALAR_CYCLE[i % len(SCALAR_CYCLE)] for i in range(length))
         report = {"\u00e9": {"orbit": seq, "nested": [seq, {"again": seq}]}, "tail": seq}
         expected = json.dumps(report, indent=2)
-        pieces = list(cli._pieces(report))
+        pieces = list(map(cli._render, cli._jobs(report)))
         assert "".join(pieces) == expected
         # One line per item: no piece holds more than one run.
         assert max(piece.count("\n") for piece in pieces) <= cli._RUN
@@ -386,8 +396,11 @@ class TestEmit:
             cli._emit(report, JSON_ARGS)
         assert out.getvalue() == expected + "\n"
 
-    def test_memory_is_bounded_by_a_piece_not_the_report(self, monkeypatch):
-        # The picard-orbit report's orbit list: 4.9 MB of JSON text.
+    @pytest.mark.parametrize("cpus", CPUS)
+    def test_memory_is_bounded_by_a_piece_not_the_report(self, monkeypatch, cpus):
+        # The picard-orbit report's orbit list: 4.9 MB of JSON text, 45 runs.
+        # With two CPUs this process copies the helper's half by sendfile.
+        usable_cpus(monkeypatch, cpus)
         report = {"iterates": [0.9999 ** i for i in range(184_200)]}
         with open(os.devnull, "w", encoding="utf-8") as sink:
             monkeypatch.setattr(sys, "stdout", sink)
@@ -400,19 +413,54 @@ class TestEmit:
                 tracemalloc.stop()
         assert peak - baseline < 2 * 2 ** 20
 
-    def test_closed_stdout_is_a_failure_without_traceback(self):
-        space = json.dumps({"metric": "app_metric", "map": {"kind": "scale", "factor": 0.999}})
-        # A 0.55 MB report, far more than a pipe buffers.
+    # A 0.55 MB report of 6 runs, written by this process alone, and a 1.3 MB
+    # one of 13 runs, whose back half a helper renders where two CPUs are
+    # usable: each far more than a pipe buffers.
+    @pytest.mark.parametrize("factor", [0.999, 0.9996])
+    def test_closed_stdout_is_a_failure_without_traceback(self, factor):
+        space = json.dumps({"metric": "app_metric", "map": {"kind": "scale", "factor": factor}})
         proc = subprocess.Popen(
             [sys.executable, "-m", "csmetric", "iterate", "--space", space, "--x0", "1.0",
              "--max-iter", "100000", "--output", "json"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
+            start_new_session=True)
         assert proc.stdout.read(100).startswith(b"{")
         proc.stdout.close()
         _, stderr = proc.communicate(timeout=120)
         assert proc.returncode == 1
         assert b"Traceback" not in stderr
         assert stderr.startswith(b"csmetric: failure: cannot write report: ")
+        # The command led its own process group: no helper outlived it.
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+    def test_two_processes_and_one_write_the_same_bytes(self, tmp_path):
+        space = json.dumps({"metric": "app_metric", "map": {"kind": "scale", "factor": 0.9996}})
+        argv = [sys.executable, "-m", "csmetric", "iterate", "--space", space, "--x0", "1.0",
+                "--max-iter", "100000", "--output", "json"]
+
+        def one_cpu():
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+        def run(*extra, **kwargs):
+            proc = subprocess.run(argv + list(extra), env=cli_env(), timeout=120, **kwargs)
+            assert proc.returncode == 0
+            return proc.stdout
+
+        piped = run(stdout=subprocess.PIPE)  # sendfile to a pipe
+        report = json.loads(piped)
+        assert piped == json.dumps(report, indent=2).encode() + b"\n"
+        assert len(report["iterates"]) > cli._FORK_RUNS * cli._RUN
+        out = tmp_path / "out.json"
+        run("--out", str(out))  # sendfile to a regular file
+        appended = tmp_path / "appended.json"
+        appended.write_bytes(b"before\n")
+        with open(appended, "ab") as sink:  # O_APPEND, which sendfile refuses: blocks
+            run(stdout=sink)
+        assert out.read_bytes() == piped
+        assert appended.read_bytes() == b"before\n" + piped
+        if hasattr(os, "sched_setaffinity"):  # one usable CPU: this process renders it all
+            assert run(stdout=subprocess.PIPE, preexec_fn=one_cpu) == piped
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -462,32 +510,109 @@ class TestEmit:
 
     def test_one_usable_cpu_renders_serially(self, counted, monkeypatch):
         report, parent = counted
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        usable_cpus(monkeypatch, 1)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             cli._emit(report, JSON_ARGS)
         assert out.getvalue() == json.dumps(report, indent=2) + "\n"
         assert parent["forks"] == 0 and parent["runs"] == 40
 
+    @pytest.mark.parametrize("cpus", CPUS)
     @pytest.mark.parametrize("to", ["stdout", "out"])
     def test_each_piece_is_written_before_the_next_is_rendered(self, counted, monkeypatch,
-                                                                to):
+                                                                to, cpus):
         report, parent = counted
+        usable_cpus(monkeypatch, cpus)
         self._emit_to(to, report, parent, monkeypatch)
         assert "".join(parent["text"]) == json.dumps(report, indent=2) + "\n"
         # A writer that rendered ahead would record a run count skipped or late.
+        # With two CPUs this process renders the front 20 of the 40 runs, and
+        # then writes the helper's bytes.
+        rendered_here = 40 if cpus == 1 else 20
         assert parent["writes"] == sorted(parent["writes"])
-        assert set(parent["writes"]) == set(range(41))
-        assert parent["forks"] == 0
+        assert set(parent["writes"]) == set(range(rendered_here + 1))
+        assert parent["runs"] == rendered_here
+        assert parent["forks"] == cpus - 1
 
+    @pytest.mark.parametrize("cpus", CPUS)
     @pytest.mark.parametrize("to", ["stdout", "out"])
-    def test_a_failed_write_renders_no_further_piece(self, counted, monkeypatch, to):
+    def test_a_failed_write_renders_no_further_piece(self, counted, monkeypatch, to, cpus):
+        # With two CPUs the write fails in the front half; the helper is
+        # killed and reaped (no_child_is_left).
         report, parent = counted
+        usable_cpus(monkeypatch, cpus)
         parent["fail_at"] = 10
         with pytest.raises(BrokenPipeError):
             self._emit_to(to, report, parent, monkeypatch)
         assert parent["runs"] == 10 and max(parent["writes"]) == 9
-        assert parent["forks"] == 0
+        assert parent["forks"] == cpus - 1
+
+    @pytest.mark.parametrize("cpus", CPUS)
+    @pytest.mark.parametrize("mode", ["w", "a"], ids=["file", "append"])
+    def test_a_file_sink_gets_the_helper_s_half_after_this_process_s(
+            self, counted, monkeypatch, tmp_path, mode, cpus):
+        # Runs of 3 items leave the front half in this process's buffer: it
+        # must reach the file before the helper's bytes, which go by sendfile,
+        # or in blocks where the file is O_APPEND and sendfile refuses it.
+        report, parent = counted
+        usable_cpus(monkeypatch, cpus)
+        path = tmp_path / "report.json"
+        path.write_text("before\n")
+        with open(path, mode, encoding="utf-8") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            cli._emit(report, JSON_ARGS)
+        expected = json.dumps(report, indent=2) + "\n"
+        assert path.read_text() == ("before\n" if mode == "a" else "") + expected
+        assert parent["forks"] == cpus - 1
+
+    @pytest.mark.parametrize("cpus", CPUS)
+    @pytest.mark.parametrize("runs", [cli._FORK_RUNS - 1, cli._FORK_RUNS])
+    def test_a_helper_renders_only_from_fork_runs_on_two_cpus(self, counted, monkeypatch,
+                                                               runs, cpus):
+        _, parent = counted
+        usable_cpus(monkeypatch, cpus)
+        report = {"iterates": [0.5 ** i for i in range(3 * runs)]}
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(report, JSON_ARGS)
+        assert out.getvalue() == json.dumps(report, indent=2) + "\n"
+        assert parent["forks"] == (cpus == 2 and runs == cli._FORK_RUNS)
+
+    def test_another_thread_keeps_the_render_in_this_process(self, counted, monkeypatch):
+        report, parent = counted
+        usable_cpus(monkeypatch, 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                cli._emit(report, JSON_ARGS)
+        finally:
+            release.set()
+            thread.join()
+        assert out.getvalue() == json.dumps(report, indent=2) + "\n"
+        assert parent["forks"] == 0 and parent["runs"] == 40
+
+    @pytest.mark.skipif(not all(hasattr(os, f) for f in ("fork", "memfd_create")),
+                        reason="needs fork and memfd_create")
+    @pytest.mark.parametrize("to", ["stdout", "out"])
+    def test_a_failed_helper_leaves_its_half_to_this_process(self, counted, monkeypatch, to):
+        report, parent = counted
+        usable_cpus(monkeypatch, 2)
+        render, here = cli._render, os.getpid()
+
+        def render_here_only(job):
+            if os.getpid() != here:
+                raise RuntimeError("the helper fails")
+            return render(job)
+
+        monkeypatch.setattr(cli, "_render", render_here_only)
+        self._emit_to(to, report, parent, monkeypatch)
+        assert "".join(parent["text"]) == json.dumps(report, indent=2) + "\n"
+        assert parent["writes"] == sorted(parent["writes"])
+        assert set(parent["writes"]) == set(range(41))
+        assert parent["forks"] == 1 and parent["runs"] == 40
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("to_out", [True, False], ids=["out", "stdout"])
