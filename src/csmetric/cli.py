@@ -318,8 +318,8 @@ def _jobs(value, pad: str = ""):
 
 
 def _render(job) -> str:
-    """A job as text, its piece: no piece holds more than one run, and
-    every piece is ASCII."""
+    """The text of one job, a piece: it holds at most one run, and it is
+    ASCII."""
     if isinstance(job, str):
         return job
     head, sep, seq, start = job
@@ -369,7 +369,8 @@ def _write(jobs: list, sink) -> None:
             finally:
                 os._exit(1)
         sink.writelines(map(_render, jobs[:back]))
-        status, pid = os.waitpid(pid, 0)[1] if pid > 0 else 1, 0
+        status = os.waitpid(pid, 0)[1] if pid > 0 else 1
+        pid = 0  # reaped
         if status == 0:
             _copy(fd, sink)
         else:  # no helper, or it failed

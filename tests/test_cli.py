@@ -590,14 +590,17 @@ class TestEmit:
                 cli._emit(report, JSON_ARGS)
         finally:
             release.set()
-            thread.join()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
         assert out.getvalue() == json.dumps(report, indent=2) + "\n"
         assert parent["forks"] == 0 and parent["runs"] == 40
 
     @pytest.mark.skipif(not all(hasattr(os, f) for f in ("fork", "memfd_create")),
                         reason="needs fork and memfd_create")
+    @pytest.mark.parametrize("how", ["helper-raises", "fork-fails"])
     @pytest.mark.parametrize("to", ["stdout", "out"])
-    def test_a_failed_helper_leaves_its_half_to_this_process(self, counted, monkeypatch, to):
+    def test_a_failed_helper_leaves_its_half_to_this_process(self, counted, monkeypatch, to,
+                                                             how):
         report, parent = counted
         usable_cpus(monkeypatch, 2)
         render, here = cli._render, os.getpid()
@@ -607,12 +610,18 @@ class TestEmit:
                 raise RuntimeError("the helper fails")
             return render(job)
 
-        monkeypatch.setattr(cli, "_render", render_here_only)
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        if how == "helper-raises":
+            monkeypatch.setattr(cli, "_render", render_here_only)
+        else:
+            monkeypatch.setattr(os, "fork", no_fork)
         self._emit_to(to, report, parent, monkeypatch)
         assert "".join(parent["text"]) == json.dumps(report, indent=2) + "\n"
         assert parent["writes"] == sorted(parent["writes"])
         assert set(parent["writes"]) == set(range(41))
-        assert parent["forks"] == 1 and parent["runs"] == 40
+        assert parent["forks"] == (how == "helper-raises") and parent["runs"] == 40
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("to_out", [True, False], ids=["out", "stdout"])
