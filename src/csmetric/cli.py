@@ -326,24 +326,6 @@ def _render(job) -> str:
     return head + json.dumps(seq[start:start + _RUN], separators=(sep, ": "))[1:-1]
 
 
-def _copy(fd: int, sink) -> None:
-    """Copy the helper's bytes from ``fd`` to the sink: by sendfile to the
-    sink's file descriptor, else in 64 KiB blocks.  Blocks serve a sink with
-    no descriptor and one that sendfile refuses before its first byte (an
-    O_APPEND file); a write error recurs there."""
-    size, offset = os.fstat(fd).st_size, 0
-    sink.flush()
-    try:
-        out = sink.fileno()
-        while offset < size:
-            offset += os.sendfile(out, fd, offset, size - offset)
-    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
-        if offset:
-            raise
-    while offset < size:
-        offset += sink.write(os.pread(fd, 1 << 16, offset).decode("ascii"))
-
-
 def _write(jobs: list, sink) -> None:
     runs = [i for i, job in enumerate(jobs) if not isinstance(job, str)]
     threading = sys.modules.get("threading")  # no other thread runs unless it is loaded
@@ -353,12 +335,13 @@ def _write(jobs: list, sink) -> None:
             or threading is not None and threading.active_count() > 1):
         sink.writelines(map(_render, jobs))
         return
-    back, fd, pid = runs[len(runs) // 2], os.memfd_create("report"), 0
+    back, fd, pid = runs[len(runs) // 2], -1, -1
     try:
         try:
+            fd = os.memfd_create("report")
             pid = os.fork()
-        except OSError:  # no process to spare: this process renders both halves
-            pid = -1
+        except OSError:  # no file or no process to spare: this process renders both halves
+            pass
         if pid == 0:  # the helper: it never returns, flushes inherited buffers or runs exit handlers
             try:
                 for piece in map(_render, jobs[back:]):
@@ -371,8 +354,9 @@ def _write(jobs: list, sink) -> None:
         sink.writelines(map(_render, jobs[:back]))
         status = os.waitpid(pid, 0)[1] if pid > 0 else 1
         pid = 0  # reaped
-        if status == 0:
-            _copy(fd, sink)
+        if status == 0:  # copy the helper's bytes in blocks, through the sink's buffer
+            for offset in range(0, os.fstat(fd).st_size, 1 << 16):
+                sink.write(os.pread(fd, 1 << 16, offset).decode("ascii"))
         else:  # no helper, or it failed
             sink.writelines(map(_render, jobs[back:]))
     finally:
@@ -380,7 +364,8 @@ def _write(jobs: list, sink) -> None:
             from signal import SIGKILL
             os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
-        os.close(fd)
+        if fd >= 0:
+            os.close(fd)
 
 
 def _emit(report: dict, args: argparse.Namespace) -> None:
@@ -392,10 +377,14 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
     other thread runs.  A forked helper renders the back half of the runs,
     and every piece after them, into an anonymous file while this process
     writes the front half; then this process waits for the helper and
-    copies its bytes, or renders that half itself if the helper failed.
-    Every piece is ASCII, so the bytes are the serial ones.  8 runs is the
-    measured break-even (``BENCH_20.json``: two processes took 0.56-1.16 of
-    the serial time at 8 runs, 0.57-0.88 at 12): below it the fork, the
+    copies its bytes in 64 KiB blocks, or renders that half itself if the
+    file, the fork or the helper failed.  Every piece is ASCII, so the bytes
+    are the serial ones.  Meanwhile the anonymous file holds up to half the
+    report text, and each page either process writes after the fork is
+    copied: on a 4.9 MB orbit report about 2.6 MB and 14 MB more, which
+    this process's own peak RSS does not show.  At 8 runs two processes writing to a file took
+    about 0.72 of the serial time, at 4 and 6 runs 0.95-1.00 (in process,
+    with the second CPU free; ``BENCH_29.json``): below 8 the fork, the
     reap and the copy-on-write faults cost about what the second CPU saves.
     Every report but a long orbit's is far below it."""
     jobs = [*_jobs(report), "\n"] if args.output == "json" else [_render_text(report), "\n"]

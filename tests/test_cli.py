@@ -399,7 +399,7 @@ class TestEmit:
     @pytest.mark.parametrize("cpus", CPUS)
     def test_memory_is_bounded_by_a_piece_not_the_report(self, monkeypatch, cpus):
         # The picard-orbit report's orbit list: 4.9 MB of JSON text, 45 runs.
-        # With two CPUs this process copies the helper's half by sendfile.
+        # With two CPUs this process copies the helper's half in 64 KiB blocks.
         usable_cpus(monkeypatch, cpus)
         report = {"iterates": [0.9999 ** i for i in range(184_200)]}
         with open(os.devnull, "w", encoding="utf-8") as sink:
@@ -447,18 +447,13 @@ class TestEmit:
             assert proc.returncode == 0
             return proc.stdout
 
-        piped = run(stdout=subprocess.PIPE)  # sendfile to a pipe
+        piped = run(stdout=subprocess.PIPE)
         report = json.loads(piped)
         assert piped == json.dumps(report, indent=2).encode() + b"\n"
         assert len(report["iterates"]) > cli._FORK_RUNS * cli._RUN
         out = tmp_path / "out.json"
-        run("--out", str(out))  # sendfile to a regular file
-        appended = tmp_path / "appended.json"
-        appended.write_bytes(b"before\n")
-        with open(appended, "ab") as sink:  # O_APPEND, which sendfile refuses: blocks
-            run(stdout=sink)
+        run("--out", str(out))
         assert out.read_bytes() == piped
-        assert appended.read_bytes() == b"before\n" + piped
         if hasattr(os, "sched_setaffinity"):  # one usable CPU: this process renders it all
             assert run(stdout=subprocess.PIPE, preexec_fn=one_cpu) == piped
 
@@ -548,21 +543,17 @@ class TestEmit:
         assert parent["forks"] == cpus - 1
 
     @pytest.mark.parametrize("cpus", CPUS)
-    @pytest.mark.parametrize("mode", ["w", "a"], ids=["file", "append"])
     def test_a_file_sink_gets_the_helper_s_half_after_this_process_s(
-            self, counted, monkeypatch, tmp_path, mode, cpus):
+            self, counted, monkeypatch, tmp_path, cpus):
         # Runs of 3 items leave the front half in this process's buffer: it
-        # must reach the file before the helper's bytes, which go by sendfile,
-        # or in blocks where the file is O_APPEND and sendfile refuses it.
+        # must reach the file before the helper's bytes.
         report, parent = counted
         usable_cpus(monkeypatch, cpus)
         path = tmp_path / "report.json"
-        path.write_text("before\n")
-        with open(path, mode, encoding="utf-8") as sink:
+        with open(path, "w", encoding="utf-8") as sink:
             monkeypatch.setattr(sys, "stdout", sink)
             cli._emit(report, JSON_ARGS)
-        expected = json.dumps(report, indent=2) + "\n"
-        assert path.read_text() == ("before\n" if mode == "a" else "") + expected
+        assert path.read_text() == json.dumps(report, indent=2) + "\n"
         assert parent["forks"] == cpus - 1
 
     @pytest.mark.parametrize("cpus", CPUS)
@@ -597,7 +588,7 @@ class TestEmit:
 
     @pytest.mark.skipif(not all(hasattr(os, f) for f in ("fork", "memfd_create")),
                         reason="needs fork and memfd_create")
-    @pytest.mark.parametrize("how", ["helper-raises", "fork-fails"])
+    @pytest.mark.parametrize("how", ["helper-raises", "fork-fails", "memfd-fails"])
     @pytest.mark.parametrize("to", ["stdout", "out"])
     def test_a_failed_helper_leaves_its_half_to_this_process(self, counted, monkeypatch, to,
                                                              how):
@@ -613,10 +604,15 @@ class TestEmit:
         def no_fork():
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
+        def no_memfd(name):
+            raise OSError(24, "Too many open files")
+
         if how == "helper-raises":
             monkeypatch.setattr(cli, "_render", render_here_only)
-        else:
+        elif how == "fork-fails":
             monkeypatch.setattr(os, "fork", no_fork)
+        else:
+            monkeypatch.setattr(os, "memfd_create", no_memfd)
         self._emit_to(to, report, parent, monkeypatch)
         assert "".join(parent["text"]) == json.dumps(report, indent=2) + "\n"
         assert parent["writes"] == sorted(parent["writes"])
