@@ -380,10 +380,11 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
     copies its bytes in 64 KiB blocks, or renders that half itself if the
     file, the fork or the helper failed.  Every piece is ASCII, so the bytes
     are the serial ones.  Meanwhile the anonymous file holds up to half the
-    report text, and each page either process writes after the fork is
-    copied: on a 4.9 MB orbit report about 2.6 MB and 14 MB more, which
-    this process's own peak RSS does not show.  At 8 runs two processes writing to a file took
-    about 0.72 of the serial time, at 4 and 6 runs 0.95-1.00 (in process,
+    report text, and the helper holds its own copy of each page either
+    process writes after the fork, and the pages it allocates: on a 4.9 MB
+    orbit report about 2.6 MB and 14 MB, which this process's own peak RSS
+    does not show.  At 8 runs two processes writing to a file took
+    about 0.72 of the serial time, at 4 and 6 runs 0.86-1.00 (in process,
     with the second CPU free; ``BENCH_29.json``): below 8 the fork, the
     reap and the copy-on-write faults cost about what the second CPU saves.
     Every report but a long orbit's is far below it."""
