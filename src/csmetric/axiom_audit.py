@@ -13,17 +13,18 @@ evaluation order.  ``_audit`` draws each sample stream once, CHUNK tuples
 at a time, for every check that reads it, so no whole sample is held, and
 replays the checks one by one when anything raises, so an error is the one
 they raise run one after another.  Each sampled check states its inequality
-once, as a template whose rows are (tuple, slack, tolerance), compiled
-twice (see ``_kernel``): fused, with the alpha's tree and, where the fusion
-rule allows, the metric's lambda inlined, and checked, where each alpha
-value is checked.  A chunk runs checked only when its fused form raises or
-has something to report, so every error, key and violation comes from the
+once, as a template ``lambda chunk: [...]`` whose rows are (tuple, slack,
+tolerance), compiled twice (see ``_kernel``): fused, with the alpha's tree
+and, where the fusion rule allows, the metric's lambda inlined, and
+checked, where each alpha value is checked.  Every other name, such as a
+factor, the images I, Mf or a metric that is not fused, is bound alike in
+both.  A chunk runs checked only when its fused form raises or has
+something to report, so every error, key and violation comes from the
 checked form.  Where the metric is fused, both forms evaluate C(x, x, u)
 by its self-distance S(x, u), which equals it bit for bit at finite points.
 Every image y = F(x) is tested as it is taken, by one text, ``_IMAGE``,
-which the Picard loop of ``_orbit`` and the image function I(chunk) of the
-templates inline, with a built-in map's lambda where the map's domain is
-the space's; a user's map is called.
+which the Picard loop of ``_orbit`` and the image function I inline, with
+a built-in map's lambda where its domain is the space's.
 These auditors are falsifiers and evidence gatherers: a pass is evidence
 over the sample, not a proof of the quantified claim.
 """
@@ -154,7 +155,6 @@ class _Collector:
 # slack_tolerance at every finite rhs >= 0; at rhs = inf, where the slack is
 # inf or NaN, the two judge alike.
 _TOLERANCE = f"lambda rhs: {ABS_TOL!r} + {REL_TOL!r} * rhs"
-_tolerance = compile_template(_TOLERANCE, {}, {}, False)
 _IDENTITY = "lambda t: t"  # A when a check has no composing function
 
 
@@ -168,66 +168,57 @@ def _judged(rows: Sequence[tuple], n: int = 1) -> list:
 
 
 def _kernel(template: str, space: ComposedSpace | None,
-            alphas: Mapping[str, AlphaFunction | None] = {},
-            args: Callable[[list], tuple] = lambda chunk: (),
-            images: SelfMap | None = None, **names) -> Callable:
-    """The kernel of template, a lambda over a chunk and args(chunk) whose
-    rows are (key, slack, tol), with one (slack, tol) pair per name of
-    alphas, whose composing function (None: the identity) the template
-    calls by that name, or one when alphas is empty.  C is space's metric,
-    S(x, u) its self-distance C(x, x, u), T the tolerance, and I(chunk) the
-    images of the chunk's points under the self-map images, by
-    _image_function; names binds the rest.  The kernel maps a chunk to the
-    _judged rows of the checked form, where each alpha runs through
-    _checked_alpha.  T, the identity and a metric with a fused form, whose
-    values the fusion rule bounds, are inlined in both forms, C and S; any
-    other metric runs through _checked_metric, and I is called in both, so
-    no map's lambda sits in a comprehension's iterable.  Where names is
-    empty, the fused form, with every alpha inlined too, runs first, and a
-    chunk where it neither raises nor sums to NaN, so that no slack is
-    below its -tol, gives its slacks alone.  A chunk after one with a
-    violation runs checked at once, as a check that fails tends to fail on
-    every chunk."""
+            alphas: Mapping[str, AlphaFunction | None] = {}, fused: bool = True,
+            **names) -> Callable:
+    """The kernel of template, a ``lambda chunk:`` whose rows are (key,
+    slack, tol), with one (slack, tol) pair per name of alphas, whose
+    composing function (None: the identity) it calls by that name, or one
+    when alphas is empty.  C is space's metric, S(x, u) its self-distance
+    C(x, x, u) and T the tolerance; names binds every other name, alike in
+    both forms.  The kernel maps a chunk to the _judged rows of the checked
+    form, where each alpha runs through _checked_alpha.  T, the identity and
+    a metric with a fused form, whose values the fusion rule bounds, are
+    inlined in both forms, C and S; any other metric is bound as C, by
+    _checked_metric.  Where fused, the fused form, with every alpha inlined
+    too, runs first, and a chunk where it neither raises nor sums to NaN,
+    so that no slack is below its -tol, gives its slacks alone.  A chunk
+    after one with a violation runs checked at once, as a check that fails
+    tends to fail on every chunk."""
     n = max(1, len(alphas))
     metric = None if space is None else _fused_metric(space)
     inline = {"T": _TOLERANCE, **(dict(zip("CS", metric)) if metric else {"S": _SELF_CALLED}),
               **{name: _IDENTITY for name, alpha in alphas.items() if alpha is None}}
-    called = {} if space is None or metric else {"C": _checked_metric(space)}
-    if images is not None:
-        called["I"] = _image_function(space, images)
-    fused_only = {name: alpha._tree for name, alpha in alphas.items() if alpha}
-    fused = None
-    if not names:
-        try:
-            fused = compile_template(template, {**inline, **fused_only}, called, True)
-        except RecursionError:  # a flat sum of about 490 terms is too deep to inline
-            pass
+    if space is not None and not metric:
+        names["C"] = _checked_metric(space)
+    try:
+        fused_form = fused and compile_template(template, {**inline, **{
+            name: alpha._tree for name, alpha in alphas.items() if alpha}}, names, True)
+    except RecursionError:  # a flat sum of about 490 terms is too deep to inline
+        fused_form = None
     checked = None
     clean = True
 
     def kernel(chunk):
         nonlocal checked, clean
-        extra = args(chunk)
-        if clean and fused is not None:
+        if clean and fused_form:
             try:
-                rows = fused(chunk, *extra)
+                rows = fused_form(chunk)
                 columns = [rows] if n == 1 else list(zip(*rows))
                 if not any(math.isnan(sum(slacks, 0.0)) for slacks in columns):
                     return [((), slacks, ()) for slacks in columns]
             except Exception:  # the checked form raises the error, if any
                 pass
         if checked is None:  # compiled on first use
-            checked = compile_template(template, inline, {**names, **called, **{
+            checked = compile_template(template, inline, {**names, **{
                 name: _checked_alpha(alpha) for name, alpha in alphas.items() if alpha}}, False)
-        judged = _judged(checked(chunk, *extra), n)
+        judged = _judged(checked(chunk), n)
         clean = not any(any(violates) for _, _, violates in judged)
         return judged
     return kernel
 
 
-def _audit(space: ComposedSpace | None, cfg: SampleConfig,
-           checks: Sequence[Callable[[], tuple]]) -> list:
-    """Run checks on space and return their results, as if one by one.
+def _audit(cfg: SampleConfig, checks: Sequence[Callable[[], tuple]]) -> list:
+    """Run checks on cfg's samples and return their results, as if one by one.
 
     Calling a check validates its arguments and gives (parts, finishes), one
     result per finish.  A part (domain, arity, kernel) maps a chunk of its
@@ -254,7 +245,7 @@ def _audit(space: ComposedSpace | None, cfg: SampleConfig,
     except Exception:
         if len(checks) == 1:
             raise
-    return [result for check in checks for result in _audit(space, cfg, [check])]
+    return [result for check in checks for result in _audit(cfg, [check])]
 
 
 def _identity(space: ComposedSpace) -> tuple:
@@ -270,7 +261,7 @@ def _identity(space: ComposedSpace) -> tuple:
 def check_identity_axiom(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
     """Self distances vanish exactly; every other sampled triple is strictly
     positive."""
-    return _audit(space, cfg, [lambda: _identity(space)])[0]
+    return _audit(cfg, [lambda: _identity(space)])[0]
 
 
 # The composed triangle C(q, h, w) <= A(C(q, q, u)) + A(C(h, h, u)) + A(C(w, w, u))
@@ -291,13 +282,13 @@ def _triangles(space: ComposedSpace, checks: Mapping[str, AlphaFunction | None])
 
 def check_composed_triangle(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
     """Triangle inequality with each right-hand term wrapped in alpha."""
-    return _audit(space, cfg, [lambda: _triangles(space, {"composed_triangle": space.alpha})])[0]
+    return _audit(cfg, [lambda: _triangles(space, {"composed_triangle": space.alpha})])[0]
 
 
 def check_classic_triangle(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
     """Plain (unwrapped) triangle inequality; failing it while the composed
     form passes is what separates these spaces from ordinary S-metric spaces."""
-    return _audit(space, cfg, [lambda: _triangles(space, {"classic_triangle": None})])[0]
+    return _audit(cfg, [lambda: _triangles(space, {"classic_triangle": None})])[0]
 
 
 def _symmetry(space: ComposedSpace) -> tuple:
@@ -308,7 +299,7 @@ def _symmetry(space: ComposedSpace) -> tuple:
 
 def check_symmetry(space: ComposedSpace, cfg: SampleConfig) -> Verdict:
     """|C(q,q,h) - C(h,h,q)| stays within tolerance on sampled pairs."""
-    return _audit(space, cfg, [lambda: _symmetry(space)])[0]
+    return _audit(cfg, [lambda: _symmetry(space)])[0]
 
 
 def check_alpha_zero(alpha: AlphaFunction) -> Verdict:
@@ -321,19 +312,19 @@ def check_alpha_zero(alpha: AlphaFunction) -> Verdict:
 def _subhomogeneity(alpha: AlphaFunction, k_set: Sequence[float]) -> tuple:
     if not k_set:
         raise ConfigurationError("k_set must be non-empty")
-    if any(k <= 0 for k in k_set):
-        raise ConfigurationError("all k values must be positive")
+    if not all(0 < k < math.inf for k in k_set):  # NaN included
+        raise ConfigurationError("all k values must be positive and finite")
     # alpha(s) and alpha(t) once per pair, outside the k loop
     return [(_NONNEG_DOMAIN, 2, _kernel(
-        "lambda chunk, ks: [((k, s, t), (r := k * a_s + a_t) - A(k * s + t), T(r))"
+        "lambda chunk: [((k, s, t), (r := k * a_s + a_t) - A(k * s + t), T(r))"
         " for s, t in chunk for a_s in [A(s)] for a_t in [A(t)] for k in ks]",
-        None, {"A": alpha}, lambda chunk: (k_set,)))], ["alpha_subhomogeneity"]
+        None, {"A": alpha}, ks=k_set))], ["alpha_subhomogeneity"]
 
 
 def check_alpha_subhomogeneity(alpha: AlphaFunction, cfg: SampleConfig,
                                k_set: Sequence[float] = DEFAULT_K_SET) -> Verdict:
     """alpha(k*s + t) <= k*alpha(s) + alpha(t) over sampled (s, t) and each k."""
-    return _audit(None, cfg, [lambda: _subhomogeneity(alpha, k_set)])[0]
+    return _audit(cfg, [lambda: _subhomogeneity(alpha, k_set)])[0]
 
 
 # The image rule: y = F(x) passes this test where it is a float in [lo, hi]
@@ -417,7 +408,7 @@ def check_alpha_dominates_orbit(space: ComposedSpace, F: SelfMap, x0,
         raise ConfigurationError("n_max must be >= 1")
     require_in_space(space, x0)
     _, distances = _orbit(space, F, x0, -math.inf, n_max + 1)
-    rows = [((float(n), d), d - eval_alpha(space.alpha, d), _tolerance(d))
+    rows = [((float(n), d), d - eval_alpha(space.alpha, d), slack_tolerance(d))
             for n, d in enumerate(distances)]
     return _Collector().add(*_judged(rows)[0]).verdict("alpha_dominates_orbit", None)
 
@@ -435,8 +426,8 @@ def series_tail(alpha: AlphaFunction, r: float, c0: float, n: int, m: int,
     """
     if not (0.0 < r < 1.0):
         raise DomainError(f"decay ratio must lie in (0, 1), got {r!r}")
-    if c0 < 0:
-        raise DomainError(f"initial distance must be nonnegative, got {c0!r}")
+    if not 0 <= c0 < math.inf:  # NaN included
+        raise DomainError(f"initial distance must be nonnegative and finite, got {c0!r}")
     if variant not in ("statement", "proof"):
         raise ConfigurationError(f"unknown series variant {variant!r}")
     total = 0.0

@@ -53,11 +53,10 @@ def _parse_json(text: str, what: str) -> dict:
     return doc
 
 
-def _build_space(args: argparse.Namespace,
-                 needs_map: bool = True) -> tuple[ComposedSpace, SelfMap | None]:
+def _build_space(args: argparse.Namespace) -> tuple[ComposedSpace, SelfMap | None]:
     """The space that --builtin, --space or --space-file names (argparse
     admits exactly one) with the --alpha override, and the map of its
-    document or of --map."""
+    document or of --map, which every command with a --map needs."""
     if args.params is not None and args.builtin is None:
         raise ConfigurationError("--params goes with --builtin")
     if args.space_file is not None:
@@ -77,7 +76,7 @@ def _build_space(args: argparse.Namespace,
     space = space_from_json(doc)
     if "map" in doc:
         return space, map_from_json(doc["map"], space.domain)
-    if needs_map:
+    if hasattr(args, "map_spec"):
         raise ConfigurationError(
             f"{args.command} needs a map: add a 'map' field or pass --map JSON")
     return space, None
@@ -122,9 +121,9 @@ def _cmd_solve_poly(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_verify_space(args: argparse.Namespace) -> tuple[int, dict]:
-    space, _ = _build_space(args, needs_map=False)
+    space, _ = _build_space(args)
     cfg = SampleConfig(seed=args.seed, count=args.samples)
-    verdicts = _audit(space, cfg, [  # both triangles in one kernel
+    verdicts = _audit(cfg, [  # both triangles in one kernel
         lambda: _identity(space),
         lambda: _triangles(space, {"composed_triangle": space.alpha, "classic_triangle": None}),
         lambda: _symmetry(space),
@@ -150,7 +149,7 @@ def _cmd_check_contraction(args: argparse.Namespace) -> tuple[int, dict]:
     checks = [lambda: _estimate(space, self_map, cfg)]
     if args.r is not None:
         checks.append(lambda: _banach(space, self_map, args.r))
-    estimate, *banach = _audit(space, cfg, checks)
+    estimate, *banach = _audit(cfg, checks)
     report = {
         "space": space_to_json(space),
         "map": self_map.id,

@@ -137,8 +137,7 @@ def _estimate(space: ComposedSpace, F: SelfMap, cfg: SampleConfig) -> tuple:
         if cfg.count == 0:  # only a count of 0 draws no tuple
             raise ConfigurationError("check 'contraction_estimate' evaluated an empty sample")
         if col.witness is None:
-            raise ConfigurationError(
-                "every sampled triple was degenerate; nothing to estimate")
+            raise ConfigurationError("every sampled triple was degenerate; nothing to estimate")
         slack, argmax = col.witness
         # 0.0 - slack, not -slack: a zero ratio must not come out as -0.0.
         return ContractionEstimate(sup_ratio=0.0 - slack, argmax_tuple=argmax,
@@ -148,13 +147,13 @@ def _estimate(space: ComposedSpace, F: SelfMap, cfg: SampleConfig) -> tuple:
     return [(space.domain, 3, _kernel(
         "lambda chunk: [((q, h, w), -(C(a, b, c) / d), -inf) for q, h, w in chunk"
         f" for d in [C(q, h, w)] if d >= {_RATIO_FLOOR!r} for a, b, c in [I([(q, h, w)])]]",
-        space, I=_image_function(space, F)))], [finish]
+        space, fused=False, I=_image_function(space, F)))], [finish]
 
 
 def estimate_contraction_factor(space: ComposedSpace, F: SelfMap,
                                 cfg: SampleConfig) -> ContractionEstimate:
     """Maximum observed image-to-source distance ratio over sampled triples."""
-    return _audit(space, cfg, [lambda: _estimate(space, F, cfg)])[0]
+    return _audit(cfg, [lambda: _estimate(space, F, cfg)])[0]
 
 
 def _banach(space: ComposedSpace, F: SelfMap, r: float) -> tuple:
@@ -163,66 +162,76 @@ def _banach(space: ComposedSpace, F: SelfMap, r: float) -> tuple:
     # Images pass the image rule in both forms, so they lie in the domain,
     # where the fused metric is finite.
     return [(space.domain, 3, _kernel(
-        "lambda chunk, r: [((q, h, w), (v := r * C(q, h, w)) - C(a, b, c), T(v))"
+        "lambda chunk: [((q, h, w), (v := r * C(q, h, w)) - C(a, b, c), T(v))"
         " for fx in [I(chunk)] for (q, h, w), a, b, c in zip(chunk, fx[0::3], fx[1::3], fx[2::3])]",
-        space, args=lambda chunk: (r,), images=F))], ["banach_contraction"]
+        space, r=r, I=_image_function(space, F)))], ["banach_contraction"]
 
 
 def check_banach(space: ComposedSpace, F: SelfMap, r: float,
                  cfg: SampleConfig) -> Verdict:
     """C(Fq, Fh, Fw) <= r * C(q, h, w) over sampled triples."""
-    return _audit(space, cfg, [lambda: _banach(space, F, r)])[0]
+    return _audit(cfg, [lambda: _banach(space, F, r)])[0]
 
 
 def _checked_mf(Mf: MfFunction) -> Callable:
-    """Mf as checked templates call it: a value that is NaN, below 0 or not
-    a real raises NumericError."""
+    """Mf as templates call it, in both forms: a value that is NaN, below 0
+    or not a real raises NumericError."""
     def checked(*t):
-        value = Mf.fn(*t)
-        if not (isinstance(value, (int, float)) and value >= 0):
-            raise NumericError(f"Mf {Mf.id!r} returned {value!r} at {t!r}")
-        return value
+        if isinstance(value := Mf.fn(*t), (int, float)) and value >= 0:
+            return value
+        raise NumericError(f"Mf {Mf.id!r} returned {value!r} at {t!r}")
     return checked
+
+
+def _m1(Mf: MfFunction, r: float) -> tuple:
+    if not (0.0 <= r < 1.0):
+        raise ConfigurationError(f"reduction factor must lie in [0, 1), got {r!r}")
+    # An unguarded tuple counts with slack +inf: checked, never the worst.
+    return [(_NONNEG_DOMAIN, 3, _kernel(
+        "lambda chunk: [((o, h, w), r * o - h if w <= 2 * o + h and h <= Mf(o, o, 0.0, w, h)"
+        " else inf, T(r * o)) for o, h, w in chunk]", None, r=r, Mf=_checked_mf(Mf)))], ["m1"]
 
 
 def check_m1(Mf: MfFunction, r: float, cfg: SampleConfig) -> Verdict:
     """Selection property one: whenever h <= Mf(o, o, 0, w, h) and
     w <= 2o + h, the reduction h <= r*o must follow."""
-    if not (0.0 <= r < 1.0):
-        raise ConfigurationError(f"reduction factor must lie in [0, 1), got {r!r}")
-    # An unguarded tuple counts with slack +inf: checked, never the worst.
-    kernel = _kernel(
-        "lambda chunk, r: [((o, h, w), r * o - h if w <= 2 * o + h and h <= Mf(o, o, 0.0, w, h)"
-        " else inf, T(r * o)) for o, h, w in chunk]",
-        None, args=lambda chunk: (r,), Mf=_checked_mf(Mf))
-    return _audit(None, cfg, [lambda: ([(_NONNEG_DOMAIN, 3, kernel)], ["m1"])])[0]
+    return _audit(cfg, [lambda: _m1(Mf, r)])[0]
+
+
+def _m2(Mf: MfFunction) -> tuple:
+    # An unguarded h counts with slack +inf, as in M1.
+    return [(_NONNEG_DOMAIN, 1, _kernel(
+        "lambda chunk: [((h,), 0.0 - h if h <= Mf(h, 0.0, h, h, 0.0) else inf, T(0.0))"
+        " for (h,) in chunk]", None, Mf=_checked_mf(Mf)))], ["m2"]
 
 
 def check_m2(Mf: MfFunction, cfg: SampleConfig) -> Verdict:
     """Selection property two: h <= Mf(h, 0, h, h, 0) forces h = 0."""
-    # An unguarded h counts with slack +inf, as in check_m1.
-    kernel = _kernel("lambda chunk: [((h,), 0.0 - h if h <= Mf(h, 0.0, h, h, 0.0) else inf,"
-                     " T(0.0)) for (h,) in chunk]", None, Mf=_checked_mf(Mf))
-    return _audit(None, cfg, [lambda: ([(_NONNEG_DOMAIN, 1, kernel)], ["m2"])])[0]
+    return _audit(cfg, [lambda: _m2(Mf)])[0]
+
+
+def _mf_contraction(space: ComposedSpace, F: SelfMap, Mf: MfFunction) -> tuple:
+    if not space.symmetric_claim:
+        raise PreconditionError("the generalized contraction check needs a symmetric space")
+    return [(space.domain, 2, _kernel(
+        "lambda chunk: [((o, h), (v := Mf(S(o, h), S(fo, o), S(fo, h), S(fh, o), S(fh, h)))"
+        " - S(fo, fh), T(v))"
+        " for fx in [I(chunk)] for (o, h), fo, fh in zip(chunk, fx[0::2], fx[1::2])]",
+        space, I=_image_function(space, F), Mf=_checked_mf(Mf)))], ["mf_contraction"]
 
 
 def check_mf_contraction(space: ComposedSpace, F: SelfMap, Mf: MfFunction,
                          cfg: SampleConfig) -> Verdict:
     """Generalized contraction bound over sampled pairs; the space must be
     symmetric for the five distances to play their intended roles."""
-    if not space.symmetric_claim:
-        raise PreconditionError("the generalized contraction check needs a symmetric space")
-    kernel = _kernel(
-        "lambda chunk: [((o, h), (v := Mf(S(o, h), S(fo, o), S(fo, h), S(fh, o), S(fh, h)))"
-        " - S(fo, fh), T(v))"
-        " for fx in [I(chunk)] for (o, h), fo, fh in zip(chunk, fx[0::2], fx[1::2])]",
-        space, images=F, Mf=_checked_mf(Mf))
-    return _audit(space, cfg, [lambda: ([(space.domain, 2, kernel)], ["mf_contraction"])])[0]
+    return _audit(cfg, [lambda: _mf_contraction(space, F, Mf)])[0]
 
 
 def verify_fixed_point(space: ComposedSpace, F: SelfMap, x,
                        tol: float = DEFAULT_TOL) -> Verdict:
     """Is x a fixed point of F up to tol, measured by C(x, x, F(x))?"""
+    if not tol > 0:
+        raise ConfigurationError("tolerance must be positive")
     residual = eval_metric(space, x, x, F.apply(x))
     return _Collector().add([(x, residual)], [tol - residual], [residual > tol]).verdict(
         "fixed_point_residual", None)

@@ -157,7 +157,7 @@ def verify_theorem_4_1(m: int, seed: int = SampleConfig.seed,
 
     # Identity and Banach read one 3-tuple stream.  As alpha_zero cannot raise
     # on two_sqrt, the first error raised is still the first in report order.
-    identity, triangle, symmetry, subhomogeneity, banach = _audit(space, cfg, [
+    identity, triangle, symmetry, subhomogeneity, banach = _audit(cfg, [
         lambda: _identity(space),
         lambda: _triangles(space, {"composed_triangle": space.alpha}),
         lambda: _symmetry(space),

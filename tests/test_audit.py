@@ -168,6 +168,12 @@ class TestSubhomogeneity:
         with pytest.raises(ConfigurationError):
             check_alpha_subhomogeneity(TWO_SQRT, cfg_small, k_set=[2.0, -1.0])
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, 0.0])
+    def test_a_k_that_is_not_positive_and_finite_is_a_configuration_error(self, cfg_small, k):
+        # Unchecked, NaN and inf reach alpha and the collector: a NumericError.
+        with pytest.raises(ConfigurationError, match="all k values must be positive"):
+            check_alpha_subhomogeneity(TWO_SQRT, cfg_small, k_set=[2.0, k])
+
 
 class TestAlphaDominatesOrbit:
     def test_root_dominated_when_steps_large(self):
@@ -240,6 +246,11 @@ class TestSeriesTail:
         with pytest.raises(DomainError):
             series_tail(IDENTITY, 0.0, 1.0, 0, 5)
 
+    @pytest.mark.parametrize("c0", [math.nan, math.inf, -1.0])
+    def test_a_start_distance_that_is_not_finite_and_nonnegative_is_a_domain_error(self, c0):
+        with pytest.raises(DomainError, match="initial distance must be nonnegative"):
+            series_tail(IDENTITY, 0.5, c0, 0, 5)
+
     @given(r=st.floats(min_value=0.01, max_value=0.45),
            c0=st.floats(min_value=0.0, max_value=10.0),
            n=st.integers(min_value=0, max_value=30),
@@ -277,6 +288,12 @@ class TestSeriesVanishing:
         # Unchecked, it would reach the collector as a NaN slack: a NumericError.
         with pytest.raises(ConfigurationError, match="tolerance must be positive"):
             check_series_vanishing(IDENTITY, 0.5, 1.0, [5], [1, 2], tol=float("nan"))
+
+    @pytest.mark.parametrize("c0", [math.nan, math.inf, -1.0])
+    def test_a_start_distance_that_is_not_finite_and_nonnegative_is_a_domain_error(self, c0):
+        # Unchecked, NaN is a NumericError and inf a FAIL.
+        with pytest.raises(DomainError, match="initial distance must be nonnegative"):
+            check_series_vanishing(IDENTITY, 0.5, c0, [5], [1, 2], tol=1e-6)
 
 
 class TestDeterminismAndWitnessReplay:
@@ -711,9 +728,9 @@ def _first_error(calls):
     return None
 
 
-def _audit_error(space, cfg, checks):
+def _audit_error(cfg, checks):
     try:
-        axiom_audit._audit(space, cfg, checks)
+        axiom_audit._audit(cfg, checks)
     except Exception as exc:
         return type(exc), str(exc)
     return None
@@ -725,7 +742,7 @@ def _audit_error(space, cfg, checks):
 def test_audit_verdicts_equal_the_single_checks(name, seed, count):
     space = make_builtin_space(name)
     cfg = SampleConfig(seed=seed, count=count)
-    shared = axiom_audit._audit(space, cfg, _space_checks(space))
+    shared = axiom_audit._audit(cfg, _space_checks(space))
     assert shared == [check(space, cfg) for check in _SPACE_PUBLIC]
     if name in ("squared_diff", "discrete_nat") and count == 2500:
         assert not shared[2].passed  # the classic triangle fails on these
@@ -738,7 +755,7 @@ def test_shared_banach_and_estimate_equal_the_single_checks(count):
     checks = [lambda: axiom_audit._identity(space),
               lambda: fixed_point._estimate(space, F, cfg),
               lambda: fixed_point._banach(space, F, 1.0 / 81.0)]
-    assert axiom_audit._audit(space, cfg, checks) == [
+    assert axiom_audit._audit(cfg, checks) == [
         check_identity_axiom(space, cfg), estimate_contraction_factor(space, F, cfg),
         check_banach(space, F, 1.0 / 81.0, cfg)]
 
@@ -788,7 +805,7 @@ def _thm41_checks():
 def _audit_peak_bytes(count):
     tracemalloc.start()
     try:
-        axiom_audit._audit(_POLY3.space, SampleConfig(count=count), _thm41_checks())
+        axiom_audit._audit(SampleConfig(count=count), _thm41_checks())
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -797,7 +814,7 @@ def _audit_peak_bytes(count):
 def test_audit_memory_does_not_grow_with_the_sample():
     # Held whole, the 40,000-tuple streams would take several MB more.  A
     # first audit allocates about 0.5 MB once, which is not the sample's.
-    axiom_audit._audit(_POLY3.space, SampleConfig(count=100), _thm41_checks())
+    axiom_audit._audit(SampleConfig(count=100), _thm41_checks())
     assert abs(_audit_peak_bytes(40000) - _audit_peak_bytes(4000)) < 2 ** 20
 
 
@@ -807,7 +824,7 @@ def test_triangles_evaluate_each_metric_batch_once():
         abs(q - w) + abs(h - w)))
     space = ComposedSpace(PointDomain.real_interval(0.0, 1.0), metric, TWO_SQRT)
     cfg = SampleConfig(seed=8, count=2500)
-    axiom_audit._audit(space, cfg, _space_checks(space)[1:2])
+    axiom_audit._audit(cfg, _space_checks(space)[1:2])
     # C(q, h, w) and the three C(x, x, u), each once for both triangles
     assert len(calls) == 4 * 2500
 
@@ -816,7 +833,7 @@ def test_empty_sample_is_the_identity_error():
     cfg = SampleConfig(seed=1, count=0)
     expected = _first_error([partial(check, _APP, cfg) for check in _SPACE_PUBLIC])
     assert expected == (ConfigurationError, "check 'identity_axiom' evaluated an empty sample")
-    assert _audit_error(_APP, cfg, _space_checks(_APP)) == expected
+    assert _audit_error(cfg, _space_checks(_APP)) == expected
 
 
 @pytest.mark.parametrize("samples, message", [
@@ -845,8 +862,8 @@ def test_earliest_check_error_wins_over_an_earlier_chunk_error():
                              lambda: check_banach(space, F, 0.5, cfg)])
     assert expected[0] is NumericError
     assert _first_error([lambda: check_banach(space, F, 0.5, cfg)])[0] is DomainError
-    assert _audit_error(space, cfg, [lambda: axiom_audit._identity(space),
-                                     lambda: fixed_point._banach(space, F, 0.5)]) == expected
+    assert _audit_error(cfg, [lambda: axiom_audit._identity(space),
+                              lambda: fixed_point._banach(space, F, 0.5)]) == expected
 
 
 def test_composed_triangle_alpha_error_is_raised():
@@ -857,7 +874,7 @@ def test_composed_triangle_alpha_error_is_raised():
     cfg = SampleConfig(seed=2, count=3000)
     expected = _first_error([partial(check, space, cfg) for check in _SPACE_PUBLIC])
     assert expected[0] is NumericError and "composing function" in expected[1]
-    assert _audit_error(space, cfg, _space_checks(space)) == expected
+    assert _audit_error(cfg, _space_checks(space)) == expected
 
 
 def test_the_first_fault_is_named_in_row_order():
@@ -889,7 +906,7 @@ def test_the_first_fault_is_named_in_row_order():
     assert _outcome_of(lambda: check_symmetry(space, cfg)).passed
     assert _outcome_of(lambda: check_alpha_subhomogeneity(alpha, cfg)) == (
         NumericError, f"composing function 'custom' returned nan at {s!r}")
-    assert _audit_error(space, cfg, _space_checks(space)) == alpha_fault
+    assert _audit_error(cfg, _space_checks(space)) == alpha_fault
 
 
 # --- a failing shared run replays its checks one by one ---------------------
@@ -951,7 +968,7 @@ def test_audit_equals_the_public_checks_run_one_after_another(picks, fault, esca
     space = _faulty_space(fault, cfg)
     F = _ESCAPING if escaping else _POLY3.map
     pairs = [_pairs(space, F, r, cfg)[i] for i in picks]
-    assert _outcome_of(lambda: axiom_audit._audit(space, cfg, [b for b, _ in pairs])) == \
+    assert _outcome_of(lambda: axiom_audit._audit(cfg, [b for b, _ in pairs])) == \
         _outcome_of(lambda: [check() for _, check in pairs])
 
 
@@ -967,5 +984,5 @@ def test_audit_error_is_not_chained(fault, escaping, r, count):
     F = _ESCAPING if escaping else _POLY3.map
     builders = [b for b, _ in _pairs(space, F, r, cfg)]
     with pytest.raises(Exception) as info:
-        axiom_audit._audit(space, cfg, builders)
+        axiom_audit._audit(cfg, builders)
     assert info.value.__context__ is None and info.value.__cause__ is None

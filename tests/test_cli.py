@@ -34,6 +34,19 @@ def run_cli(*argv, env_extra=None):
                           capture_output=True, env=cli_env(env_extra), timeout=120)
 
 
+def assert_same_text(actual, expected):
+    """actual == expected, text or bytes, exactly.  A report runs to
+    megabytes, so a failure names the lengths and the first differing
+    offset, with about 80 characters around it, in place of a diff."""
+    if actual == expected:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(actual, expected)) if a != b),
+              min(len(actual), len(expected)))
+    around = slice(max(0, at - 40), at + 40)
+    pytest.fail(f"lengths {len(actual)} and {len(expected)}, first difference at offset {at}:"
+                f" {actual[around]!r} != {expected[around]!r}")
+
+
 class TestSolvePoly:
     def test_json_report_matches_oracle(self):
         proc = run_cli("solve-poly", "--m", "3", "--x0", "0.5", "--tol", "1e-12",
@@ -357,7 +370,17 @@ JSON_VALUES = st.recursive(JSON_SCALARS, lambda children: st.one_of(
 def test_dumps_matches_indented_json_dumps(value):
     # A run of three items makes the small values drawn here cross runs.
     with mock.patch.object(cli, "_RUN", 3):
-        assert "".join(map(cli._render, cli._jobs(value))) == json.dumps(value, indent=2)
+        assert_same_text("".join(map(cli._render, cli._jobs(value))), json.dumps(value, indent=2))
+
+
+@pytest.mark.parametrize("actual, message", [
+    ("abcdXfgh", "lengths 8 and 8, first difference at offset 4: 'abcdXfgh' != 'abcdefgh'"),
+    (b"abcd", "lengths 4 and 8, first difference at offset 4: b'abcd' != b'abcdefgh'")])
+def test_a_report_mismatch_names_its_first_differing_offset(actual, message):
+    expected = "abcdefgh" if isinstance(actual, str) else b"abcdefgh"
+    with pytest.raises(pytest.fail.Exception) as info:
+        assert_same_text(actual, expected)
+    assert str(info.value) == message
 
 
 JSON_ARGS = argparse.Namespace(output="json", out_path=None)
@@ -388,13 +411,13 @@ class TestEmit:
         report = {"\u00e9": {"orbit": seq, "nested": [seq, {"again": seq}]}, "tail": seq}
         expected = json.dumps(report, indent=2)
         pieces = list(map(cli._render, cli._jobs(report)))
-        assert "".join(pieces) == expected
+        assert_same_text("".join(pieces), expected)
         # One line per item: no piece holds more than one run.
         assert max(piece.count("\n") for piece in pieces) <= cli._RUN
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             cli._emit(report, JSON_ARGS)
-        assert out.getvalue() == expected + "\n"
+        assert_same_text(out.getvalue(), expected + "\n")
 
     @pytest.mark.parametrize("cpus", CPUS)
     def test_memory_is_bounded_by_a_piece_not_the_report(self, monkeypatch, cpus):
@@ -449,13 +472,13 @@ class TestEmit:
 
         piped = run(stdout=subprocess.PIPE)
         report = json.loads(piped)
-        assert piped == json.dumps(report, indent=2).encode() + b"\n"
+        assert_same_text(piped, json.dumps(report, indent=2).encode() + b"\n")
         assert len(report["iterates"]) > cli._FORK_RUNS * cli._RUN
         out = tmp_path / "out.json"
         run("--out", str(out))
-        assert out.read_bytes() == piped
+        assert_same_text(out.read_bytes(), piped)
         if hasattr(os, "sched_setaffinity"):  # one usable CPU: this process renders it all
-            assert run(stdout=subprocess.PIPE, preexec_fn=one_cpu) == piped
+            assert_same_text(run(stdout=subprocess.PIPE, preexec_fn=one_cpu), piped)
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -509,7 +532,7 @@ class TestEmit:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             cli._emit(report, JSON_ARGS)
-        assert out.getvalue() == json.dumps(report, indent=2) + "\n"
+        assert_same_text(out.getvalue(), json.dumps(report, indent=2) + "\n")
         assert parent["forks"] == 0 and parent["runs"] == 40
 
     @pytest.mark.parametrize("cpus", CPUS)
@@ -519,7 +542,7 @@ class TestEmit:
         report, parent = counted
         usable_cpus(monkeypatch, cpus)
         self._emit_to(to, report, parent, monkeypatch)
-        assert "".join(parent["text"]) == json.dumps(report, indent=2) + "\n"
+        assert_same_text("".join(parent["text"]), json.dumps(report, indent=2) + "\n")
         # A writer that rendered ahead would record a run count skipped or late.
         # With two CPUs this process renders the front 20 of the 40 runs, and
         # then writes the helper's bytes.
@@ -553,7 +576,7 @@ class TestEmit:
         with open(path, "w", encoding="utf-8") as sink:
             monkeypatch.setattr(sys, "stdout", sink)
             cli._emit(report, JSON_ARGS)
-        assert path.read_text() == json.dumps(report, indent=2) + "\n"
+        assert_same_text(path.read_text(), json.dumps(report, indent=2) + "\n")
         assert parent["forks"] == cpus - 1
 
     @pytest.mark.parametrize("cpus", CPUS)
@@ -566,7 +589,7 @@ class TestEmit:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             cli._emit(report, JSON_ARGS)
-        assert out.getvalue() == json.dumps(report, indent=2) + "\n"
+        assert_same_text(out.getvalue(), json.dumps(report, indent=2) + "\n")
         assert parent["forks"] == (cpus == 2 and runs == cli._FORK_RUNS)
 
     def test_another_thread_keeps_the_render_in_this_process(self, counted, monkeypatch):
@@ -583,7 +606,7 @@ class TestEmit:
             release.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        assert out.getvalue() == json.dumps(report, indent=2) + "\n"
+        assert_same_text(out.getvalue(), json.dumps(report, indent=2) + "\n")
         assert parent["forks"] == 0 and parent["runs"] == 40
 
     @pytest.mark.skipif(not all(hasattr(os, f) for f in ("fork", "memfd_create")),
@@ -614,7 +637,7 @@ class TestEmit:
         else:
             monkeypatch.setattr(os, "memfd_create", no_memfd)
         self._emit_to(to, report, parent, monkeypatch)
-        assert "".join(parent["text"]) == json.dumps(report, indent=2) + "\n"
+        assert_same_text("".join(parent["text"]), json.dumps(report, indent=2) + "\n")
         assert parent["writes"] == sorted(parent["writes"])
         assert set(parent["writes"]) == set(range(41))
         assert parent["forks"] == (how == "helper-raises") and parent["runs"] == 40

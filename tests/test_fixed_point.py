@@ -310,6 +310,13 @@ class TestVerifyFixedPoint:
         assert not v.passed
         assert v.witness[1] == pytest.approx(0.4876373626373626, rel=1e-12)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-9])
+    def test_a_tolerance_that_is_not_positive_is_a_configuration_error(self, app_space, tol):
+        # As picard's; unchecked, NaN reaches the collector as a NaN slack.
+        F = make_self_map("const", app_space.domain, value=0.3)
+        with pytest.raises(ConfigurationError, match="tolerance must be positive"):
+            verify_fixed_point(app_space, F, 0.3, tol=tol)
+
 
 class TestUniquenessProbe:
     def test_polynomial_map_from_five_starts(self, poly3):

@@ -7,8 +7,10 @@ in it.  Each example therefore runs the sampled checks of ``verify-space``,
 three times: as they are, with every fused form turned off, and through the
 reference kernels below, which state each inequality again by hand and
 evaluate it tuple by tuple, in the templates' order, on a hand-written
-reference of each metric.  The three runs must hand the collector the same
-slacks, bit for bit, and give the same verdicts, witnesses and errors.
+reference of each metric.  The selection properties M1 and M2 and the Mf
+contraction run the same way, one at a time.  The three runs must hand the
+collector the same slacks, bit for bit, and give the same verdicts,
+witnesses and errors.
 """
 
 import ast
@@ -22,9 +24,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from csmetric import (ABS_TOL, DEFAULT_K_SET, REL_TOL, ComposedSpace, ConfigurationError,
-                      DomainError, SampleConfig, SelfMap, TripleMetric, axiom_audit, cli,
-                      fixed_point, check_alpha_subhomogeneity, make_alpha, make_builtin_space,
-                      poly_solver, slack_tolerance, spaces)
+                      DomainError, MfFunction, NumericError, PreconditionError, SampleConfig,
+                      SelfMap, TripleMetric, axiom_audit, banach_mf, bianchini_mf, cli,
+                      fixed_point, check_alpha_subhomogeneity, kannan_mf, make_alpha,
+                      make_builtin_space, poly_solver, slack_tolerance, spaces)
 from csmetric.expressions import compile_template, compile_tree
 from csmetric.spaces import PointDomain, eval_alpha, metric_by_name, replace
 
@@ -227,6 +230,57 @@ def _reference_banach(space, F, r):
     return [(space.domain, 3, kernel)], ["banach_contraction"]
 
 
+def _reference_mf(Mf):
+    """Mf with its value checked: NaN, below 0 or not a real raises."""
+    def M(*t):
+        value = Mf.fn(*t)
+        if not (isinstance(value, (int, float)) and value >= 0):
+            raise NumericError(f"Mf {Mf.id!r} returned {value!r} at {t!r}")
+        return value
+    return M
+
+
+def _reference_m1(Mf, r):
+    M = _reference_mf(Mf)
+
+    def kernel(chunk):
+        slacks, violates = [], []
+        for o, h, w in chunk:
+            # An unguarded tuple: counted, never the worst.
+            slack = r * o - h if w <= 2 * o + h and h <= M(o, o, 0.0, w, h) else math.inf
+            slacks.append(slack)
+            violates.append(slack < -slack_tolerance(r * o))
+        return [(chunk, slacks, violates)]
+    return [(PointDomain.real_interval(0.0, 10.0), 3, kernel)], ["m1"]
+
+
+def _reference_m2(Mf):
+    M = _reference_mf(Mf)
+
+    def kernel(chunk):
+        slacks = [0.0 - h if h <= M(h, 0.0, h, h, 0.0) else math.inf for (h,) in chunk]
+        return [(chunk, slacks, [s < -slack_tolerance(0.0) for s in slacks])]
+    return [(PointDomain.real_interval(0.0, 10.0), 1, kernel)], ["m2"]
+
+
+def _reference_mf_contraction(space, F, Mf):
+    if not space.symmetric_claim:
+        raise PreconditionError("the generalized contraction check needs a symmetric space")
+    C, M = _metric(space), _reference_mf(Mf)
+
+    def kernel(chunk):
+        fx = [_image(space, F, x) for tup in chunk for x in tup]
+        slacks, violates = [], []
+        for i, (o, h) in enumerate(chunk):
+            fo, fh = fx[2 * i:2 * i + 2]
+            rhs = M(C(o, o, h), C(fo, fo, o), C(fo, fo, h), C(fh, fh, o), C(fh, fh, h))
+            lhs = C(fo, fo, fh)
+            slacks.append(rhs - lhs)
+            violates.append(rhs - lhs < -slack_tolerance(rhs))
+        return [(chunk, slacks, violates)]
+    return [(space.domain, 2, kernel)], ["mf_contraction"]
+
+
 def _references(space, r, cfg):
     F = _halving(space.domain)
     return [lambda: _reference_identity(space),
@@ -263,7 +317,7 @@ def _run(monkeypatch, space, cfg, r, run, checks=None):
         checks = (checks or (_checks, _references))[run == "reference"](space, r, cfg)
         try:
             outcome = [repr(v.to_json_dict() if isinstance(v, axiom_audit.Verdict) else v)
-                       for v in axiom_audit._audit(space, cfg, checks)]
+                       for v in axiom_audit._audit(cfg, checks)]
         except Exception as exc:
             outcome = (type(exc), str(exc))
     return handed, outcome
@@ -398,7 +452,9 @@ def test_a_kernel_too_deep_to_compile_runs_checked(monkeypatch):
 def test_banach_is_fused_in_check_contraction_and_in_verify_thm41(monkeypatch, tmp_path):
     """check-contraction --r builds Banach beside the estimate, verify-thm41
     beside the identity axiom; both compile its fused form, and neither runs
-    its checked form on any chunk."""
+    its checked form on any chunk.  M1, M2 and the Mf contraction, which
+    call Mf, compile theirs too, and run no checked form where nothing
+    violates; the estimate, whose rows all violate, has none."""
     fused, ran = [], []
 
     def recording(template, functions, names, fused_form):
@@ -415,7 +471,16 @@ def test_banach_is_fused_in_check_contraction_and_in_verify_thm41(monkeypatch, t
     assert poly_solver.verify_theorem_4_1(3, samples=50)["all_passed"]
     banach = [template for template in fused if "fx[0::3]" in template]
     assert len(banach) == 2 and banach[0] not in ran
-    assert ran  # the estimate, which has no fused form
+    cfg, app = SampleConfig(seed=4, count=2500), make_builtin_space("app_metric")
+    halving = spaces.make_self_map("scale", app.domain, factor=0.5)
+    assert fixed_point.check_m1(kannan_mf(0.4), 2.0 / 3.0, cfg).passed
+    assert fixed_point.check_m2(bianchini_mf(0.9), cfg).passed
+    assert fixed_point.check_mf_contraction(app, halving, banach_mf(0.5), cfg).passed
+    for call in ("Mf(o, o, 0.0, w, h)", "Mf(h, 0.0, h, h, 0.0)", "Mf(S(o, h)"):
+        (template,) = [template for template in fused if call in template]
+        assert template not in ran
+    estimate = {template for template in ran if "I([(q, h, w)])" in template}
+    assert len(estimate) == 1 and not estimate & set(fused)
 
 
 # --- built-in maps and self-distances ---------------------------------------
@@ -533,3 +598,44 @@ def test_a_slip_in_the_image_rule_shows_in_picard_and_in_banach(monkeypatch):
     assert _run(monkeypatch, space, cfg, 0.5, "fused", _banach_only(F))[1] != reference
     with pytest.raises(DomainError, match="escaped its domain: F\\(3.0\\) = 6.0"):
         fixed_point.picard(space, F, 0.75)  # and not "point 1.5 is outside the space domain"
+
+
+# --- the selection properties and the Mf contraction ------------------------
+# Both forms call Mf with its value checked, as they call a library metric.
+# The contraction runs on app_metric, whose metric is inlined, on a library
+# metric, which is called, and on a space not claimed symmetric.
+
+_MFS = [kannan_mf(0.4), bianchini_mf(0.9), banach_mf(0.5),
+        MfFunction(id="t5", fn=lambda t1, t2, t3, t4, t5: t5),   # M1 fails
+        MfFunction(id="t1", fn=lambda t1, t2, t3, t4, t5: t1),   # M2 fails
+        # Below 0 by less than any tolerance: only the check of Mf's value sees it.
+        MfFunction(id="negative", fn=lambda t1, t2, t3, t4, t5: -1e-12),
+        # NaN where M1's and M2's grids pass 5, after their first chunk.
+        MfFunction(id="nan_above_5", fn=lambda t1, t2, t3, t4, t5: math.nan if t1 > 5.0 else t1)]
+
+
+def _mf_check(check, Mf):
+    """(checks, references) of one of M1, M2 and the Mf contraction, with
+    the halving map."""
+    build, reference = {
+        "m1": (lambda space, r: fixed_point._m1(Mf, r), lambda space, r: _reference_m1(Mf, r)),
+        "m2": (lambda space, r: fixed_point._m2(Mf), lambda space, r: _reference_m2(Mf)),
+        "mf_contraction": (
+            lambda space, r: fixed_point._mf_contraction(space, _halving(space.domain), Mf),
+            lambda space, r: _reference_mf_contraction(space, _halving(space.domain), Mf))}[check]
+    return (lambda space, r, cfg: [lambda: build(space, r)],
+            lambda space, r, cfg: [lambda: reference(space, r)])
+
+
+@pytest.mark.parametrize("Mf", _MFS, ids=lambda Mf: Mf.id)
+@pytest.mark.parametrize("check, metric", [
+    ("m1", "app_metric"), ("m2", "app_metric"), ("mf_contraction", "app_metric"),
+    ("mf_contraction", "library"), ("mf_contraction", "asymmetric")])
+@pytest.mark.parametrize("seed, count", [(4, 2500), (9, 700)])
+def test_the_mf_checks_match_the_checked_path(monkeypatch, check, metric, Mf, seed, count):
+    space = make_builtin_space("app_metric")
+    space = {"app_metric": space, "library": _library_metric(space),
+             "asymmetric": replace(space, symmetric_claim=False)}[metric]
+    handed, outcome = _assert_same(monkeypatch, space, SampleConfig(seed=seed, count=count),
+                                   2.0 / 3.0, _mf_check(check, Mf))
+    assert handed or outcome[0] in (NumericError, PreconditionError)
