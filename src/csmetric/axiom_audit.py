@@ -32,13 +32,15 @@ over the sample, not a proof of the quantified claim.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import lru_cache, partial
 from itertools import compress, islice
 
 from .errors import ConfigurationError, DomainError, NumericError
 from .expressions import compile_function, compile_template
-from .sampling import SampleConfig, _stream
+from .sampling import CHUNK, SampleConfig, _chunks
 from .spaces import (_FLOAT_MAX, _SELF_CALLED, AlphaFunction, ComposedSpace, PointDomain, Record,
                      SelfMap, _check_image, _check_metric, _checked_alpha, _checked_metric,
                      _fused_metric, _map_text, eval_alpha, iterate_alpha, require_in_space)
@@ -71,7 +73,12 @@ DEFAULT_K_SET = (1.0, 2.0, 4.0, 8.0)
 # sampled from this truncation of [0, inf).
 _NONNEG_DOMAIN = PointDomain.real_interval(0.0, 10.0)
 
-CHUNK = 1024  # tuples per kernel call, so per-chunk lists stay small
+# From this many chunks across an audit's streams on, two processes evaluate
+# them (see _audit).  Below it, the fork, the imports and the reap cost about
+# what the second CPU saves a whole command: forced forks of fresh commands
+# won 13 to 23 of 24 pairs at 40 to 70 chunks, 14 to 24 at 80 to 120, and
+# made the benchmark's 40-chunk audit-builtins slower (BENCH_31.json).
+_FORK_CHUNKS = 80
 
 # Picard's defaults, which fixed_point exports; the command line reads them here.
 DEFAULT_TOL = 1e-12
@@ -214,10 +221,37 @@ def _kernel(template: str, space: ComposedSpace | None,
         judged = _judged(checked(chunk), n)
         clean = not any(any(violates) for _, _, violates in judged)
         return judged
+    kernel.local = _local(tuple(names.values()))
     return kernel
 
 
-def _audit(cfg: SampleConfig, checks: Sequence[Callable[[], tuple]]) -> list:
+def _local(value) -> bool:
+    """Does value run package code alone, so that a helper may run it: an
+    int, a float, a tuple or list of them, or a function marked local?"""
+    return (type(value) in (int, float) or getattr(value, "local", False) is True
+            or type(value) in (tuple, list) and all(map(_local, value)))
+
+
+def _may_fork() -> bool:
+    """The one helper rule: fork exists, two CPUs are usable and no other
+    thread runs, as a fork copies only the thread that calls it.  The
+    report writer and the audit both keep it."""
+    threading = sys.modules.get("threading")  # no other thread runs unless it is loaded
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and (threading is None or threading.active_count() == 1))
+
+
+def _evaluate(streams: Mapping[tuple, list], cfg: SampleConfig, part: int | None = None) -> None:
+    """Read part's chunks (see _chunks) of each stream once, into its readers."""
+    for (domain, arity), readers in streams.items():
+        for chunk in _chunks(domain, arity, cfg, part):
+            for cols, kernel in readers:
+                for col, judged in zip(cols, kernel(chunk)):
+                    col.add(*judged)
+
+
+def _audit(cfg: SampleConfig, checks: Sequence[Callable[[], tuple]], fork: bool = True) -> list:
     """Run checks on cfg's samples and return their results, as if one by one.
 
     Calling a check validates its arguments and gives (parts, finishes), one
@@ -225,8 +259,14 @@ def _audit(cfg: SampleConfig, checks: Sequence[Callable[[], tuple]]) -> list:
     sample to one (keys, slacks, violations) per finish (see _kernel).  A
     finish maps its collector to the result, or names the verdict.  Each
     (domain, arity) stream is drawn once, a chunk at a time as the loop
-    reads it, so no whole sample is held.  If anything raises, the checks
-    run again one by one, so the error is a one-by-one run's."""
+    reads it, so no whole sample is held.  From _FORK_CHUNKS chunks on, an
+    audit whose kernels and pins are _local is split where _may_fork
+    allows: a forked helper evaluates the odd chunks and sends back
+    each collector's count and minima, which a finish alone reads, so
+    adding them to this process's is exact (see helper.split).  If
+    anything raises, the checks run again in this process, one by one, so
+    the error is a one-by-one run's."""
+    forked = False
     try:
         built = [([_Collector() for _ in finishes], parts, finishes)
                  for parts, finishes in (build() for build in checks)]
@@ -234,18 +274,28 @@ def _audit(cfg: SampleConfig, checks: Sequence[Callable[[], tuple]]) -> list:
         for cols, parts, _ in built:
             for domain, arity, kernel in parts:
                 streams.setdefault((domain, arity), []).append((cols, kernel))
-        for (domain, arity), readers in streams.items():
-            stream = _stream(domain, arity, cfg)
-            while chunk := list(islice(stream, CHUNK)):
-                for cols, kernel in readers:
-                    for col, judged in zip(cols, kernel(chunk)):
-                        col.add(*judged)
+        kernels = tuple(kernel for readers in streams.values() for _, kernel in readers)
+        forked = (fork and len(streams) * -(-cfg.count // CHUNK) >= _FORK_CHUNKS
+                  and _local((cfg.pinned, kernels)) and _may_fork())
+        if forked:
+            from .helper import split  # only an audit that forks loads it
+            collectors = [col for cols, _, _ in built for col in cols]
+            helped = split(lambda part: _evaluate(streams, cfg, part),
+                           lambda: [(col.checked, col.worst_slack, col.witness) for col in collectors])
+            for col, (checked, worst_slack, witness) in zip(collectors, helped or ()):
+                col.checked += checked
+                col.worst_slack = min(col.worst_slack, worst_slack)
+                col.witness = min(filter(None, (col.witness, witness)), default=None)
+        else:
+            _evaluate(streams, cfg)
         return [col.verdict(finish, cfg.seed) if isinstance(finish, str) else finish(col)
                 for cols, _, finishes in built for col, finish in zip(cols, finishes)]
     except Exception:
-        if len(checks) == 1:
+        if len(checks) == 1 and not forked:
             raise
-    return [result for check in checks for result in _audit(cfg, [check])]
+    if forked:  # either half may have met a later error first
+        return _audit(cfg, checks, False)
+    return [result for check in checks for result in _audit(cfg, [check], False)]
 
 
 def _identity(space: ComposedSpace) -> tuple:
@@ -378,7 +428,9 @@ def _image_function(space: ComposedSpace, F: SelfMap) -> Callable:
     """I: a chunk of tuples of points to the list of their images under F,
     in sample order, each tested by _IMAGE."""
     text, names = _image_rule(space, F)
-    return _images_loop(text)(*names)
+    images = _images_loop(text)(*names)
+    images.local = text is not None  # the map is inlined: package code alone
+    return images
 
 
 @lru_cache(maxsize=64)
@@ -404,8 +456,8 @@ def _orbit(space: ComposedSpace, F: SelfMap, x0, tol: float, n: int) -> tuple[li
 def check_alpha_dominates_orbit(space: ComposedSpace, F: SelfMap, x0,
                                 n_max: int) -> Verdict:
     """alpha(d_n) <= d_n along the orbit, d_n the successive step distance."""
-    if n_max < 1:
-        raise ConfigurationError("n_max must be >= 1")
+    if type(n_max) is not int or n_max < 1:
+        raise ConfigurationError(f"n_max must be an integer >= 1, got {n_max!r}")
     require_in_space(space, x0)
     _, distances = _orbit(space, F, x0, -math.inf, n_max + 1)
     rows = [((float(n), d), d - eval_alpha(space.alpha, d), slack_tolerance(d))
@@ -424,6 +476,8 @@ def series_tail(alpha: AlphaFunction, r: float, c0: float, n: int, m: int,
     ``proof`` variant.  With m < n + 5 the sum is empty and only the trailing
     term is returned.
     """
+    if type(n) is not int or type(m) is not int:
+        raise ConfigurationError(f"series indices n and m must be integers, got {n!r} and {m!r}")
     if not (0.0 < r < 1.0):
         raise DomainError(f"decay ratio must lie in (0, 1), got {r!r}")
     if not 0 <= c0 < math.inf:  # NaN included

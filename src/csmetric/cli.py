@@ -21,7 +21,8 @@ them.  The environment variable CSMETRIC_SEED overrides --seed.  Output
 is UTF-8 and newline-terminated, and identical configurations produce
 byte-identical JSON.  A JSON report with a long list (8 runs of 4096 items,
 as a long iterate orbit has) is rendered by two processes where two CPUs are
-usable, with the same bytes; see ``_emit``.
+usable, with the same bytes; see ``_emit``.  A long audit is evaluated by two
+processes too; see ``axiom_audit._audit``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ import math
 import os
 import sys
 
-from .axiom_audit import DEFAULT_MAX_ITER, DEFAULT_TOL, _audit, _identity, _symmetry, _triangles
+from .axiom_audit import (DEFAULT_MAX_ITER, DEFAULT_TOL, _audit, _identity, _may_fork, _symmetry,
+                          _triangles)
 from .errors import ConfigurationError, CsmetricError, DomainError
 from .sampling import SampleConfig
 from .spaces import (BUILTIN_SPACES, ComposedSpace, SelfMap, make_alpha,
@@ -326,12 +328,9 @@ def _render(job) -> str:
 
 
 def _write(jobs: list, sink) -> None:
+    """Write the jobs' pieces to sink in order; see _emit."""
     runs = [i for i, job in enumerate(jobs) if not isinstance(job, str)]
-    threading = sys.modules.get("threading")  # no other thread runs unless it is loaded
-    if (len(runs) < _FORK_RUNS
-            or not all(hasattr(os, f) for f in ("fork", "memfd_create", "sched_getaffinity"))
-            or len(os.sched_getaffinity(0)) < 2
-            or threading is not None and threading.active_count() > 1):
+    if len(runs) < _FORK_RUNS or not hasattr(os, "memfd_create") or not _may_fork():
         sink.writelines(map(_render, jobs))
         return
     back, fd, pid = runs[len(runs) // 2], -1, -1
@@ -372,18 +371,19 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
     time as ``_render`` renders it, so the text is never held whole.
 
     A JSON report of ``_FORK_RUNS`` runs or more is rendered by two
-    processes where fork and memfd_create exist, two CPUs are usable and no
-    other thread runs.  A forked helper renders the back half of the runs,
-    and every piece after them, into an anonymous file while this process
-    writes the front half; then this process waits for the helper and
-    copies its bytes in 64 KiB blocks, or renders that half itself if the
-    file, the fork or the helper failed.  Every piece is ASCII, so the bytes
-    are the serial ones.  Meanwhile the anonymous file holds up to half the
-    report text, and the helper holds its own copy of each page either
-    process writes after the fork, and the pages it allocates: on a 4.9 MB
-    orbit report about 2.6 MB and 14 MB, which this process's own peak RSS
-    does not show.  At 8 runs two processes writing to a file took
-    about 0.72 of the serial time, at 4 and 6 runs 0.86-1.00 (in process,
+    processes where memfd_create exists and the one helper rule, which the
+    audit keeps too, allows a fork (``axiom_audit._may_fork``).  A forked
+    helper renders the back half of the runs, and every piece after them,
+    into an anonymous file while this process writes the front half; then
+    this process waits for the helper and copies its bytes in 64 KiB
+    blocks, or renders that half itself if the file, the fork or the helper
+    failed.  Every piece is ASCII, so the bytes are the serial ones.
+    Meanwhile the anonymous file holds up to half the report text, and the
+    helper holds its own copy of each page either process writes after the
+    fork, and the pages it allocates: on a 4.9 MB orbit report about 2.6 MB
+    and 14 MB, which this process's own peak RSS does not show.  At 8 runs
+    two processes writing to a file took about 0.72 of the serial time, at
+    4 and 6 runs 0.86-1.00 (in process,
     with the second CPU free; ``BENCH_29.json``): below 8 the fork, the
     reap and the copy-on-write faults cost about what the second CPU saves.
     Every report but a long orbit's is far below it."""

@@ -118,8 +118,8 @@ def picard(space: ComposedSpace, F: SelfMap, x0, tol: float = DEFAULT_TOL,
     """
     if not tol > 0:
         raise ConfigurationError("tolerance must be positive")
-    if max_iter < 1:
-        raise ConfigurationError("max_iter must be >= 1")
+    if type(max_iter) is not int or max_iter < 1:
+        raise ConfigurationError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if not space.domain.contains(x0):
         raise DomainError(f"start point {x0!r} is outside the domain")
     iterates, steps = _orbit(space, F, x0, tol, max_iter)

@@ -11,9 +11,10 @@ auditors rely on:
 
 Strategies:
 
-* ``uniform_random``: seeded independent draws, drawn a batch at a time; a
-  discrete domain draws ``members[randrange(len(members))]``, computed from
-  the same ``getrandbits`` words as ``randrange`` with no Python call per draw.
+* ``uniform_random``: seeded independent draws, drawn a chunk of ``CHUNK``
+  tuples at a time; a discrete domain draws ``members[randrange(len(members))]``,
+  computed from the same ``getrandbits`` words as ``randrange`` with no
+  Python call per draw.
 * ``stratified_grid``: the full lexicographic product of a finite domain;
   the stream is finite, which makes exhaustive checks possible.  A real
   interval has no such product and is a configuration error.
@@ -38,8 +39,7 @@ STRATEGIES = ("uniform_random", "stratified_grid", "grid_plus_random")
 
 # The coarse block of grid_plus_random is capped so that high arities stay cheap.
 _GRID_BLOCK_CAP = 4096
-# Random batches double from one tuple up to this size; the rest of the last is dropped.
-_DRAW_BATCH = 256
+CHUNK = 1024  # tuples per chunk, so per-chunk lists stay small
 
 
 class SampleConfig(Record):
@@ -76,22 +76,6 @@ def _discrete_draws(members: Sequence, rng: random.Random) -> Iterator:
                filter(n.__gt__, map(rng.getrandbits, itertools.repeat(n.bit_length()))))
 
 
-def _random_batches(domain: PointDomain, arity: int, seed: int) -> Iterator[Iterator[tuple]]:
-    # lo + (hi - lo) * random() is what uniform(lo, hi) computes, and on
-    # range(max + 1) members[randrange(max + 1)] is what randint(0, max) draws.
-    rng, size = _rng_for(seed, arity), 1
-    points = _discrete_draws(domain.members(), rng) if domain.is_discrete else None
-    while True:
-        n, size = size * arity, min(2 * size, _DRAW_BATCH)
-        if domain.is_discrete:
-            draws = list(itertools.islice(points, n))
-        else:
-            lo, width = domain.lo, domain.hi - domain.lo
-            draws = [lo + width * u
-                     for u in itertools.starmap(rng.random, itertools.repeat((), n))]
-        yield zip(*[iter(draws)] * arity)
-
-
 def _axis_points(domain: PointDomain, per_axis: int) -> list:
     if domain.is_discrete:
         members = domain.members()
@@ -113,8 +97,13 @@ def _grid_block(domain: PointDomain, arity: int) -> Iterator[tuple]:
     return itertools.product(axis, repeat=arity)
 
 
-def _stream(domain: PointDomain, arity: int, cfg: SampleConfig) -> Iterator[tuple]:
-    """The tuples of sample_tuples, validated now and drawn as they are read."""
+def _chunks(domain: PointDomain, arity: int, cfg: SampleConfig,
+            part: int | None = None) -> Iterator[list[tuple]]:
+    """The tuples of sample_tuples, validated now and drawn as they are read,
+    CHUNK at a time.  Part 0 or 1 yields only the even or the odd chunks and
+    skips the draws of the others, leaving the generator as drawing them
+    would: a discrete domain draws and drops them, and an interval takes the
+    64 bits of each of their random() calls in one getrandbits call."""
     if arity < 1:
         raise ConfigurationError("tuple arity must be >= 1")
     pinned = tuple(t for t in cfg.pinned if len(t) == arity)
@@ -125,11 +114,33 @@ def _stream(domain: PointDomain, arity: int, cfg: SampleConfig) -> Iterator[tupl
     if cfg.strategy == "stratified_grid":
         # members() rejects a real interval.  A tuple of lexicographic rank
         # below count uses only the first count members, hence the cut.
-        parts = (pinned, itertools.product(domain.members()[:cfg.count], repeat=arity))
+        grid = itertools.product(domain.members()[:cfg.count], repeat=arity)
+        draw = skip = lambda k: ()  # the stream ends with the grid
     else:
         grid = _grid_block(domain, arity) if cfg.strategy == "grid_plus_random" else ()
-        parts = itertools.chain((pinned, grid), _random_batches(domain, arity, cfg.seed))
-    return itertools.islice(itertools.chain.from_iterable(parts), cfg.count)
+        rng = _rng_for(cfg.seed, arity)
+        if domain.is_discrete:  # on range(max + 1), what randint(0, max) draws
+            points = _discrete_draws(domain.members(), rng)
+            draw = skip = lambda k: list(itertools.islice(points, k))
+        else:  # lo + (hi - lo) * random() is what uniform(lo, hi) computes
+            lo, width = domain.lo, domain.hi - domain.lo
+            draw = lambda k: [lo + width * u
+                              for u in itertools.starmap(rng.random, itertools.repeat((), k))]
+            skip = lambda k: rng.getrandbits(64 * k)
+    head = itertools.chain(pinned, grid)
+
+    def read():
+        for start in range(0, cfg.count, CHUNK):
+            size = min(CHUNK, cfg.count - start)
+            chunk = list(itertools.islice(head, size))
+            if part is None or start // CHUNK % 2 == part:
+                chunk += zip(*[iter(draw((size - len(chunk)) * arity))] * arity)
+                if not chunk:  # a finite stream ended
+                    return
+                yield chunk
+            else:
+                skip((size - len(chunk)) * arity)
+    return read()
 
 
 def sample_tuples(domain: PointDomain, arity: int, cfg: SampleConfig) -> list[tuple]:
@@ -140,4 +151,4 @@ def sample_tuples(domain: PointDomain, arity: int, cfg: SampleConfig) -> list[tu
     checks that sample several tuple shapes.  A finite stream (exhaustive
     discrete grid) may yield fewer than ``count`` tuples.
     """
-    return list(_stream(domain, arity, cfg))
+    return list(itertools.chain.from_iterable(_chunks(domain, arity, cfg)))

@@ -205,6 +205,12 @@ class TestAlphaDominatesOrbit:
         with pytest.raises(DomainError):
             check_alpha_dominates_orbit(app_space, bad, 0.5, n_max=3)
 
+    @pytest.mark.parametrize("n_max", [2.5, math.nan])
+    def test_a_count_that_is_not_an_integer_is_a_configuration_error(self, app_space, n_max):
+        F = make_self_map("scale", app_space.domain, factor=0.5)
+        with pytest.raises(ConfigurationError, match="n_max must be an integer >= 1"):
+            check_alpha_dominates_orbit(app_space, F, 1.0, n_max=n_max)
+
     def test_start_outside_the_space_is_a_domain_error(self, app_space):
         # The map's own domain holds 2.0; the space's does not.
         wide = SelfMap(id="wide_halving", fn=lambda x: 0.5 * x,
@@ -250,6 +256,10 @@ class TestSeriesTail:
     def test_a_start_distance_that_is_not_finite_and_nonnegative_is_a_domain_error(self, c0):
         with pytest.raises(DomainError, match="initial distance must be nonnegative"):
             series_tail(IDENTITY, 0.5, c0, 0, 5)
+
+    def test_an_index_that_is_not_an_integer_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="n and m must be integers, got 0.5 and 7"):
+            series_tail(IDENTITY, 0.5, 1.0, 0.5, 7)
 
     @given(r=st.floats(min_value=0.01, max_value=0.45),
            c0=st.floats(min_value=0.0, max_value=10.0),
@@ -762,9 +772,9 @@ def test_shared_banach_and_estimate_equal_the_single_checks(count):
 
 def _counting_draws(monkeypatch):
     calls = []
-    draw = axiom_audit._stream
-    monkeypatch.setattr(axiom_audit, "_stream",
-                        lambda *args: calls.append(args) or draw(*args))
+    draw = axiom_audit._chunks
+    monkeypatch.setattr(axiom_audit, "_chunks",
+                        lambda *args: calls.append(args[:3]) or draw(*args))
     return calls
 
 

@@ -57,6 +57,10 @@ class TestPicard:
         assert len(orbit.step_distances) == len(orbit.iterates) - 1
         assert all(d >= 0 for d in orbit.step_distances)
 
+    def test_a_count_that_is_not_an_integer_is_a_configuration_error(self, poly3):
+        with pytest.raises(ConfigurationError, match="max_iter must be an integer >= 1, got 2.5"):
+            picard(poly3.space, poly3.map, 0.5, max_iter=2.5)
+
     def test_residual_is_recomputable(self, poly3):
         result = picard(poly3.space, poly3.map, 0.5)
         fp = result.fixed_point
@@ -351,6 +355,10 @@ class TestUniquenessProbe:
     def test_starts_required(self, poly3):
         with pytest.raises(ConfigurationError):
             uniqueness_probe(poly3.space, poly3.map, ())
+
+    def test_a_count_that_is_not_an_integer_is_a_configuration_error(self, poly3):
+        with pytest.raises(ConfigurationError, match="max_iter must be an integer >= 1, got nan"):
+            uniqueness_probe(poly3.space, poly3.map, (0.5,), max_iter=math.nan)
 
 
 class TestGeometricDecay:

@@ -16,6 +16,7 @@ witnesses and errors.
 import ast
 import itertools
 import math
+import os
 import sys
 from functools import partial
 
@@ -102,8 +103,8 @@ def _halving(domain):
     return SelfMap("halving", lambda x: members[members.index(x) // 2], domain)
 
 
-def _checks(space, r, cfg):
-    F = _halving(space.domain)
+def _checks(space, r, cfg, F=None):
+    F = F or _halving(space.domain)
     return [lambda: axiom_audit._identity(space),
             lambda: axiom_audit._triangles(space, {"composed_triangle": space.alpha,
                                                    "classic_triangle": None}),
@@ -298,9 +299,18 @@ def _no_fused_form(template, functions, names, fused):
     return compile_template(template, functions, names, fused)
 
 
+def _results(cfg, checks):
+    """The results of one shared run of the checks, or the error's type and text."""
+    try:
+        return [repr(v.to_json_dict() if isinstance(v, axiom_audit.Verdict) else v)
+                for v in axiom_audit._audit(cfg, checks)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def _run(monkeypatch, space, cfg, r, run, checks=None):
-    """The slacks the collector was handed, as float.hex, and the results
-    (or the error) of one shared run of the checks: run is "fused", as they
+    """The slacks the collector was handed, as float.hex, and the _results of
+    one shared run of the checks in this process: run is "fused", as they
     are; "checked", with every fused form off; or "reference".  checks, when
     given, is a pair that replaces (_checks, _references)."""
     handed = []
@@ -312,14 +322,11 @@ def _run(monkeypatch, space, cfg, r, run, checks=None):
 
     with monkeypatch.context() as m:
         m.setattr(axiom_audit._Collector, "add", recording)
+        m.setattr(axiom_audit, "_FORK_CHUNKS", math.inf)  # a helper's adds are not seen here
         if run == "checked":
             m.setattr(axiom_audit, "compile_template", _no_fused_form)
         checks = (checks or (_checks, _references))[run == "reference"](space, r, cfg)
-        try:
-            outcome = [repr(v.to_json_dict() if isinstance(v, axiom_audit.Verdict) else v)
-                       for v in axiom_audit._audit(cfg, checks)]
-        except Exception as exc:
-            outcome = (type(exc), str(exc))
+        outcome = _results(cfg, checks)
     return handed, outcome
 
 
@@ -345,6 +352,43 @@ def test_fused_kernels_match_the_checked_path(monkeypatch, metric, data, expr, s
         assume(False)
     space = replace(make_builtin_space(metric), domain=domain, alpha=alpha)
     _assert_same(monkeypatch, space, SampleConfig(seed=seed, count=count, strategy=strategy), r)
+
+
+@pytest.mark.skipif(not all(hasattr(os, f) for f in ("fork", "sched_getaffinity")),
+                    reason="needs fork and sched_getaffinity")
+@settings(deadline=None, derandomize=True, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(metric=st.sampled_from(sorted(DOMAINS)), data=st.data(), expr=EXPRESSIONS,
+       seed=st.integers(0, 2 ** 32), count=st.integers(1, 5000),
+       strategy=st.sampled_from(["grid_plus_random", "uniform_random"]),
+       r=st.sampled_from([0.5, 0.9]), kind=st.sampled_from(["identity", "const", "scale", "poly"]),
+       factor=st.sampled_from([0.5, -0.5, 2.0]))
+def test_two_processes_give_the_serial_results(monkeypatch, metric, data, expr, seed, count,
+                                               strategy, r, kind, factor):
+    """_checks with a built-in map, which a helper may run where the metric
+    is fused and the map is inlined, with _FORK_CHUNKS at 0 and at infinity:
+    the same verdicts, witnesses and errors.  With _halving, a user's map,
+    no helper is forked."""
+    domain = data.draw(st.sampled_from(DOMAINS[metric]))
+    try:
+        alpha = make_alpha(expr)
+    except ConfigurationError:  # constant on the probe grid
+        assume(False)
+    space = replace(make_builtin_space(metric), domain=domain, alpha=alpha)
+    F = _builtin_map(kind, domain, factor)
+    cfg = SampleConfig(seed=seed, count=count, strategy=strategy)
+    forks, fork = [], os.fork
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        m.setattr(os, "fork", lambda: forks.append(1) or fork())
+        m.setattr(axiom_audit, "_FORK_CHUNKS", 0)
+        forked = _results(cfg, _checks(space, r, cfg, F))
+        helpers = len(forks)
+        assert helpers == (spaces._fused_metric(space) is not None and F.domain == domain)
+        _results(cfg, _checks(space, r, cfg))
+        assert len(forks) == helpers
+        m.setattr(axiom_audit, "_FORK_CHUNKS", math.inf)
+        assert forked == _results(cfg, _checks(space, r, cfg, F))
 
 
 def _interval(lo, hi):

@@ -7,12 +7,13 @@ golden files are never rewritten by the test suite.
 """
 
 import json
+import os
 from itertools import pairwise
 from pathlib import Path
 
 import pytest
 
-from csmetric import cli, eval_metric, picard
+from csmetric import axiom_audit, cli, eval_metric, picard
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -67,6 +68,20 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, tmp_path, monkeypatch):
     monkeypatch.delenv("CSMETRIC_SEED", raising=False)
+    out = tmp_path / name
+    cli.main([*CASES[name], "--out", str(out)])
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.skipif(not all(hasattr(os, f) for f in ("fork", "sched_getaffinity")),
+                    reason="needs fork and sched_getaffinity")
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden_with_every_audit_on_two_cpus(name, tmp_path, monkeypatch):
+    # With _FORK_CHUNKS at 0, every audit whose kernels run package code
+    # alone is evaluated by a forked helper and this process.
+    monkeypatch.delenv("CSMETRIC_SEED", raising=False)
+    monkeypatch.setattr(axiom_audit, "_FORK_CHUNKS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     out = tmp_path / name
     cli.main([*CASES[name], "--out", str(out)])
     assert out.read_bytes() == (GOLDEN / name).read_bytes()

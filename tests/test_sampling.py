@@ -3,6 +3,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csmetric import (ConfigurationError, DomainError, PointDomain,
                       SampleConfig, sample_tuples, sampling)
@@ -107,6 +109,16 @@ def test_pinned_tuples_lead_the_stream():
     assert tuple(tuples[:2]) == pins
 
 
+@pytest.mark.parametrize("strategy", ["uniform_random", "stratified_grid", "grid_plus_random"])
+def test_pinned_tuples_lead_every_strategy_s_stream(strategy):
+    pins = ((3, 1), (0, 0), (3, 1))
+    cfg = SampleConfig(seed=5, count=1000, strategy=strategy, pinned=pins)
+    tuples = sample_tuples(WIDE_NATS, 2, cfg)
+    assert tuple(tuples[:3]) == pins and len(tuples) == 1000
+    assert tuples[3:] == sample_tuples(WIDE_NATS, 2, SampleConfig(seed=5, count=997,
+                                                                  strategy=strategy))
+
+
 def test_pinned_other_arities_are_skipped():
     cfg = SampleConfig(seed=5, count=10, pinned=((0.1, 0.2, 0.3),))
     pairs = sample_tuples(INTERVAL, 2, cfg)
@@ -130,7 +142,7 @@ def test_a_bad_stream_raises_when_requested(arity, cfg, error):
     # Not when first read: the audit requests each stream before its kernels
     # run, so a configuration error comes first, as with a drawn list.
     with pytest.raises(error):
-        sampling._stream(INTERVAL, arity, cfg)
+        sampling._chunks(INTERVAL, arity, cfg)
 
 
 def test_config_validation():
@@ -182,10 +194,10 @@ def test_batch_draw_matches_draw_by_draw_reference(domain, arity, strategy):
     corner = tuple(domain.members()[-1] if domain.is_discrete else domain.hi
                    for _ in range(arity))
     # Counts 0 and 1, one above every grid block (at most 4096 tuples), and
-    # both sides of one and two draw batches after the pins and grid block;
-    # the last pinned pool is longer than the smallest counts.
+    # both sides of one and two chunks after the pins and grid block; the
+    # last pinned pool is longer than the smallest counts.
     grid = len(list(sampling._grid_block(domain, arity))) if strategy == "grid_plus_random" else 0
-    batch = sampling._DRAW_BATCH
+    batch = sampling.CHUNK
     for pinned in ((), (corner,), (corner,) * 3):
         head = grid + len(pinned)
         for count in (0, 1, 4100, head + batch - 1, head + batch, head + batch + 1,
@@ -226,40 +238,81 @@ def test_discrete_draws_are_randrange_draws(n):
         assert ours.getstate() == reference.getstate()
 
 
+def test_an_interval_skip_leaves_the_generator_as_its_random_calls_would():
+    # getrandbits(64 * n) takes 2n words, as n random() calls do.
+    for seed in (0, 1, 2 ** 63 + 5):
+        for n in (0, 1, 2, 1023, 4096):
+            ours, reference = random.Random(seed), random.Random(seed)
+            ours.getrandbits(64 * n)
+            for _ in range(n):
+                reference.random()
+            assert ours.getstate() == reference.getstate()
+
+
 @pytest.mark.parametrize("domain", [INTERVAL, NATS, FINITE], ids=["interval", "naturals", "finite"])
-def test_random_batches_double_from_one_tuple(domain):
-    # A one-tuple sample draws one tuple, not a whole batch.
-    batches = sampling._random_batches(domain, 3, 11)
-    sizes = [len(list(next(batches))) for _ in range(11)]
-    assert sizes == [1, 2, 4, 8, 16, 32, 64, 128, 256, 256, 256]
-    assert sampling._DRAW_BATCH == 256
+def test_chunks_hold_chunk_tuples_up_to_the_count(domain):
+    # A one-tuple sample draws one tuple, not a whole chunk.
+    chunk = sampling.CHUNK
+    for count in (0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5):
+        cfg = SampleConfig(seed=11, count=count, strategy="uniform_random")
+        sizes = [len(c) for c in sampling._chunks(domain, 3, cfg)]
+        assert sizes == [chunk] * (count // chunk) + [count % chunk] * (count % chunk > 0)
 
 
-def _comprehension_batches(domain, arity, seed):
-    """_random_batches as it drew an interval before: one rng.random() call
+def _comprehension_stream(domain, arity, seed):
+    """The random stream as it was drawn before chunks: one rng.random() call
     per draw, from a comprehension over a range."""
-    rng, size = sampling._rng_for(seed, arity), 1
+    rng = sampling._rng_for(seed, arity)
     points = sampling._discrete_draws(domain.members(), rng) if domain.is_discrete else None
     while True:
-        span, size = range(size * arity), min(2 * size, sampling._DRAW_BATCH)
         if domain.is_discrete:
-            draws = list(itertools.islice(points, len(span)))
+            draws = list(itertools.islice(points, arity))
         else:
             lo, width, rand = domain.lo, domain.hi - domain.lo, rng.random
-            draws = [lo + width * rand() for _ in span]
-        yield zip(*[iter(draws)] * arity)
+            draws = [lo + width * rand() for _ in range(arity)]
+        yield tuple(draws)
 
 
 @pytest.mark.parametrize("domain", [
     PointDomain.real_interval(-0.25, 3.0),
     PointDomain.real_interval(-sys.float_info.max / 4, sys.float_info.max / 4), NATS, FINITE,
 ], ids=["interval", "wide", "naturals", "finite"])
-def test_random_batches_equal_the_comprehension_they_replace(domain):
-    # The first 300 tuples: into the first batch of 256 tuples, at 255.
-    def stream(batches):
-        return [tuple((type(x), float(x).hex()) for x in t)
-                for t in itertools.islice(itertools.chain.from_iterable(batches), 300)]
-    for seed in range(128):
+def test_random_chunks_equal_the_comprehension_they_replace(domain):
+    # The first 1100 tuples: into the second chunk of 1024 tuples.
+    def typed(tuples):
+        return [tuple((type(x), float(x).hex()) for x in t) for t in tuples]
+    for seed in range(32):
         for arity in (1, 2, 3, 4):
-            assert stream(sampling._random_batches(domain, arity, seed)) == \
-                stream(_comprehension_batches(domain, arity, seed))
+            cfg = SampleConfig(seed=seed, count=1100, strategy="uniform_random")
+            assert typed(sample_tuples(domain, arity, cfg)) == \
+                typed(itertools.islice(_comprehension_stream(domain, arity, seed), 1100))
+
+
+# Every domain kind; stratified_grid needs a finite one.  Its product of
+# 5 ** 5 tuples ends in the fourth chunk, an odd one.
+_PART_DOMAINS = [PointDomain.real_interval(-0.25, 3.0), PointDomain.naturals_up_to(6),
+                 PointDomain.finite_real_set([0.5, 1.5, 2.5, 9.0, 11.0])]
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(domain=st.sampled_from(_PART_DOMAINS), arity=st.integers(1, 5),
+       strategy=st.sampled_from(sampling.STRATEGIES), seed=st.integers(0, 2 ** 64 - 1),
+       pins=st.integers(0, 3), data=st.data())
+def test_the_two_parts_interleave_to_the_serial_chunks(domain, arity, strategy, seed, pins,
+                                                       data):
+    # Counts off and on multiples of CHUNK, and at the grid block's edge.
+    if strategy == "stratified_grid" and not domain.is_discrete:
+        domain = _PART_DOMAINS[1]
+    block = len(list(sampling._grid_block(domain, arity))) + pins
+    edges = [n for k in range(1, 6) for n in (k * sampling.CHUNK - 1, k * sampling.CHUNK,
+                                              k * sampling.CHUNK + 1)]
+    count = data.draw(st.one_of(st.integers(0, 6 * sampling.CHUNK), st.sampled_from(edges),
+                                st.sampled_from([block - 1, block, block + 1])))
+    corner = tuple(domain.members()[-1] if domain.is_discrete else domain.hi
+                   for _ in range(arity))
+    cfg = SampleConfig(seed=seed, count=count, strategy=strategy, pinned=(corner,) * pins)
+    serial = list(sampling._chunks(domain, arity, cfg))
+    even, odd = (list(sampling._chunks(domain, arity, cfg, part)) for part in (0, 1))
+    assert even == serial[0::2] and odd == serial[1::2]
+    assert [tuple(map(type, t)) for c in even + odd for t in c] == \
+        [tuple(map(type, t)) for c in serial[0::2] + serial[1::2] for t in c]
