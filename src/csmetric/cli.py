@@ -383,9 +383,9 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
     fork, and the pages it allocates: on a 4.9 MB orbit report about 2.6 MB
     and 14 MB, which this process's own peak RSS does not show.  At 8 runs
     two processes writing to a file took about 0.72 of the serial time, at
-    4 and 6 runs 0.86-1.00 (in process,
-    with the second CPU free; ``BENCH_29.json``): below 8 the fork, the
-    reap and the copy-on-write faults cost about what the second CPU saves.
+    4 and 6 runs 0.86-1.00 (in process, with the second CPU free;
+    ``BENCH_29.json``): below 8 the fork, the reap and the copy-on-write
+    faults cost about what the second CPU saves.
     Every report but a long orbit's is far below it."""
     jobs = [*_jobs(report), "\n"] if args.output == "json" else [_render_text(report), "\n"]
     if args.out_path:
