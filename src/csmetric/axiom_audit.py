@@ -31,6 +31,7 @@ over the sample, not a proof of the quantified claim.
 
 from __future__ import annotations
 
+import marshal
 import math
 import os
 import sys
@@ -233,12 +234,12 @@ def _local(value) -> bool:
 
 
 def _may_fork() -> bool:
-    """The one helper rule: fork exists, two CPUs are usable and no other
-    thread runs, as a fork copies only the thread that calls it.  The
-    report writer and the audit both keep it."""
+    """The one helper rule: fork and memfd_create exist, two CPUs are usable
+    and no other thread runs, as a fork copies only the thread that calls
+    it.  The report writer and the audit both keep it."""
     threading = sys.modules.get("threading")  # no other thread runs unless it is loaded
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2
+    return (hasattr(os, "fork") and hasattr(os, "memfd_create")
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
             and (threading is None or threading.active_count() == 1))
 
 
@@ -261,9 +262,10 @@ def _audit(cfg: SampleConfig, checks: Sequence[Callable[[], tuple]], fork: bool 
     (domain, arity) stream is drawn once, a chunk at a time as the loop
     reads it, so no whole sample is held.  From _FORK_CHUNKS chunks on, an
     audit whose kernels and pins are _local is split where _may_fork
-    allows: a forked helper evaluates the odd chunks and sends back
-    each collector's count and minima, which a finish alone reads, so
-    adding them to this process's is exact (see helper.split).  If
+    allows: through helper.split, which the report writer shares, a forked
+    helper evaluates the odd chunks and writes back each collector's count
+    and minima, marshalled, which a finish alone reads, so adding them to
+    this process's is exact.  If
     anything raises, the checks run again in this process, one by one, so
     the error is a one-by-one run's."""
     forked = False
@@ -280,12 +282,20 @@ def _audit(cfg: SampleConfig, checks: Sequence[Callable[[], tuple]], fork: bool 
         if forked:
             from .helper import split  # only an audit that forks loads it
             collectors = [col for cols, _, _ in built for col in cols]
-            helped = split(lambda part: _evaluate(streams, cfg, part),
-                           lambda: [(col.checked, col.worst_slack, col.witness) for col in collectors])
-            for col, (checked, worst_slack, witness) in zip(collectors, helped or ()):
-                col.checked += checked
-                col.worst_slack = min(col.worst_slack, worst_slack)
-                col.witness = min(filter(None, (col.witness, witness)), default=None)
+
+            def back():
+                _evaluate(streams, cfg, 1)
+                yield marshal.dumps([(col.checked, col.worst_slack, col.witness)
+                                     for col in collectors])
+
+            def read(blocks):
+                helped = marshal.loads(b"".join(blocks))
+                for col, (checked, worst_slack, witness) in zip(collectors, helped):
+                    col.checked += checked
+                    col.worst_slack = min(col.worst_slack, worst_slack)
+                    col.witness = min(filter(None, (col.witness, witness)), default=None)
+            if not split(lambda: _evaluate(streams, cfg, 0), back, read):
+                _evaluate(streams, cfg, 1)
         else:
             _evaluate(streams, cfg)
         return [col.verdict(finish, cfg.seed) if isinstance(finish, str) else finish(col)

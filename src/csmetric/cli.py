@@ -22,7 +22,7 @@ is UTF-8 and newline-terminated, and identical configurations produce
 byte-identical JSON.  A JSON report with a long list (8 runs of 4096 items,
 as a long iterate orbit has) is rendered by two processes where two CPUs are
 usable, with the same bytes; see ``_emit``.  A long audit is evaluated by two
-processes too; see ``axiom_audit._audit``.
+processes too; see ``axiom_audit._audit``.  Both fork through ``helper.split``.
 """
 
 from __future__ import annotations
@@ -330,40 +330,15 @@ def _render(job) -> str:
 def _write(jobs: list, sink) -> None:
     """Write the jobs' pieces to sink in order; see _emit."""
     runs = [i for i, job in enumerate(jobs) if not isinstance(job, str)]
-    if len(runs) < _FORK_RUNS or not hasattr(os, "memfd_create") or not _may_fork():
+    if len(runs) < _FORK_RUNS or not _may_fork():
         sink.writelines(map(_render, jobs))
         return
-    back, fd, pid = runs[len(runs) // 2], -1, -1
-    try:
-        try:
-            fd = os.memfd_create("report")
-            pid = os.fork()
-        except OSError:  # no file or no process to spare: this process renders both halves
-            pass
-        if pid == 0:  # the helper: it never returns, flushes inherited buffers or runs exit handlers
-            try:
-                for piece in map(_render, jobs[back:]):
-                    data = piece.encode("ascii")
-                    if os.write(fd, data) < len(data):
-                        os._exit(1)
-                os._exit(0)
-            finally:
-                os._exit(1)
-        sink.writelines(map(_render, jobs[:back]))
-        status = os.waitpid(pid, 0)[1] if pid > 0 else 1
-        pid = 0  # reaped
-        if status == 0:  # copy the helper's bytes in blocks, through the sink's buffer
-            for offset in range(0, os.fstat(fd).st_size, 1 << 16):
-                sink.write(os.pread(fd, 1 << 16, offset).decode("ascii"))
-        else:  # no helper, or it failed
-            sink.writelines(map(_render, jobs[back:]))
-    finally:
-        if pid > 0:  # still running: this process failed to write
-            from signal import SIGKILL
-            os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
-        if fd >= 0:
-            os.close(fd)
+    from .helper import split  # only a report that forks loads it
+    back = runs[len(runs) // 2]
+    if not split(lambda: sink.writelines(map(_render, jobs[:back])),
+                 lambda: (piece.encode("ascii") for piece in map(_render, jobs[back:])),
+                 lambda blocks: sink.writelines(block.decode("ascii") for block in blocks)):
+        sink.writelines(map(_render, jobs[back:]))
 
 
 def _emit(report: dict, args: argparse.Namespace) -> None:
@@ -371,11 +346,11 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
     time as ``_render`` renders it, so the text is never held whole.
 
     A JSON report of ``_FORK_RUNS`` runs or more is rendered by two
-    processes where memfd_create exists and the one helper rule, which the
-    audit keeps too, allows a fork (``axiom_audit._may_fork``).  A forked
-    helper renders the back half of the runs, and every piece after them,
-    into an anonymous file while this process writes the front half; then
-    this process waits for the helper and copies its bytes in 64 KiB
+    processes where the one helper rule allows a fork
+    (``axiom_audit._may_fork``).  Through ``helper.split``, which the audit
+    shares, a forked helper renders the back half of the runs, and every
+    piece after them, into an anonymous file while this process writes the
+    front half; then this process copies the helper's bytes in 64 KiB
     blocks, or renders that half itself if the file, the fork or the helper
     failed.  Every piece is ASCII, so the bytes are the serial ones.
     Meanwhile the anonymous file holds up to half the report text, and the

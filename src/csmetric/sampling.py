@@ -60,7 +60,14 @@ class SampleConfig(Record):
         if self.strategy not in STRATEGIES:
             raise ConfigurationError(
                 f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        object.__setattr__(self, "pinned", tuple(tuple(t) for t in self.pinned))
+        try:
+            pinned = tuple(self.pinned)
+        except TypeError:  # not iterable
+            pinned = (None,)
+        if not all(isinstance(t, (tuple, list)) for t in pinned):
+            raise ConfigurationError(
+                f"pinned must be an iterable of tuples or lists, got {self.pinned!r}")
+        object.__setattr__(self, "pinned", tuple(map(tuple, pinned)))
 
 
 def _rng_for(seed: int, arity: int) -> random.Random:

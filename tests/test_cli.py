@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -737,6 +738,26 @@ def test_a_command_loads_only_the_modules_it_runs(argv, modules):
     imported = {line.rsplit("|", 1)[1].strip()
                 for line in proc.stderr.decode().splitlines() if line.startswith("import time:")}
     assert {name for name in imported if name.startswith("csmetric")} == modules
+
+
+# What forks a helper, waits for it, kills it or passes it bytes.
+_HELPER_CALLS = {"fork", "waitpid", "kill", "memfd_create", "pread", "pipe"}
+
+
+def test_only_the_helper_module_forks():
+    """One forked helper mechanism: helper.split, which the report writer and
+    the audit share.  No other module calls or imports these os functions."""
+    found = []
+    for path in sorted(Path(SRC, "csmetric").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in _HELPER_CALLS
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                found.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [(path.name, node.lineno, alias.name) for alias in node.names
+                          if alias.name in _HELPER_CALLS]
+    assert {name for name, _, _ in found} == {"helper.py"}, found
+    assert {call for _, _, call in found} == _HELPER_CALLS - {"pipe"}
 
 
 def _loaded_modules(statement):

@@ -145,6 +145,18 @@ def test_a_bad_stream_raises_when_requested(arity, cfg, error):
         sampling._chunks(INTERVAL, arity, cfg)
 
 
+@pytest.mark.parametrize("pinned", [(0.5,), 5, "ab", ((0.5, 0.5), 0.5), [None]],
+                         ids=["floats", "int", "str", "tuple-then-float", "none"])
+def test_pinned_must_be_an_iterable_of_tuples_or_lists(pinned):
+    with pytest.raises(ConfigurationError, match="pinned"):
+        SampleConfig(pinned=pinned)
+
+
+def test_pinned_lists_and_iterables_become_tuples():
+    cfg = SampleConfig(pinned=iter([[0.25, 0.75], (0.5, 0.5)]))
+    assert cfg.pinned == ((0.25, 0.75), (0.5, 0.5))
+
+
 def test_config_validation():
     for seed in (-1, 2 ** 64, 2.5, True, "a"):
         with pytest.raises(ConfigurationError, match="seed"):

@@ -3,12 +3,15 @@ code alone, is evaluated by two processes where two CPUs are usable: a
 forked helper evaluates the odd chunks of each stream and this process the
 even ones.  Every test here forces ``_FORK_CHUNKS`` to 0 where it wants a
 helper, and compares with the serial run, which ``_FORK_CHUNKS`` at
-infinity keeps in this process."""
+infinity keeps in this process.  The last tests hold ``helper.split``,
+which the audit and the report writer share, to its contract."""
 
+import errno
 import json
 import math
 import os
 import threading
+import time
 
 import pytest
 
@@ -16,10 +19,12 @@ from csmetric import (NumericError, PointDomain, SampleConfig, SelfMap, TripleMe
                       check_composed_triangle, check_identity_axiom, check_m2, cli, kannan_mf,
                       make_alpha, make_builtin_space, make_self_map, verify_theorem_4_1)
 from csmetric.fixed_point import _banach
+from csmetric.helper import split
 from csmetric.spaces import replace
 
-pytestmark = pytest.mark.skipif(not all(hasattr(os, f) for f in ("fork", "sched_getaffinity")),
-                                reason="needs fork and sched_getaffinity")
+pytestmark = pytest.mark.skipif(
+    not all(hasattr(os, f) for f in ("fork", "memfd_create", "sched_getaffinity")),
+    reason="needs fork, memfd_create and sched_getaffinity")
 
 
 @pytest.fixture
@@ -92,6 +97,19 @@ def test_a_failed_fork_leaves_every_chunk_to_this_process(forks, monkeypatch):
                                         monkeypatch)
     assert forked == serial
     assert len(forks) == 1
+
+
+def test_a_failed_memfd_leaves_every_chunk_to_this_process(forks, monkeypatch):
+    def no_memfd(name):
+        raise OSError(errno.EMFILE, "Too many open files")
+    monkeypatch.setattr(os, "memfd_create", no_memfd)
+    space = make_builtin_space("abs_sum")
+    cfg = SampleConfig(seed=5, count=5000)
+    forked, serial = _forked_and_serial(lambda: axiom_audit._audit(cfg, _space_checks(space)),
+                                        monkeypatch)
+    assert forked == serial
+    assert not isinstance(forked[0], type)  # verdicts, not an error
+    assert forks == []
 
 
 @pytest.mark.parametrize("how", ["exits", "raises"])
@@ -192,3 +210,58 @@ def test_one_usable_cpu_or_another_thread_keeps_the_audit_here(forks, monkeypatc
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert check_identity_axiom(space, cfg) == expected
     assert len(forks) == 1
+
+
+# helper.split itself, which the audit and the report writer share.
+
+def _split(back, front=lambda: None):
+    """split(front, back, read)'s result and the blocks read, or None where
+    read was not called."""
+    read = []
+    return split(front, back, lambda blocks: read.append(list(blocks))), (read or [None])[0]
+
+
+def test_a_long_back_half_arrives_intact_and_in_order(forks):
+    # More than a pipe buffers, and many 64 KiB blocks, of distinct lines.
+    pieces = [b"%07d\n" % i for i in range(150_000)]
+    assert sum(map(len, pieces)) > 2 ** 20
+    done, blocks = _split(lambda: iter(pieces))
+    assert done is True and len(forks) == 1
+    assert all(len(block) == 1 << 16 for block in blocks[:-1])
+    assert b"".join(blocks) == b"".join(pieces)
+
+
+def test_an_error_in_front_kills_the_helper_and_is_raised(forks):
+    def back():
+        time.sleep(60)  # reaped within the test only if it is killed
+        yield b"never"
+
+    def front():
+        raise KeyError("front")
+    start = time.monotonic()
+    with pytest.raises(KeyError, match="front"):
+        _split(back, front)
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("how", ["raises", "exits"])
+def test_a_failed_helper_is_no_helper(how, forks):
+    fronts = []
+
+    def back():
+        yield b"some bytes"
+        if how == "exits":
+            os._exit(3)
+        raise RuntimeError("the helper fails")
+    assert _split(back, lambda: fronts.append(1)) == (False, None)
+    assert fronts == [1] and len(forks) == 1
+
+
+def test_no_anonymous_file_is_no_helper_and_no_fork(forks, monkeypatch):
+    def no_memfd(name):
+        raise OSError(errno.EMFILE, "Too many open files")
+    monkeypatch.setattr(os, "memfd_create", no_memfd)
+    fronts = []
+    assert _split(lambda: iter([b"x"]), lambda: fronts.append(1)) == (False, None)
+    assert fronts == [1] and forks == []
