@@ -99,10 +99,12 @@ def test_a_failed_fork_leaves_every_chunk_to_this_process(forks, monkeypatch):
     assert len(forks) == 1
 
 
+def _no_memfd(name):
+    raise OSError(errno.EMFILE, "Too many open files")
+
+
 def test_a_failed_memfd_leaves_every_chunk_to_this_process(forks, monkeypatch):
-    def no_memfd(name):
-        raise OSError(errno.EMFILE, "Too many open files")
-    monkeypatch.setattr(os, "memfd_create", no_memfd)
+    monkeypatch.setattr(os, "memfd_create", _no_memfd)
     space = make_builtin_space("abs_sum")
     cfg = SampleConfig(seed=5, count=5000)
     forked, serial = _forked_and_serial(lambda: axiom_audit._audit(cfg, _space_checks(space)),
@@ -238,11 +240,11 @@ def test_an_error_in_front_kills_the_helper_and_is_raised(forks):
 
     def front():
         raise KeyError("front")
-    start = time.monotonic()
+    start, read = time.monotonic(), []
     with pytest.raises(KeyError, match="front"):
-        _split(back, front)
+        split(front, back, read.append)
     assert time.monotonic() - start < 30
-    assert len(forks) == 1
+    assert read == [] and len(forks) == 1
 
 
 @pytest.mark.parametrize("how", ["raises", "exits"])
@@ -259,9 +261,7 @@ def test_a_failed_helper_is_no_helper(how, forks):
 
 
 def test_no_anonymous_file_is_no_helper_and_no_fork(forks, monkeypatch):
-    def no_memfd(name):
-        raise OSError(errno.EMFILE, "Too many open files")
-    monkeypatch.setattr(os, "memfd_create", no_memfd)
+    monkeypatch.setattr(os, "memfd_create", _no_memfd)
     fronts = []
     assert _split(lambda: iter([b"x"]), lambda: fronts.append(1)) == (False, None)
     assert fronts == [1] and forks == []
