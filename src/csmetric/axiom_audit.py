@@ -22,9 +22,8 @@ both.  A chunk runs checked only when its fused form raises or has
 something to report, so every error, key and violation comes from the
 checked form.  Where the metric is fused, both forms evaluate C(x, x, u)
 by its self-distance S(x, u), which equals it bit for bit at finite points.
-Every image y = F(x) is tested as it is taken, by one text, ``_IMAGE``,
-which the Picard loop of ``_orbit`` and the image function I inline, with
-a built-in map's lambda where its domain is the space's.
+Maps are applied in fixed_point: its checks bind its image function as I,
+and check_alpha_dominates_orbit takes its orbit from it.
 These auditors are falsifiers and evidence gatherers: a pass is evidence
 over the sample, not a proof of the quantified claim.
 """
@@ -36,15 +35,14 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from functools import lru_cache, partial
 from itertools import compress, islice
 
 from .errors import ConfigurationError, DomainError, NumericError
-from .expressions import compile_function, compile_template
+from .expressions import compile_template
 from .sampling import CHUNK, SampleConfig, _chunks
-from .spaces import (_FLOAT_MAX, _SELF_CALLED, AlphaFunction, ComposedSpace, PointDomain, Record,
-                     SelfMap, _check_image, _check_metric, _checked_alpha, _checked_metric,
-                     _fused_metric, _map_text, eval_alpha, iterate_alpha, require_in_space)
+from .spaces import (_SELF_CALLED, AlphaFunction, ComposedSpace, PointDomain, Record, SelfMap,
+                     _checked_alpha, _checked_metric, _fused_metric, eval_alpha, iterate_alpha,
+                     require_in_space)
 
 __all__ = [
     "Verdict",
@@ -265,9 +263,8 @@ def _audit(cfg: SampleConfig, checks: Sequence[Callable[[], tuple]], fork: bool 
     allows: through helper.split, which the report writer shares, a forked
     helper evaluates the odd chunks and writes back each collector's count
     and minima, marshalled, which a finish alone reads, so adding them to
-    this process's is exact.  If
-    anything raises, the checks run again in this process, one by one, so
-    the error is a one-by-one run's."""
+    this process's is exact.  If anything raises, forked or not, the checks
+    run again here, one by one, so the error is a one-by-one run's."""
     forked = False
     try:
         built = [([_Collector() for _ in finishes], parts, finishes)
@@ -300,11 +297,9 @@ def _audit(cfg: SampleConfig, checks: Sequence[Callable[[], tuple]], fork: bool 
             _evaluate(streams, cfg)
         return [col.verdict(finish, cfg.seed) if isinstance(finish, str) else finish(col)
                 for cols, _, finishes in built for col, finish in zip(cols, finishes)]
-    except Exception:
+    except Exception:  # a forked half may have met a later error first
         if len(checks) == 1 and not forked:
             raise
-    if forked:  # either half may have met a later error first
-        return _audit(cfg, checks, False)
     return [result for check in checks for result in _audit(cfg, [check], False)]
 
 
@@ -372,7 +367,7 @@ def check_alpha_zero(alpha: AlphaFunction) -> Verdict:
 def _subhomogeneity(alpha: AlphaFunction, k_set: Sequence[float]) -> tuple:
     if not k_set:
         raise ConfigurationError("k_set must be non-empty")
-    if not all(0 < k < math.inf for k in k_set):  # NaN included
+    if not all(isinstance(k, (int, float)) and 0 < k < math.inf for k in k_set):  # NaN too
         raise ConfigurationError("all k values must be positive and finite")
     # alpha(s) and alpha(t) once per pair, outside the k loop
     return [(_NONNEG_DOMAIN, 2, _kernel(
@@ -387,88 +382,13 @@ def check_alpha_subhomogeneity(alpha: AlphaFunction, cfg: SampleConfig,
     return _audit(cfg, [lambda: _subhomogeneity(alpha, k_set)])[0]
 
 
-# The image rule: y = F(x) passes this test where it is a float in [lo, hi]
-# or, when F.domain is the space's, a member of it; check_image returns any
-# other y or names it.  _image_rule binds its names.
-_IMAGE = "type(y := F(x)) is float and lo <= y <= hi or same and contains(y)"
-_IMAGES = f"""
-def images(F, lo, hi, same, contains, check_image):
-    return lambda chunk: [y if {_IMAGE} else check_image(x, y) for t in chunk for x in t]
-"""
-
-# The Picard loop: x_{k+1} = F(x_k) and d_k = S(x_k, x_{k+1}), each step tested
-# as it is taken.
-_ORBIT = f"""
-def orbit(F, lo, hi, same, contains, check_image, C, check_metric, x, n, tol):
-    iterates, distances = [x], []
-    for _ in range(n):
-        if not ({_IMAGE}):
-            check_image(x, y)
-        d = S(x, y)
-        if not (type(d) is float and 0.0 <= d <= {_FLOAT_MAX!r}):
-            d = float(check_metric(d, x, x, y))
-        iterates.append(y)
-        distances.append(d)
-        if d <= tol:
-            break
-        x = y
-    return iterates, distances
-"""
-
-
-def _image_rule(space: ComposedSpace, F: SelfMap) -> tuple:
-    """(text, names): the lambda of F that _IMAGE inlines (see
-    spaces._map_text) where F.domain is space.domain, else None, and the
-    values of its names.  On another domain F.apply, which tests the source
-    point first, is called, and every image goes to _check_image."""
-    dom = F.domain
-    same = dom == space.domain
-    lo, hi = (dom.lo, dom.hi) if same and dom.kind == "real_interval" else (1, 0)  # (1, 0): none
-    return (_map_text(F) if same else None,
-            (F.fn if same else F.apply, lo, hi, same, dom.contains, partial(_check_image, space, F)))
-
-
-@lru_cache(maxsize=64)
-def _images_loop(F: str | None) -> Callable:
-    """_IMAGES with the lambda F inlined, compiled once per text; None calls F."""
-    return compile_function(_IMAGES, {} if F is None else {"F": F}, {})
-
-
-def _image_function(space: ComposedSpace, F: SelfMap) -> Callable:
-    """I: a chunk of tuples of points to the list of their images under F,
-    in sample order, each tested by _IMAGE."""
-    text, names = _image_rule(space, F)
-    images = _images_loop(text)(*names)
-    images.local = text is not None  # the map is inlined: package code alone
-    return images
-
-
-@lru_cache(maxsize=64)
-def _orbit_loop(F: str | None, S: str) -> Callable:
-    """_ORBIT with the lambdas F and S inlined, compiled once per pair.  With
-    F None the map is called, and S is _SELF_CALLED, which calls C."""
-    return compile_function(_ORBIT, {"S": S} if F is None else {"F": F, "S": S}, {})
-
-
-def _orbit(space: ComposedSpace, F: SelfMap, x0, tol: float, n: int) -> tuple[list, list]:
-    """The orbit x_{k+1} = F(x_k) of x_0 = x0 in space.domain and its step
-    distances d_k = C(x_k, x_k, x_{k+1}) as floats, to the first d_k <= tol or
-    n steps, in one compiled loop.  Each image is tested by _IMAGE; S is
-    inlined where the metric is fused, and any other metric called.  A
-    finite float distance >= 0 passes a quick test, any other goes to
-    _check_metric, so an error names the first bad step."""
-    metric = _fused_metric(space)
-    text, names = _image_rule(space, F)
-    loop = _orbit_loop(text, metric[1] if metric else _SELF_CALLED)
-    return loop(*names, space.metric.fn, partial(_check_metric, space), x0, n, tol)
-
-
 def check_alpha_dominates_orbit(space: ComposedSpace, F: SelfMap, x0,
                                 n_max: int) -> Verdict:
     """alpha(d_n) <= d_n along the orbit, d_n the successive step distance."""
     if type(n_max) is not int or n_max < 1:
         raise ConfigurationError(f"n_max must be an integer >= 1, got {n_max!r}")
     require_in_space(space, x0)
+    from .fixed_point import _orbit  # the map layer; loaded by the checks that apply a map
     _, distances = _orbit(space, F, x0, -math.inf, n_max + 1)
     rows = [((float(n), d), d - eval_alpha(space.alpha, d), slack_tolerance(d))
             for n, d in enumerate(distances)]

@@ -5,9 +5,11 @@ C(x_n, x_n, x_{n+1}) falls to the requested tolerance; the residual
 C(x, x, F(x)) at the reported point is recomputed independently, and a run
 only counts as converged when that residual is also within tolerance.  F
 and the metric run once per reported step, and once each for the residual.
-The steps run in one compiled loop; the sampled checks take their images
-through one compiled image function.  Both test each image by one rule and
-inline a built-in map where its domain is the space's.
+This module is the map layer.  The steps run in one compiled loop, ``_orbit``,
+and the sampled checks take their images through one compiled image
+function I, ``_image_function``.  Both test each image y = F(x) as it is
+taken, by one text, ``_IMAGE``, with a built-in map's lambda inlined where
+its domain is the space's, and both are compiled by one cache, ``_loop``.
 
 The five-argument contraction family is represented by ``MfFunction`` with
 Banach, Kannan, and Bianchini-max built-ins, together with samplers for the
@@ -17,13 +19,16 @@ two selection properties that make the family's fixed-point argument work.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from functools import lru_cache, partial
 from itertools import combinations
 
 from .axiom_audit import (_NONNEG_DOMAIN, DEFAULT_MAX_ITER, DEFAULT_TOL, Verdict, _audit,
-                          _Collector, _image_function, _kernel, _orbit)
+                          _Collector, _kernel)
 from .errors import ConfigurationError, DomainError, NumericError, PreconditionError
+from .expressions import compile_function
 from .sampling import SampleConfig
-from .spaces import ComposedSpace, Record, SelfMap, eval_metric
+from .spaces import (_FLOAT_MAX, _SELF_CALLED, ComposedSpace, Record, SelfMap, _check_image,
+                     _check_metric, _fused_metric, _map_text, eval_metric)
 
 __all__ = [
     "Orbit",
@@ -102,6 +107,76 @@ class ContractionEstimate(Record):
     sup_ratio: float
     argmax_tuple: tuple
     samples: int
+
+
+# The image rule: y = F(x) passes this test where it is a float in [lo, hi]
+# or, when F.domain is the space's, a member of it; check_image returns any
+# other y or names it.  _image_rule binds its names.
+_IMAGE = "type(y := F(x)) is float and lo <= y <= hi or same and contains(y)"
+_IMAGES = f"""
+def images(F, lo, hi, same, contains, check_image):
+    return lambda chunk: [y if {_IMAGE} else check_image(x, y) for t in chunk for x in t]
+"""
+
+# The Picard loop: x_{k+1} = F(x_k) and d_k = S(x_k, x_{k+1}), each step tested
+# as it is taken.
+_ORBIT = f"""
+def orbit(F, lo, hi, same, contains, check_image, C, check_metric, x, n, tol):
+    iterates, distances = [x], []
+    for _ in range(n):
+        if not ({_IMAGE}):
+            check_image(x, y)
+        d = S(x, y)
+        if not (type(d) is float and 0.0 <= d <= {_FLOAT_MAX!r}):
+            d = float(check_metric(d, x, x, y))
+        iterates.append(y)
+        distances.append(d)
+        if d <= tol:
+            break
+        x = y
+    return iterates, distances
+"""
+
+
+def _image_rule(space: ComposedSpace, F: SelfMap) -> tuple:
+    """(text, names): the lambda of F that _IMAGE inlines (see
+    spaces._map_text) where F.domain is space.domain, else None, and the
+    values of its names.  On another domain F.apply, which tests the source
+    point first, is called, and every image goes to _check_image."""
+    dom = F.domain
+    same = dom == space.domain
+    lo, hi = (dom.lo, dom.hi) if same and dom.kind == "real_interval" else (1, 0)  # (1, 0): none
+    return (_map_text(F) if same else None,
+            (F.fn if same else F.apply, lo, hi, same, dom.contains, partial(_check_image, space, F)))
+
+
+@lru_cache(maxsize=64)
+def _loop(source: str, F: str | None, S: str | None = None) -> Callable:
+    """source, _IMAGES or _ORBIT, with each of the lambdas F and S that is
+    not None inlined, compiled once per text and only when first run."""
+    return compile_function(source, {k: v for k, v in {"F": F, "S": S}.items() if v}, {})
+
+
+def _image_function(space: ComposedSpace, F: SelfMap) -> Callable:
+    """I: a chunk of tuples of points to the list of their images under F,
+    in sample order, each tested by _IMAGE."""
+    text, names = _image_rule(space, F)
+    images = _loop(_IMAGES, text)(*names)
+    images.local = text is not None  # the map is inlined: package code alone
+    return images
+
+
+def _orbit(space: ComposedSpace, F: SelfMap, x0, tol: float, n: int) -> tuple[list, list]:
+    """The orbit x_{k+1} = F(x_k) of x_0 = x0 in space.domain and its step
+    distances d_k = C(x_k, x_k, x_{k+1}) as floats, to the first d_k <= tol or
+    n steps, in one compiled loop.  Each image is tested by _IMAGE; S is
+    inlined where the metric is fused, and any other metric called.  A
+    finite float distance >= 0 passes a quick test, any other goes to
+    _check_metric, so an error names the first bad step."""
+    metric = _fused_metric(space)
+    text, names = _image_rule(space, F)
+    loop = _loop(_ORBIT, text, metric[1] if metric else _SELF_CALLED)
+    return loop(*names, space.metric.fn, partial(_check_metric, space), x0, n, tol)
 
 
 def picard(space: ComposedSpace, F: SelfMap, x0, tol: float = DEFAULT_TOL,

@@ -111,8 +111,8 @@ def _chunks(domain: PointDomain, arity: int, cfg: SampleConfig,
     skips the draws of the others, leaving the generator as drawing them
     would: a discrete domain draws and drops them, and an interval takes the
     64 bits of each of their random() calls in one getrandbits call."""
-    if arity < 1:
-        raise ConfigurationError("tuple arity must be >= 1")
+    if type(arity) is not int or arity < 1:
+        raise ConfigurationError(f"tuple arity must be an integer >= 1, got {arity!r}")
     pinned = tuple(t for t in cfg.pinned if len(t) == arity)
     for tup in pinned:
         for x in tup:

@@ -412,8 +412,8 @@ def _checked_alpha(alpha: AlphaFunction) -> Callable:
 
 def iterate_alpha(alpha: AlphaFunction, j: int, t: float) -> float:
     """Apply the composing function j times; j = 0 returns t unchanged."""
-    if j < 0:
-        raise DomainError(f"iteration count must be >= 0, got {j}")
+    if type(j) is not int or j < 0:
+        raise DomainError(f"iteration count must be an integer >= 0, got {j!r}")
     value = t
     for _ in range(j):
         value = eval_alpha(alpha, value)

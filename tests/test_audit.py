@@ -168,9 +168,10 @@ class TestSubhomogeneity:
         with pytest.raises(ConfigurationError):
             check_alpha_subhomogeneity(TWO_SQRT, cfg_small, k_set=[2.0, -1.0])
 
-    @pytest.mark.parametrize("k", [math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize("k", [math.nan, math.inf, 0.0, "2", None, 2j, [2.0]])
     def test_a_k_that_is_not_positive_and_finite_is_a_configuration_error(self, cfg_small, k):
-        # Unchecked, NaN and inf reach alpha and the collector: a NumericError.
+        # Unchecked, NaN and inf reach alpha and the collector: a NumericError;
+        # a k that is not a real reaches < and raises a bare TypeError.
         with pytest.raises(ConfigurationError, match="all k values must be positive"):
             check_alpha_subhomogeneity(TWO_SQRT, cfg_small, k_set=[2.0, k])
 

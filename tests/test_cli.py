@@ -760,6 +760,29 @@ def test_only_the_helper_module_forks():
     assert {call for _, _, call in found} == _HELPER_CALLS - {"pipe"}
 
 
+# The map layer: the image rule, the image function and the Picard loop.
+_MAP_LAYER = {"_IMAGE", "_IMAGES", "_ORBIT", "_image_function", "_orbit"}
+
+
+def test_only_fixed_point_applies_maps():
+    """The map layer lives in fixed_point alone: no other module defines its
+    names, and no other calls expressions.compile_function, which compiles
+    its loops."""
+    defined, compiles = [], []
+    for path in sorted(Path(SRC, "csmetric").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.append((path.name, node.id))
+            elif isinstance(node, ast.Call) and "compile_function" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                compiles.append(path.name)
+    layer = sorted((path, name) for path, name in defined if name in _MAP_LAYER)
+    assert layer == sorted(("fixed_point.py", name) for name in _MAP_LAYER)
+    assert set(compiles) == {"fixed_point.py"}
+
+
 def _loaded_modules(statement):
     code = f"import sys; {statement}; print(*sorted(m for m in sys.modules if 'csmetric' in m))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env(),

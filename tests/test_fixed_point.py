@@ -13,7 +13,7 @@ from csmetric import (DEFAULT_MAX_ITER, DEFAULT_TOL, ComposedSpace,
                       make_alpha, make_builtin_space, make_self_map, picard,
                       poly_map, poly_solver, sample_tuples, solve_poly,
                       uniqueness_probe, verify_fixed_point)
-from csmetric import axiom_audit, spaces
+from csmetric import fixed_point, spaces
 from csmetric.spaces import replace
 
 # Pinned by the bisection oracle ahead of the build.
@@ -616,8 +616,9 @@ def _orbit_outcome(orbit, space, F, x0, tol, n):
 
 def _loops_taken(monkeypatch):
     """The map lambda of each loop _orbit runs, None for the called loop."""
-    taken, loop = [], axiom_audit._orbit_loop
-    monkeypatch.setattr(axiom_audit, "_orbit_loop", lambda F, S: taken.append(F) or loop(F, S))
+    taken, loop = [], fixed_point._loop
+    monkeypatch.setattr(fixed_point, "_loop", lambda source, F, S=None: (
+        source is fixed_point._ORBIT and taken.append(F)) or loop(source, F, S))
     return taken
 
 
@@ -629,7 +630,7 @@ def test_an_orbit_that_never_stops_is_inlined_too(monkeypatch, space, F, x0):
     # domain is [0, 1], is called elsewhere.
     taken = _loops_taken(monkeypatch)
     expected = _orbit_outcome(_stepwise_orbit, space, F, x0, -math.inf, 60)
-    assert _orbit_outcome(axiom_audit._orbit, space, F, x0, -math.inf, 60) == expected
+    assert _orbit_outcome(fixed_point._orbit, space, F, x0, -math.inf, 60) == expected
     inlined = F.domain == space.domain
     assert taken == [spaces._map_text(F) if inlined else None] and inlined != (F.id == "poly_m3")
 
@@ -646,11 +647,10 @@ def test_a_user_map_and_a_replaced_fn_run_the_called_loop(monkeypatch):
 def test_verify_thm41_compiles_its_inlined_loop_once(monkeypatch):
     # Banach's image function, then one loop for six Picard runs: the solve
     # and the five starts of the uniqueness probe.
-    compiled, compile_function = [], axiom_audit.compile_function
-    monkeypatch.setattr(axiom_audit, "compile_function", lambda source, functions, names: (
+    compiled, compile_function = [], fixed_point.compile_function
+    monkeypatch.setattr(fixed_point, "compile_function", lambda source, functions, names: (
         compiled.append(sorted(functions)) or compile_function(source, functions, names)))
-    axiom_audit._orbit_loop.cache_clear()
-    axiom_audit._images_loop.cache_clear()
+    fixed_point._loop.cache_clear()
     assert poly_solver.verify_theorem_4_1(3, samples=50)["all_passed"]
     assert compiled == [["F"], ["F", "S"]]
 

@@ -614,8 +614,9 @@ def test_banach_inlines_every_builtin_map_on_its_own_domain(monkeypatch, metric,
     """On any domain kind, under a fused metric or a library one; a user's
     map and a replaced fn are called.  The poly map is moved to domain, whose
     points it mostly maps out of it."""
-    taken, images_loop = [], axiom_audit._images_loop
-    monkeypatch.setattr(axiom_audit, "_images_loop", lambda F: taken.append(F) or images_loop(F))
+    taken, loop = [], fixed_point._loop
+    monkeypatch.setattr(fixed_point, "_loop", lambda source, F, S=None: (
+        source is fixed_point._IMAGES and taken.append(F)) or loop(source, F, S))
     space = replace(make_builtin_space(metric), domain=domain)
     space = _library_metric(space) if library else space
     F = replace(_builtin_map(kind, domain, 0.5), domain=domain)
@@ -629,12 +630,12 @@ def test_banach_inlines_every_builtin_map_on_its_own_domain(monkeypatch, metric,
 def test_a_slip_in_the_image_rule_shows_in_picard_and_in_banach(monkeypatch):
     """The loop and the image function inline one text, so a slip in it, an
     image in the map's domain taken outside a narrower space, shows in both."""
-    mutant = axiom_audit._IMAGE.replace("same and contains(y)", "contains(y)")
+    mutant = fixed_point._IMAGE.replace("same and contains(y)", "contains(y)")
     for name in ("_ORBIT", "_IMAGES"):
-        monkeypatch.setattr(axiom_audit, name, getattr(axiom_audit, name).replace(
-            axiom_audit._IMAGE, mutant))
-    for name in ("_orbit_loop", "_images_loop"):  # uncached, so the mutant is compiled
-        monkeypatch.setattr(axiom_audit, name, getattr(axiom_audit, name).__wrapped__)
+        monkeypatch.setattr(fixed_point, name, getattr(fixed_point, name).replace(
+            fixed_point._IMAGE, mutant))
+    # uncached, so the mutant is compiled and never cached
+    monkeypatch.setattr(fixed_point, "_loop", fixed_point._loop.__wrapped__)
     space, cfg = make_builtin_space("app_metric"), SampleConfig(seed=4, count=2500)
     F = spaces.make_self_map("scale", _interval(0.0, 4.0), factor=2.0)
     _, reference = _run(monkeypatch, space, cfg, 0.5, "reference", _banach_only(F))

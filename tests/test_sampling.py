@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 
@@ -68,6 +69,13 @@ def test_stratified_grid_rejects_a_real_interval():
     cfg = SampleConfig(count=10, strategy="stratified_grid")
     with pytest.raises(ConfigurationError, match="no finite member list"):
         sample_tuples(INTERVAL, 2, cfg)
+
+
+@pytest.mark.parametrize("arity", [2.5, math.nan, 2.0, True, "2"])
+def test_an_arity_that_is_not_an_int_is_a_configuration_error(arity):
+    # Unchecked, each but a bool reaches range() or < and raises a bare TypeError.
+    with pytest.raises(ConfigurationError, match="tuple arity must be an integer >= 1"):
+        sample_tuples(INTERVAL, arity, SampleConfig(count=10))
 
 
 def test_grid_block_contains_corners():

@@ -13,7 +13,7 @@ from csmetric import (AlphaFunction, ComposedSpace, ConfigurationError,
                       eval_alpha, eval_metric, iterate_alpha, make_alpha,
                       make_builtin_space, make_self_map, space_from_json,
                       space_to_json)
-from csmetric.axiom_audit import _image_function
+from csmetric.fixed_point import _image_function
 from csmetric.spaces import Record, _checked_metric, replace, require_in_space
 
 ALPHA_IDS = ("identity", "exp", "exp_2t", "two_t_plus_one", "two_sqrt")
@@ -295,6 +295,12 @@ class TestIterateAlpha:
     def test_negative_count_rejected(self):
         with pytest.raises(DomainError):
             iterate_alpha(make_alpha("identity"), -1, 1.0)
+
+    @pytest.mark.parametrize("j", [2.5, math.nan, 2.0, True, "2"])
+    def test_a_count_that_is_not_an_int_is_a_domain_error(self, j):
+        # Unchecked, each but a bool reaches range() and raises a bare TypeError.
+        with pytest.raises(DomainError, match="iteration count must be an integer >= 0"):
+            iterate_alpha(make_alpha("identity"), j, 1.0)
 
     @pytest.mark.parametrize("alpha_id", ALPHA_IDS)
     @given(j=st.integers(min_value=0, max_value=10),
