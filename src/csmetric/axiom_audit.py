@@ -234,7 +234,7 @@ def _local(value) -> bool:
 def _may_fork() -> bool:
     """The one helper rule: fork and memfd_create exist, two CPUs are usable
     and no other thread runs, as a fork copies only the thread that calls
-    it.  The report writer and the audit both keep it."""
+    it.  The writer and the audit keep it; helper.split pins its helper."""
     threading = sys.modules.get("threading")  # no other thread runs unless it is loaded
     return (hasattr(os, "fork") and hasattr(os, "memfd_create")
             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2

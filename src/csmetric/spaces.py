@@ -50,17 +50,27 @@ _FLOAT_MAX = sys.float_info.max
 _NONCONSTANT_PROBE = (0.0, 0.25, 1.0, 2.0, 7.5)
 
 
+def _real(x) -> bool:
+    """x is a finite int or float, not a bool."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _check_real(value, what: str):
+    """Return value if it is _real; raise ConfigurationError otherwise."""
+    if not _real(value):
+        raise ConfigurationError(f"{what}: expected a finite real number, got {value!r}")
+    return value
+
+
 def _check_reals(values, what: str, arity: int | None = None):
     """Return values if it is a list or tuple (of length arity, when given)
-    of finite ints or floats, not bools; raise ConfigurationError otherwise.
-    Every numeric field of a document is validated here."""
-    try:
-        ok = (isinstance(values, (list, tuple)) and arity in (None, len(values)) and
-              all(isinstance(x, (int, float)) and not isinstance(x, bool) and
-                  math.isfinite(x) for x in values))
-    except OverflowError:  # an int too large for a float
-        ok = False
-    if not ok:
+    of _real numbers; raise ConfigurationError otherwise.  Every numeric
+    field of a document is validated here or, a scalar one, by _check_real."""
+    if not (isinstance(values, (list, tuple)) and arity in (None, len(values))
+            and all(map(_real, values))):
         count = "" if arity is None else f"{arity} "
         raise ConfigurationError(
             f"{what}: expected a list of {count}finite real numbers, got {values!r}")
@@ -224,7 +234,7 @@ class PointDomain(Record):
                 return PointDomain.real_interval(
                     *_check_reals([doc["lo"], doc["hi"]], "interval bounds"))
             if kind == "naturals_up_to":
-                return PointDomain.naturals_up_to(*_check_reals([doc["max"]], "naturals max"))
+                return PointDomain.naturals_up_to(_check_real(doc["max"], "naturals max"))
             if kind == "finite_real_set":
                 return PointDomain.finite_real_set(
                     _check_reals(doc["elements"], "finite set elements"))
@@ -576,11 +586,10 @@ def make_self_map(kind: str, domain: PointDomain, **kwargs) -> SelfMap:
         v = float(value)
         return _compiled_map(f"const({v!r})", f"lambda x: {v!r}", domain)
     if kind == "scale":
-        (k,) = _check_reals([kwargs.get("factor")], "scale map factor")
-        k = float(k)
+        k = float(_check_real(kwargs.get("factor"), "scale map factor"))
         return _compiled_map(f"scale({k!r})", f"lambda x: {k!r} * x", domain)
     if kind == "poly":
-        (m,) = _check_reals([kwargs.get("m")], "poly map degree m")
+        m = _check_real(kwargs.get("m"), "poly map degree m")
         from .poly_solver import poly_map  # local import to avoid a cycle
         return poly_map(int(m) if m == int(m) else m).map
 

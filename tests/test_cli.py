@@ -241,6 +241,19 @@ def test_naturals_max_must_be_integral(params, code):
     assert b"Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("space,field", [
+    ('{"metric":"app_metric","map":{"kind":"scale","factor":"x"}}', "scale map factor"),
+    ('{"metric":"app_metric","map":{"kind":"poly","m":"x"}}', "poly map degree m"),
+    ('{"metric":"discrete_nat","domain":{"kind":"naturals_up_to","max":"x"},'
+     '"map":{"kind":"const","value":3}}', "naturals max"),
+], ids=["scale-factor", "poly-m", "naturals-max"])
+def test_a_bad_scalar_field_names_one_number(space, field):
+    proc = run_cli("iterate", "--space", space, "--x0", "1.0")
+    assert proc.returncode == 2
+    assert f"{field}: expected a finite real number, got 'x'".encode() in proc.stderr
+    assert b"Traceback" not in proc.stderr
+
+
 def test_naturals_max_above_2_53_is_a_usage_error():
     # The domain is rejected when it is built, not only when it is enumerated.
     proc = run_cli("iterate", "--builtin", "discrete_nat", "--params", "1e17",
@@ -740,13 +753,14 @@ def test_a_command_loads_only_the_modules_it_runs(argv, modules):
     assert {name for name in imported if name.startswith("csmetric")} == modules
 
 
-# What forks a helper, waits for it, kills it or passes it bytes.
-_HELPER_CALLS = {"fork", "waitpid", "kill", "memfd_create", "pread", "pipe"}
+# What forks a helper, pins it, waits for it, kills it or passes it bytes.
+_HELPER_CALLS = {"fork", "sched_setaffinity", "waitpid", "kill", "memfd_create", "pread", "pipe"}
 
 
 def test_only_the_helper_module_forks():
     """One forked helper mechanism: helper.split, which the report writer and
-    the audit share.  No other module calls or imports these os functions."""
+    the audit share, and which alone pins a process to CPUs.  No other
+    module calls or imports these os functions."""
     found = []
     for path in sorted(Path(SRC, "csmetric").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

@@ -7,6 +7,7 @@ infinity keeps in this process.  The last tests hold ``helper.split``,
 which the audit and the report writer share, to its contract."""
 
 import errno
+import io
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import time
 import pytest
 
 from csmetric import (NumericError, PointDomain, SampleConfig, SelfMap, TripleMetric, axiom_audit,
-                      check_composed_triangle, check_identity_axiom, check_m2, cli, kannan_mf,
+                      check_composed_triangle, check_identity_axiom, check_m2, cli, helper, kannan_mf,
                       make_alpha, make_builtin_space, make_self_map, verify_theorem_4_1)
 from csmetric.fixed_point import _banach
 from csmetric.helper import split
@@ -265,3 +266,71 @@ def test_no_anonymous_file_is_no_helper_and_no_fork(forks, monkeypatch):
     fronts = []
     assert _split(lambda: iter([b"x"]), lambda: fronts.append(1)) == (False, None)
     assert fronts == [1] and forks == []
+
+
+# The CPUs a process may run on.  The forks fixture fakes
+# os.sched_getaffinity, which split's pin reads in the helper, so the
+# tests read the kernel's through this.
+_affinity = os.sched_getaffinity
+
+
+def _helper_cpus(front=lambda: None):
+    """The CPUs split's helper may run on, as its back() reports them."""
+    done, blocks = _split(lambda: iter([json.dumps(sorted(_affinity(0))).encode()]), front)
+    assert done is True
+    return set(json.loads(b"".join(blocks)))
+
+
+def test_the_helper_runs_off_this_process_cpu(forks, monkeypatch):
+    usable = _affinity(0)
+    if len(usable) < 2:
+        pytest.skip("needs two usable CPUs")
+    monkeypatch.setattr(os, "sched_getaffinity", _affinity)
+    stats = []
+
+    def kept(path, mode):  # the stat split reads, kept for the test
+        with open(path, mode) as file:
+            stats.append(file.read())
+        return io.BytesIO(stats[-1])
+    monkeypatch.setattr(helper, "open", kept, raising=False)
+    cpus = _helper_cpus()
+    (stat,) = stats
+    here = int(stat.rpartition(b")")[2].split()[39 - 3])  # field 39; those after comm start at 3
+    assert cpus and cpus <= usable - {here}
+    assert len(forks) == 1
+
+
+def test_this_process_keeps_its_cpus(forks, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", _affinity)
+    before, during = _affinity(0), []
+    assert _helper_cpus(lambda: during.append(_affinity(0)))
+    assert during == [before] and _affinity(0) == before
+    assert len(forks) == 1
+
+
+def _refused(code):
+    def sched_setaffinity(pid, cpus):
+        raise OSError(code, os.strerror(code))
+    return sched_setaffinity
+
+
+def _unreadable(path, mode):
+    raise PermissionError(errno.EACCES, "Permission denied", path)
+
+
+@pytest.mark.parametrize("fault", [
+    ("sched_setaffinity", _refused(errno.EINVAL)),
+    ("sched_setaffinity", _refused(errno.EPERM)),
+    ("sched_getaffinity", lambda pid: {1 << 20, (1 << 20) + 1}),  # the kernel refuses the set
+    ("open", _unreadable),
+    ("open", lambda path, mode: io.BytesIO(b"4242 (python3) R 1")),  # too few fields
+], ids=["EINVAL", "EPERM", "no-such-cpus", "unreadable-stat", "short-stat"])
+def test_a_helper_that_cannot_be_pinned_runs_unpinned(fault, forks, monkeypatch):
+    name, stub = fault
+    monkeypatch.setattr(helper if name == "open" else os, name, stub, raising=False)
+    assert _helper_cpus() == _affinity(0)
+    forked, serial = _forked_and_serial(
+        lambda: json.dumps(verify_theorem_4_1(3, seed=9, samples=5000)), monkeypatch)
+    assert forked == serial
+    assert not isinstance(forked, tuple)  # a report, not an error
+    assert len(forks) == 2
