@@ -431,18 +431,20 @@ def check_series_vanishing(alpha: AlphaFunction, r: float, c0: float,
     schedule; the check passes when every gap's final value is at or below
     tol (the finite-schedule reading of "eventually below").
     """
-    if not gaps or any(g < 5 for g in gaps):
-        raise ConfigurationError("gaps must be non-empty, each >= 5")
-    schedule = list(n_schedule)
-    if not schedule or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ConfigurationError("n_schedule must be non-empty and strictly increasing")
-    if not tol > 0:  # NaN included
-        raise ConfigurationError("tolerance must be positive")
+    gaps, schedule = list(gaps), list(n_schedule)
+    if not gaps or any(type(g) is not int or g < 5 for g in gaps):
+        raise ConfigurationError(f"gaps must be non-empty, each an integer >= 5, got {gaps!r}")
+    if not (schedule and all(type(n) is int for n in schedule)
+            and schedule == sorted(set(schedule))):
+        raise ConfigurationError(
+            f"n_schedule must be non-empty and strictly increasing integers, got {schedule!r}")
+    if not 0 < tol < math.inf:  # NaN included
+        raise ConfigurationError(f"tolerance must be positive and finite, got {tol!r}")
     values: dict[int, list[float]] = {}
     col = _Collector()
     for g in gaps:
         series = [series_tail(alpha, r, c0, n, n + g, variant) for n in schedule]
-        values[int(g)] = series
+        values[g] = series
         final_value = series[-1]
         col.add([(float(g), float(schedule[-1]), final_value)],
                 [tol - final_value], [final_value > tol])

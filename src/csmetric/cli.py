@@ -216,8 +216,8 @@ def _finite_float(text: str) -> float:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """The command line, whole: each command takes only the flags its
-    handler reads."""
+    """The command line, whole: each command takes the flags its handler
+    reads, and --seed, which solve-poly and iterate accept but do not use."""
     parser = argparse.ArgumentParser(
         prog="csmetric",
         description="Composed S-metric spaces: axiom audits and fixed-point solving.")

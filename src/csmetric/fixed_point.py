@@ -145,7 +145,7 @@ def _image_rule(space: ComposedSpace, F: SelfMap) -> tuple:
     point first, is called, and every image goes to _check_image."""
     dom = F.domain
     same = dom == space.domain
-    lo, hi = (dom.lo, dom.hi) if same and dom.kind == "real_interval" else (1, 0)  # (1, 0): none
+    lo, hi = (dom.lo, dom.hi) if same and not dom.is_discrete else (1, 0)  # (1, 0): none
     return (_map_text(F) if same else None,
             (F.fn if same else F.apply, lo, hi, same, dom.contains, partial(_check_image, space, F)))
 
@@ -191,8 +191,8 @@ def picard(space: ComposedSpace, F: SelfMap, x0, tol: float = DEFAULT_TOL,
     metric's self-distance, in one compiled loop; any other map or metric is
     called from it.
     """
-    if not tol > 0:
-        raise ConfigurationError("tolerance must be positive")
+    if not 0 < tol <= _FLOAT_MAX:  # NaN and inf included
+        raise ConfigurationError(f"tolerance must be positive and finite, got {tol!r}")
     if type(max_iter) is not int or max_iter < 1:
         raise ConfigurationError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if not space.domain.contains(x0):
@@ -305,8 +305,8 @@ def check_mf_contraction(space: ComposedSpace, F: SelfMap, Mf: MfFunction,
 def verify_fixed_point(space: ComposedSpace, F: SelfMap, x,
                        tol: float = DEFAULT_TOL) -> Verdict:
     """Is x a fixed point of F up to tol, measured by C(x, x, F(x))?"""
-    if not tol > 0:
-        raise ConfigurationError("tolerance must be positive")
+    if not 0 < tol <= _FLOAT_MAX:  # NaN and inf included
+        raise ConfigurationError(f"tolerance must be positive and finite, got {tol!r}")
     residual = eval_metric(space, x, x, F.apply(x))
     return _Collector().add([(x, residual)], [tol - residual], [residual > tol]).verdict(
         "fixed_point_residual", None)

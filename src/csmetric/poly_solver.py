@@ -103,8 +103,8 @@ def bisection_oracle(m: int, tol: float) -> float:
     which makes it trustworthy enough to judge the fixed-point solver.
     """
     _require_degree(m)
-    if not tol > 0:  # NaN included
-        raise DomainError("oracle tolerance must be positive")
+    if not 0 < tol <= sys.float_info.max:  # NaN and inf included
+        raise DomainError(f"oracle tolerance must be positive and finite, got {tol!r}")
     a, b = 0.0, 1.0
     fa, fb = residual(m, a), residual(m, b)
     if not (fa > 0.0 > fb):

@@ -18,7 +18,7 @@ import ast
 import math
 import sys
 from bisect import bisect_left
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .errors import ConfigurationError, DomainError, NumericError
 from .expressions import compile_tree, expression_tree
@@ -131,55 +131,61 @@ def replace(value: Record, **changes) -> Record:
 
 class PointDomain(Record):
     """A sampleable point set: a real interval, an initial segment of the
-    naturals, or an explicit finite set of reals."""
+    naturals, or an explicit finite set of reals.  Every way to build one
+    checks the kind's fields here and stores them as floats, -0.0 as 0.0
+    (by + 0.0), and the naturals max as an int; another kind's fields take
+    their defaults.  So equal domains serialize to equal bytes."""
 
     kind: str
     lo: float = 0.0
     hi: float = 0.0
     max_value: int = 0
     elements: tuple[float, ...] = ()
+    # Each kind's document fields, with the field each one fills.
+    _DOCUMENT = {"real_interval": {"lo": "lo", "hi": "hi"}, "naturals_up_to": {"max": "max_value"},
+                 "finite_real_set": {"elements": "elements"}}
 
     def __post_init__(self):
         if self.kind == "real_interval":
-            if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-                raise ConfigurationError("interval bounds must be finite")
-            if not self.lo < self.hi:
-                raise ConfigurationError(
-                    f"interval requires lo < hi, got [{self.lo}, {self.hi}]")
+            lo, hi = (float(x) + 0.0 for x in _check_reals([self.lo, self.hi], "interval bounds"))
+            if not lo < hi:
+                raise ConfigurationError(f"interval requires lo < hi, got [{lo}, {hi}]")
             # Sampling draws lo + (hi - lo) * u, which is NaN or infinite
             # when the width overflows.
-            if not math.isfinite(self.hi - self.lo):
+            if not math.isfinite(hi - lo):
                 raise ConfigurationError(
-                    f"interval width hi - lo overflows a float, got [{self.lo}, {self.hi}]")
+                    f"interval width hi - lo overflows a float, got [{lo}, {hi}]")
+            fields = {"lo": lo, "hi": hi}
         elif self.kind == "naturals_up_to":
-            if self.max_value < 4:
+            top = _check_real(self.max_value, "naturals max")
+            if top != int(top):
+                raise ConfigurationError(f"naturals max must be an integer, got {top!r}")
+            if top < 4:
                 raise ConfigurationError(
                     "naturals domain needs max >= 4 to hold a distinct triple plus one more point")
-            if self.max_value > 2 ** 53:
+            if top > 2 ** 53:
                 raise ConfigurationError(
-                    f"naturals max {self.max_value} exceeds 2**53, above which "
+                    f"naturals max {int(top)} exceeds 2**53, above which "
                     "floats no longer hold every integer")
+            fields = {"max_value": int(top)}
         elif self.kind == "finite_real_set":
-            if not self.elements:
+            if not _check_reals(self.elements, "finite set elements"):
                 raise ConfigurationError("finite set domain must be non-empty")
-            if any(not math.isfinite(x) for x in self.elements):
-                raise ConfigurationError("finite set elements must be finite reals")
-            object.__setattr__(self, "elements", tuple(sorted(set(float(x) for x in self.elements))))
+            fields = {"elements": tuple(sorted({float(x) + 0.0 for x in self.elements}))}
         else:
             raise ConfigurationError(f"unknown domain kind {self.kind!r}")
+        self.__dict__.update({f: getattr(PointDomain, f) for f in self._fields[1:]}, **fields)
 
     @staticmethod
     def real_interval(lo: float, hi: float) -> "PointDomain":
-        return PointDomain(kind="real_interval", lo=float(lo), hi=float(hi))
+        return PointDomain(kind="real_interval", lo=lo, hi=hi)
 
     @staticmethod
     def naturals_up_to(max_value: int) -> "PointDomain":
-        if isinstance(max_value, float) and not max_value.is_integer():
-            raise ConfigurationError(f"naturals max must be an integer, got {max_value!r}")
-        return PointDomain(kind="naturals_up_to", max_value=int(max_value))
+        return PointDomain(kind="naturals_up_to", max_value=max_value)
 
     @staticmethod
-    def finite_real_set(elements: Sequence[float]) -> "PointDomain":
+    def finite_real_set(elements: Iterable[float]) -> "PointDomain":
         return PointDomain(kind="finite_real_set", elements=tuple(elements))
 
     @property
@@ -188,6 +194,11 @@ class PointDomain(Record):
         if self.kind == "real_interval":
             return self.lo
         return self.elements[0] if self.elements else 0.0
+
+    @property
+    def greatest(self) -> float:
+        """The highest point of the domain."""
+        return self.hi if self.kind == "real_interval" else self.members()[-1]
 
     @property
     def is_discrete(self) -> bool:
@@ -202,12 +213,7 @@ class PointDomain(Record):
         raise ConfigurationError("a real interval has no finite member list")
 
     def contains(self, x) -> bool:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            return False
-        try:
-            if not math.isfinite(x):
-                return False
-        except OverflowError:  # an int too large for a float lies in no domain
+        if not _real(x):  # a bool, NaN, inf or an int beyond the floats is in none
             return False
         if self.kind == "real_interval":
             return self.lo <= x <= self.hi
@@ -218,29 +224,19 @@ class PointDomain(Record):
         return i < len(self.elements) and self.elements[i] == x
 
     def to_json(self) -> dict:
-        if self.kind == "real_interval":
-            return {"kind": self.kind, "lo": self.lo, "hi": self.hi}
-        if self.kind == "naturals_up_to":
-            return {"kind": self.kind, "max": self.max_value}
-        return {"kind": self.kind, "elements": list(self.elements)}
+        fields = self._DOCUMENT[self.kind].items()
+        return {"kind": self.kind, **{name: getattr(self, f) for name, f in fields}}
 
     @staticmethod
     def from_json(doc: dict) -> "PointDomain":
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ConfigurationError("domain document must be an object with a 'kind' field")
         kind = doc["kind"]
+        fields = PointDomain._DOCUMENT.get(kind, {}) if isinstance(kind, str) else {}
         try:
-            if kind == "real_interval":
-                return PointDomain.real_interval(
-                    *_check_reals([doc["lo"], doc["hi"]], "interval bounds"))
-            if kind == "naturals_up_to":
-                return PointDomain.naturals_up_to(_check_real(doc["max"], "naturals max"))
-            if kind == "finite_real_set":
-                return PointDomain.finite_real_set(
-                    _check_reals(doc["elements"], "finite set elements"))
+            return PointDomain(kind=kind, **{f: doc[name] for name, f in fields.items()})
         except KeyError as exc:
             raise ConfigurationError(f"domain document missing field {exc.args[0]!r}") from None
-        raise ConfigurationError(f"unknown domain kind {kind!r}")
 
 
 class AlphaFunction(Record):
@@ -336,6 +332,10 @@ class ComposedSpace(Record):
     alpha: AlphaFunction
     symmetric_claim: bool = False
 
+    def __post_init__(self):
+        if not isinstance(claim := self.symmetric_claim, bool):
+            raise ConfigurationError(f"symmetric must be true or false, got {claim!r}")
+
 
 class SelfMap(Record):
     """A map from a domain into itself, the object of fixed-point search."""
@@ -403,9 +403,9 @@ def eval_metric(space: ComposedSpace, q: Point, h: Point, w: Point) -> float:
 
 
 def eval_alpha(alpha: AlphaFunction, t: float) -> float:
-    """Evaluate the composing function at t >= 0; a value below 0 or NaN
-    raises NumericError."""
-    if t < 0:
+    """Evaluate the composing function at t >= 0; a t below 0 or NaN raises
+    DomainError, a value below 0 or NaN NumericError."""
+    if not t >= 0:
         raise DomainError(f"composing functions are defined on [0, inf); got {t!r}")
     value = alpha._fn(t)
     if not value >= 0:  # NaN included
@@ -491,11 +491,11 @@ def _fused_metric(space: ComposedSpace) -> tuple[str, str] | None:
     operations are monotone and the margin covers int points, which are
     exact.  discrete_nat is largest off the corners, at most 6 * greatest, and
     can be negative below 0.  Any other metric, a wrapped one too, runs checked."""
-    dom, fn = space.domain, space.metric.fn
+    fn = space.metric.fn
     row = next((row for row in _BUILTINS.values() if row[0] is fn), None)
     if row is None:
         return None
-    ends = (dom.least, dom.hi if dom.kind == "real_interval" else dom.members()[-1])
+    ends = (space.domain.least, space.domain.greatest)
     if fn is _metric_discrete_nat:
         sup = 6 * ends[1] if ends[0] >= 0 else math.inf
     else:
@@ -581,7 +581,7 @@ def make_self_map(kind: str, domain: PointDomain, **kwargs) -> SelfMap:
         return _compiled_map("identity", "lambda x: x", domain)
     if kind == "const":
         value = kwargs.get("value")
-        if value is None or not domain.contains(value):
+        if not domain.contains(value):
             raise ConfigurationError(f"const map needs a 'value' inside the domain, got {value!r}")
         v = float(value)
         return _compiled_map(f"const({v!r})", f"lambda x: {v!r}", domain)
@@ -619,10 +619,7 @@ def space_from_json(doc: dict) -> ComposedSpace:
     domain = (_builtin_domain(name, PointDomain.from_json(doc["domain"])) if "domain" in doc
               else space.domain)
     alpha = alpha_from_json(doc["alpha"]) if "alpha" in doc else space.alpha
-    symmetric = doc.get("symmetric", space.symmetric_claim)
-    if not isinstance(symmetric, bool):
-        raise ConfigurationError(f"symmetric must be true or false, got {symmetric!r}")
-    return ComposedSpace(domain, space.metric, alpha, symmetric)
+    return ComposedSpace(domain, space.metric, alpha, doc.get("symmetric", space.symmetric_claim))
 
 
 def map_from_json(doc: dict, domain: PointDomain) -> SelfMap:

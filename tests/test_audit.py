@@ -295,6 +295,25 @@ class TestSeriesVanishing:
         with pytest.raises(ConfigurationError):
             check_series_vanishing(IDENTITY, 0.5, 1.0, [5], [1, 2], tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_a_tolerance_must_be_positive_and_finite(self, tol):
+        # At tol = inf the exp tail, which runs to about 1e7 here, would pass.
+        with pytest.raises(ConfigurationError,
+                           match=r"^tolerance must be positive and finite, got "):
+            check_series_vanishing(make_alpha("exp"), 0.5, 1.0, [5], [1, 2], tol=tol)
+
+    @pytest.mark.parametrize("gaps,schedule,field", [
+        ([5.5], [1, 2], "gaps"), ([math.nan], [1, 2], "gaps"), ([10.0], [1, 2], "gaps"),
+        ([5], [1, 5.5], "n_schedule"), ([5], [True, 2], "n_schedule"),
+        ([5], ["a", 2], "n_schedule"), ([5], [1, "a"], "n_schedule"),
+    ], ids=["gap-fraction", "gap-nan", "gap-float", "start-fraction", "start-bool",
+            "start-string", "second-start-string"])
+    def test_gaps_and_starts_must_be_ints(self, gaps, schedule, field):
+        # As series_tail's indices, and not bools: before this check a float
+        # reached series_tail's message, and a string a bare TypeError.
+        with pytest.raises(ConfigurationError, match=f"^{field} must be non-empty"):
+            check_series_vanishing(IDENTITY, 0.5, 1.0, gaps, schedule, tol=1e-6)
+
     def test_nan_tolerance_is_a_configuration_error(self):
         # Unchecked, it would reach the collector as a NaN slack: a NumericError.
         with pytest.raises(ConfigurationError, match="tolerance must be positive"):
@@ -849,7 +868,7 @@ def test_empty_sample_is_the_identity_error():
 
 @pytest.mark.parametrize("samples, message", [
     (0, "check 'identity_axiom' evaluated an empty sample"),
-    (50, "tolerance must be positive"),
+    (50, "tolerance must be positive and finite, got -1.0"),
 ])
 def test_verify_theorem_raises_its_first_check_error(samples, message):
     # The sampled checks run first, so an empty sample is identity's error;

@@ -797,6 +797,23 @@ def test_only_fixed_point_applies_maps():
     assert set(compiles) == {"fixed_point.py"}
 
 
+def test_only_point_domain_reads_a_domain_kind():
+    """A domain answers for its kind: other code reads least, greatest,
+    is_discrete, members or contains, and no attribute named kind outside
+    the PointDomain class."""
+    inside, outside = [], []
+    for path in sorted(Path(SRC, "csmetric").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        domain = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "PointDomain"
+                  for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "kind":
+                (inside if id(node) in domain else outside).append((path.name, node.lineno))
+    assert outside == []
+    assert {name for name, _ in inside} == {"spaces.py"}
+
+
 def _loaded_modules(statement):
     code = f"import sys; {statement}; print(*sorted(m for m in sys.modules if 'csmetric' in m))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=cli_env(),

@@ -322,6 +322,20 @@ class TestVerifyFixedPoint:
             verify_fixed_point(app_space, F, 0.3, tol=tol)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("entry", [
+    lambda space, F, tol: picard(space, F, 0.0, tol),
+    lambda space, F, tol: verify_fixed_point(space, F, 0.0, tol),
+    lambda space, F, tol: uniqueness_probe(space, F, (0.0, 0.25, 1.0), tol),
+], ids=["picard", "verify_fixed_point", "uniqueness_probe"])
+def test_a_tolerance_must_be_positive_and_finite(app_space, entry, tol):
+    # x -> 1 - x has the one fixed point 0.5, yet at tol = inf every run would
+    # converge at its start and every verdict pass.
+    flip = SelfMap(id="flip", fn=lambda x: 1.0 - x, domain=app_space.domain)
+    with pytest.raises(ConfigurationError, match=r"^tolerance must be positive and finite, got "):
+        entry(app_space, flip, tol)
+
+
 class TestUniquenessProbe:
     def test_polynomial_map_from_five_starts(self, poly3):
         v = uniqueness_probe(poly3.space, poly3.map, (0.0, 0.25, 0.5, 0.75, 1.0))
@@ -377,8 +391,8 @@ class TestGeometricDecay:
 # distance <= tol.
 
 def _stepwise_picard(space, F, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    if not tol > 0:
-        raise ConfigurationError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ConfigurationError(f"tolerance must be positive and finite, got {tol!r}")
     if max_iter < 1:
         raise ConfigurationError("max_iter must be >= 1")
     if not space.domain.contains(x0):

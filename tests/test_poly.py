@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from csmetric import (AlphaFunction, DomainError, PolyProblem, SampleConfig,
-                      bisection_oracle, contraction_bound, estimate_contraction_factor,
-                      poly_map, residual, sample_tuples, solve_poly,
-                      verify_theorem_4_1)
+from csmetric import (AlphaFunction, ConfigurationError, DomainError, PolyProblem,
+                      SampleConfig, bisection_oracle, contraction_bound,
+                      estimate_contraction_factor, oracle_agreement, poly_map, residual,
+                      sample_tuples, solve_poly, verify_theorem_4_1)
 
 ROOT_M3 = 0.012345679299142365  # pinned by the bisection oracle
 
@@ -122,11 +122,15 @@ class TestBisectionOracle:
         # F is nearly constant, so the root sits close to F(0) = 1/m^4.
         assert bisection_oracle(5, 1e-12) == pytest.approx(1.0 / 625.0, abs=1e-5)
 
-    @pytest.mark.parametrize("tol", [0.0, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, float("nan"), math.inf, -1.0])
     def test_tolerance_validation(self, tol):
-        # A NaN tol would skip the loop and return 0.5, which is no root.
-        with pytest.raises(DomainError, match="oracle tolerance must be positive"):
+        # A NaN or infinite tol would skip the loop and return 0.5, which is
+        # no root, and oracle_agreement would pass any solve.
+        with pytest.raises(DomainError,
+                           match=r"^oracle tolerance must be positive and finite, got "):
             bisection_oracle(3, tol)
+        with pytest.raises(DomainError, match=r"^oracle tolerance must be positive and finite"):
+            oracle_agreement(3, solve_poly(3), tol)
 
 
 class TestSolvePoly:
@@ -179,6 +183,13 @@ class TestVerifyPipeline:
     def test_degree_two_rejected(self):
         with pytest.raises(DomainError):
             verify_theorem_4_1(2)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+    def test_a_tolerance_must_be_positive_and_finite(self, tol):
+        # At tol = inf every hypothesis that reads tol would pass.
+        with pytest.raises(ConfigurationError,
+                           match=r"^tolerance must be positive and finite, got "):
+            verify_theorem_4_1(3, samples=50, tol=tol)
 
     def test_the_problem_is_built_once(self, monkeypatch):
         built = []

@@ -1,9 +1,10 @@
+import json
 import math
 import random
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from csmetric import (AlphaFunction, ComposedSpace, ConfigurationError,
@@ -21,6 +22,31 @@ ALPHA_IDS = ("identity", "exp", "exp_2t", "two_t_plus_one", "two_sqrt")
 
 class _Float(float):
     """A float subclass, as numpy.float64 is one."""
+
+
+# Values for a domain's fields: ints, floats, bools, strings, NaN, +-inf, an
+# int beyond the floats, fractions and the naturals' bounds.
+_FIELD_VALUES = st.one_of(
+    st.integers(-3, 60), st.floats(-1e3, 1e3), st.floats(), st.booleans(), st.text(max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, 10.5, -0.0, 2 ** 53,
+                     2 ** 53 + 1, 1.7976931348623157e308]))
+
+# Every way to build a domain of each kind from its fields.
+_PATHS = {
+    "real_interval": [
+        PointDomain.real_interval, lambda lo, hi: PointDomain("real_interval", lo, hi),
+        lambda lo, hi: PointDomain.from_json({"kind": "real_interval", "lo": lo, "hi": hi}),
+        lambda lo, hi: replace(PointDomain.real_interval(0.0, 1.0), lo=lo, hi=hi)],
+    "naturals_up_to": [
+        PointDomain.naturals_up_to, lambda top: PointDomain("naturals_up_to", max_value=top),
+        lambda top: PointDomain.from_json({"kind": "naturals_up_to", "max": top}),
+        lambda top: replace(PointDomain.naturals_up_to(4), max_value=top)],
+    "finite_real_set": [
+        PointDomain.finite_real_set, lambda xs: PointDomain("finite_real_set", elements=xs),
+        lambda xs: PointDomain("finite_real_set", elements=tuple(xs)),
+        lambda xs: PointDomain.from_json({"kind": "finite_real_set", "elements": xs}),
+        lambda xs: replace(PointDomain.finite_real_set([1.0]), elements=xs)],
+}
 
 
 class TestPointDomain:
@@ -75,6 +101,79 @@ class TestPointDomain:
     @pytest.mark.parametrize("x", [10 ** 400, -10 ** 400, math.nan, math.inf])
     def test_values_beyond_the_floats_are_outside(self, domain, x):
         assert not domain.contains(x)
+
+    @pytest.mark.parametrize("domain,greatest", [
+        (PointDomain.real_interval(-2, 5), 5.0), (PointDomain.naturals_up_to(10), 10),
+        (PointDomain.finite_real_set([3, -1, 2.5]), 3.0),
+    ], ids=["interval", "naturals", "finite-set"])
+    def test_greatest_is_the_highest_point(self, domain, greatest):
+        assert domain.greatest == greatest
+        assert type(domain.greatest) is type(greatest)
+
+    @given(kind=st.sampled_from(sorted(_PATHS)), values=st.lists(_FIELD_VALUES, min_size=2,
+                                                                  max_size=2),
+           elements=st.lists(_FIELD_VALUES, max_size=4))
+    @example(kind="real_interval", values=[0, 1], elements=[])
+    @example(kind="real_interval", values=["a", 1], elements=[])
+    @example(kind="real_interval", values=[-0.0, 1], elements=[])
+    @example(kind="naturals_up_to", values=["7", 0], elements=[])
+    @example(kind="naturals_up_to", values=[10.5, 0], elements=[])
+    @example(kind="naturals_up_to", values=[7.0, 0], elements=[])
+    @example(kind="finite_real_set", values=[0, 0], elements=[10 ** 400])
+    @example(kind="finite_real_set", values=[0, 0], elements=[2, -0.0, 1, 2.0])
+    def test_every_construction_path_checks_the_fields_alike(self, kind, values, elements):
+        # A direct call, a static constructor, from_json and replace: each
+        # raises ConfigurationError, or each gives one domain, with floats
+        # for its bounds and elements and an int max, and one serialization.
+        fields = {"real_interval": values, "naturals_up_to": values[:1],
+                  "finite_real_set": [elements]}[kind]
+        built = []
+        for path in _PATHS[kind]:
+            try:
+                built.append(path(*fields))
+            except ConfigurationError:
+                built.append(None)
+        if None in built:
+            assert built == [None] * len(built)
+            return
+        first = built[0]
+        assert all(d == first and hash(d) == hash(first) for d in built)
+        assert len({json.dumps(d.to_json()) for d in built}) == 1
+        numbers = {"real_interval": (first.lo, first.hi), "naturals_up_to": (),
+                   "finite_real_set": first.elements}[kind]
+        assert all(type(x) is float for x in numbers) and type(first.max_value) is int
+
+    @pytest.mark.parametrize("build", [lambda zero: PointDomain.real_interval(zero, 1),
+                                       lambda zero: PointDomain.finite_real_set([1, zero])],
+                             ids=["interval", "finite-set"])
+    def test_equal_domains_serialize_alike(self, build):
+        # -0.0 == 0 == 0.0, so the three domains are equal: kept as given,
+        # they would print -0.0, 0 and 0.0.
+        domains = [build(zero) for zero in (-0.0, 0, 0.0)]
+        assert domains[0] == domains[1] == domains[2]
+        assert len({json.dumps(d.to_json()) for d in domains}) == 1
+
+    def test_another_kinds_fields_take_their_defaults(self):
+        # As from_json leaves a document's other fields: otherwise these
+        # would be unequal domains with the same bytes.
+        naturals = PointDomain.naturals_up_to(10)
+        assert replace(naturals, lo=5.0, elements=(1.0,)) == naturals
+        assert replace(PointDomain.real_interval(0, 1), kind="naturals_up_to",
+                       max_value=10) == naturals
+        assert PointDomain.from_json({"kind": "naturals_up_to", "max": 10, "lo": 5}) == naturals
+
+    @pytest.mark.parametrize("doc,message", [
+        ([], "must be an object with a 'kind' field"),
+        ({"lo": 0, "hi": 1}, "must be an object with a 'kind' field"),
+        ({"kind": "real_interval", "lo": 0}, "missing field 'hi'"),
+        ({"kind": "naturals_up_to"}, "missing field 'max'"),
+        ({"kind": "lattice"}, "unknown domain kind 'lattice'"),
+        ({"kind": ["real_interval"], "lo": 0, "hi": 1}, "unknown domain kind"),
+        ({"kind": 1}, "unknown domain kind 1"),
+    ], ids=["list", "no-kind", "no-hi", "no-max", "unknown-kind", "list-kind", "int-kind"])
+    def test_a_domain_document_error_names_the_document(self, doc, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            PointDomain.from_json(doc)
 
 
 class TestValues:
@@ -267,6 +366,14 @@ class TestEvalAlpha:
         with pytest.raises(DomainError):
             eval_alpha(make_alpha("identity"), -1.0)
 
+    def test_a_nan_argument_is_a_domain_error(self):
+        # Not a NumericError naming the alpha: the argument is at fault.
+        with pytest.raises(DomainError,
+                           match=r"^composing functions are defined on \[0, inf\); got nan$"):
+            eval_alpha(make_alpha("exp"), math.nan)
+        assert math.copysign(1.0, eval_alpha(make_alpha("identity"), -0.0)) == -1.0
+        assert eval_alpha(make_alpha("exp"), math.inf) == math.inf
+
     def test_linear_needs_positive_slope(self):
         assert eval_alpha(make_alpha("linear", [3.0]), 2.0) == 6.0
         with pytest.raises(ConfigurationError):
@@ -452,6 +559,15 @@ class TestSerialization:
         # bool("false") is True: read with bool(), a string turns the gate on.
         with pytest.raises(ConfigurationError, match="symmetric must be true or false"):
             space_from_json({"metric": "app_metric", "symmetric": value})
+
+    @pytest.mark.parametrize("value", ["false", 1, None])
+    def test_a_space_built_directly_checks_its_symmetric_claim(self, value):
+        space = make_builtin_space("app_metric")
+        with pytest.raises(ConfigurationError,
+                           match=f"^symmetric must be true or false, got {re.escape(repr(value))}$"):
+            ComposedSpace(space.domain, space.metric, space.alpha, symmetric_claim=value)
+        with pytest.raises(ConfigurationError, match="symmetric must be true or false"):
+            replace(space, symmetric_claim=value)
 
 
 # --- the image rule -------------------------------------------------------------
